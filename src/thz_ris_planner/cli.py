@@ -36,7 +36,6 @@ from .link_budget import (
 )
 from .power import PROFILES, TechnologyProfile, panel_power
 from .radiation import (
-    FrequencySpanError,
     GridResolutionError,
     analytical_hpbw,
     array_factor_fft,
@@ -215,6 +214,8 @@ def cmd_solve_aperture(args, cfg: ScenarioConfig) -> int:
 
 
 def cmd_pattern(args, cfg: ScenarioConfig) -> int:
+    if not (math.isfinite(args.cut_step_deg) and args.cut_step_deg > 0.0):
+        raise ValueError(f"--cut-step-deg must be a positive angle, got {args.cut_step_deg}")
     cfg.require("link", "theta_in", "theta_out")
     cfg.require("quantization", "bits")
     panel = _aperture(cfg)
@@ -431,16 +432,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except UnreachableGeometryError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (GridResolutionError, FrequencySpanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,12 +9,16 @@ sqrt(cos(theta)), so element power falls as cos(theta). The programmed phases
 inside c_n are fixed at the design frequency and frequency-flat; evaluating at
 f != f0 is what produces beam squint.
 
-Three evaluation routes are provided:
+Every production field evaluation (principal cuts, single-direction gain,
+the directivity quadrature, the squint gain trace, the broadside beamwidth
+and the beam-peak track) goes through one kernel, _field, which is separable
+over the lattice axes: per chunk of directions it builds two exponential
+tables and does one matrix product. Two further routes exist:
 
-* array_factor_direct: exact summation, the reference oracle;
 * array_factor_fft: zero-padded 2-D DFT on the (u, v) lattice, equal to the
   direct sum at lattice points;
-* a tensor-grid evaluator used internally by the directivity quadrature.
+* array_factor_direct: a per-direction loop over the elements, kept as the
+  reference oracle that tests compare both routes against.
 
 Directivity integrates |E|^2 over the front hemisphere by the trapezoid rule
 with the sin(theta) Jacobian on a grid refined around the main lobe. A closed
@@ -39,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import j1
 
 from .aperture import ApertureSpec
@@ -49,6 +52,7 @@ from .surface import PhaseProfile, TaperSpec, UNIFORM_TAPER, quantize_profile, s
 BEAMWIDTH_FACTOR = 0.886  # uniform-aperture 3 dB beamwidth in units of lambda/D
 HPBW_GRID = 17  # samples per bracketing pass of the broadside -3 dB point
 PEAK_WINDOW = 21  # samples of the steering-plane array factor around the beam
+FIELD_CHUNK = 1024  # directions per pair of exponential tables in _field
 
 
 class GridResolutionError(ValueError):
@@ -204,20 +208,26 @@ def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> R
     return RadiationPattern(frequency_hz=f.hertz, kind="uv", ax1=u, ax2=v, field=field)
 
 
-def _field_on_sphere_grid(
-    p: PhaseProfile, f: Frequency, theta: np.ndarray, phi: np.ndarray
-) -> np.ndarray:
-    """Complex field on the tensor grid theta x phi, element factor included."""
-    k = _wavenumber(f)
-    cos_phi = np.cos(phi)
-    sin_phi = np.sin(phi)
-    out = np.empty((theta.size, phi.size), dtype=complex)
-    for it, th in enumerate(theta):
-        st = math.sin(th)
-        ax = np.exp(1j * k * np.outer(p.x_m, st * cos_phi))
-        by = np.exp(1j * k * np.outer(p.y_m, st * sin_phi))
-        out[it] = np.einsum("ip,ip->p", ax, p.coefficients @ by)
-    return out * _element_factor(theta)[:, None]
+def _field(c: np.ndarray, p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
+    """Array factor sum_ij c_ij exp(j (ku_s x_i + kv_s y_j)) at each pair (ku_s, kv_s).
+
+    ku and kv are k*u and k*v (rad/m) of the same shape; the result has that
+    shape and carries no element factor. c is the coefficient grid on the
+    lattice of p (p.coefficients, or e.g. its magnitudes). The sum is
+    separable over the lattice axes: per FIELD_CHUNK directions it builds the
+    tables exp(j x ku) and exp(j y kv) and does one matrix product. Directions
+    run along the last axis, so the final sum over x is over long rows.
+    """
+    ku = np.asarray(ku, dtype=float)
+    kv = np.asarray(kv, dtype=float)
+    flat_u, flat_v = ku.ravel(), kv.ravel()
+    out = np.empty(flat_u.size, dtype=complex)
+    for s in range(0, flat_u.size, FIELD_CHUNK):
+        chunk = slice(s, s + FIELD_CHUNK)
+        ax = np.exp(1j * np.outer(p.x_m, flat_u[chunk]))
+        by = np.exp(1j * np.outer(p.y_m, flat_v[chunk]))
+        out[chunk] = np.einsum("is,is->s", ax, c @ by)
+    return out.reshape(ku.shape)
 
 
 def analytical_hpbw(p: PhaseProfile, f: Frequency) -> float:
@@ -269,8 +279,11 @@ def directivity(
         phi_parts.append(np.mod(phi_fine, 2.0 * math.pi))
     phi = np.unique(np.concatenate(phi_parts))
 
-    e2 = np.abs(_field_on_sphere_grid(p, f, theta, phi)) ** 2
-    inner = np.trapezoid(e2 * np.sin(theta)[:, None], x=phi, axis=1)
+    k = _wavenumber(f)
+    st = np.sin(theta)[:, None]
+    field = _field(p.coefficients, p, k * st * np.cos(phi), k * st * np.sin(phi))
+    e2 = np.abs(field * _element_factor(theta)[:, None]) ** 2
+    inner = np.trapezoid(e2 * st, x=phi, axis=1)
     total = float(np.trapezoid(inner, x=theta))
 
     with np.errstate(divide="ignore"):
@@ -295,10 +308,16 @@ def hemisphere_power_exact(p: PhaseProfile, f: Frequency | None = None) -> float
 
 
 def _lattice_autocorrelation(p: PhaseProfile) -> tuple[np.ndarray, np.ndarray]:
-    c = p.coefficients
-    corr = fftconvolve(c, np.conj(c[::-1, ::-1]))
-    dx = (np.arange(2 * p.rows - 1) - (p.rows - 1)) * p.cell_pitch_m
-    dy = (np.arange(2 * p.cols - 1) - (p.cols - 1)) * p.cell_pitch_m
+    """sum_m c_m conj(c_{m-d}) at every lag d, centred, with the lag lengths |d|.
+
+    A cyclic correlation of length 2n-1 per axis holds every lag without
+    wrap-around; fftshift puts lag -(n-1) first.
+    """
+    nx, ny = 2 * p.rows - 1, 2 * p.cols - 1
+    spectrum = np.fft.fft2(p.coefficients, s=(nx, ny))
+    corr = np.fft.fftshift(np.fft.ifft2(spectrum * np.conj(spectrum)))
+    dx = (np.arange(nx) - (p.rows - 1)) * p.cell_pitch_m
+    dy = (np.arange(ny) - (p.cols - 1)) * p.cell_pitch_m
     rho = np.hypot(dx[:, None], dy[None, :])
     return corr, rho
 
@@ -313,7 +332,9 @@ def _power_from_autocorrelation(corr: np.ndarray, rho: np.ndarray, k: float) -> 
 
 def gain_at(p: PhaseProfile, f: Frequency, direction: Direction) -> float:
     """Directivity (dBi) at one direction, normalized by the exact power."""
-    e = array_factor_direct(p, f, [direction])[0]
+    k = _wavenumber(f)
+    u, v = direction.transverse()
+    e = _field(p.coefficients, p, k * u, k * v) * _element_factor(direction.theta)
     power = hemisphere_power_exact(p, f)
     return 10.0 * math.log10(4.0 * math.pi * abs(e) ** 2 / power)
 
@@ -336,10 +357,9 @@ def principal_plane_cut(
     if total_power is None:
         total_power = hemisphere_power_exact(p, f)
     theta = np.arange(-math.pi / 2, math.pi / 2 + 1e-12, theta_step)
-    dirs = [
-        Direction(abs(t), phi if t >= 0 else phi + math.pi) for t in theta
-    ]
-    e = array_factor_direct(p, f, dirs)
+    # negative theta at phi + 180 deg is positive theta with k*sin(theta) negated
+    q = _wavenumber(f) * np.sin(theta)
+    e = _field(p.coefficients, p, q * math.cos(phi), q * math.sin(phi)) * _element_factor(theta)
     with np.errstate(divide="ignore"):
         dbi = 10.0 * np.log10(4.0 * math.pi * np.abs(e) ** 2 / total_power)
     return np.degrees(theta), dbi
@@ -403,16 +423,11 @@ def squint_sweep(
     k_per_f = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
 
     u_t, v_t = outgoing.transverse()
-    gx, gy = np.meshgrid(profile.x_m, profile.y_m, indexing="ij")
-    projection = gx * u_t + gy * v_t
-    ef = math.sqrt(max(math.cos(outgoing.theta), 0.0))
+    e = _field(profile.coefficients, profile, k_per_f * u_t, k_per_f * v_t)
+    e *= _element_factor(outgoing.theta)
     corr, rho = _lattice_autocorrelation(profile)
-
-    gain = np.empty(n_samples)
-    for i, k in enumerate(k_per_f):
-        e = np.sum(profile.coefficients * np.exp(1j * k * projection)) * ef
-        power = _power_from_autocorrelation(corr, rho, k)
-        gain[i] = 10.0 * math.log10(4.0 * math.pi * abs(e) ** 2 / power)
+    power = np.array([_power_from_autocorrelation(corr, rho, k) for k in k_per_f])
+    gain = 10.0 * np.log10(4.0 * math.pi * np.abs(e) ** 2 / power)
 
     hpbw = _broadside_hpbw(profile, outgoing.phi, f0)
     peak = _track_beam_peak(profile, outgoing, _wavenumber(f0), hpbw, k_per_f)
@@ -467,18 +482,6 @@ def _interp_crossing(x_out: float, x_in: float, y_out: float, y_in: float, level
     return x_out + frac * (x_in - x_out)
 
 
-def _plane_field(coefficients: np.ndarray, p: PhaseProfile, phi: float, q: np.ndarray) -> np.ndarray:
-    """Array factor sum_n c_n exp(j q (x_n cos(phi) + y_n sin(phi))) at each q.
-
-    Along azimuth phi the frozen-phase array factor depends on k*sin(theta)
-    only, so one evaluation at q serves every frequency. Separable over the
-    lattice axes: two exponential tables and one matrix product.
-    """
-    ax = np.exp(1j * np.outer(q * math.cos(phi), p.x_m))
-    by = np.exp(1j * np.outer(q * math.sin(phi), p.y_m))
-    return np.einsum("mi,mi->m", ax, by @ coefficients.T)
-
-
 def _broadside_hpbw(p: PhaseProfile, phi: float, f: Frequency) -> float:
     """Measured -3 dB width (rad) in the plane phi of |c_n| radiated to broadside.
 
@@ -493,7 +496,8 @@ def _broadside_hpbw(p: PhaseProfile, phi: float, f: Frequency) -> float:
     lo, hi = 0.0, min(analytical_hpbw(p, f), math.pi / 2)
     for _ in range(2):
         theta = np.linspace(lo, hi, HPBW_GRID)
-        power = np.abs(_plane_field(amps, p, phi, k * np.sin(theta))) ** 2 * np.cos(theta)
+        q = k * np.sin(theta)
+        power = np.abs(_field(amps, p, q * math.cos(phi), q * math.sin(phi))) ** 2 * np.cos(theta)
         with np.errstate(divide="ignore"):
             rel = 10.0 * np.log10(power / peak)
         below = np.flatnonzero(rel < -3.0)
@@ -517,7 +521,10 @@ def _track_beam_peak(
     visible region, is recorded at 90 deg.
     """
     q = k0 * (math.sin(outgoing.theta) + math.sin(hpbw / 2.0) * np.linspace(-1.0, 1.0, PEAK_WINDOW))
-    af2 = np.abs(_plane_field(p.coefficients, p, outgoing.phi, q)) ** 2
+    # along azimuth phi the frozen-phase array factor depends on k*sin(theta)
+    # only, so one evaluation at q serves every frequency
+    ku, kv = q * math.cos(outgoing.phi), q * math.sin(outgoing.phi)
+    af2 = np.abs(_field(p.coefficients, p, ku, kv)) ** 2
     cos_theta = np.sqrt(np.maximum(1.0 - (q[None, :] / k_per_f[:, None]) ** 2, 0.0))
     log_p = np.log(np.maximum(af2 * cos_theta, np.finfo(float).tiny))
     idx = np.argmax(log_p, axis=1)

@@ -159,12 +159,10 @@ def quantize_profile(p: PhaseProfile, bits: int) -> PhaseProfile:
 
     Exact midpoints round toward the lower level index.
     """
-    if not (1 <= bits <= MAX_QUANTIZATION_BITS):
-        raise ValueError(f"quantization bits must be in [1, {MAX_QUANTIZATION_BITS}]")
-    n_levels = 2**bits
-    step = 2.0 * math.pi / n_levels
+    levels = quantization_levels(bits)
+    step = levels[1]  # 2*pi / 2^bits
     # ceil(x - 0.5) is round-half-down, the documented tie break
-    idx = np.ceil(p.phases() / step - 0.5).astype(int) % n_levels
+    idx = np.ceil(p.phases() / step - 0.5).astype(int) % levels.size
     return PhaseProfile(
         x_m=p.x_m.copy(),
         y_m=p.y_m.copy(),

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import thz_ris_planner
 from thz_ris_planner.cli import main
 
 DATA = resources.files("thz_ris_planner").joinpath("data")
@@ -152,6 +157,17 @@ def test_pattern_under_resolved_exits_1(tmp_path, capsys):
     assert "cut-step-deg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["0", "-1", "nan"])
+def test_pattern_bad_cut_step_exits_1(tmp_path, capsys, step):
+    cfg = tmp_path / "pattern.cfg"
+    cfg.write_text(SMALL_PATTERN)
+    code = main(["--config", str(cfg), "--out", str(tmp_path), "pattern", "--cut-step-deg", step])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --cut-step-deg must be a positive angle")
+    assert err.count("\n") == 1
+
+
 def test_pattern_csv_deterministic(tmp_path):
     cfg = tmp_path / "pattern.cfg"
     cfg.write_text(SMALL_PATTERN)
@@ -283,3 +299,14 @@ def test_malformed_config_line_anchored(tmp_path, capsys):
 def test_missing_config_file(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "nope.cfg"), "link-budget"])
     assert code == 1
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    src = str(Path(thz_ris_planner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, thz_ris_planner.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

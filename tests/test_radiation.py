@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import j1
 
 from thz_ris_planner.aperture import ApertureSpec
 from thz_ris_planner.core import BROADSIDE, Direction, Frequency
@@ -42,6 +44,15 @@ def _random_profile(n, rng, taper_amps=True):
             prof.cell_pitch_m,
         )
     return prof
+
+
+def _random_lattice(rows, cols, rng):
+    """Half-wavelength lattice of random complex coefficients, |c| in [0.1, 1]."""
+    pitch = F140.wavelength_m / 2.0
+    x = (np.arange(rows) - (rows - 1) / 2.0) * pitch
+    y = (np.arange(cols) - (cols - 1) / 2.0) * pitch
+    coeffs = rng.uniform(0.1, 1.0, (rows, cols)) * np.exp(2j * math.pi * rng.random((rows, cols)))
+    return PhaseProfile(x, y, coeffs, F140, pitch)
 
 
 # --- direct sum (oracle) ----------------------------------------------------
@@ -170,6 +181,22 @@ def test_hemisphere_energy_closure():
         assert 0.98 <= ratio <= 1.0
 
 
+@pytest.mark.parametrize("rows,cols", [(3, 5), (4, 6)])
+def test_hemisphere_power_matches_explicit_pair_sum(rows, cols):
+    # sum over every element pair pins the lag alignment on non-square lattices
+    prof = _random_lattice(rows, cols, np.random.default_rng(rows * cols))
+    k = 2.0 * math.pi / F140.wavelength_m
+    gx, gy = np.meshgrid(prof.x_m, prof.y_m, indexing="ij")
+    c, px, py = prof.coefficients.ravel(), gx.ravel(), gy.ravel()
+    expected = 0.0
+    for n in range(c.size):
+        for m in range(c.size):
+            kd = k * math.hypot(px[n] - px[m], py[n] - py[m])
+            kernel = math.pi if kd == 0.0 else 2.0 * math.pi * j1(kd) / kd
+            expected += (c[n] * np.conj(c[m])).real * kernel
+    assert hemisphere_power_exact(prof, F140) == pytest.approx(expected, rel=1e-12)
+
+
 def test_peak_location_matches_programmed_angle():
     ap = ApertureSpec.from_element_grid(40, F140)
     for theta_deg in (20.0, 37.0, 55.0):
@@ -204,6 +231,63 @@ def test_principal_plane_cut_peaks_at_steer_angle():
     prof = synthesize_profile(ap, BROADSIDE, Direction.from_degrees(25.0))
     theta_deg, dbi = principal_plane_cut(prof, F140, phi=0.0, theta_step=math.radians(0.1))
     assert theta_deg[int(np.argmax(dbi))] == pytest.approx(25.0, abs=0.3)
+
+
+# --- field kernel against the direct-sum oracle ------------------------------
+
+
+def _field_from_dbi(dbi, power):
+    """|E| recovered from directivity in dBi and the hemisphere power."""
+    return np.sqrt(10.0 ** (np.asarray(dbi) / 10.0) * power / (4.0 * math.pi))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.integers(1, 16),
+    cols=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    f_ghz=st.floats(100.0, 300.0),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    theta=st.floats(0.0, 1.5),
+)
+def test_cut_and_gain_match_direct_oracle(rows, cols, seed, f_ghz, phi, theta):
+    prof = _random_lattice(rows, cols, np.random.default_rng(seed))
+    f = Frequency.from_ghz(f_ghz)
+
+    theta_deg, dbi = principal_plane_cut(prof, f, phi, math.radians(0.1), total_power=1.0)
+    signed = np.radians(theta_deg)
+    dirs = [Direction(abs(t), phi if t >= 0 else phi + math.pi) for t in signed]
+    direct = np.abs(array_factor_direct(prof, f, dirs))
+    peak = np.max(direct)
+    assert np.max(np.abs(_field_from_dbi(dbi, 1.0) - direct)) < 1e-9 * peak
+
+    d = Direction(theta, phi)
+    e = abs(array_factor_direct(prof, f, [d])[0])
+    power = hemisphere_power_exact(prof, f)
+    assert abs(_field_from_dbi(gain_at(prof, f, d), power) - e) < 1e-9 * peak
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(24, 40),
+    f_ghz=st.floats(100.0, 300.0),
+    theta_deg=st.floats(25.0, 60.0),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    edge_db=st.floats(-12.0, 0.0),
+)
+def test_squint_gain_trace_matches_direct_oracle(n, f_ghz, theta_deg, phi, edge_db):
+    f0 = Frequency.from_ghz(f_ghz)
+    ap = ApertureSpec.from_element_grid(n, f0)
+    target = Direction(math.radians(theta_deg), phi)
+    taper = TaperSpec(edge_db)
+    report = squint_sweep(ap, BROADSIDE, target, taper, f_span_hz=0.5 * f0.hertz, n_samples=21)
+    prof = synthesize_profile(ap, BROADSIDE, target, taper)
+    direct = np.array(
+        [abs(array_factor_direct(prof, Frequency(f), [target])[0]) for f in report.freq_hz]
+    )
+    power = np.array([hemisphere_power_exact(prof, Frequency(f)) for f in report.freq_hz])
+    peak = np.sum(np.abs(prof.coefficients))
+    assert np.max(np.abs(_field_from_dbi(report.gain_dbi, power) - direct)) < 1e-9 * peak
 
 
 # --- quantization loss ------------------------------------------------------
