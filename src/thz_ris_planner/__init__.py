@@ -41,8 +41,9 @@ from .radiation import (
     FrequencySpanError,
     GridResolutionError,
     QuantizationReport,
-    RadiationPattern,
+    SpherePattern,
     SquintReport,
+    UVPattern,
     array_factor_direct,
     array_factor_fft,
     directivity,

@@ -39,7 +39,7 @@ from .radiation import (
     GridResolutionError,
     analytical_hpbw,
     array_factor_fft,
-    hemisphere_power_exact,
+    check_normal_incidence,
     principal_plane_cut,
     squint_sweep,
     squint_vs_angle,
@@ -221,6 +221,7 @@ def cmd_pattern(args, cfg: ScenarioConfig) -> int:
     panel = _aperture(cfg)
     taper = _taper(cfg)
     incident = _direction(cfg, "in")
+    check_normal_incidence(incident)
     outgoing = _direction(cfg, "out")
     bits_list = cfg.section("quantization")["bits"]
 

@@ -48,7 +48,14 @@ def parse_quantity(text: str, dimension: str, key: str = "", line: int | None = 
         value = float(raw)
     except ValueError:
         raise ConfigError(f"'{key}': cannot parse number {raw!r}", line) from None
-    return value * units[unit]
+    return _finite(value, key, line) * units[unit]
+
+
+def _finite(value: float, key: str, line: int | None) -> float:
+    """value itself; nan and +-inf (which float() accepts) raise ConfigError."""
+    if not math.isfinite(value):
+        raise ConfigError(f"'{key}': expected a finite number, got {value}", line)
+    return value
 
 
 def _parse_fraction(text: str, key: str, line: int | None) -> float:
@@ -56,9 +63,9 @@ def _parse_fraction(text: str, key: str, line: int | None) -> float:
     parts = text.split()
     try:
         if len(parts) == 2 and parts[1] in ("%", "percent"):
-            return float(parts[0]) / 100.0
+            return _finite(float(parts[0]), key, line) / 100.0
         if len(parts) == 1:
-            return float(parts[0])
+            return _finite(float(parts[0]), key, line)
     except ValueError:
         pass
     raise ConfigError(f"'{key}': expected a fraction or percentage, got {text!r}", line)
@@ -73,9 +80,10 @@ def _parse_int(text: str, key: str, line: int | None) -> int:
 
 def _parse_float(text: str, key: str, line: int | None) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"'{key}': expected a number, got {text!r}", line) from None
+    return _finite(value, key, line)
 
 
 def _parse_modulation(text: str, key: str, line: int | None) -> int:

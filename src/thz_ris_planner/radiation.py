@@ -24,10 +24,15 @@ Directivity integrates |E|^2 over the front hemisphere by the trapezoid rule
 with the sin(theta) Jacobian on a grid refined around the main lobe. A closed
 form for the same integral on a uniform lattice,
 
-    P = sum_{n,m} c_n conj(c_m) * 2*pi*J1(k*d_nm)/(k*d_nm),
+    P(k) = sum_d corr(d) * 2*pi*J1(k*|d|)/(k*|d|),
 
+with corr(d) = sum_m c_m conj(c_{m-d}) the lattice autocorrelation at lag d,
 follows from integrating the cos(theta) element power pattern over the
-hemisphere; it backs the fast squint sweep and serves as an independent
+hemisphere. One routine, _hemisphere_power, evaluates it: since the kernel
+depends on |d| only, corr is first summed per distinct squared integer lag
+i^2 + j^2 (about a tenth of the (2R-1)(2C-1) lags), and J1 is evaluated once
+per (k, distinct radius) for every wavenumber at once. It normalises cuts,
+single-direction gains and the squint sweep, and serves as an independent
 cross-check of the quadrature.
 
 Squint bandwidth follows the beam-shift convention (Mailloux, Phased Array
@@ -53,6 +58,8 @@ BEAMWIDTH_FACTOR = 0.886  # uniform-aperture 3 dB beamwidth in units of lambda/D
 HPBW_GRID = 17  # samples per bracketing pass of the broadside -3 dB point
 PEAK_WINDOW = 21  # samples of the steering-plane array factor around the beam
 FIELD_CHUNK = 1024  # directions per pair of exponential tables in _field
+COARSE_RESOLUTION = math.radians(0.5)  # directivity grid step away from the main lobe
+LOBE_WINDOW = math.radians(2.0)  # least half-width of the fine grid around the main lobe
 
 
 class GridResolutionError(ValueError):
@@ -64,39 +71,45 @@ class FrequencySpanError(ValueError):
 
 
 @dataclass
-class RadiationPattern:
-    """Sampled far-field quantities on either a (u, v) or (theta, phi) grid.
+class UVPattern:
+    """Complex field E on a (u, v) lattice: ax1/ax2 are direction cosines.
 
-    kind "uv": ax1/ax2 are direction cosines, field holds complex E (NaN in
-    the invisible region). kind "sphere": ax1 is theta (rad), ax2 is phi
-    (rad), directivity_dbi holds 4*pi*|E|^2 / total_power in dB.
+    field is NaN in the invisible region u^2 + v^2 > 1.
     """
 
     frequency_hz: float
-    kind: str
     ax1: np.ndarray
     ax2: np.ndarray
-    field: np.ndarray | None = None
-    directivity_dbi: np.ndarray | None = None
-    total_power: float | None = None
-
-    def peak_directivity(self) -> tuple[float, Direction]:
-        """Peak directivity in dBi and its direction (sphere patterns only)."""
-        if self.directivity_dbi is None:
-            raise ValueError("pattern carries no directivity samples")
-        flat = int(np.argmax(self.directivity_dbi))
-        i, j = np.unravel_index(flat, self.directivity_dbi.shape)
-        return float(self.directivity_dbi[i, j]), Direction(float(self.ax1[i]), float(self.ax2[j]))
+    field: np.ndarray
 
     def peak_uv(self) -> tuple[float, float, float]:
-        """(|E|, u, v) at the strongest visible lattice point (uv patterns only)."""
-        if self.field is None:
-            raise ValueError("pattern carries no field samples")
+        """(|E|, u, v) at the strongest visible lattice point."""
         mag = np.abs(self.field)
         mag = np.where(np.isnan(mag), -1.0, mag)
         flat = int(np.argmax(mag))
         i, j = np.unravel_index(flat, mag.shape)
         return float(mag[i, j]), float(self.ax1[i]), float(self.ax2[j])
+
+
+@dataclass
+class SpherePattern:
+    """Directivity on a (theta, phi) grid: ax1 is theta (rad), ax2 is phi (rad).
+
+    directivity_dbi holds 4*pi*|E|^2 / total_power in dB, where total_power
+    is the quadrature of |E|^2 over the front hemisphere.
+    """
+
+    frequency_hz: float
+    ax1: np.ndarray
+    ax2: np.ndarray
+    directivity_dbi: np.ndarray
+    total_power: float
+
+    def peak_directivity(self) -> tuple[float, Direction]:
+        """Peak directivity in dBi and its direction."""
+        flat = int(np.argmax(self.directivity_dbi))
+        i, j = np.unravel_index(flat, self.directivity_dbi.shape)
+        return float(self.directivity_dbi[i, j]), Direction(float(self.ax1[i]), float(self.ax2[j]))
 
 
 @dataclass
@@ -170,7 +183,7 @@ def _check_uniform_lattice(p: PhaseProfile) -> None:
                 raise ValueError("FFT path requires uniform lattice")
 
 
-def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> RadiationPattern:
+def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> UVPattern:
     """Complex field on the (u, v) lattice via a zero-padded 2-D DFT.
 
     The lattice spacing is lambda/(pitch * n * uv_oversample) per axis; at
@@ -205,7 +218,7 @@ def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> R
     ef[visible] = (1.0 - r2[visible]) ** 0.25  # sqrt(cos(theta))
     field = np.where(visible, field * ef, np.nan + 0j)
 
-    return RadiationPattern(frequency_hz=f.hertz, kind="uv", ax1=u, ax2=v, field=field)
+    return UVPattern(frequency_hz=f.hertz, ax1=u, ax2=v, field=field)
 
 
 def _field(c: np.ndarray, p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
@@ -240,15 +253,14 @@ def directivity(
     p: PhaseProfile,
     f: Frequency | None = None,
     grid_resolution: float = math.radians(0.05),
-    coarse_resolution: float = math.radians(0.5),
-    window: float = math.radians(2.0),
-) -> RadiationPattern:
+) -> SpherePattern:
     """Directivity over the front hemisphere, in dBi.
 
     The total radiated power is integrated by the trapezoid rule with the
-    sin(theta) Jacobian on a (theta, phi) grid: coarse_resolution everywhere,
-    grid_resolution inside a window around the main lobe. grid_resolution
-    must resolve the analytical beamwidth (at most half of it).
+    sin(theta) Jacobian on a (theta, phi) grid: COARSE_RESOLUTION everywhere,
+    grid_resolution within the larger of LOBE_WINDOW and two analytical
+    beamwidths of the main lobe. grid_resolution must resolve the analytical
+    beamwidth (at most half of it).
     """
     if f is None:
         f = p.design_freq
@@ -258,7 +270,7 @@ def directivity(
             f"grid resolution {math.degrees(grid_resolution):.3f} deg under-resolves the "
             f"{math.degrees(hpbw):.3f} deg main lobe; use at most {math.degrees(hpbw / 2):.3f} deg"
         )
-    window = max(window, 2.0 * hpbw)
+    window = max(LOBE_WINDOW, 2.0 * hpbw)
 
     # locate the main lobe on an oversampled uv lattice
     _, upk, vpk = array_factor_fft(p, f, uv_oversample=4).peak_uv()
@@ -267,13 +279,13 @@ def directivity(
     phi_pk = math.atan2(vpk, upk) % (2.0 * math.pi)
 
     eps = 1e-12
-    theta_coarse = np.arange(0.0, math.pi / 2 + eps, coarse_resolution)
+    theta_coarse = np.arange(0.0, math.pi / 2 + eps, COARSE_RESOLUTION)
     theta_fine = np.arange(
         max(0.0, theta_pk - window), min(math.pi / 2, theta_pk + window) + eps, grid_resolution
     )
     theta = np.unique(np.concatenate([theta_coarse, [math.pi / 2], theta_fine]))
 
-    phi_parts = [np.arange(0.0, 2.0 * math.pi + eps, coarse_resolution), np.array([2.0 * math.pi])]
+    phi_parts = [np.arange(0.0, 2.0 * math.pi + eps, COARSE_RESOLUTION), np.array([2.0 * math.pi])]
     if theta_pk > window:
         phi_fine = np.arange(phi_pk - window, phi_pk + window + eps, grid_resolution)
         phi_parts.append(np.mod(phi_fine, 2.0 * math.pi))
@@ -288,9 +300,8 @@ def directivity(
 
     with np.errstate(divide="ignore"):
         dbi = 10.0 * np.log10(4.0 * math.pi * e2 / total)
-    return RadiationPattern(
+    return SpherePattern(
         frequency_hz=f.hertz,
-        kind="sphere",
         ax1=theta,
         ax2=phi,
         directivity_dbi=dbi,
@@ -300,34 +311,48 @@ def directivity(
 
 def hemisphere_power_exact(p: PhaseProfile, f: Frequency | None = None) -> float:
     """Closed-form hemisphere integral of |E|^2 for a uniform lattice."""
-    if f is None:
-        f = p.design_freq
-    _check_uniform_lattice(p)
-    corr, rho = _lattice_autocorrelation(p)
-    return _power_from_autocorrelation(corr, rho, _wavenumber(f))
+    k = _wavenumber(p.design_freq if f is None else f)
+    return float(_hemisphere_power(p, np.array([k]))[0])
 
 
-def _lattice_autocorrelation(p: PhaseProfile) -> tuple[np.ndarray, np.ndarray]:
-    """sum_m c_m conj(c_{m-d}) at every lag d, centred, with the lag lengths |d|.
+def _hemisphere_power(p: PhaseProfile, k: np.ndarray) -> np.ndarray:
+    """Closed-form hemisphere power sum_d corr(d) * 2*pi*J1(k|d|)/(k|d|) at each k.
 
     A cyclic correlation of length 2n-1 per axis holds every lag without
-    wrap-around; fftshift puts lag -(n-1) first.
+    wrap-around; fftfreq gives each bin its integer lag. Only the real part
+    of corr survives the Hermitian sum over +d and -d. The kernel depends on
+    |d|^2 = pitch^2 * (i^2 + j^2) only, so corr is folded onto the distinct
+    values of i^2 + j^2 before J1 is evaluated. Those values are small
+    integers, so counting finds them in ascending order without a sort; the
+    first is the zero lag, whose kernel is the limit pi.
     """
+    _check_uniform_lattice(p)
     nx, ny = 2 * p.rows - 1, 2 * p.cols - 1
     spectrum = np.fft.fft2(p.coefficients, s=(nx, ny))
-    corr = np.fft.fftshift(np.fft.ifft2(spectrum * np.conj(spectrum)))
-    dx = (np.arange(nx) - (p.rows - 1)) * p.cell_pitch_m
-    dy = (np.arange(ny) - (p.cols - 1)) * p.cell_pitch_m
-    rho = np.hypot(dx[:, None], dy[None, :])
-    return corr, rho
+    corr = np.fft.ifft2(spectrum * np.conj(spectrum)).real
+    i = np.rint(np.fft.fftfreq(nx) * nx).astype(np.int64)
+    j = np.rint(np.fft.fftfreq(ny) * ny).astype(np.int64)
+    r2 = (i[:, None] ** 2 + j[None, :] ** 2).ravel()
+    distinct = np.flatnonzero(np.bincount(r2))
+    folded = np.bincount(r2, weights=corr.ravel())[distinct]
+    kr = np.outer(k, p.cell_pitch_m * np.sqrt(distinct[1:]))
+    kernel = j1(kr)
+    kernel *= 2.0 * math.pi
+    kernel /= kr
+    return math.pi * folded[0] + kernel @ folded[1:]
 
 
-def _power_from_autocorrelation(corr: np.ndarray, rho: np.ndarray, k: float) -> float:
-    kr = k * rho
-    kernel = np.full_like(rho, math.pi)
-    mask = kr > 1e-12
-    kernel[mask] = 2.0 * math.pi * j1(kr[mask]) / kr[mask]
-    return float(np.real(np.sum(corr * kernel)))
+def check_normal_incidence(incident: Direction) -> None:
+    """Raise ValueError unless incident is broadside (theta = 0).
+
+    The field model carries no incident-phase term, so a profile programmed
+    for oblique incidence would radiate toward u_out - u_in, not u_out.
+    """
+    if incident.theta != 0.0:
+        raise ValueError(
+            f"only normal incidence is modelled (theta_in = 0), got theta_in = "
+            f"{math.degrees(incident.theta):g} deg"
+        )
 
 
 def gain_at(p: PhaseProfile, f: Frequency, direction: Direction) -> float:
@@ -370,11 +395,10 @@ def quantization_loss(
     outgoing: Direction,
     bits_list: list[int],
     taper: TaperSpec = UNIFORM_TAPER,
-    incident: Direction = BROADSIDE,
     grid_resolution: float = math.radians(0.05),
 ) -> QuantizationReport:
     """Peak directivity per quantization setting plus the continuous reference."""
-    continuous = synthesize_profile(a, incident, outgoing, taper)
+    continuous = synthesize_profile(a, BROADSIDE, outgoing, taper)
     d_cont, _ = directivity(continuous, grid_resolution=grid_resolution).peak_directivity()
     peaks = []
     for bits in bits_list:
@@ -407,8 +431,10 @@ def squint_sweep(
     If the peak never drifts by HPBW/2 anywhere in the band (e.g. a
     frequency-flat broadside profile) the report saturates at f_span_hz. If
     only one edge lies inside the band the sweep cannot bracket it and
-    FrequencySpanError asks for a larger span.
+    FrequencySpanError asks for a larger span. Only normal incidence is
+    modelled; any other incident direction raises ValueError.
     """
+    check_normal_incidence(incident)
     if n_samples < 11 or n_samples % 2 == 0:
         raise ValueError("n_samples must be odd and >= 11 so f0 lies on the grid")
     f0 = a.design_freq
@@ -425,8 +451,7 @@ def squint_sweep(
     u_t, v_t = outgoing.transverse()
     e = _field(profile.coefficients, profile, k_per_f * u_t, k_per_f * v_t)
     e *= _element_factor(outgoing.theta)
-    corr, rho = _lattice_autocorrelation(profile)
-    power = np.array([_power_from_autocorrelation(corr, rho, k) for k in k_per_f])
+    power = _hemisphere_power(profile, k_per_f)
     gain = 10.0 * np.log10(4.0 * math.pi * np.abs(e) ** 2 / power)
 
     hpbw = _broadside_hpbw(profile, outgoing.phi, f0)

@@ -231,6 +231,26 @@ def test_squint_band_edge_exits_1(tmp_path, capsys):
     assert "f_span" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,config,old,new",
+    [
+        ("pattern", SMALL_PATTERN, "theta_in = 0 deg", "theta_in = 30 deg"),
+        ("squint", SMALL_SQUINT, "theta_in = 0 deg", "theta_in = 30 deg"),
+        ("link-budget", None, "d1 = 50 m", "d1 = nan m"),
+    ],
+)
+def test_rejected_input_exits_1(tmp_path, capsys, command, config, old, new):
+    text = open(data_path("paper_scenario.cfg")).read() if config is None else config
+    assert old in text
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text.replace(old, new))
+    code = main(["--config", str(cfg), "--out", str(tmp_path), command])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "config error: ")) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_power_command(tmp_path, capsys):
     cfg = tmp_path / "power.cfg"
     cfg.write_text("[power]\nprofile = cmos_rfsoi\ncells = 10540\n")

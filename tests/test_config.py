@@ -49,6 +49,21 @@ target_ber = 1e-6
 """
 
 
+@pytest.mark.parametrize(
+    "section,line",
+    [
+        ("link", "d1 = nan m"),
+        ("link", "tx_power = inf dBm"),
+        ("aperture", "aperture_efficiency = -inf"),
+        ("aperture", "aperture_efficiency = nan %"),
+        ("receiver", "target_ber = inf"),
+    ],
+)
+def test_non_finite_numbers_rejected(tmp_path, section, line):
+    with pytest.raises(ConfigError, match=r"line 2: .*expected a finite number"):
+        load_config(_write(tmp_path, f"[{section}]\n{line}\n"))
+
+
 def test_load_good_config(tmp_path):
     cfg = load_config(_write(tmp_path, GOOD))
     link = cfg.section("link")

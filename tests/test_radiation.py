@@ -181,20 +181,24 @@ def test_hemisphere_energy_closure():
         assert 0.98 <= ratio <= 1.0
 
 
-@pytest.mark.parametrize("rows,cols", [(3, 5), (4, 6)])
+@pytest.mark.parametrize("rows,cols", [(3, 5), (4, 6), (1, 7)])
 def test_hemisphere_power_matches_explicit_pair_sum(rows, cols):
-    # sum over every element pair pins the lag alignment on non-square lattices
+    # sum over every element pair pins the lag alignment and the fold onto
+    # distinct lag radii on non-square and single-row lattices, with the
+    # kernel scaled per wavenumber
     prof = _random_lattice(rows, cols, np.random.default_rng(rows * cols))
-    k = 2.0 * math.pi / F140.wavelength_m
     gx, gy = np.meshgrid(prof.x_m, prof.y_m, indexing="ij")
     c, px, py = prof.coefficients.ravel(), gx.ravel(), gy.ravel()
-    expected = 0.0
-    for n in range(c.size):
-        for m in range(c.size):
-            kd = k * math.hypot(px[n] - px[m], py[n] - py[m])
-            kernel = math.pi if kd == 0.0 else 2.0 * math.pi * j1(kd) / kd
-            expected += (c[n] * np.conj(c[m])).real * kernel
-    assert hemisphere_power_exact(prof, F140) == pytest.approx(expected, rel=1e-12)
+    for scale in (0.7, 1.0, 1.3):
+        f = Frequency(scale * F140.hertz)
+        k = 2.0 * math.pi / f.wavelength_m
+        expected = 0.0
+        for n in range(c.size):
+            for m in range(c.size):
+                kd = k * math.hypot(px[n] - px[m], py[n] - py[m])
+                kernel = math.pi if kd == 0.0 else 2.0 * math.pi * j1(kd) / kd
+                expected += (c[n] * np.conj(c[m])).real * kernel
+        assert hemisphere_power_exact(prof, f) == pytest.approx(expected, rel=1e-12)
 
 
 def test_peak_location_matches_programmed_angle():
@@ -431,6 +435,14 @@ def test_squint_beam_leaving_visible_region_is_out_of_band(tracked_reports):
     assert np.all(np.abs(report.peak_theta_rad[invisible] - out60.theta) > report.hpbw_rad / 2.0)
     assert math.isfinite(report.bw_3db_hz) and not report.saturated
     assert report.bw_3db_hz == pytest.approx(tracked_reports[2].bw_3db_hz, rel=0.02)
+
+
+def test_squint_oblique_incidence_raises():
+    # the field model has no incident-phase term, so an oblique-incidence
+    # profile would radiate toward u_out - u_in; the sweep refuses it
+    ap = ApertureSpec.from_element_grid(40, F140)
+    with pytest.raises(ValueError, match="normal incidence"):
+        squint_sweep(ap, Direction.from_degrees(30.0), OUT45, TaperSpec(-10.0))
 
 
 def test_squint_target_past_element_pull_raises():
