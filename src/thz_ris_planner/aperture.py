@@ -37,12 +37,12 @@ class ApertureSpec:
     def __post_init__(self):
         if self.cell_pitch_m is None:
             object.__setattr__(self, "cell_pitch_m", self.design_freq.wavelength_m / 2.0)
-        if self.cell_pitch_m <= 0:
-            raise ValueError("cell pitch must be positive")
+        if not (0.0 < self.cell_pitch_m < math.inf):
+            raise ValueError("cell pitch must be positive and finite")
         if not (0.0 < self.aperture_efficiency <= 1.0):
             raise ValueError("aperture efficiency must be in (0, 1]")
-        if self.side_m < self.cell_pitch_m:
-            raise ValueError("aperture side must be at least one cell pitch")
+        if not (self.cell_pitch_m <= self.side_m < math.inf):
+            raise ValueError("aperture side must be finite and at least one cell pitch")
 
     @classmethod
     def from_element_grid(
@@ -102,17 +102,15 @@ def solve_aperture_size(
     return quartic**0.25
 
 
-def element_count(a: ApertureSpec, per_axis_floor: bool = False) -> int:
-    """Number of unit cells on the populated grid.
+def element_count(a: ApertureSpec) -> int:
+    """Number of unit cells, as the area ratio (D/pitch)^2 rounded to an integer.
 
-    Default rounds the exact area ratio (D/pitch)^2 to the nearest integer;
-    per_axis_floor=True instead floors the per-axis count and squares it,
-    matching a physically realizable layout.
+    This is the count that solve-aperture and power report. The radiating
+    grid instead holds n_per_side^2 cells, with n_per_side the per-axis ratio
+    rounded; the two can differ (10555 vs 103^2 = 10609 for a 110 mm panel
+    with half-wave cells at 140 GHz).
     """
-    ratio = a.side_m / a.cell_pitch_m
-    if per_axis_floor:
-        return int(math.floor(ratio)) ** 2
-    return int(round(ratio**2))
+    return int(round((a.side_m / a.cell_pitch_m) ** 2))
 
 
 def pec_bound_check(a: ApertureSpec, incident: Direction, outgoing: Direction) -> bool:
@@ -131,8 +129,8 @@ class EfficiencyLedger:
     def __post_init__(self):
         if not (0.0 < self.passive_aperture_eff <= 1.0):
             raise ValueError("passive aperture efficiency must be in (0, 1]")
-        if self.insertion_loss_db < 0:
-            raise ValueError("insertion loss must be >= 0 dB")
+        if not (0.0 <= self.insertion_loss_db < math.inf):
+            raise ValueError("insertion loss must be finite and >= 0 dB")
 
     @property
     def resulting_eff(self) -> float:

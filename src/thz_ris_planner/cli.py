@@ -104,17 +104,14 @@ def _sensitivity_dbm(cfg: ScenarioConfig) -> float:
     if "sensitivity" in recv:
         return float(recv["sensitivity"])
     cfg.require("receiver", "bandwidth", "noise_figure", "modulation")
-    try:
-        spec = ReceiverSpec(
-            bandwidth_hz=recv["bandwidth"],
-            noise_figure_db=recv["noise_figure"],
-            modulation_order=recv["modulation"],
-            target_ber=recv.get("target_ber", 1e-6),
-            implementation_loss_db=recv.get("implementation_loss", 0.0),
-        )
-        return sensitivity(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = ReceiverSpec(
+        bandwidth_hz=recv["bandwidth"],
+        noise_figure_db=recv["noise_figure"],
+        modulation_order=recv["modulation"],
+        target_ber=recv.get("target_ber", 1e-6),
+        implementation_loss_db=recv.get("implementation_loss", 0.0),
+    )
+    return sensitivity(spec)
 
 
 def _design_frequency(cfg: ScenarioConfig) -> Frequency:
@@ -129,13 +126,10 @@ def _aperture(cfg: ScenarioConfig, eta_default: float = 1.0) -> ApertureSpec:
     freq = _design_frequency(cfg)
     pitch = ap.get("cell_pitch")
     eta = ap.get("aperture_efficiency", eta_default)
-    try:
-        if "n_per_side" in ap:
-            return ApertureSpec.from_element_grid(ap["n_per_side"], freq, pitch, eta)
-        if "side" in ap:
-            return ApertureSpec(ap["side"], freq, pitch, eta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if "n_per_side" in ap:
+        return ApertureSpec.from_element_grid(ap["n_per_side"], freq, pitch, eta)
+    if "side" in ap:
+        return ApertureSpec(ap["side"], freq, pitch, eta)
     raise ConfigError("section [aperture] needs either 'side' or 'n_per_side'")
 
 
@@ -143,10 +137,7 @@ def _taper(cfg: ScenarioConfig) -> TaperSpec:
     level = cfg.get("taper", "edge_level")
     if level is None:
         return UNIFORM_TAPER
-    try:
-        return TaperSpec(level)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TaperSpec(level)
 
 
 def cmd_link_budget(args, cfg: ScenarioConfig) -> int:
@@ -362,12 +353,7 @@ def cmd_power(args, cfg: ScenarioConfig) -> int:
     name = cfg.section("power")["profile"]
     custom_power = cfg.get("power", "per_cell_power")
     if custom_power is not None:
-        try:
-            tech = TechnologyProfile(
-                name, custom_power, cfg.get("power", "switches_per_cell", 2)
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        tech = TechnologyProfile(name, custom_power, cfg.get("power", "switches_per_cell", 2))
     else:
         tech = PROFILES.get(name)
     if tech is None:
@@ -378,10 +364,7 @@ def cmd_power(args, cfg: ScenarioConfig) -> int:
             cells = element_count(_aperture(cfg))
         else:
             raise ConfigError("need [power] cells or an [aperture] section to count cells")
-    try:
-        total = panel_power(cells, tech)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    total = panel_power(cells, tech)
     record = {
         "profile": tech.name,
         "n_cells": cells,

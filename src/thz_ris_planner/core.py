@@ -101,8 +101,8 @@ class BistaticGeometry:
     outgoing: Direction
 
     def __post_init__(self):
-        if self.d1_m <= 0 or self.d2_m <= 0:
-            raise ValueError("path lengths d1 and d2 must be positive")
+        if not (0.0 < self.d1_m < math.inf and 0.0 < self.d2_m < math.inf):
+            raise ValueError("path lengths d1 and d2 must be positive and finite")
 
 
 def fraunhofer_distance(aperture_d_m: float, f: Frequency) -> float:

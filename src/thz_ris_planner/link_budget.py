@@ -56,8 +56,11 @@ class ReceiverSpec:
     implementation_loss_db: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not (0.0 < self.bandwidth_hz < math.inf):
+            raise ValueError("bandwidth must be positive and finite")
+        for name in ("noise_figure_db", "implementation_loss_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (0.0 < self.target_ber < 0.5):
             raise ValueError("target BER must be in (0, 0.5)")
         _check_modulation_order(self.modulation_order)

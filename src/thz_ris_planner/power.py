@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -13,8 +14,8 @@ class TechnologyProfile:
     notes: str = ""
 
     def __post_init__(self):
-        if self.per_cell_power_w < 0:
-            raise ValueError("per-cell power must be >= 0")
+        if not (0.0 <= self.per_cell_power_w < math.inf):
+            raise ValueError("per-cell power must be finite and >= 0")
         if self.switches_per_cell < 1:
             raise ValueError("switches per cell must be >= 1")
 

@@ -20,9 +20,11 @@ tables and does one matrix product. Two further routes exist:
 * array_factor_direct: a per-direction loop over the elements, kept as the
   reference oracle that tests compare both routes against.
 
-Directivity integrates |E|^2 over the front hemisphere by the trapezoid rule
-with the sin(theta) Jacobian on a grid refined around the main lobe. A closed
-form for the same integral on a uniform lattice,
+directivity() integrates |E|^2 over the front hemisphere by the trapezoid
+rule with the sin(theta) Jacobian on a grid refined around the main lobe. No
+production route calls it: like array_factor_direct, it is kept as the
+independent quadrature cross-check that tests compare the closed form and the
+cut route against. A closed form for the same integral on a uniform lattice,
 
     P(k) = sum_d corr(d) * 2*pi*J1(k*|d|)/(k*|d|),
 
@@ -32,8 +34,12 @@ hemisphere. One routine, _hemisphere_power, evaluates it: since the kernel
 depends on |d| only, corr is first summed per distinct squared integer lag
 i^2 + j^2 (about a tenth of the (2R-1)(2C-1) lags), and J1 is evaluated once
 per (k, distinct radius) for every wavenumber at once. It normalises cuts,
-single-direction gains and the squint sweep, and serves as an independent
-cross-check of the quadrature.
+single-direction gains and the squint sweep.
+
+Quantization loss reads each peak directivity off the principal-plane cut in
+the steering plane, normalised by that closed form, the same route the
+pattern command plots; the cut step is a fixed fraction of the analytical
+beamwidth, so no resolution is left to the caller.
 
 Squint bandwidth follows the beam-shift convention (Mailloux, Phased Array
 Antenna Handbook): with the phases frozen, the beam peak drifts as
@@ -60,6 +66,7 @@ PEAK_WINDOW = 21  # samples of the steering-plane array factor around the beam
 FIELD_CHUNK = 1024  # directions per pair of exponential tables in _field
 COARSE_RESOLUTION = math.radians(0.5)  # directivity grid step away from the main lobe
 LOBE_WINDOW = math.radians(2.0)  # least half-width of the fine grid around the main lobe
+CUT_STEPS_PER_BEAMWIDTH = 20  # quantization-loss cut samples per analytical beamwidth
 
 
 class GridResolutionError(ValueError):
@@ -244,7 +251,7 @@ def _field(c: np.ndarray, p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np
 
 
 def analytical_hpbw(p: PhaseProfile, f: Frequency) -> float:
-    """Uniform-aperture 3 dB beamwidth estimate (rad) used as a grid guard."""
+    """Uniform-aperture 3 dB beamwidth estimate (rad): sets grid steps and guards."""
     span = max(p.rows, p.cols) * p.cell_pitch_m
     return BEAMWIDTH_FACTOR * f.wavelength_m / span
 
@@ -254,9 +261,11 @@ def directivity(
     f: Frequency | None = None,
     grid_resolution: float = math.radians(0.05),
 ) -> SpherePattern:
-    """Directivity over the front hemisphere, in dBi.
+    """Directivity over the front hemisphere, in dBi: the quadrature cross-check.
 
-    The total radiated power is integrated by the trapezoid rule with the
+    No production route calls it; tests compare it with the closed-form power
+    and the cut route, as array_factor_direct is compared with the kernel. The
+    total radiated power is integrated by the trapezoid rule with the
     sin(theta) Jacobian on a (theta, phi) grid: COARSE_RESOLUTION everywhere,
     grid_resolution within the larger of LOBE_WINDOW and two analytical
     beamwidths of the main lobe. grid_resolution must resolve the analytical
@@ -395,17 +404,21 @@ def quantization_loss(
     outgoing: Direction,
     bits_list: list[int],
     taper: TaperSpec = UNIFORM_TAPER,
-    grid_resolution: float = math.radians(0.05),
 ) -> QuantizationReport:
-    """Peak directivity per quantization setting plus the continuous reference."""
+    """Peak directivity per quantization setting plus the continuous reference.
+
+    Each peak is the maximum of the principal-plane cut at azimuth
+    outgoing.phi, normalized by the closed-form hemisphere power, sampled
+    CUT_STEPS_PER_BEAMWIDTH times per analytical beamwidth.
+    """
     continuous = synthesize_profile(a, BROADSIDE, outgoing, taper)
-    d_cont, _ = directivity(continuous, grid_resolution=grid_resolution).peak_directivity()
-    peaks = []
-    for bits in bits_list:
-        quantized = quantize_profile(continuous, bits)
-        d_b, _ = directivity(quantized, grid_resolution=grid_resolution).peak_directivity()
-        peaks.append(d_b)
-    return QuantizationReport(bits=list(bits_list), peak_dbi=peaks, continuous_dbi=d_cont)
+    step = analytical_hpbw(continuous, a.design_freq) / CUT_STEPS_PER_BEAMWIDTH
+
+    def peak(p: PhaseProfile) -> float:
+        return float(np.max(principal_plane_cut(p, None, outgoing.phi, step)[1]))
+
+    peaks = [peak(quantize_profile(continuous, bits)) for bits in bits_list]
+    return QuantizationReport(bits=list(bits_list), peak_dbi=peaks, continuous_dbi=peak(continuous))
 
 
 def squint_sweep(

@@ -39,8 +39,8 @@ class TaperSpec:
     edge_level_db: float = 0.0
 
     def __post_init__(self):
-        if self.edge_level_db > 0:
-            raise ValueError("taper edge level must be <= 0 dB")
+        if not (-math.inf < self.edge_level_db <= 0.0):
+            raise ValueError("taper edge level must be finite and <= 0 dB")
 
     @property
     def pedestal(self) -> float:

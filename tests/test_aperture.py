@@ -98,11 +98,6 @@ def test_element_count_80mm():
         assert abs(n - 5576) / 5576 < 0.01
 
 
-def test_element_count_floor_mode():
-    panel = ApertureSpec(0.110, F140, cell_pitch_m=PITCH_3E8)
-    assert element_count(panel, per_axis_floor=True) == 102**2
-
-
 def test_pec_bound_random_eta():
     rng = np.random.default_rng(37)
     for _ in range(200):

@@ -237,6 +237,7 @@ def test_squint_band_edge_exits_1(tmp_path, capsys):
         ("pattern", SMALL_PATTERN, "theta_in = 0 deg", "theta_in = 30 deg"),
         ("squint", SMALL_SQUINT, "theta_in = 0 deg", "theta_in = 30 deg"),
         ("link-budget", None, "d1 = 50 m", "d1 = nan m"),
+        ("link-budget", None, "aperture_efficiency = 0.25", "aperture_efficiency = 1.5"),
     ],
 )
 def test_rejected_input_exits_1(tmp_path, capsys, command, config, old, new):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thz_ris_planner.aperture import ApertureSpec, EfficiencyLedger
 from thz_ris_planner.core import (
     BistaticGeometry,
     Direction,
@@ -15,6 +16,9 @@ from thz_ris_planner.core import (
     watts_to_dbm,
     wavelength,
 )
+from thz_ris_planner.link_budget import ReceiverSpec
+from thz_ris_planner.power import TechnologyProfile
+from thz_ris_planner.surface import TaperSpec
 
 
 def test_db_to_linear_anchors():
@@ -101,6 +105,36 @@ def test_bistatic_geometry_validation():
         BistaticGeometry(0.0, 50.0, inc, out)
     with pytest.raises(ValueError):
         BistaticGeometry(50.0, -1.0, inc, out)
+
+
+F140 = Frequency.from_ghz(140)
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=("nan", "inf", "-inf"))
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: ApertureSpec(x, F140),
+        lambda x: ApertureSpec(0.08, F140, cell_pitch_m=x),
+        lambda x: TaperSpec(x),
+        lambda x: BistaticGeometry(x, 50.0, Direction(0.0), Direction(0.5)),
+        lambda x: BistaticGeometry(50.0, x, Direction(0.0), Direction(0.5)),
+        lambda x: ReceiverSpec(bandwidth_hz=x, noise_figure_db=7.0),
+        lambda x: ReceiverSpec(bandwidth_hz=2e9, noise_figure_db=x),
+        lambda x: ReceiverSpec(bandwidth_hz=2e9, noise_figure_db=7.0, implementation_loss_db=x),
+        lambda x: TechnologyProfile("lab", x),
+        lambda x: EfficiencyLedger(insertion_loss_db=x),
+    ],
+    ids=[
+        "aperture-side", "aperture-pitch", "taper-edge", "geometry-d1", "geometry-d2",
+        "receiver-bandwidth", "receiver-nf", "receiver-impl-loss", "tech-cell-power",
+        "ledger-insertion-loss",
+    ],
+)
+def test_validators_reject_non_finite(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
 
 
 def test_fraunhofer_anchors():

@@ -300,10 +300,7 @@ def test_squint_gain_trace_matches_direct_oracle(n, f_ghz, theta_deg, phi, edge_
 def test_quantization_loss_follows_sinc_law():
     # 37 deg steering keeps the gradient incommensurate with the levels
     ap = ApertureSpec.from_element_grid(40, F140)
-    report = quantization_loss(
-        ap, Direction.from_degrees(37.0), [1, 2, 3], TaperSpec(-10.0),
-        grid_resolution=math.radians(0.1),
-    )
+    report = quantization_loss(ap, Direction.from_degrees(37.0), [1, 2, 3], TaperSpec(-10.0))
     for bits, loss in zip(report.bits, report.losses_db):
         delta = math.pi / 2**bits
         law = -20.0 * math.log10(math.sin(delta) / delta)
@@ -313,12 +310,22 @@ def test_quantization_loss_follows_sinc_law():
 
 def test_peak_directivity_nondecreasing_in_bits():
     ap = ApertureSpec.from_element_grid(40, F140)
-    report = quantization_loss(
-        ap, Direction.from_degrees(37.0), [1, 2, 3], TaperSpec(-10.0),
-        grid_resolution=math.radians(0.1),
-    )
+    report = quantization_loss(ap, Direction.from_degrees(37.0), [1, 2, 3], TaperSpec(-10.0))
     ladder = report.peak_dbi + [report.continuous_dbi]
     assert all(a <= b + 1e-9 for a, b in zip(ladder, ladder[1:]))
+
+
+def test_quantization_loss_matches_quadrature():
+    # off the x axis, so a cut in the wrong plane would miss the beam peak
+    ap = ApertureSpec.from_element_grid(24, F140)
+    target = Direction.from_degrees(37.0, 30.0)
+    taper = TaperSpec(-10.0)
+    report = quantization_loss(ap, target, [2], taper)
+    continuous = synthesize_profile(ap, BROADSIDE, target, taper)
+    step = math.radians(0.1)
+    d_cont, _ = directivity(continuous, grid_resolution=step).peak_directivity()
+    d_2bit, _ = directivity(quantize_profile(continuous, 2), grid_resolution=step).peak_directivity()
+    assert report.losses_db[0] == pytest.approx(d_cont - d_2bit, abs=0.01)
 
 
 # --- squint -----------------------------------------------------------------
