@@ -39,6 +39,7 @@ from .radiation import (
     GridResolutionError,
     analytical_hpbw,
     array_factor_fft,
+    check_array_budget,
     check_normal_incidence,
     principal_plane_cut,
     squint_sweep,
@@ -215,9 +216,10 @@ def cmd_pattern(args, cfg: ScenarioConfig) -> int:
     check_normal_incidence(incident)
     outgoing = _direction(cfg, "out")
     bits_list = cfg.section("quantization")["bits"]
+    step = math.radians(args.cut_step_deg)
+    check_array_budget(panel.n_per_side, n_directions=int(math.pi / step) + 1)
 
     continuous = synthesize_profile(panel, incident, outgoing, taper)
-    step = math.radians(args.cut_step_deg)
     hpbw = analytical_hpbw(continuous, panel.design_freq)
     if step > hpbw / 2.0:
         raise GridResolutionError(

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import erfcinv
+from statistics import NormalDist
 
 from .core import BistaticGeometry, Frequency
 
@@ -90,7 +89,7 @@ def _check_modulation_order(m: int) -> None:
 
 def _q_inverse(p: float) -> float:
     """Inverse of the Gaussian tail function Q."""
-    return math.sqrt(2.0) * float(erfcinv(2.0 * p))
+    return -NormalDist().inv_cdf(p)
 
 
 def required_snr_db(modulation_order: int, target_ber: float) -> float:

@@ -30,11 +30,17 @@ cut route against. A closed form for the same integral on a uniform lattice,
 
 with corr(d) = sum_m c_m conj(c_{m-d}) the lattice autocorrelation at lag d,
 follows from integrating the cos(theta) element power pattern over the
-hemisphere. One routine, _hemisphere_power, evaluates it: since the kernel
-depends on |d| only, corr is first summed per distinct squared integer lag
-i^2 + j^2 (about a tenth of the (2R-1)(2C-1) lags), and J1 is evaluated once
-per (k, distinct radius) for every wavenumber at once. It normalises cuts,
-single-direction gains and the squint sweep.
+hemisphere. It normalises cuts, single-direction gains and the squint sweep,
+in two parts: _power_kernel holds what depends on the lattice and the
+wavenumbers only, and _fold_power applies it to one profile. Since the
+kernel depends on |d| only, corr is summed per distinct squared integer lag
+i^2 + j^2 (about a tenth of the (2R-1)(2C-1) lags), and the kernel is a J1
+table over (k, distinct radius). A squint sweep builds it once for its
+frequency grid, and squint_vs_angle shares that one table across every
+angle. J1 itself is _j1, a numpy routine in three regimes: the power series
+for x <= 2, Miller's backward recurrence up to 25 and the Hankel asymptotic
+expansion above (Abramowitz & Stegun 9.1.10, 9.1.27, 9.1.46, 9.2.5,
+9.2.9-10); it is within 3e-16 of the exact value.
 
 Quantization loss reads each peak directivity off the principal-plane cut in
 the steering plane, normalised by that closed form, the same route the
@@ -54,7 +60,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j1
 
 from .aperture import ApertureSpec
 from .core import BROADSIDE, SPEED_OF_LIGHT, Direction, Frequency
@@ -67,6 +72,29 @@ FIELD_CHUNK = 1024  # directions per pair of exponential tables in _field
 COARSE_RESOLUTION = math.radians(0.5)  # directivity grid step away from the main lobe
 LOBE_WINDOW = math.radians(2.0)  # least half-width of the fine grid around the main lobe
 CUT_STEPS_PER_BEAMWIDTH = 20  # quantization-loss cut samples per analytical beamwidth
+MAX_ARRAY_BYTES = 2**30  # largest single array a pattern or squint run may allocate
+J1_SERIES_MAX = 2.0  # _j1 sums the power series up to here,
+J1_HANKEL_MIN = 25.0  # the Hankel expansion above here, and Miller's recurrence between
+MILLER_ORDER = 64  # even starting order of the backward recurrence; from 60 the error at x = 25 is rounding
+MILLER_RESCALE = 2.0**128  # recurrence values past this are scaled down by it, exactly
+
+
+def _series_coefficients(terms: int) -> tuple[float, ...]:
+    """(-1)^m / (m! (m+1)!): J1(x) = (x/2) * sum_m c_m (x/2)^(2m), A&S 9.1.10."""
+    return tuple((-1) ** m / (math.factorial(m) * math.factorial(m + 1)) for m in range(terms))
+
+
+def _hankel_coefficients(terms: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Signed a_k(1) of P (even k) and Q (odd k) in A&S 9.2.9-10, a_k = a_{k-1} (4 - (2k-1)^2) / 8k."""
+    a = [1.0]
+    for k in range(1, terms):
+        a.append(a[-1] * (4.0 - (2 * k - 1) ** 2) / (8.0 * k))
+    signed = [(-1) ** (k // 2) * a_k for k, a_k in enumerate(a)]
+    return tuple(signed[0::2]), tuple(signed[1::2])
+
+
+_SERIES = _series_coefficients(12)  # the first omitted term is 3e-19 at x = 2
+_HANKEL_P, _HANKEL_Q = _hankel_coefficients(16)  # the first omitted term is 5e-17 at x = 25
 
 
 class GridResolutionError(ValueError):
@@ -319,36 +347,101 @@ def directivity(
 
 
 def hemisphere_power_exact(p: PhaseProfile, f: Frequency | None = None) -> float:
-    """Closed-form hemisphere integral of |E|^2 for a uniform lattice."""
-    k = _wavenumber(p.design_freq if f is None else f)
-    return float(_hemisphere_power(p, np.array([k]))[0])
+    """Closed-form hemisphere integral sum_d corr(d) * 2*pi*J1(k|d|)/(k|d|) of |E|^2."""
+    k = np.array([_wavenumber(p.design_freq if f is None else f)])
+    return float(_fold_power(p, _power_kernel(p.rows, p.cols, p.cell_pitch_m, k))[0])
 
 
-def _hemisphere_power(p: PhaseProfile, k: np.ndarray) -> np.ndarray:
-    """Closed-form hemisphere power sum_d corr(d) * 2*pi*J1(k|d|)/(k|d|) at each k.
+def _power_kernel(rows: int, cols: int, pitch: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The profile-independent half of the closed-form power: (radius index, J1 table).
 
     A cyclic correlation of length 2n-1 per axis holds every lag without
-    wrap-around; fftfreq gives each bin its integer lag. Only the real part
-    of corr survives the Hermitian sum over +d and -d. The kernel depends on
-    |d|^2 = pitch^2 * (i^2 + j^2) only, so corr is folded onto the distinct
-    values of i^2 + j^2 before J1 is evaluated. Those values are small
-    integers, so counting finds them in ascending order without a sort; the
-    first is the zero lag, whose kernel is the limit pi.
+    wrap-around; fftfreq gives each bin its integer lag. The kernel depends on
+    |d|^2 = pitch^2 * (i^2 + j^2) only, so the lags are indexed by their
+    distinct values of i^2 + j^2. Those values are small integers, so counting
+    finds them in ascending order without a sort; the first is the zero lag.
+    The table holds 2*pi*J1(k rho)/(k rho) for each k and each nonzero
+    distinct radius rho.
     """
-    _check_uniform_lattice(p)
-    nx, ny = 2 * p.rows - 1, 2 * p.cols - 1
-    spectrum = np.fft.fft2(p.coefficients, s=(nx, ny))
-    corr = np.fft.ifft2(spectrum * np.conj(spectrum)).real
+    nx, ny = 2 * rows - 1, 2 * cols - 1
     i = np.rint(np.fft.fftfreq(nx) * nx).astype(np.int64)
     j = np.rint(np.fft.fftfreq(ny) * ny).astype(np.int64)
     r2 = (i[:, None] ** 2 + j[None, :] ** 2).ravel()
-    distinct = np.flatnonzero(np.bincount(r2))
-    folded = np.bincount(r2, weights=corr.ravel())[distinct]
-    kr = np.outer(k, p.cell_pitch_m * np.sqrt(distinct[1:]))
-    kernel = j1(kr)
-    kernel *= 2.0 * math.pi
-    kernel /= kr
-    return math.pi * folded[0] + kernel @ folded[1:]
+    present = np.bincount(r2) > 0
+    radius_index = (np.cumsum(present) - 1)[r2]
+    kr = np.outer(k, pitch * np.sqrt(np.flatnonzero(present)[1:]))
+    table = _j1(kr)
+    table *= 2.0 * math.pi
+    table /= kr
+    return radius_index, table
+
+
+def _fold_power(p: PhaseProfile, kernel: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Closed-form power of profile p at each k of a _power_kernel built on its lattice.
+
+    Only the real part of corr survives the Hermitian sum over +d and -d; it
+    is summed per distinct radius, and the zero lag takes the kernel's limit pi.
+    """
+    _check_uniform_lattice(p)
+    radius_index, table = kernel
+    nx, ny = 2 * p.rows - 1, 2 * p.cols - 1
+    spectrum = np.fft.fft2(p.coefficients, s=(nx, ny))
+    corr = np.fft.ifft2(spectrum * np.conj(spectrum)).real
+    folded = np.bincount(radius_index, weights=corr.ravel())
+    return math.pi * folded[0] + table @ folded[1:]
+
+
+def _j1(x: np.ndarray) -> np.ndarray:
+    """Bessel function J1 of non-negative real x, within 3e-16 absolute.
+
+    Three regimes: the power series for x <= J1_SERIES_MAX; Miller's backward
+    recurrence J_{n-1} = (2n/x) J_n - J_{n+1} from MILLER_ORDER, normalised by
+    J0 + 2 sum_k J_2k = 1 (A&S 9.1.27, 9.1.46), up to J1_HANKEL_MIN; and the
+    Hankel expansion J1 = (P (sin x - cos x) + Q (sin x + cos x)) / sqrt(pi x)
+    above it (A&S 9.2.5, 9.2.9-10). That phase is cos(x - 3pi/4) and
+    sin(x - 3pi/4) expanded, so no rounding comes from the subtraction.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+
+    series = x <= J1_SERIES_MAX
+    half = x[series] / 2.0
+    out[series] = half * _polynomial(_SERIES, half * half)
+
+    hankel = x > J1_HANKEL_MIN
+    xh = x[hankel]
+    z = 1.0 / (xh * xh)
+    big_p = _polynomial(_HANKEL_P, z)
+    big_q = _polynomial(_HANKEL_Q, z) / xh
+    sin, cos = np.sin(xh), np.cos(xh)
+    out[hankel] = (big_p * (sin - cos) + big_q * (sin + cos)) / np.sqrt(math.pi * xh)
+
+    miller = ~(series | hankel)
+    xm = x[miller]
+    j_next, j = np.zeros_like(xm), np.ones_like(xm)
+    even_sum, j1 = np.zeros_like(xm), np.zeros_like(xm)
+    for n in range(MILLER_ORDER, 0, -1):
+        j_next, j = j, (2.0 * n / xm) * j - j_next  # j is now J_{n-1}
+        if n == 2:
+            j1 = j.copy()
+        elif n % 2 == 1 and n > 1:
+            even_sum += j
+        big = np.abs(j) > MILLER_RESCALE
+        if big.any():
+            scale = np.where(big, 1.0 / MILLER_RESCALE, 1.0)
+            for arr in (j, j_next, even_sum, j1):
+                arr *= scale
+    out[miller] = j1 / (j + 2.0 * even_sum)
+    return out
+
+
+def _polynomial(coefficients: tuple[float, ...], t: np.ndarray) -> np.ndarray:
+    """sum_m coefficients[m] * t^m by Horner's rule."""
+    acc = np.zeros_like(t)
+    for c in reversed(coefficients):
+        acc *= t
+        acc += c
+    return acc
 
 
 def check_normal_incidence(incident: Direction) -> None:
@@ -361,6 +454,34 @@ def check_normal_incidence(incident: Direction) -> None:
         raise ValueError(
             f"only normal incidence is modelled (theta_in = 0), got theta_in = "
             f"{math.degrees(incident.theta):g} deg"
+        )
+
+
+def _largest_array(n_per_side: int, n_freqs: int = 1, n_directions: int = 0) -> tuple[str, int]:
+    """(name, bytes) of the largest array a pattern or squint run would allocate.
+
+    Estimated from the sizes alone: the zero-padded lattice FFT holds (2n)^2
+    complex values (the power autocorrelation, the pattern_uv map); the power
+    kernel n_freqs floats per distinct lag radius, at most n(n+1)/2 of them,
+    or per PEAK_WINDOW sample of the beam track when that is wider; the cut
+    one complex value per direction.
+    """
+    radii = max(n_per_side * (n_per_side + 1) // 2, PEAK_WINDOW)
+    candidates = (
+        ("lattice FFT", 16 * (2 * n_per_side) ** 2),
+        ("power kernel", 8 * n_freqs * radii),
+        ("cut", 16 * n_directions),
+    )
+    return max(candidates, key=lambda c: c[1])
+
+
+def check_array_budget(n_per_side: int, n_freqs: int = 1, n_directions: int = 0) -> None:
+    """Raise ValueError before a run whose largest array would exceed MAX_ARRAY_BYTES."""
+    name, size = _largest_array(n_per_side, n_freqs, n_directions)
+    if size > MAX_ARRAY_BYTES:
+        raise ValueError(
+            f"the {name} would need {size / 2**30:.3g} GiB, over the "
+            f"{MAX_ARRAY_BYTES / 2**30:g} GiB limit; reduce the panel, samples or cut resolution"
         )
 
 
@@ -447,24 +568,71 @@ def squint_sweep(
     FrequencySpanError asks for a larger span. Only normal incidence is
     modelled; any other incident direction raises ValueError.
     """
+    freqs, k_per_f = _sweep_grid(a, incident, f_span_hz, n_samples)
+    kernel = _power_kernel(a.n_per_side, a.n_per_side, a.cell_pitch_m, k_per_f)
+    return _squint(a, incident, outgoing, taper, bits, f_span_hz, freqs, k_per_f, kernel)
+
+
+def squint_vs_angle(
+    a: ApertureSpec,
+    incident: Direction,
+    outgoing_list: list[Direction],
+    taper: TaperSpec = UNIFORM_TAPER,
+    bits: int | None = None,
+    f_span_hz: float = 20e9,
+    n_samples: int = 81,
+) -> list[SquintReport]:
+    """One squint sweep per outgoing direction (the bandwidth-vs-angle curve).
+
+    The J1 table of the closed-form power depends only on the lattice and the
+    frequency grid, so it is built once and shared by every angle; each
+    report equals the squint_sweep report for its angle.
+    """
+    freqs, k_per_f = _sweep_grid(a, incident, f_span_hz, n_samples)
+    kernel = _power_kernel(a.n_per_side, a.n_per_side, a.cell_pitch_m, k_per_f)
+    return [
+        _squint(a, incident, outgoing, taper, bits, f_span_hz, freqs, k_per_f, kernel)
+        for outgoing in outgoing_list
+    ]
+
+
+def _sweep_grid(
+    a: ApertureSpec, incident: Direction, f_span_hz: float, n_samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated sweep frequencies centred on a.design_freq, and their wavenumbers."""
     check_normal_incidence(incident)
     if n_samples < 11 or n_samples % 2 == 0:
         raise ValueError("n_samples must be odd and >= 11 so f0 lies on the grid")
     f0 = a.design_freq
     if not (0.0 < f_span_hz < f0.hertz):
         raise ValueError("f_span must be positive and below the design frequency")
+    check_array_budget(a.n_per_side, n_freqs=n_samples)
+    freqs = f0.hertz + np.linspace(-f_span_hz / 2.0, f_span_hz / 2.0, n_samples)
+    return freqs, 2.0 * math.pi * freqs / SPEED_OF_LIGHT
 
+
+def _squint(
+    a: ApertureSpec,
+    incident: Direction,
+    outgoing: Direction,
+    taper: TaperSpec,
+    bits: int | None,
+    f_span_hz: float,
+    freqs: np.ndarray,
+    k_per_f: np.ndarray,
+    kernel: tuple[np.ndarray, np.ndarray],
+) -> SquintReport:
+    """The squint sweep of one outgoing direction on a validated grid and its power kernel."""
+    f0 = a.design_freq
+    n_samples = freqs.size
     profile = synthesize_profile(a, incident, outgoing, taper)
     if bits is not None:
         profile = quantize_profile(profile, bits)
 
-    freqs = f0.hertz + np.linspace(-f_span_hz / 2.0, f_span_hz / 2.0, n_samples)
-    k_per_f = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
-
     u_t, v_t = outgoing.transverse()
     e = _field(profile.coefficients, profile, k_per_f * u_t, k_per_f * v_t)
     e *= _element_factor(outgoing.theta)
-    power = _hemisphere_power(profile, k_per_f)
+    power = _fold_power(profile, kernel)
     gain = 10.0 * np.log10(4.0 * math.pi * np.abs(e) ** 2 / power)
 
     hpbw = _broadside_hpbw(profile, outgoing.phi, f0)
@@ -573,19 +741,3 @@ def _track_beam_peak(
         q_peak = q[j] + 0.5 * (ym - yp) / (ym - 2.0 * y0 + yp) * (q[1] - q[0])
     sin_peak = np.where(idx == j, q_peak / k_per_f, 1.0)
     return np.arcsin(np.clip(sin_peak, -1.0, 1.0))
-
-
-def squint_vs_angle(
-    a: ApertureSpec,
-    incident: Direction,
-    outgoing_list: list[Direction],
-    taper: TaperSpec = UNIFORM_TAPER,
-    bits: int | None = None,
-    f_span_hz: float = 20e9,
-    n_samples: int = 81,
-) -> list[SquintReport]:
-    """One squint sweep per outgoing direction (the bandwidth-vs-angle curve)."""
-    return [
-        squint_sweep(a, incident, outgoing, taper, bits, f_span_hz, n_samples)
-        for outgoing in outgoing_list
-    ]

@@ -100,25 +100,6 @@ class PhaseProfile:
     def amplitudes(self) -> np.ndarray:
         return np.abs(self.coefficients)
 
-    def to_csv(self, path: str | Path) -> None:
-        """Write one row per element: row, col, x_m, y_m, state or phase, amplitude."""
-        phase_col = "state_index" if self.is_quantized else "phase_rad"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "x_m", "y_m", phase_col, "amplitude"])
-            amps = self.amplitudes()
-            phases = self.phases()
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    value = (
-                        int(self.state_index[i, j])
-                        if self.is_quantized
-                        else f"{phases[i, j]:.10g}"
-                    )
-                    writer.writerow(
-                        [i, j, f"{self.x_m[i]:.10g}", f"{self.y_m[j]:.10g}", value, f"{amps[i, j]:.10g}"]
-                    )
-
 
 def synthesize_profile(
     a: ApertureSpec,

@@ -14,6 +14,7 @@ from thz_ris_planner.link_budget import (
     required_rcs,
     required_rcs_for_target,
     required_snr_db,
+    _q_inverse,
     sensitivity,
     spreading_term,
 )
@@ -114,11 +115,16 @@ def test_sensitivity_reference_reconstruction():
 
 
 def test_sensitivity_matches_independent_qpsk_inversion():
-    # oracle via norm.isf instead of the erfcinv route used by the module
+    # oracle via scipy's norm.isf instead of the NormalDist route used by the module
     for ber in (1e-6, 1e-3, 1e-4):
         ebn0 = norm.isf(ber) ** 2 / 2.0
         expected = -174.0 + 10 * math.log10(2e9) + 7.0 + 10 * math.log10(2.0 * ebn0)
         assert sensitivity(reference_receiver(ber)) == pytest.approx(expected, abs=1e-9)
+
+
+def test_q_inverse_matches_norm_isf():
+    for p in np.geomspace(1e-15, 0.49, 2001):
+        assert _q_inverse(p) == pytest.approx(norm.isf(p), rel=1e-14)
 
 
 def test_sensitivity_ber_1e3():

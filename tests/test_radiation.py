@@ -9,8 +9,13 @@ from scipy.special import j1
 from thz_ris_planner.aperture import ApertureSpec
 from thz_ris_planner.core import BROADSIDE, Direction, Frequency
 from thz_ris_planner.radiation import (
+    J1_HANKEL_MIN,
+    J1_SERIES_MAX,
     FrequencySpanError,
     GridResolutionError,
+    _j1,
+    _largest_array,
+    check_array_budget,
     array_factor_direct,
     array_factor_fft,
     directivity,
@@ -199,6 +204,79 @@ def test_hemisphere_power_matches_explicit_pair_sum(rows, cols):
                 kernel = math.pi if kd == 0.0 else 2.0 * math.pi * j1(kd) / kd
                 expected += (c[n] * np.conj(c[m])).real * kernel
         assert hemisphere_power_exact(prof, f) == pytest.approx(expected, rel=1e-12)
+
+
+# --- numpy J1 against scipy.special.j1 (oracle) ------------------------------
+
+
+def _regime_edges():
+    """A few ulps and a few micro-units either side of each regime boundary."""
+    pts = []
+    for edge in (J1_SERIES_MAX, J1_HANKEL_MIN):
+        ulps = [edge]
+        for _ in range(4):
+            ulps = [np.nextafter(ulps[0], 0.0)] + ulps + [np.nextafter(ulps[-1], np.inf)]
+        pts += ulps + list(np.linspace(edge - 1e-3, edge + 1e-3, 201))
+    return np.array(pts)
+
+
+def test_j1_matches_scipy_on_dense_grid():
+    x = np.concatenate([np.linspace(0.0, 1500.0, 300_001), _regime_edges()])
+    assert np.any(x < J1_SERIES_MAX) and np.any(x > J1_HANKEL_MIN)
+    assert np.max(np.abs(_j1(x) - j1(x))) <= 2e-15
+
+
+def test_j1_small_arguments():
+    x = np.geomspace(1e-300, 2.0, 3001)
+    assert np.max(np.abs(_j1(x) - j1(x))) <= 2e-15
+    assert _j1(np.array([0.0]))[0] == 0.0
+    # J1(x) = x/2 to first order; no underflow in (x/2)^2
+    assert np.all(_j1(x[:100]) == x[:100] / 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1500.0), min_size=1, max_size=50))
+def test_j1_matches_scipy_property(xs):
+    x = np.array(xs)
+    assert np.max(np.abs(_j1(x) - j1(x))) <= 2e-15
+
+
+# --- memory guard (estimates only; nothing large is allocated) ---------------
+
+
+@pytest.mark.parametrize(
+    "n,n_freqs,n_directions,name,size",
+    [
+        (100, 1, 3601, "lattice FFT", 16 * 200**2),  # fig5 pattern
+        (75, 161, 0, "power kernel", 8 * 161 * 2850),  # fig6 squint
+        (1, 201, 0, "power kernel", 8 * 201 * 21),  # one cell: the beam track is wider
+        (20, 1, 1_000_001, "cut", 16 * 1_000_001),
+        (200_000, 1, 0, "lattice FFT", 16 * 400_000**2),
+        (75, 200_000_001, 0, "power kernel", 8 * 200_000_001 * 2850),
+    ],
+)
+def test_largest_array_estimate(n, n_freqs, n_directions, name, size):
+    assert _largest_array(n, n_freqs, n_directions) == (name, size)
+
+
+@pytest.mark.parametrize(
+    "n,n_freqs,n_directions,refused",
+    [
+        (100, 1, 3601, False),
+        (75, 161, 0, False),
+        (4096, 1, 0, False),  # exactly 1 GiB of FFT
+        (4097, 1, 0, True),
+        (200_000, 1, 0, True),  # pattern, n_per_side = 200000
+        (75, 200_000_001, 0, True),  # squint, n_samples = 200000001
+        (20, 1, int(math.pi / math.radians(1e-9)) + 1, True),  # pattern --cut-step-deg 1e-9
+    ],
+)
+def test_check_array_budget(n, n_freqs, n_directions, refused):
+    if refused:
+        with pytest.raises(ValueError, match="GiB limit"):
+            check_array_budget(n, n_freqs, n_directions)
+    else:
+        check_array_budget(n, n_freqs, n_directions)
 
 
 def test_peak_location_matches_programmed_angle():
@@ -390,6 +468,21 @@ def test_squint_bandwidth_shrinks_with_angle():
     )
     bws = [r.bw_3db_hz for r in reports]
     assert bws[0] > bws[1] > bws[2]
+
+
+@pytest.mark.parametrize("bits", [2, None])
+def test_squint_vs_angle_equals_one_sweep_per_angle(bits):
+    # the shared J1 table must give each angle exactly what its own sweep gives
+    ap = ApertureSpec.from_element_grid(40, F140)
+    targets = [Direction.from_degrees(t, 30.0) for t in (25.0, 40.0, 55.0)]
+    taper = TaperSpec(-8.0)
+    shared = squint_vs_angle(ap, BROADSIDE, targets, taper, bits, 30e9, 61)
+    for target, report in zip(targets, shared):
+        single = squint_sweep(ap, BROADSIDE, target, taper, bits, 30e9, 61)
+        assert np.array_equal(report.gain_dbi, single.gain_dbi)
+        assert np.array_equal(report.peak_theta_rad, single.peak_theta_rad)
+        assert report.hpbw_rad == single.hpbw_rad
+        assert report.bw_3db_hz == single.bw_3db_hz
 
 
 def test_squint_quantized_profile_runs():

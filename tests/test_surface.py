@@ -264,25 +264,6 @@ def test_cell_table_csv_round_trip(tmp_path):
         assert loaded.response(s, F140) == pytest.approx(src.response(s, F140), abs=1e-9)
 
 
-# --- profile CSV ------------------------------------------------------------
-
-
-def test_profile_csv_export(tmp_path):
-    panel = ApertureSpec.from_element_grid(3, F140)
-    prof = synthesize_profile(panel, BROADSIDE, OUT45)
-    path = tmp_path / "profile.csv"
-    prof.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "row,col,x_m,y_m,phase_rad,amplitude"
-    assert len(lines) == 1 + 9
-
-    q = quantize_profile(prof, 2)
-    qpath = tmp_path / "quantized.csv"
-    q.to_csv(qpath)
-    header = qpath.read_text().splitlines()[0]
-    assert header == "row,col,x_m,y_m,state_index,amplitude"
-
-
 # --- codebook ---------------------------------------------------------------
 
 
