@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Direction, Frequency
 
 
@@ -135,10 +133,3 @@ class EfficiencyLedger:
     @property
     def resulting_eff(self) -> float:
         return self.passive_aperture_eff * 10.0 ** (-self.insertion_loss_db / 10.0)
-
-
-def element_coordinates(a: ApertureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Centered per-axis element coordinates (x, y) of the populated grid."""
-    n = a.n_per_side
-    coords = (np.arange(n) - (n - 1) / 2.0) * a.cell_pitch_m
-    return coords, coords.copy()

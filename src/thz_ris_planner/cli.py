@@ -4,7 +4,12 @@ Subcommands: link-budget, solve-aperture, pattern, squint, power. All read an
 INI-style scenario file (see config module) and write deterministic CSV/JSON
 artifacts plus optional self-contained SVG plots.
 
+link-budget, solve-aperture and power run on the standard library alone.
+pattern and squint import numpy, with the radiation and surface modules,
+when they run, so the scalar commands start without it.
+
 Exit codes: 0 success, 1 usage or config error, 2 physics/feasibility failure.
+Every failure is reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -15,9 +20,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import svgplot
 from .aperture import (
     ApertureSpec,
     UnreachableGeometryError,
@@ -35,26 +37,16 @@ from .link_budget import (
     sensitivity,
 )
 from .power import PROFILES, TechnologyProfile, panel_power
-from .radiation import (
-    GridResolutionError,
-    analytical_hpbw,
-    array_factor_fft,
-    check_array_budget,
-    check_normal_incidence,
-    principal_plane_cut,
-    squint_sweep,
-    squint_vs_angle,
-)
-from .surface import TaperSpec, UNIFORM_TAPER, quantize_profile, synthesize_profile
 
 CSV_VERSION_LINE = "# thz-ris-planner v1"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [CSV_VERSION_LINE, ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the version line, the header and each row of the iterable rows as it comes."""
+    with path.open("w") as fh:
+        fh.write(f"{CSV_VERSION_LINE}\n{','.join(header)}\n")
+        for row in rows:
+            fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
 
 
 def _fmt_cell(value) -> str:
@@ -134,7 +126,9 @@ def _aperture(cfg: ScenarioConfig, eta_default: float = 1.0) -> ApertureSpec:
     raise ConfigError("section [aperture] needs either 'side' or 'n_per_side'")
 
 
-def _taper(cfg: ScenarioConfig) -> TaperSpec:
+def _taper(cfg: ScenarioConfig):
+    from .surface import UNIFORM_TAPER, TaperSpec
+
     level = cfg.get("taper", "edge_level")
     if level is None:
         return UNIFORM_TAPER
@@ -206,6 +200,19 @@ def cmd_solve_aperture(args, cfg: ScenarioConfig) -> int:
 
 
 def cmd_pattern(args, cfg: ScenarioConfig) -> int:
+    import numpy as np
+
+    from . import svgplot
+    from .radiation import (
+        GridResolutionError,
+        analytical_hpbw,
+        array_factor_fft,
+        check_array_budget,
+        check_normal_incidence,
+        quantized_cuts,
+    )
+    from .surface import synthesize_profile
+
     if not (math.isfinite(args.cut_step_deg) and args.cut_step_deg > 0.0):
         raise ValueError(f"--cut-step-deg must be a positive angle, got {args.cut_step_deg}")
     cfg.require("link", "theta_in", "theta_out")
@@ -228,28 +235,35 @@ def cmd_pattern(args, cfg: ScenarioConfig) -> int:
             f"{math.degrees(hpbw / 2):.3f} or less"
         )
 
-    rows = []
-    curves = []
-    peaks = {}
-    for bits in bits_list:
-        profile = continuous if bits is None else quantize_profile(continuous, bits)
-        label = "continuous" if bits is None else str(bits)
-        theta_deg, dbi = principal_plane_cut(profile, panel.design_freq, outgoing.phi, step)
-        peaks[label] = float(np.max(dbi))
-        # floor deep nulls so the plot scale stays readable; CSV keeps raw values
-        plot_dbi = np.maximum(dbi, peaks[label] - 60.0)
-        curves.append((list(theta_deg), list(plot_dbi), f"{label} bit" if bits else label))
-        phi_deg = math.degrees(outgoing.phi)
-        for t, d in zip(theta_deg, dbi):
-            rows.append([label, t, phi_deg if t >= 0 else (phi_deg + 180.0) % 360.0, d])
-
+    cuts = quantized_cuts(continuous, bits_list, outgoing.phi, step)
+    labels = ["continuous" if bits is None else str(bits) for bits in bits_list]
+    phi_deg = math.degrees(outgoing.phi)
+    back_deg = (phi_deg + 180.0) % 360.0
     csv_path = args.out / "pattern.csv"
-    _write_csv(csv_path, ["bits", "theta_deg", "phi_deg", "directivity_dbi"], rows)
+    _write_csv(
+        csv_path,
+        ["bits", "theta_deg", "phi_deg", "directivity_dbi"],
+        (
+            [label, t, phi_deg if t >= 0 else back_deg, d]
+            for label, (theta_deg, dbi) in zip(labels, cuts)
+            for t, d in zip(theta_deg, dbi)
+        ),
+    )
+    peaks = {label: float(np.max(dbi)) for label, (_, dbi) in zip(labels, cuts)}
     for label, peak in peaks.items():
         print(f"peak directivity [{label:>10s}]  {peak:7.2f} dBi")
     print(f"wrote {csv_path}")
 
     if args.svg:
+        # floor deep nulls so the plot scale stays readable; CSV keeps raw values
+        curves = [
+            (
+                list(theta_deg),
+                list(np.maximum(dbi, peaks[label] - 60.0)),
+                label if bits is None else f"{label} bit",
+            )
+            for bits, label, (theta_deg, dbi) in zip(bits_list, labels, cuts)
+        ]
         svg_path = args.out / "pattern.svg"
         svgplot.line_plot(
             svg_path,
@@ -279,6 +293,9 @@ def cmd_pattern(args, cfg: ScenarioConfig) -> int:
 
 
 def cmd_squint(args, cfg: ScenarioConfig) -> int:
+    from . import svgplot
+    from .radiation import squint_vs_angle
+
     cfg.require("link", "theta_in", "theta_out")
     cfg.require("sweep", "f_span", "n_samples")
     panel = _aperture(cfg)
@@ -290,13 +307,21 @@ def cmd_squint(args, cfg: ScenarioConfig) -> int:
     if bits_setting is not None and len(bits_setting) != 1:
         raise ConfigError("squint uses a single [quantization] bits setting")
     bits = bits_setting[0] if bits_setting else None
+    angles = sweep.get("theta_out_sweep") or []
 
-    report = squint_sweep(
-        panel, incident, outgoing, taper, bits, sweep["f_span"], sweep["n_samples"]
+    # one power kernel serves theta_out and every sweep angle; nothing is
+    # written until all of them have succeeded
+    report, *reports = squint_vs_angle(
+        panel,
+        incident,
+        [outgoing, *(Direction(t, outgoing.phi) for t in angles)],
+        taper,
+        bits,
+        sweep["f_span"],
+        sweep["n_samples"],
     )
-    rows = [[f, g] for f, g in zip(report.freq_hz, report.gain_dbi)]
     trace_path = args.out / "squint.csv"
-    _write_csv(trace_path, ["freq_hz", "gain_db"], rows)
+    _write_csv(trace_path, ["freq_hz", "gain_db"], zip(report.freq_hz, report.gain_dbi))
     suffix = " (saturated at band edges)" if report.saturated else ""
     print(
         f"BW_3dB at theta_out={math.degrees(outgoing.theta):.1f} deg: "
@@ -315,17 +340,7 @@ def cmd_squint(args, cfg: ScenarioConfig) -> int:
         )
         print(f"wrote {svg_path}")
 
-    angles = sweep.get("theta_out_sweep")
-    if angles:
-        reports = squint_vs_angle(
-            panel,
-            incident,
-            [Direction(t, outgoing.phi) for t in angles],
-            taper,
-            bits,
-            sweep["f_span"],
-            sweep["n_samples"],
-        )
+    if reports:
         rows = [
             [math.degrees(r.target.theta), r.bw_3db_hz, r.fractional_bw_pct]
             for r in reports
@@ -379,8 +394,15 @@ def cmd_power(args, cfg: ScenarioConfig) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors reported like every other input error."""
+
+    def error(self, message: str):
+        self.exit(1, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="thz-ris-planner",
         description="Link-budget, aperture sizing, and beamforming analysis for THz RIS panels",
     )

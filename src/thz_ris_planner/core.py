@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 
 
@@ -76,11 +74,9 @@ class Direction:
     def from_degrees(cls, theta_deg: float, phi_deg: float = 0.0) -> "Direction":
         return cls(math.radians(theta_deg), math.radians(phi_deg))
 
-    def unit_vector(self) -> np.ndarray:
+    def unit_vector(self) -> tuple[float, float, float]:
         st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
+        return st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)
 
     def transverse(self) -> tuple[float, float]:
         """In-plane direction cosines (u, v) = (sin(theta)cos(phi), sin(theta)sin(phi))."""

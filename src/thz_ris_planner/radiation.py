@@ -43,9 +43,9 @@ expansion above (Abramowitz & Stegun 9.1.10, 9.1.27, 9.1.46, 9.2.5,
 9.2.9-10); it is within 3e-16 of the exact value.
 
 Quantization loss reads each peak directivity off the principal-plane cut in
-the steering plane, normalised by that closed form, the same route the
-pattern command plots; the cut step is a fixed fraction of the analytical
-beamwidth, so no resolution is left to the caller.
+the steering plane, normalised by that closed form; quantized_cuts takes
+those cuts for it and for the pattern command. The cut step is a fixed
+fraction of the analytical beamwidth, so no resolution is left to the caller.
 
 Squint bandwidth follows the beam-shift convention (Mailloux, Phased Array
 Antenna Handbook): with the phases frozen, the beam peak drifts as
@@ -534,12 +534,23 @@ def quantization_loss(
     """
     continuous = synthesize_profile(a, BROADSIDE, outgoing, taper)
     step = analytical_hpbw(continuous, a.design_freq) / CUT_STEPS_PER_BEAMWIDTH
+    cuts = quantized_cuts(continuous, [*bits_list, None], outgoing.phi, step)
+    peaks = [float(np.max(dbi)) for _, dbi in cuts]
+    return QuantizationReport(bits=list(bits_list), peak_dbi=peaks[:-1], continuous_dbi=peaks[-1])
 
-    def peak(p: PhaseProfile) -> float:
-        return float(np.max(principal_plane_cut(p, None, outgoing.phi, step)[1]))
 
-    peaks = [peak(quantize_profile(continuous, bits)) for bits in bits_list]
-    return QuantizationReport(bits=list(bits_list), peak_dbi=peaks, continuous_dbi=peak(continuous))
+def quantized_cuts(
+    p: PhaseProfile, bits_list: list[int | None], phi: float, theta_step: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """principal_plane_cut (theta_deg, dbi) of p at azimuth phi per quantization setting.
+
+    Each entry of bits_list quantizes p to that many bits, or keeps it
+    continuous when None.
+    """
+    return [
+        principal_plane_cut(p if bits is None else quantize_profile(p, bits), None, phi, theta_step)
+        for bits in bits_list
+    ]
 
 
 def squint_sweep(

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aperture import ApertureSpec, element_coordinates
+from .aperture import ApertureSpec
 from .core import BROADSIDE, Direction, Frequency
 
 MAX_QUANTIZATION_BITS = 8  # beyond practical per-cell switch counts
@@ -99,6 +99,13 @@ class PhaseProfile:
 
     def amplitudes(self) -> np.ndarray:
         return np.abs(self.coefficients)
+
+
+def element_coordinates(a: ApertureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Centered per-axis element coordinates (x, y) of the populated grid."""
+    n = a.n_per_side
+    coords = (np.arange(n) - (n - 1) / 2.0) * a.cell_pitch_m
+    return coords, coords.copy()
 
 
 def synthesize_profile(

@@ -7,13 +7,13 @@ from thz_ris_planner.aperture import (
     ApertureSpec,
     EfficiencyLedger,
     UnreachableGeometryError,
-    element_coordinates,
     element_count,
     pec_bound_check,
     rcs,
     solve_aperture_size,
 )
 from thz_ris_planner.core import Direction, Frequency
+from thz_ris_planner.surface import element_coordinates
 
 F140 = Frequency.from_ghz(140)
 PITCH_3E8 = 0.15 / 140.0  # lambda/2 under the rounded c = 3e8 convention, 1.0714 mm

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from thz_ris_planner import radiation
 from thz_ris_planner.cli import main
 
 DATA = resources.files("thz_ris_planner").joinpath("data")
+PAPER = DATA.joinpath("paper_scenario.cfg").read_text()
 
 
 def data_path(name):
@@ -169,6 +171,23 @@ def test_pattern_bad_cut_step_exits_1(tmp_path, capsys, step):
     assert err.count("\n") == 1
 
 
+def test_pattern_csv_is_streamed(tmp_path):
+    cfg = tmp_path / "pattern.cfg"
+    cfg.write_text(SMALL_PATTERN)
+    argv = ["--config", str(cfg), "--out", str(tmp_path), "pattern", "--cut-step-deg", "0.01"]
+    assert main(argv) == 0  # warm-up, so that imports and caches are not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = len((tmp_path / "pattern.csv").read_text().splitlines()) - 2
+    assert rows == 4 * 18001
+    # holding a Python list per row until the file is written costs about 360 bytes a row
+    assert peak < 128 * rows
+
+
 def test_pattern_csv_deterministic(tmp_path):
     cfg = tmp_path / "pattern.cfg"
     cfg.write_text(SMALL_PATTERN)
@@ -251,6 +270,68 @@ def test_rejected_input_exits_1(tmp_path, capsys, command, config, old, new):
     err = capsys.readouterr().err
     assert err.startswith(("error: ", "config error: ")) and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _exit_code(argv):
+    """main's exit code, including the usage errors that argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# (base config or None for a missing file, (old, new) edit or None, the
+# arguments after --config and --out, exit code); "old" must occur in the
+# base config
+BAD_INPUT = [
+    ("[power]\nprofile = cmos_rfsoi\n", None, ["link-budget"], 1),
+    (PAPER, ("tx_power = 20 dBm", "tx_power = twenty dBm"), ["link-budget"], 1),
+    (PAPER, ("d2 = 50 m", "d2 = nan m"), ["link-budget"], 1),
+    (PAPER, ("theta_out = 45 deg", "theta_out = 100 deg"), ["link-budget"], 1),
+    (PAPER, None, ["--format", "xml", "link-budget"], 1),
+    (None, None, ["link-budget"], 1),
+    (PAPER, ("aperture_efficiency = 0.25", ""), ["solve-aperture"], 1),
+    (PAPER, ("sensitivity = -60 dBm", "sensitivity = low dBm"), ["solve-aperture"], 1),
+    (PAPER, ("theta_in = 0 deg", "theta_in = 90 deg"), ["solve-aperture"], 2),
+    (PAPER, ("[power]\nprofile = cmos_rfsoi\n", ""), ["power"], 1),
+    (PAPER, ("profile = cmos_rfsoi", "profile = unobtainium"), ["power"], 1),
+    (PAPER, ("profile = cmos_rfsoi", "profile = cmos_rfsoi\ncells = 0"), ["power"], 1),
+    (PAPER, ("profile = cmos_rfsoi", "profile = lab\nper_cell_power = nan uW"), ["power"], 1),
+    (SMALL_PATTERN, ("[quantization]\nbits = 1, 2, 3, continuous\n", ""), ["pattern"], 1),
+    (SMALL_PATTERN, ("bits = 1, 2, 3, continuous", "bits = 1, 9"), ["pattern"], 1),
+    (SMALL_PATTERN, ("edge_level = -10 dB", "edge_level = 3 dB"), ["pattern"], 1),
+    (SMALL_PATTERN, ("n_per_side = 20", "n_per_side = 0"), ["pattern"], 1),
+    (SMALL_PATTERN, None, ["pattern", "--cut-step-deg", "fine"], 1),
+    (SMALL_SQUINT, ("[sweep]\nf_span = 20 GHz\nn_samples = 41\n", ""), ["squint"], 1),
+    (SMALL_SQUINT, ("n_samples = 41", "n_samples = many"), ["squint"], 1),
+    (SMALL_SQUINT, ("f_span = 20 GHz", "f_span = nan GHz"), ["squint"], 1),
+    (SMALL_SQUINT, ("n_samples = 41", "n_samples = 40"), ["squint"], 1),
+    (SMALL_SQUINT, ("edge_level = -10 dB", "edge_level = 3 dB"), ["squint"], 1),
+    (SMALL_SQUINT, ("[sweep]", "[quantization]\nbits = 1, 2\n\n[sweep]"), ["squint"], 1),
+    # theta_out succeeds and a sweep angle hits the band edge
+    (SMALL_SQUINT, ("n_samples = 41", "n_samples = 41\ntheta_out_sweep = 30 deg, 10 deg"), ["squint"], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "config,edit,args,expected",
+    BAD_INPUT,
+    ids=[f"{i:02d}-{'_'.join(row[2])}" for i, row in enumerate(BAD_INPUT)],
+)
+def test_bad_input_fails_with_one_line(tmp_path, capsys, config, edit, args, expected):
+    cfg = tmp_path / "scenario.cfg"
+    if config is not None:
+        if edit is not None:
+            assert edit[0] in config
+            config = config.replace(*edit)
+        cfg.write_text(config)
+    out = tmp_path / "out"
+    assert _exit_code(["--config", str(cfg), "--out", str(out), *args]) == expected
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err
+    # a refused run leaves no artifact behind
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -355,3 +436,41 @@ def test_cli_import_leaves_scipy_signal_out():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", [None, "link-budget", "solve-aperture", "power"])
+def test_scalar_path_loads_no_numpy(tmp_path, command):
+    src = str(Path(thz_ris_planner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = "[m for m in sys.modules if m.split('.')[0] == 'numpy']"
+    if command is None:
+        probe = (
+            f"import sys, thz_ris_planner; print({loaded}); "
+            f"import thz_ris_planner.cli; print({loaded})"
+        )
+        expected = ["[]", "[]"]
+    else:
+        argv = ["--config", data_path("paper_scenario.cfg"), "--out", str(tmp_path), command]
+        probe = f"import sys; from thz_ris_planner.cli import main; code = main({argv!r}); print(code, {loaded})"
+        expected = ["0 []"]
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[-len(expected):] == expected
+
+
+def test_package_exports_resolve_to_their_modules():
+    from thz_ris_planner import aperture, core, link_budget, power, surface
+
+    modules = (aperture, core, link_budget, power, radiation, surface)
+    for name in thz_ris_planner.__all__:
+        owners = [m for m in modules if hasattr(m, name)]
+        assert owners, name
+        assert all(getattr(m, name) is getattr(thz_ris_planner, name) for m in owners), name
+    namespace = {}
+    exec("from thz_ris_planner import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(thz_ris_planner.__all__)
+    assert set(thz_ris_planner.__all__) <= set(dir(thz_ris_planner))
