@@ -4,119 +4,82 @@ far-field directivity, beam-squint bandwidth, and panel power estimates."""
 
 import importlib
 
-from .aperture import (
-    ApertureSpec,
-    EfficiencyLedger,
-    UnreachableGeometryError,
-    element_count,
-    pec_bound_check,
-    rcs,
-    solve_aperture_size,
-)
-from .core import (
-    BROADSIDE,
-    SPEED_OF_LIGHT,
-    BistaticGeometry,
-    Direction,
-    Frequency,
-    db_to_linear,
-    dbm_to_watts,
-    fraunhofer_distance,
-    linear_to_db,
-    watts_to_dbm,
-    wavelength,
-)
-from .link_budget import (
-    LinkReport,
-    LinkScenario,
-    ReceiverSpec,
-    evaluate_link,
-    received_power,
-    required_rcs,
-    required_rcs_for_target,
-    required_snr_db,
-    sensitivity,
-    spreading_term,
-)
-from .power import PROFILES, TechnologyProfile, panel_power
-# radiation and surface need numpy; their names are resolved on first use
-# (PEP 562), so the scalar planning commands start without it
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "FrequencySpanError",
-            "GridResolutionError",
-            "QuantizationReport",
-            "SpherePattern",
-            "SquintReport",
-            "UVPattern",
-            "array_factor_direct",
-            "array_factor_fft",
-            "directivity",
-            "gain_at",
-            "hemisphere_power_exact",
-            "principal_plane_cut",
-            "quantization_loss",
-            "squint_sweep",
-            "squint_vs_angle",
-        ),
-        "radiation",
+# every public name, listed once under the module that defines it; a name is
+# resolved on first use (PEP 562), so importing the package loads no submodule
+# and the scalar planning commands start without numpy
+_EXPORTS = {
+    "aperture": (
+        "ApertureSpec",
+        "EfficiencyLedger",
+        "UnreachableGeometryError",
+        "element_count",
+        "pec_bound_check",
+        "rcs",
+        "solve_aperture_size",
     ),
-    **dict.fromkeys(
-        (
-            "CellStateTable",
-            "PhaseProfile",
-            "TaperSpec",
-            "UNIFORM_TAPER",
-            "UnitCellState",
-            "apply_cell_model",
-            "demo_cell_table",
-            "generate_codebook",
-            "quantize_profile",
-            "synthesize_profile",
-        ),
-        "surface",
+    "core": (
+        "BROADSIDE",
+        "SPEED_OF_LIGHT",
+        "BistaticGeometry",
+        "Direction",
+        "Frequency",
+        "db_to_linear",
+        "dbm_to_watts",
+        "fraunhofer_distance",
+        "linear_to_db",
+        "watts_to_dbm",
+        "wavelength",
+    ),
+    "link_budget": (
+        "LinkReport",
+        "LinkScenario",
+        "ReceiverSpec",
+        "evaluate_link",
+        "received_power",
+        "required_rcs",
+        "required_rcs_for_target",
+        "required_snr_db",
+        "sensitivity",
+        "spreading_term",
+    ),
+    "power": ("PROFILES", "TechnologyProfile", "panel_power"),
+    "radiation": (
+        "FrequencySpanError",
+        "GridResolutionError",
+        "QuantizationReport",
+        "SpherePattern",
+        "SquintReport",
+        "UVPattern",
+        "array_factor_direct",
+        "array_factor_fft",
+        "directivity",
+        "gain_at",
+        "hemisphere_power_exact",
+        "principal_plane_cut",
+        "quantization_loss",
+        "squint_sweep",
+        "squint_vs_angle",
+    ),
+    "surface": (
+        "CellStateTable",
+        "PhaseProfile",
+        "TaperSpec",
+        "UNIFORM_TAPER",
+        "UnitCellState",
+        "apply_cell_model",
+        "demo_cell_table",
+        "generate_codebook",
+        "quantize_profile",
+        "synthesize_profile",
     ),
 }
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ApertureSpec",
-    "EfficiencyLedger",
-    "UnreachableGeometryError",
-    "element_count",
-    "pec_bound_check",
-    "rcs",
-    "solve_aperture_size",
-    "BROADSIDE",
-    "SPEED_OF_LIGHT",
-    "BistaticGeometry",
-    "Direction",
-    "Frequency",
-    "db_to_linear",
-    "dbm_to_watts",
-    "fraunhofer_distance",
-    "linear_to_db",
-    "watts_to_dbm",
-    "wavelength",
-    "LinkReport",
-    "LinkScenario",
-    "ReceiverSpec",
-    "evaluate_link",
-    "received_power",
-    "required_rcs",
-    "required_rcs_for_target",
-    "required_snr_db",
-    "sensitivity",
-    "spreading_term",
-    "PROFILES",
-    "TechnologyProfile",
-    "panel_power",
-    *_LAZY,
-]
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
+    module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{module}", __name__), name)

@@ -8,7 +8,7 @@ link-budget, solve-aperture and power run on the standard library alone.
 pattern and squint import numpy, with the radiation and surface modules,
 when they run, so the scalar commands start without it.
 
-Exit codes: 0 success, 1 usage or config error, 2 physics/feasibility failure.
+Exit codes: 0 success, 1 usage, config or file error, 2 physics/feasibility failure.
 Every failure is reported as one line on stderr.
 """
 
@@ -443,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnreachableGeometryError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,9 @@ over the lattice axes: per chunk of directions it builds two exponential
 tables and does one matrix product. Two further routes exist:
 
 * array_factor_fft: zero-padded 2-D DFT on the (u, v) lattice, equal to the
-  direct sum at lattice points;
+  direct sum at lattice points for every profile, because a PhaseProfile
+  derives its element positions from the grid shape and pitch and so always
+  lies on the centred uniform lattice the DFT assumes;
 * array_factor_direct: a per-direction loop over the elements, kept as the
   reference oracle that tests compare both routes against.
 
@@ -35,12 +37,12 @@ in two parts: _power_kernel holds what depends on the lattice and the
 wavenumbers only, and _fold_power applies it to one profile. Since the
 kernel depends on |d| only, corr is summed per distinct squared integer lag
 i^2 + j^2 (about a tenth of the (2R-1)(2C-1) lags), and the kernel is a J1
-table over (k, distinct radius). A squint sweep builds it once for its
-frequency grid, and squint_vs_angle shares that one table across every
-angle. J1 itself is _j1, a numpy routine in three regimes: the power series
-for x <= 2, Miller's backward recurrence up to 25 and the Hankel asymptotic
-expansion above (Abramowitz & Stegun 9.1.10, 9.1.27, 9.1.46, 9.2.5,
-9.2.9-10); it is within 3e-16 of the exact value.
+table over (k, distinct radius). squint_vs_angle builds it once for its
+frequency grid and shares that one table across every angle; squint_sweep is
+its single-angle case. J1 itself is _j1, a numpy routine in three regimes:
+the power series for x <= 2, Miller's backward recurrence up to 25 and the
+Hankel asymptotic expansion above (Abramowitz & Stegun 9.1.10, 9.1.27,
+9.1.46, 9.2.5, 9.2.9-10); it is within 3e-16 of the exact value.
 
 Quantization loss reads each peak directivity off the principal-plane cut in
 the steering plane, normalised by that closed form; quantized_cuts takes
@@ -210,24 +212,16 @@ def array_factor_direct(
     return out
 
 
-def _check_uniform_lattice(p: PhaseProfile) -> None:
-    for ax in (p.x_m, p.y_m):
-        if ax.size > 1:
-            steps = np.diff(ax)
-            if not np.allclose(steps, p.cell_pitch_m, rtol=1e-9, atol=0.0):
-                raise ValueError("FFT path requires uniform lattice")
-
-
 def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> UVPattern:
     """Complex field on the (u, v) lattice via a zero-padded 2-D DFT.
 
-    The lattice spacing is lambda/(pitch * n * uv_oversample) per axis; at
-    those points the result equals array_factor_direct to machine precision.
+    The lattice spacing is lambda/(pitch * n * uv_oversample) per axis. Every
+    profile lies on the centred uniform lattice the DFT assumes, so at those
+    points the result equals array_factor_direct to machine precision.
     Points outside the visible region u^2 + v^2 <= 1 are NaN.
     """
     if uv_oversample < 1:
         raise ValueError("uv_oversample must be >= 1")
-    _check_uniform_lattice(p)
     nx, ny = p.rows, p.cols
     lx, ly = nx * uv_oversample, ny * uv_oversample
 
@@ -269,11 +263,12 @@ def _field(c: np.ndarray, p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np
     ku = np.asarray(ku, dtype=float)
     kv = np.asarray(kv, dtype=float)
     flat_u, flat_v = ku.ravel(), kv.ravel()
+    x, y = p.x_m, p.y_m
     out = np.empty(flat_u.size, dtype=complex)
     for s in range(0, flat_u.size, FIELD_CHUNK):
         chunk = slice(s, s + FIELD_CHUNK)
-        ax = np.exp(1j * np.outer(p.x_m, flat_u[chunk]))
-        by = np.exp(1j * np.outer(p.y_m, flat_v[chunk]))
+        ax = np.exp(1j * np.outer(x, flat_u[chunk]))
+        by = np.exp(1j * np.outer(y, flat_v[chunk]))
         out[chunk] = np.einsum("is,is->s", ax, c @ by)
     return out.reshape(ku.shape)
 
@@ -382,7 +377,6 @@ def _fold_power(p: PhaseProfile, kernel: tuple[np.ndarray, np.ndarray]) -> np.nd
     Only the real part of corr survives the Hermitian sum over +d and -d; it
     is summed per distinct radius, and the zero lag takes the kernel's limit pi.
     """
-    _check_uniform_lattice(p)
     radius_index, table = kernel
     nx, ny = 2 * p.rows - 1, 2 * p.cols - 1
     spectrum = np.fft.fft2(p.coefficients, s=(nx, ny))
@@ -562,26 +556,11 @@ def squint_sweep(
     f_span_hz: float = 20e9,
     n_samples: int = 81,
 ) -> SquintReport:
-    """Beam-peak drift versus frequency, with the squint band extracted.
+    """Beam-peak drift versus frequency for one outgoing direction.
 
-    The profile phases stay frozen at the design frequency. At each sample
-    the beam peak is located in the steering plane (azimuth outgoing.phi) and
-    the band is the contiguous stretch around f0 where it stays within
-    HPBW/2 of outgoing.theta; HPBW is measured on the same aperture and taper
-    steered to broadside. Band edges are located by linear interpolation
-    between samples. Frequencies where the beam has left the visible region
-    record a peak at 90 deg and lie out of band. The gain toward the fixed
-    target, normalized by the exact hemisphere power, is kept as a trace.
-
-    If the peak never drifts by HPBW/2 anywhere in the band (e.g. a
-    frequency-flat broadside profile) the report saturates at f_span_hz. If
-    only one edge lies inside the band the sweep cannot bracket it and
-    FrequencySpanError asks for a larger span. Only normal incidence is
-    modelled; any other incident direction raises ValueError.
+    The squint_vs_angle report of the single angle outgoing; see there.
     """
-    freqs, k_per_f = _sweep_grid(a, incident, f_span_hz, n_samples)
-    kernel = _power_kernel(a.n_per_side, a.n_per_side, a.cell_pitch_m, k_per_f)
-    return _squint(a, incident, outgoing, taper, bits, f_span_hz, freqs, k_per_f, kernel)
+    return squint_vs_angle(a, incident, [outgoing], taper, bits, f_span_hz, n_samples)[0]
 
 
 def squint_vs_angle(
@@ -593,24 +572,27 @@ def squint_vs_angle(
     f_span_hz: float = 20e9,
     n_samples: int = 81,
 ) -> list[SquintReport]:
-    """One squint sweep per outgoing direction (the bandwidth-vs-angle curve).
+    """Beam-peak drift versus frequency per outgoing direction, with the squint band.
 
-    The J1 table of the closed-form power depends only on the lattice and the
-    frequency grid, so it is built once and shared by every angle; each
-    report equals the squint_sweep report for its angle.
+    The profile phases stay frozen at the design frequency. At each of the
+    n_samples frequencies across f_span_hz around f0 the beam peak is located
+    in the steering plane (azimuth outgoing.phi), and the band is the
+    contiguous stretch around f0 where it stays within HPBW/2 of
+    outgoing.theta; HPBW is measured on the same aperture and taper steered
+    to broadside. Band edges are located by linear interpolation between
+    samples. Frequencies where the beam has left the visible region record a
+    peak at 90 deg and lie out of band. The gain toward the fixed target,
+    normalized by the exact hemisphere power, is kept as a trace.
+
+    If the peak never drifts by HPBW/2 anywhere in the band (e.g. a
+    frequency-flat broadside profile) the report saturates at f_span_hz. If
+    only one edge lies inside the band the sweep cannot bracket it and
+    FrequencySpanError asks for a larger span. Only normal incidence is
+    modelled; any other incident direction raises ValueError.
+
+    The sweep is validated and the J1 table of the closed-form power built
+    once, for the lattice and the frequency grid, and shared by every angle.
     """
-    freqs, k_per_f = _sweep_grid(a, incident, f_span_hz, n_samples)
-    kernel = _power_kernel(a.n_per_side, a.n_per_side, a.cell_pitch_m, k_per_f)
-    return [
-        _squint(a, incident, outgoing, taper, bits, f_span_hz, freqs, k_per_f, kernel)
-        for outgoing in outgoing_list
-    ]
-
-
-def _sweep_grid(
-    a: ApertureSpec, incident: Direction, f_span_hz: float, n_samples: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validated sweep frequencies centred on a.design_freq, and their wavenumbers."""
     check_normal_incidence(incident)
     if n_samples < 11 or n_samples % 2 == 0:
         raise ValueError("n_samples must be odd and >= 11 so f0 lies on the grid")
@@ -619,7 +601,12 @@ def _sweep_grid(
         raise ValueError("f_span must be positive and below the design frequency")
     check_array_budget(a.n_per_side, n_freqs=n_samples)
     freqs = f0.hertz + np.linspace(-f_span_hz / 2.0, f_span_hz / 2.0, n_samples)
-    return freqs, 2.0 * math.pi * freqs / SPEED_OF_LIGHT
+    k_per_f = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
+    kernel = _power_kernel(a.n_per_side, a.n_per_side, a.cell_pitch_m, k_per_f)
+    return [
+        _squint(a, incident, outgoing, taper, bits, f_span_hz, freqs, k_per_f, kernel)
+        for outgoing in outgoing_list
+    ]
 
 
 def _squint(

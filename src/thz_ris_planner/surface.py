@@ -59,12 +59,12 @@ UNIFORM_TAPER = TaperSpec(0.0)
 class PhaseProfile:
     """Programmed complex reflection coefficients on a uniform element lattice.
 
-    coefficients[i, j] belongs to the element at (x_m[i], y_m[j]). Quantized
-    profiles additionally carry the per-element state index.
+    The lattice is centred on the panel by construction: coefficients[i, j]
+    belongs to the element at (x_m[i], y_m[j]), and both axes follow from the
+    grid shape and cell_pitch_m. Quantized profiles additionally carry the
+    per-element state index.
     """
 
-    x_m: np.ndarray
-    y_m: np.ndarray
     coefficients: np.ndarray
     design_freq: Frequency
     cell_pitch_m: float
@@ -72,23 +72,33 @@ class PhaseProfile:
     state_index: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        if self.coefficients.shape != (self.x_m.size, self.y_m.size):
-            raise ValueError("coefficient grid does not match element coordinates")
+        if self.coefficients.ndim != 2:
+            raise ValueError("coefficients must be a 2-D element grid")
+        if not (0.0 < self.cell_pitch_m < math.inf):
+            raise ValueError("cell pitch must be positive and finite")
         if np.any(np.abs(self.coefficients) > 1.0 + 1e-9):
             raise ValueError("reflection coefficient magnitudes must be <= 1")
         if self.state_index is not None and self.state_index.shape != self.coefficients.shape:
             raise ValueError("state index grid does not match coefficients")
-        for arr in (self.x_m, self.y_m, self.coefficients, self.state_index):
+        for arr in (self.coefficients, self.state_index):
             if arr is not None:
                 arr.setflags(write=False)
 
     @property
     def rows(self) -> int:
-        return self.x_m.size
+        return self.coefficients.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.y_m.size
+        return self.coefficients.shape[1]
+
+    @property
+    def x_m(self) -> np.ndarray:
+        return _centred_axis(self.rows, self.cell_pitch_m)
+
+    @property
+    def y_m(self) -> np.ndarray:
+        return _centred_axis(self.cols, self.cell_pitch_m)
 
     @property
     def is_quantized(self) -> bool:
@@ -101,11 +111,9 @@ class PhaseProfile:
         return np.abs(self.coefficients)
 
 
-def element_coordinates(a: ApertureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Centered per-axis element coordinates (x, y) of the populated grid."""
-    n = a.n_per_side
-    coords = (np.arange(n) - (n - 1) / 2.0) * a.cell_pitch_m
-    return coords, coords.copy()
+def _centred_axis(n: int, pitch: float) -> np.ndarray:
+    """Coordinates of n cells at the given pitch along one axis, centred on 0."""
+    return (np.arange(n) - (n - 1) / 2.0) * pitch
 
 
 def synthesize_profile(
@@ -115,8 +123,8 @@ def synthesize_profile(
     taper: TaperSpec = UNIFORM_TAPER,
 ) -> PhaseProfile:
     """Continuous (unquantized) profile steering incident -> outgoing at f0."""
-    x, y = element_coordinates(a)
-    gx, gy = np.meshgrid(x, y, indexing="ij")
+    x = _centred_axis(a.n_per_side, a.cell_pitch_m)
+    gx, gy = np.meshgrid(x, x, indexing="ij")
 
     k0 = 2.0 * math.pi / a.design_freq.wavelength_m
     u_in, v_in = incident.transverse()
@@ -127,8 +135,6 @@ def synthesize_profile(
     amp = taper.amplitude(rho)
 
     return PhaseProfile(
-        x_m=x,
-        y_m=y,
         coefficients=amp * np.exp(1j * psi),
         design_freq=a.design_freq,
         cell_pitch_m=a.cell_pitch_m,
@@ -152,8 +158,6 @@ def quantize_profile(p: PhaseProfile, bits: int) -> PhaseProfile:
     # ceil(x - 0.5) is round-half-down, the documented tie break
     idx = np.ceil(p.phases() / step - 0.5).astype(int) % levels.size
     return PhaseProfile(
-        x_m=p.x_m.copy(),
-        y_m=p.y_m.copy(),
         coefficients=p.amplitudes() * np.exp(1j * idx * step),
         design_freq=p.design_freq,
         cell_pitch_m=p.cell_pitch_m,
@@ -258,8 +262,6 @@ def apply_cell_model(p: PhaseProfile, table: CellStateTable, f: Frequency) -> Ph
     responses = np.array([table.response(s, f) for s in range(n_states)])
     coeffs = p.amplitudes() * responses[p.state_index]
     return PhaseProfile(
-        x_m=p.x_m.copy(),
-        y_m=p.y_m.copy(),
         coefficients=coeffs,
         design_freq=p.design_freq,
         cell_pitch_m=p.cell_pitch_m,

@@ -170,8 +170,6 @@ def test_criterion_6_oracle_equivalence():
         )
         amps = rng.uniform(0.1, 1.0, (n, n))
         profile = PhaseProfile(
-            base.x_m.copy(),
-            base.y_m.copy(),
             amps * np.exp(1j * np.angle(base.coefficients)),
             F140,
             base.cell_pitch_m,

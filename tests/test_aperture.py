@@ -12,8 +12,8 @@ from thz_ris_planner.aperture import (
     rcs,
     solve_aperture_size,
 )
-from thz_ris_planner.core import Direction, Frequency
-from thz_ris_planner.surface import element_coordinates
+from thz_ris_planner.core import BROADSIDE, Direction, Frequency
+from thz_ris_planner.surface import synthesize_profile
 
 F140 = Frequency.from_ghz(140)
 PITCH_3E8 = 0.15 / 140.0  # lambda/2 under the rounded c = 3e8 convention, 1.0714 mm
@@ -139,7 +139,8 @@ def test_aperture_validation():
 
 def test_element_coordinates_centered():
     panel = ApertureSpec.from_element_grid(5, F140)
-    x, y = element_coordinates(panel)
+    profile = synthesize_profile(panel, BROADSIDE, BROADSIDE)
+    x, y = profile.x_m, profile.y_m
     assert x.size == 5
     assert np.allclose(x, -x[::-1])
     assert np.allclose(np.diff(x), panel.cell_pitch_m)

@@ -37,10 +37,8 @@ def test_link_budget_bundled_scenario(tmp_path, capsys):
 
 
 def test_link_budget_fails_with_low_power(tmp_path):
-    text = data_path("paper_scenario.cfg")
     cfg = tmp_path / "weak.cfg"
-    content = open(text).read().replace("tx_power = 20 dBm", "tx_power = 10 dBm")
-    cfg.write_text(content)
+    cfg.write_text(PAPER.replace("tx_power = 20 dBm", "tx_power = 10 dBm"))
     code = main(["--config", str(cfg), "--out", str(tmp_path), "link-budget"])
     assert code == 2
 
@@ -49,7 +47,7 @@ def test_link_budget_missing_receiver_section(tmp_path, capsys):
     cfg = tmp_path / "partial.cfg"
     lines = []
     skipping = False
-    for line in open(data_path("paper_scenario.cfg")):
+    for line in PAPER.splitlines(keepends=True):
         if line.strip() == "[receiver]":
             skipping = True
         elif line.startswith("[") and skipping:
@@ -74,11 +72,10 @@ def test_solve_aperture_bundled_scenario(tmp_path, capsys):
 
 
 def test_solve_aperture_eta_scaling(tmp_path):
-    base = open(data_path("paper_scenario.cfg")).read()
     cfg_low = tmp_path / "low.cfg"
-    cfg_low.write_text(base)
+    cfg_low.write_text(PAPER)
     cfg_high = tmp_path / "high.cfg"
-    cfg_high.write_text(base.replace("aperture_efficiency = 0.25", "aperture_efficiency = 1.0"))
+    cfg_high.write_text(PAPER.replace("aperture_efficiency = 0.25", "aperture_efficiency = 1.0"))
     assert main(["--config", str(cfg_low), "--out", str(tmp_path / "a"), "--format", "json", "solve-aperture"]) == 0
     assert main(["--config", str(cfg_high), "--out", str(tmp_path / "b"), "--format", "json", "solve-aperture"]) == 0
     d_low = json.loads((tmp_path / "a" / "solve_aperture.json").read_text())["d_m"]
@@ -87,9 +84,8 @@ def test_solve_aperture_eta_scaling(tmp_path):
 
 
 def test_solve_aperture_grazing_warns(tmp_path, capsys):
-    base = open(data_path("paper_scenario.cfg")).read()
     cfg = tmp_path / "grazing.cfg"
-    cfg.write_text(base.replace("theta_out = 45 deg", "theta_out = 89.9 deg"))
+    cfg.write_text(PAPER.replace("theta_out = 45 deg", "theta_out = 89.9 deg"))
     code = main(["--config", str(cfg), "--out", str(tmp_path), "solve-aperture"])
     assert code == 0
     assert "grazing" in capsys.readouterr().err
@@ -261,7 +257,7 @@ def test_squint_band_edge_exits_1(tmp_path, capsys):
     ],
 )
 def test_rejected_input_exits_1(tmp_path, capsys, command, config, old, new):
-    text = open(data_path("paper_scenario.cfg")).read() if config is None else config
+    text = PAPER if config is None else config
     assert old in text
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(text.replace(old, new))
@@ -282,7 +278,8 @@ def _exit_code(argv):
 
 # (base config or None for a missing file, (old, new) edit or None, the
 # arguments after --config and --out, exit code); "old" must occur in the
-# base config
+# base config, and "{tmp}" and "{cfg}" in the arguments stand for the test's
+# directory and its config file
 BAD_INPUT = [
     ("[power]\nprofile = cmos_rfsoi\n", None, ["link-budget"], 1),
     (PAPER, ("tx_power = 20 dBm", "tx_power = twenty dBm"), ["link-budget"], 1),
@@ -310,6 +307,9 @@ BAD_INPUT = [
     (SMALL_SQUINT, ("[sweep]", "[quantization]\nbits = 1, 2\n\n[sweep]"), ["squint"], 1),
     # theta_out succeeds and a sweep angle hits the band edge
     (SMALL_SQUINT, ("n_samples = 41", "n_samples = 41\ntheta_out_sweep = 30 deg, 10 deg"), ["squint"], 1),
+    # the config is a directory, and the output directory is an existing file
+    (PAPER, None, ["--config", "{tmp}", "link-budget"], 1),
+    (PAPER, None, ["--out", "{cfg}", "link-budget"], 1),
 ]
 
 
@@ -326,6 +326,7 @@ def test_bad_input_fails_with_one_line(tmp_path, capsys, config, edit, args, exp
             config = config.replace(*edit)
         cfg.write_text(config)
     out = tmp_path / "out"
+    args = [arg.format(tmp=tmp_path, cfg=cfg) for arg in args]
     assert _exit_code(["--config", str(cfg), "--out", str(out), *args]) == expected
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("\n"), err
@@ -444,11 +445,13 @@ def test_scalar_path_loads_no_numpy(tmp_path, command):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     loaded = "[m for m in sys.modules if m.split('.')[0] == 'numpy']"
     if command is None:
+        # importing the package itself loads none of its submodules
         probe = (
             f"import sys, thz_ris_planner; print({loaded}); "
+            "print([m for m in sys.modules if m.startswith('thz_ris_planner.')]); "
             f"import thz_ris_planner.cli; print({loaded})"
         )
-        expected = ["[]", "[]"]
+        expected = ["[]", "[]", "[]"]
     else:
         argv = ["--config", data_path("paper_scenario.cfg"), "--out", str(tmp_path), command]
         probe = f"import sys; from thz_ris_planner.cli import main; code = main({argv!r}); print(code, {loaded})"

@@ -103,8 +103,7 @@ def test_taper_rejects_positive_edge():
 
 
 def _single_phase_profile(phase):
-    x = np.array([0.0])
-    return PhaseProfile(x, x.copy(), np.array([[np.exp(1j * phase)]]), F140, 1e-3)
+    return PhaseProfile(np.array([[np.exp(1j * phase)]]), F140, 1e-3)
 
 
 def test_quantize_snaps_to_nearest_level():
@@ -123,13 +122,7 @@ def test_quantize_midpoint_rounds_down():
 def test_quantize_error_statistics():
     rng = np.random.default_rng(41)
     phases = rng.uniform(0.0, 2.0 * math.pi, (60, 60))
-    prof = PhaseProfile(
-        (np.arange(60) - 29.5) * 1e-3,
-        (np.arange(60) - 29.5) * 1e-3,
-        np.exp(1j * phases),
-        F140,
-        1e-3,
-    )
+    prof = PhaseProfile(np.exp(1j * phases), F140, 1e-3)
     for bits in (1, 2, 3, 4):
         q = quantize_profile(prof, bits)
         err = np.angle(np.exp(1j * (phases - q.phases())))
@@ -179,11 +172,13 @@ def test_profile_arrays_immutable():
 
 
 def test_profile_shape_validation():
-    x = np.arange(3) * 1e-3
-    with pytest.raises(ValueError):
-        PhaseProfile(x, x.copy(), np.ones((2, 3), dtype=complex), F140, 1e-3)
-    with pytest.raises(ValueError):
-        PhaseProfile(x, x.copy(), 1.5 * np.ones((3, 3), dtype=complex), F140, 1e-3)
+    with pytest.raises(ValueError, match="2-D"):
+        PhaseProfile(np.ones(3, dtype=complex), F140, 1e-3)
+    with pytest.raises(ValueError, match="<= 1"):
+        PhaseProfile(1.5 * np.ones((3, 3), dtype=complex), F140, 1e-3)
+    for pitch in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="pitch"):
+            PhaseProfile(np.ones((3, 3), dtype=complex), F140, pitch)
 
 
 # --- cell model -------------------------------------------------------------
