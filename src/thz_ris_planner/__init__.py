@@ -61,14 +61,9 @@ _EXPORTS = {
         "squint_vs_angle",
     ),
     "surface": (
-        "CellStateTable",
         "PhaseProfile",
         "TaperSpec",
         "UNIFORM_TAPER",
-        "UnitCellState",
-        "apply_cell_model",
-        "demo_cell_table",
-        "generate_codebook",
         "quantize_profile",
         "synthesize_profile",
     ),
