@@ -23,12 +23,7 @@ _EXPORTS = {
         "BistaticGeometry",
         "Direction",
         "Frequency",
-        "db_to_linear",
-        "dbm_to_watts",
         "fraunhofer_distance",
-        "linear_to_db",
-        "watts_to_dbm",
-        "wavelength",
     ),
     "link_budget": (
         "LinkReport",

@@ -114,11 +114,11 @@ def _design_frequency(cfg: ScenarioConfig) -> Frequency:
     return Frequency(hz)
 
 
-def _aperture(cfg: ScenarioConfig, eta_default: float = 1.0) -> ApertureSpec:
+def _aperture(cfg: ScenarioConfig) -> ApertureSpec:
     ap = cfg.section("aperture")
     freq = _design_frequency(cfg)
     pitch = ap.get("cell_pitch")
-    eta = ap.get("aperture_efficiency", eta_default)
+    eta = ap.get("aperture_efficiency", 1.0)
     if "n_per_side" in ap:
         return ApertureSpec.from_element_grid(ap["n_per_side"], freq, pitch, eta)
     if "side" in ap:
@@ -370,7 +370,7 @@ def cmd_power(args, cfg: ScenarioConfig) -> int:
     name = cfg.section("power")["profile"]
     custom_power = cfg.get("power", "per_cell_power")
     if custom_power is not None:
-        tech = TechnologyProfile(name, custom_power, cfg.get("power", "switches_per_cell", 2))
+        tech = TechnologyProfile(name, custom_power)
     else:
         tech = PROFILES.get(name)
     if tech is None:

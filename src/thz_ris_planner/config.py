@@ -48,7 +48,7 @@ def parse_quantity(text: str, dimension: str, key: str = "", line: int | None = 
         value = float(raw)
     except ValueError:
         raise ConfigError(f"'{key}': cannot parse number {raw!r}", line) from None
-    return _finite(value, key, line) * units[unit]
+    return _finite(value * units[unit], key, line)
 
 
 def _finite(value: float, key: str, line: int | None) -> float:
@@ -111,8 +111,6 @@ def _parse_bits_list(text: str, key: str, line: int | None) -> list[int | None]:
                 raise ConfigError(
                     f"'{key}': expected bit counts or 'continuous', got {token!r}", line
                 ) from None
-    if not out:
-        raise ConfigError(f"'{key}' must not be empty", line)
     return out
 
 
@@ -165,7 +163,6 @@ _SCHEMAS: dict[str, dict[str, str]] = {
         "profile": "str",
         "cells": "int",
         "per_cell_power": "watts",
-        "switches_per_cell": "int",
     },
 }
 
@@ -185,7 +182,6 @@ class ScenarioConfig:
     """Parsed and validated scenario file; one dict of typed values per section."""
 
     sections: dict[str, dict[str, object]] = field(default_factory=dict)
-    path: str = ""
 
     def section(self, name: str) -> dict[str, object]:
         if name not in self.sections:
@@ -245,4 +241,4 @@ def load_config(path: str | Path) -> ScenarioConfig:
             parsed = _PARSERS[spec](value, key, lineno)
         sections[current][key] = parsed
 
-    return ScenarioConfig(sections=sections, path=str(path))
+    return ScenarioConfig(sections=sections)

@@ -1,4 +1,4 @@
-"""Units, constants, angular primitives, and dB arithmetic shared by all modules."""
+"""Units, constants and angular primitives shared by all modules."""
 
 from __future__ import annotations
 
@@ -6,28 +6,6 @@ import math
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
-
-
-def db_to_linear(x_db: float) -> float:
-    """Convert a dB value to a linear power ratio: 10^(x/10)."""
-    return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    """Convert a positive linear power ratio to dB."""
-    if x <= 0:
-        raise ValueError("linear power ratio must be positive")
-    return 10.0 * math.log10(x)
-
-
-def dbm_to_watts(p_dbm: float) -> float:
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(p_w: float) -> float:
-    if p_w <= 0:
-        raise ValueError("power must be positive")
-    return 10.0 * math.log10(p_w) + 30.0
 
 
 @dataclass(frozen=True)
@@ -49,11 +27,6 @@ class Frequency:
         return cls(value * 1e9)
 
 
-def wavelength(f: Frequency) -> float:
-    """Free-space wavelength in meters."""
-    return f.wavelength_m
-
-
 @dataclass(frozen=True)
 class Direction:
     """Propagation direction: polar angle theta in [0, pi/2], azimuth phi in [0, 2*pi).
@@ -73,10 +46,6 @@ class Direction:
     @classmethod
     def from_degrees(cls, theta_deg: float, phi_deg: float = 0.0) -> "Direction":
         return cls(math.radians(theta_deg), math.radians(phi_deg))
-
-    def unit_vector(self) -> tuple[float, float, float]:
-        st = math.sin(self.theta)
-        return st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)
 
     def transverse(self) -> tuple[float, float]:
         """In-plane direction cosines (u, v) = (sin(theta)cos(phi), sin(theta)sin(phi))."""

@@ -10,24 +10,17 @@ from dataclasses import dataclass
 class TechnologyProfile:
     name: str
     per_cell_power_w: float
-    switches_per_cell: int = 2
-    notes: str = ""
 
     def __post_init__(self):
         if not (0.0 <= self.per_cell_power_w < math.inf):
             raise ValueError("per-cell power must be finite and >= 0")
-        if self.switches_per_cell < 1:
-            raise ValueError("switches per cell must be >= 1")
 
 
-# order-of-magnitude defaults for the two mainstream switch families
+# order-of-magnitude defaults for the two mainstream switch families: CMOS
+# RF-SOI switches draw tens of uW per cell, PIN diodes several mW per cell
 PROFILES = {
-    "cmos_rfsoi": TechnologyProfile(
-        "cmos_rfsoi", 20e-6, 2, "CMOS RF-SOI switches, tens of uW per cell"
-    ),
-    "pin_diode": TechnologyProfile(
-        "pin_diode", 3e-3, 2, "PIN diodes, several mW per cell"
-    ),
+    "cmos_rfsoi": TechnologyProfile("cmos_rfsoi", 20e-6),
+    "pin_diode": TechnologyProfile("pin_diode", 3e-3),
 }
 
 

@@ -78,7 +78,6 @@ MAX_ARRAY_BYTES = 2**30  # largest single array a pattern or squint run may allo
 J1_SERIES_MAX = 2.0  # _j1 sums the power series up to here,
 J1_HANKEL_MIN = 25.0  # the Hankel expansion above here, and Miller's recurrence between
 MILLER_ORDER = 64  # even starting order of the backward recurrence; from 60 the error at x = 25 is rounding
-MILLER_RESCALE = 2.0**128  # recurrence values past this are scaled down by it, exactly
 
 
 def _series_coefficients(terms: int) -> tuple[float, ...]:
@@ -114,7 +113,6 @@ class UVPattern:
     field is NaN in the invisible region u^2 + v^2 > 1.
     """
 
-    frequency_hz: float
     ax1: np.ndarray
     ax2: np.ndarray
     field: np.ndarray
@@ -136,7 +134,6 @@ class SpherePattern:
     is the quadrature of |E|^2 over the front hemisphere.
     """
 
-    frequency_hz: float
     ax1: np.ndarray
     ax2: np.ndarray
     directivity_dbi: np.ndarray
@@ -247,7 +244,7 @@ def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> U
     ef[visible] = (1.0 - r2[visible]) ** 0.25  # sqrt(cos(theta))
     field = np.where(visible, field * ef, np.nan + 0j)
 
-    return UVPattern(frequency_hz=f.hertz, ax1=u, ax2=v, field=field)
+    return UVPattern(ax1=u, ax2=v, field=field)
 
 
 def _field(c: np.ndarray, p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
@@ -332,13 +329,7 @@ def directivity(
 
     with np.errstate(divide="ignore"):
         dbi = 10.0 * np.log10(4.0 * math.pi * e2 / total)
-    return SpherePattern(
-        frequency_hz=f.hertz,
-        ax1=theta,
-        ax2=phi,
-        directivity_dbi=dbi,
-        total_power=total,
-    )
+    return SpherePattern(ax1=theta, ax2=phi, directivity_dbi=dbi, total_power=total)
 
 
 def hemisphere_power_exact(p: PhaseProfile, f: Frequency | None = None) -> float:
@@ -412,6 +403,8 @@ def _j1(x: np.ndarray) -> np.ndarray:
 
     miller = ~(series | hankel)
     xm = x[miller]
+    # unscaled: from MILLER_ORDER at x > J1_SERIES_MAX the recurrence peaks
+    # below 1e89, far from overflow, and the normalisation divides the scale out
     j_next, j = np.zeros_like(xm), np.ones_like(xm)
     even_sum, j1 = np.zeros_like(xm), np.zeros_like(xm)
     for n in range(MILLER_ORDER, 0, -1):
@@ -420,11 +413,6 @@ def _j1(x: np.ndarray) -> np.ndarray:
             j1 = j.copy()
         elif n % 2 == 1 and n > 1:
             even_sum += j
-        big = np.abs(j) > MILLER_RESCALE
-        if big.any():
-            scale = np.where(big, 1.0 / MILLER_RESCALE, 1.0)
-            for arr in (j, j_next, even_sum, j1):
-                arr *= scale
     out[miller] = j1 / (j + 2.0 * even_sum)
     return out
 
@@ -679,9 +667,10 @@ def _squint(
 
 
 def _interp_crossing(x_out: float, x_in: float, y_out: float, y_in: float, level: float = 0.0) -> float:
-    """Abscissa where y crosses level between an outside and an inside sample."""
-    if y_in == y_out:
-        return x_in
+    """Abscissa where y crosses level between an outside and an inside sample.
+
+    The two samples lie strictly on opposite sides of level, so y_in != y_out.
+    """
     frac = (level - y_out) / (y_in - y_out)
     return x_out + frac * (x_in - x_out)
 

@@ -11,11 +11,9 @@ _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 55  # margins
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions using a 1/2/5 ladder."""
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / target
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About six round tick positions over lo < hi, using a 1/2/5 ladder."""
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -39,7 +37,7 @@ def line_plot(
     series: list[tuple[list[float], list[float], str]],
     xlabel: str,
     ylabel: str,
-    title: str = "",
+    title: str,
 ) -> None:
     """Write a multi-series line plot."""
     xs = [x for s in series for x in s[0]]
@@ -67,11 +65,8 @@ def line_plot(
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
+        f'<text x="{_W / 2:.1f}" y="22" text-anchor="middle" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_W / 2:.1f}" y="22" text-anchor="middle" font-size="14">{title}</text>'
-        )
     for t in _ticks(x_lo, x_hi):
         if x_lo <= t <= x_hi:
             parts.append(
@@ -109,13 +104,12 @@ def line_plot(
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        if label:
-            ly = _MT + 16 + 16 * idx
-            parts.append(
-                f'<line x1="{_ML + pw - 150}" y1="{ly - 4}" x2="{_ML + pw - 125}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append(f'<text x="{_ML + pw - 120}" y="{ly}">{label}</text>')
+        ly = _MT + 16 + 16 * idx
+        parts.append(
+            f'<line x1="{_ML + pw - 150}" y1="{ly - 4}" x2="{_ML + pw - 125}" y2="{ly - 4}" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(f'<text x="{_ML + pw - 120}" y="{ly}">{label}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 
@@ -127,17 +121,16 @@ def heatmap(
     z: list[list[float]],
     xlabel: str,
     ylabel: str,
-    title: str = "",
-    z_floor: float | None = None,
+    title: str,
+    z_floor: float,
 ) -> None:
-    """Grayscale cell heatmap of z[i][j] over x[i], y[j]."""
+    """Grayscale cell heatmap of z[i][j] over x[i], y[j], shaded from z_floor up."""
     finite = [v for row in z for v in row if math.isfinite(v)]
     if not finite:
         raise ValueError("nothing to plot")
     z_hi = max(finite)
-    z_lo = z_floor if z_floor is not None else min(finite)
-    if z_hi == z_lo:
-        z_hi = z_lo + 1.0
+    if z_hi == z_floor:
+        z_hi = z_floor + 1.0
 
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
@@ -148,17 +141,14 @@ def heatmap(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W / 2:.1f}" y="22" text-anchor="middle" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_W / 2:.1f}" y="22" text-anchor="middle" font-size="14">{title}</text>'
-        )
     for i in range(nx):
         for j in range(ny):
             v = z[i][j]
             if not math.isfinite(v):
                 continue
-            frac = (min(max(v, z_lo), z_hi) - z_lo) / (z_hi - z_lo)
+            frac = (min(max(v, z_floor), z_hi) - z_floor) / (z_hi - z_floor)
             shade = int(255 * (1.0 - frac))
             parts.append(
                 f'<rect x="{_ML + i * cw:.2f}" y="{_MT + (ny - 1 - j) * ch:.2f}" '
@@ -177,7 +167,7 @@ def heatmap(
         f'transform="rotate(-90 18 {_MT + ph / 2:.1f})">{ylabel} [{_fmt(min(y))} .. {_fmt(max(y))}]</text>'
     )
     parts.append(
-        f'<text x="{_ML}" y="{_MT - 8}">scale {_fmt(z_lo)} (white) .. {_fmt(z_hi)} (black)</text>'
+        f'<text x="{_ML}" y="{_MT - 8}">scale {_fmt(z_floor)} (white) .. {_fmt(z_hi)} (black)</text>'
     )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

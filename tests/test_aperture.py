@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from thz_ris_planner.aperture import (
     ApertureSpec,
@@ -62,6 +63,26 @@ def test_solve_round_trip():
         sigma = rcs(panel, inc, out)
         back = solve_aperture_size(sigma, eta, inc, out, f)
         assert abs(back - side) / side < 1e-9
+
+
+@given(
+    st.floats(100e9, 300e9),
+    st.floats(0.0, 1.0),
+    st.floats(1e-200, 1.0),
+    st.floats(0.0, 85.0),
+    st.floats(0.0, 85.0),
+)
+def test_rcs_solve_round_trip_property(hz, size, eta, theta_in_deg, theta_out_deg):
+    """D -> rcs -> solve_aperture_size returns D for D from one half-wave pitch to 2 m.
+
+    eta stops at 1e-200: below about 1e-290 the RCS is a subnormal float and
+    no longer carries D to twelve digits.
+    """
+    f = Frequency(hz)
+    side = f.wavelength_m / 2.0 + size * (2.0 - f.wavelength_m / 2.0)
+    inc, out = Direction.from_degrees(theta_in_deg), Direction.from_degrees(theta_out_deg)
+    sigma = rcs(ApertureSpec(side, f, aperture_efficiency=eta), inc, out)
+    assert solve_aperture_size(sigma, eta, inc, out, f) == pytest.approx(side, rel=1e-12)
 
 
 def test_solve_eta_scaling():

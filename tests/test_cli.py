@@ -310,6 +310,8 @@ BAD_INPUT = [
     # the config is a directory, and the output directory is an existing file
     (PAPER, None, ["--config", "{tmp}", "link-budget"], 1),
     (PAPER, None, ["--out", "{cfg}", "link-budget"], 1),
+    # a key the power estimate would not read is refused, not ignored
+    (PAPER, ("profile = cmos_rfsoi", "profile = cmos_rfsoi\nswitches_per_cell = 4"), ["power"], 1),
 ]
 
 

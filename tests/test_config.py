@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from thz_ris_planner.config import ConfigError, load_config, parse_quantity
+from thz_ris_planner.config import _UNITS, ConfigError, load_config, parse_quantity
 
 
 def test_parse_quantity_units():
@@ -12,6 +13,21 @@ def test_parse_quantity_units():
     assert parse_quantity("-10 dB", "level_db") == -10.0
     assert parse_quantity("45 deg", "angle") == pytest.approx(math.radians(45))
     assert parse_quantity("20 uW", "watts") == pytest.approx(20e-6)
+
+
+@given(
+    st.sampled_from([(dim, unit) for dim, units in _UNITS.items() for unit in units]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_parse_quantity_round_trip(dim_unit, x):
+    dimension, unit = dim_unit
+    scaled = x * _UNITS[dimension][unit]
+    text = f"{x!r} {unit}"
+    if math.isfinite(scaled):
+        assert parse_quantity(text, dimension) == scaled
+    else:
+        with pytest.raises(ConfigError, match="finite"):
+            parse_quantity(text, dimension)
 
 
 def test_parse_quantity_rejects_unitless():
@@ -57,6 +73,9 @@ target_ber = 1e-6
         ("aperture", "aperture_efficiency = -inf"),
         ("aperture", "aperture_efficiency = nan %"),
         ("receiver", "target_ber = inf"),
+        # finite as written, infinite once scaled to the base unit
+        ("link", "d1 = 1e306 km"),
+        ("aperture", "design_frequency = 1e300 THz"),
     ],
 )
 def test_non_finite_numbers_rejected(tmp_path, section, line):

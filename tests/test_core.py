@@ -9,57 +9,23 @@ from thz_ris_planner.core import (
     Direction,
     Frequency,
     SPEED_OF_LIGHT,
-    db_to_linear,
-    dbm_to_watts,
     fraunhofer_distance,
-    linear_to_db,
-    watts_to_dbm,
-    wavelength,
 )
 from thz_ris_planner.link_budget import ReceiverSpec
 from thz_ris_planner.power import TechnologyProfile
 from thz_ris_planner.surface import TaperSpec
 
 
-def test_db_to_linear_anchors():
-    assert db_to_linear(0.0) == 1.0
-    assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-14)
-    # 10^(-15.432)
-    assert abs(db_to_linear(-154.32) - 3.70e-16) < 1e-18
-
-
-def test_db_round_trip():
-    rng = np.random.default_rng(42)
-    for x in rng.uniform(-300.0, 300.0, 500):
-        back = linear_to_db(db_to_linear(x))
-        assert abs(back - x) <= 1e-12 * max(abs(x), 1.0)
-
-
-def test_linear_to_db_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        linear_to_db(0.0)
-    with pytest.raises(ValueError):
-        linear_to_db(-3.0)
-
-
-def test_dbm_watts_round_trip():
-    assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-14)
-    assert watts_to_dbm(1.0) == pytest.approx(30.0, abs=1e-12)
-    rng = np.random.default_rng(3)
-    for p in rng.uniform(-120.0, 60.0, 200):
-        assert watts_to_dbm(dbm_to_watts(p)) == pytest.approx(p, abs=1e-10)
-
-
 def test_wavelength_anchors():
-    assert wavelength(Frequency.from_ghz(140)) == pytest.approx(2.1414e-3, abs=0.0001e-3)
-    assert wavelength(Frequency(299.792458e6)) == pytest.approx(1.0, rel=1e-12)
-    assert wavelength(Frequency.from_ghz(300)) == pytest.approx(0.99931e-3, abs=0.00001e-3)
+    assert Frequency.from_ghz(140).wavelength_m == pytest.approx(2.1414e-3, abs=0.0001e-3)
+    assert Frequency(299.792458e6).wavelength_m == pytest.approx(1.0, rel=1e-12)
+    assert Frequency.from_ghz(300).wavelength_m == pytest.approx(0.99931e-3, abs=0.00001e-3)
 
 
 def test_wavelength_strictly_decreasing():
     rng = np.random.default_rng(11)
     freqs = np.sort(rng.uniform(1e9, 1e13, 100))
-    lams = [wavelength(Frequency(f)) for f in freqs]
+    lams = [Frequency(f).wavelength_m for f in freqs]
     assert all(a > b for a, b in zip(lams, lams[1:]))
 
 
@@ -70,13 +36,6 @@ def test_frequency_validation():
         Frequency(-1e9)
     with pytest.raises(ValueError):
         Frequency(math.inf)
-
-
-def test_direction_unit_vector_norm():
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        d = Direction(rng.uniform(0, math.pi / 2), rng.uniform(-10, 10))
-        assert abs(np.linalg.norm(d.unit_vector()) - 1.0) < 1e-12
 
 
 def test_direction_phi_wraps():
@@ -142,7 +101,7 @@ def test_fraunhofer_anchors():
     assert fraunhofer_distance(0.110, f140) == pytest.approx(11.30, abs=0.05)
     assert fraunhofer_distance(0.080, f140) == pytest.approx(5.98, abs=0.05)
     # D = lambda gives exactly 2*lambda
-    lam = wavelength(f140)
+    lam = f140.wavelength_m
     assert fraunhofer_distance(lam, f140) == pytest.approx(2.0 * lam, rel=1e-12)
 
 

@@ -36,5 +36,3 @@ def test_validation():
         panel_power(0, PROFILES["cmos_rfsoi"])
     with pytest.raises(ValueError):
         TechnologyProfile("bad", -1.0)
-    with pytest.raises(ValueError):
-        TechnologyProfile("bad", 1.0, switches_per_cell=0)
