@@ -329,7 +329,12 @@ def directivity(
 
     with np.errstate(divide="ignore"):
         dbi = 10.0 * np.log10(4.0 * math.pi * e2 / total)
-    return SpherePattern(ax1=theta, ax2=phi, directivity_dbi=dbi, total_power=total)
+    return SpherePattern(
+        ax1=theta,
+        ax2=phi,
+        directivity_dbi=dbi,
+        total_power=total,
+    )
 
 
 def hemisphere_power_exact(p: PhaseProfile, f: Frequency | None = None) -> float:
