@@ -84,7 +84,8 @@ def solve_aperture_size(
     """Side length D (m) whose RCS equals required_sigma_m2.
 
     Raises UnreachableGeometryError at grazing incidence or reflection, where
-    the cosine product collapses and no finite aperture closes the link.
+    the cosine product collapses, and when eta times that product is so small
+    that D^4 overflows: either way no finite aperture closes the link.
     """
     if required_sigma_m2 <= 0:
         raise ValueError("required RCS must be positive")
@@ -96,7 +97,12 @@ def solve_aperture_size(
             "unreachable geometry: cos(theta_in)*cos(theta_out) is zero at grazing angles"
         )
     lam = f.wavelength_m
-    quartic = required_sigma_m2 * lam**2 / (4.0 * math.pi * eta * cos_product)
+    denominator = 4.0 * math.pi * eta * cos_product
+    quartic = required_sigma_m2 * lam**2 / denominator if denominator > 0.0 else math.inf
+    if not math.isfinite(quartic):
+        raise UnreachableGeometryError(
+            "no finite aperture reaches the required RCS: eta*cos(theta_in)*cos(theta_out) is too small"
+        )
     return quartic**0.25
 
 

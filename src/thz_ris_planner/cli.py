@@ -108,7 +108,7 @@ def _sensitivity_dbm(cfg: ScenarioConfig) -> float:
 
 
 def _design_frequency(cfg: ScenarioConfig) -> Frequency:
-    hz = cfg.get("aperture", "design_frequency") or cfg.get("link", "frequency")
+    hz = cfg.get("aperture", "design_frequency", cfg.get("link", "frequency"))
     if hz is None:
         raise ConfigError("need [aperture] design_frequency or [link] frequency")
     return Frequency(hz)

@@ -164,8 +164,11 @@ class SquintReport:
     peak_theta_rad: np.ndarray
     hpbw_rad: float
     bw_3db_hz: float
-    fractional_bw_pct: float
     saturated: bool = False
+
+    @property
+    def fractional_bw_pct(self) -> float:
+        return 100.0 * self.bw_3db_hz / self.design_freq_hz
 
 
 @dataclass
@@ -187,6 +190,12 @@ def _element_factor(theta: np.ndarray) -> np.ndarray:
 
 def _wavenumber(f: Frequency) -> float:
     return 2.0 * math.pi * f.hertz / SPEED_OF_LIGHT
+
+
+def _dbi(e2, power: float):
+    """Directivity 10*log10(4*pi*e2/power) in dBi of field power e2; an exact null reads -inf."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(4.0 * math.pi * e2 / power)
 
 
 def array_factor_direct(
@@ -276,12 +285,8 @@ def analytical_hpbw(p: PhaseProfile, f: Frequency) -> float:
     return BEAMWIDTH_FACTOR * f.wavelength_m / span
 
 
-def directivity(
-    p: PhaseProfile,
-    f: Frequency | None = None,
-    grid_resolution: float = math.radians(0.05),
-) -> SpherePattern:
-    """Directivity over the front hemisphere, in dBi: the quadrature cross-check.
+def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) -> SpherePattern:
+    """Directivity over the front hemisphere at p.design_freq, in dBi: the quadrature cross-check.
 
     No production route calls it; tests compare it with the closed-form power
     and the cut route, as array_factor_direct is compared with the kernel. The
@@ -291,8 +296,7 @@ def directivity(
     beamwidths of the main lobe. grid_resolution must resolve the analytical
     beamwidth (at most half of it).
     """
-    if f is None:
-        f = p.design_freq
+    f = p.design_freq
     hpbw = analytical_hpbw(p, f)
     if grid_resolution > hpbw / 2.0:
         raise GridResolutionError(
@@ -326,13 +330,10 @@ def directivity(
     e2 = np.abs(field * _element_factor(theta)[:, None]) ** 2
     inner = np.trapezoid(e2 * st, x=phi, axis=1)
     total = float(np.trapezoid(inner, x=theta))
-
-    with np.errstate(divide="ignore"):
-        dbi = 10.0 * np.log10(4.0 * math.pi * e2 / total)
     return SpherePattern(
         ax1=theta,
         ax2=phi,
-        directivity_dbi=dbi,
+        directivity_dbi=_dbi(e2, total),
         total_power=total,
     )
 
@@ -477,8 +478,7 @@ def gain_at(p: PhaseProfile, f: Frequency, direction: Direction) -> float:
     k = _wavenumber(f)
     u, v = direction.transverse()
     e = _field(p.coefficients, p, k * u, k * v) * _element_factor(direction.theta)
-    power = hemisphere_power_exact(p, f)
-    return 10.0 * math.log10(4.0 * math.pi * abs(e) ** 2 / power)
+    return float(_dbi(abs(e) ** 2, hemisphere_power_exact(p, f)))
 
 
 def principal_plane_cut(
@@ -502,9 +502,7 @@ def principal_plane_cut(
     # negative theta at phi + 180 deg is positive theta with k*sin(theta) negated
     q = _wavenumber(f) * np.sin(theta)
     e = _field(p.coefficients, p, q * math.cos(phi), q * math.sin(phi)) * _element_factor(theta)
-    with np.errstate(divide="ignore"):
-        dbi = 10.0 * np.log10(4.0 * math.pi * np.abs(e) ** 2 / total_power)
-    return np.degrees(theta), dbi
+    return np.degrees(theta), _dbi(np.abs(e) ** 2, total_power)
 
 
 def quantization_loss(
@@ -596,79 +594,58 @@ def squint_vs_angle(
     freqs = f0.hertz + np.linspace(-f_span_hz / 2.0, f_span_hz / 2.0, n_samples)
     k_per_f = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
     kernel = _power_kernel(a.n_per_side, a.n_per_side, a.cell_pitch_m, k_per_f)
-    return [
-        _squint(a, incident, outgoing, taper, bits, f_span_hz, freqs, k_per_f, kernel)
-        for outgoing in outgoing_list
-    ]
-
-
-def _squint(
-    a: ApertureSpec,
-    incident: Direction,
-    outgoing: Direction,
-    taper: TaperSpec,
-    bits: int | None,
-    f_span_hz: float,
-    freqs: np.ndarray,
-    k_per_f: np.ndarray,
-    kernel: tuple[np.ndarray, np.ndarray],
-) -> SquintReport:
-    """The squint sweep of one outgoing direction on a validated grid and its power kernel."""
-    f0 = a.design_freq
-    n_samples = freqs.size
-    profile = synthesize_profile(a, incident, outgoing, taper)
-    if bits is not None:
-        profile = quantize_profile(profile, bits)
-
-    u_t, v_t = outgoing.transverse()
-    e = _field(profile.coefficients, profile, k_per_f * u_t, k_per_f * v_t)
-    e *= _element_factor(outgoing.theta)
-    power = _fold_power(profile, kernel)
-    gain = 10.0 * np.log10(4.0 * math.pi * np.abs(e) ** 2 / power)
-
-    hpbw = _broadside_hpbw(profile, outgoing.phi, f0)
-    peak = _track_beam_peak(profile, outgoing, _wavenumber(f0), hpbw, k_per_f)
-    excess = np.abs(peak - outgoing.theta) - hpbw / 2.0
-
+    k0 = _wavenumber(f0)
     mid = n_samples // 2
-    if excess[mid] > 0.0:
-        raise ValueError(
-            f"the beam peak at f0 lies {math.degrees(peak[mid] - outgoing.theta):+.3f} deg "
-            f"from the target, beyond half the {math.degrees(hpbw):.3f} deg beamwidth"
-        )
-    lo = mid
-    while lo > 0 and excess[lo - 1] <= 0.0:
-        lo -= 1
-    hi = mid
-    while hi < n_samples - 1 and excess[hi + 1] <= 0.0:
-        hi += 1
-    lo_crossed = lo > 0
-    hi_crossed = hi < n_samples - 1
+    reports = []
+    for outgoing in outgoing_list:
+        profile = synthesize_profile(a, incident, outgoing, taper)
+        if bits is not None:
+            profile = quantize_profile(profile, bits)
 
-    if not lo_crossed and not hi_crossed:
-        bw = f_span_hz
-        saturated = True
-    elif lo_crossed != hi_crossed:
-        raise FrequencySpanError(
-            "the squint band extends past a band edge; increase f_span"
-        )
-    else:
-        f_lo = _interp_crossing(freqs[lo - 1], freqs[lo], excess[lo - 1], excess[lo])
-        f_hi = _interp_crossing(freqs[hi + 1], freqs[hi], excess[hi + 1], excess[hi])
-        bw = f_hi - f_lo
-        saturated = False
+        u_t, v_t = outgoing.transverse()
+        e = _field(profile.coefficients, profile, k_per_f * u_t, k_per_f * v_t)
+        e *= _element_factor(outgoing.theta)
+        gain = _dbi(np.abs(e) ** 2, _fold_power(profile, kernel))
 
-    return SquintReport(
-        design_freq_hz=f0.hertz,
-        target=outgoing,
-        freq_hz=freqs,
-        gain_dbi=gain,
-        peak_theta_rad=peak,
-        hpbw_rad=hpbw,
-        bw_3db_hz=bw,
-        fractional_bw_pct=100.0 * bw / f0.hertz,
-        saturated=saturated,
-    )
+        hpbw = _broadside_hpbw(profile, outgoing.phi, f0)
+        peak = _track_beam_peak(profile, outgoing, k0, hpbw, k_per_f)
+        excess = np.abs(peak - outgoing.theta) - hpbw / 2.0
+        if excess[mid] > 0.0:
+            raise ValueError(
+                f"the beam peak at f0 lies {math.degrees(peak[mid] - outgoing.theta):+.3f} deg "
+                f"from the target, beyond half the {math.degrees(hpbw):.3f} deg beamwidth"
+            )
+        lo = mid
+        while lo > 0 and excess[lo - 1] <= 0.0:
+            lo -= 1
+        hi = mid
+        while hi < n_samples - 1 and excess[hi + 1] <= 0.0:
+            hi += 1
+        lo_crossed = lo > 0
+        hi_crossed = hi < n_samples - 1
+        saturated = not (lo_crossed or hi_crossed)
+        if saturated:
+            bw = f_span_hz
+        elif lo_crossed != hi_crossed:
+            raise FrequencySpanError("the squint band extends past a band edge; increase f_span")
+        else:
+            f_lo = _interp_crossing(freqs[lo - 1], freqs[lo], excess[lo - 1], excess[lo])
+            f_hi = _interp_crossing(freqs[hi + 1], freqs[hi], excess[hi + 1], excess[hi])
+            bw = f_hi - f_lo
+
+        reports.append(
+            SquintReport(
+                design_freq_hz=f0.hertz,
+                target=outgoing,
+                freq_hz=freqs,
+                gain_dbi=gain,
+                peak_theta_rad=peak,
+                hpbw_rad=hpbw,
+                bw_3db_hz=bw,
+                saturated=saturated,
+            )
+        )
+    return reports
 
 
 def _interp_crossing(x_out: float, x_in: float, y_out: float, y_in: float, level: float = 0.0) -> float:

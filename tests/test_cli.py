@@ -312,6 +312,10 @@ BAD_INPUT = [
     (PAPER, None, ["--out", "{cfg}", "link-budget"], 1),
     # a key the power estimate would not read is refused, not ignored
     (PAPER, ("profile = cmos_rfsoi", "profile = cmos_rfsoi\nswitches_per_cell = 4"), ["power"], 1),
+    # so small an efficiency that the side^4 overflows: no finite panel reaches the RCS
+    (PAPER, ("aperture_efficiency = 0.25", "aperture_efficiency = 5e-324"), ["solve-aperture"], 2),
+    # a zero design frequency is refused, not replaced by [link] frequency
+    (PAPER, ("design_frequency = 140 GHz", "design_frequency = 0 GHz"), ["link-budget"], 1),
 ]
 
 
@@ -335,6 +339,19 @@ def test_bad_input_fails_with_one_line(tmp_path, capsys, config, edit, args, exp
     assert "Traceback" not in err
     # a refused run leaves no artifact behind
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_solve_aperture_underflowing_efficiency_is_infeasible(tmp_path, capsys):
+    # eta * cos(theta_in) * cos(theta_out) underflows to zero at 89 deg
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(
+        PAPER.replace("aperture_efficiency = 0.25", "aperture_efficiency = 5e-324").replace(
+            "theta_out = 45 deg", "theta_out = 89 deg"
+        )
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "solve-aperture"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,35 @@ def test_fft_visible_region_scales_with_frequency():
     assert np.max(np.abs(lo.ax1)) == pytest.approx(np.max(np.abs(hi.ax1)) * 1.1 / 0.9, rel=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(1, 16),
+    cols=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    oversample=st.integers(1, 4),
+    pitch_wl=st.floats(0.2, 1.0),
+    f_scale=st.floats(0.7, 1.3),
+)
+def test_fft_matches_direct_property(rows, cols, seed, oversample, pitch_wl, f_scale):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(0.0, 1.0, (rows, cols)) * np.exp(2j * math.pi * rng.random((rows, cols)))
+    prof = PhaseProfile(coeffs, F140, pitch_wl * F140.wavelength_m)
+    f = Frequency(f_scale * F140.hertz)
+    pat = array_factor_fft(prof, f, uv_oversample=oversample)
+    peak = np.nanmax(np.abs(pat.field))
+    uu, vv = np.meshgrid(pat.ax1, pat.ax2, indexing="ij")
+    # at the horizon sqrt(cos(theta)) is ill-conditioned in the asin round
+    # trip to a Direction, not in the FFT, so the last 1e-6 of r^2 is left out
+    inside = np.argwhere(uu**2 + vv**2 < 1.0 - 1e-6)
+    pick = inside[rng.choice(len(inside), min(30, len(inside)), replace=False)]
+    dirs = [
+        Direction(math.asin(math.hypot(pat.ax1[i], pat.ax2[j])), math.atan2(pat.ax2[j], pat.ax1[i]))
+        for i, j in pick
+    ]
+    fft_vals = np.array([pat.field[i, j] for i, j in pick])
+    assert np.max(np.abs(fft_vals - array_factor_direct(prof, f, dirs))) <= 1e-9 * peak
+
+
 # --- directivity ------------------------------------------------------------
 
 
@@ -152,6 +181,12 @@ def test_single_element_directivity():
     # D = 4*pi/pi = 6.02 dBi
     prof = PhaseProfile(np.ones((1, 1), dtype=complex), F140, 1e-3)
     assert gain_at(prof, F140, BROADSIDE) == pytest.approx(6.0206, abs=1e-3)
+
+
+def test_gain_at_exact_null_reads_minus_inf():
+    # two antiphase cells cancel exactly at broadside
+    prof = PhaseProfile(np.array([[1.0], [-1.0]], dtype=complex), F140, F140.wavelength_m / 2)
+    assert gain_at(prof, F140, BROADSIDE) == -math.inf
 
 
 def test_directivity_grid_guard():
@@ -189,6 +224,14 @@ def test_hemisphere_power_matches_explicit_pair_sum(rows, cols):
                 kernel = math.pi if kd == 0.0 else 2.0 * math.pi * j1(kd) / kd
                 expected += (c[n] * np.conj(c[m])).real * kernel
         assert hemisphere_power_exact(prof, f) == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(rows=st.integers(2, 12), cols=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_power_matches_quadrature_property(rows, cols, seed):
+    prof = _random_lattice(rows, cols, np.random.default_rng(seed))
+    quadrature = directivity(prof, grid_resolution=math.radians(0.25)).total_power
+    assert abs(10.0 * math.log10(hemisphere_power_exact(prof) / quadrature)) < 0.01
 
 
 # --- numpy J1 against scipy.special.j1 (oracle) ------------------------------
