@@ -246,7 +246,7 @@ def cmd_pattern(args, cfg: ScenarioConfig) -> int:
         (
             [label, t, phi_deg if t >= 0 else back_deg, d]
             for label, (theta_deg, dbi) in zip(labels, cuts)
-            for t, d in zip(theta_deg, dbi)
+            for t, d in zip(theta_deg.tolist(), dbi.tolist())
         ),
     )
     peaks = {label: float(np.max(dbi)) for label, (_, dbi) in zip(labels, cuts)}
@@ -258,8 +258,8 @@ def cmd_pattern(args, cfg: ScenarioConfig) -> int:
         # floor deep nulls so the plot scale stays readable; CSV keeps raw values
         curves = [
             (
-                list(theta_deg),
-                list(np.maximum(dbi, peaks[label] - 60.0)),
+                theta_deg.tolist(),
+                np.maximum(dbi, peaks[label] - 60.0).tolist(),
                 label if bits is None else f"{label} bit",
             )
             for bits, label, (theta_deg, dbi) in zip(bits_list, labels, cuts)
@@ -279,9 +279,9 @@ def cmd_pattern(args, cfg: ScenarioConfig) -> int:
         heat_path = args.out / "pattern_uv.svg"
         svgplot.heatmap(
             heat_path,
-            list(uv.ax1),
-            list(uv.ax2),
-            [list(r) for r in mag_db],
+            uv.ax1.tolist(),
+            uv.ax2.tolist(),
+            mag_db.tolist(),
             xlabel="u",
             ylabel="v",
             title="|E(u,v)| (dB rel. peak)",
@@ -321,7 +321,9 @@ def cmd_squint(args, cfg: ScenarioConfig) -> int:
         sweep["n_samples"],
     )
     trace_path = args.out / "squint.csv"
-    _write_csv(trace_path, ["freq_hz", "gain_db"], zip(report.freq_hz, report.gain_dbi))
+    _write_csv(
+        trace_path, ["freq_hz", "gain_db"], zip(report.freq_hz.tolist(), report.gain_dbi.tolist())
+    )
     suffix = " (saturated at band edges)" if report.saturated else ""
     print(
         f"BW_3dB at theta_out={math.degrees(outgoing.theta):.1f} deg: "
@@ -333,7 +335,7 @@ def cmd_squint(args, cfg: ScenarioConfig) -> int:
         svg_path = args.out / "squint.svg"
         svgplot.line_plot(
             svg_path,
-            [(list(report.freq_hz / 1e9), list(report.gain_dbi), "gain at target")],
+            [((report.freq_hz / 1e9).tolist(), report.gain_dbi.tolist(), "gain at target")],
             xlabel="frequency (GHz)",
             ylabel="gain (dBi)",
             title="beam-squint gain trace",

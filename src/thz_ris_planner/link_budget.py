@@ -129,11 +129,22 @@ def sensitivity(r: ReceiverSpec) -> float:
 
 
 def spreading_term(geometry: BistaticGeometry, f: Frequency) -> float:
-    """Bistatic spreading factor 10*log10((4*pi)^-3 * (lambda/(d1*d2))^2) in dB."""
+    """Bistatic spreading factor 10*log10((4*pi)^-3 * (lambda/(d1*d2))^2) in dB.
+
+    Raises ValueError when d1*d2 is so large or so small that the factor
+    leaves the range of a float.
+    """
     lam = f.wavelength_m
-    return 10.0 * math.log10(
-        (1.0 / (4.0 * math.pi) ** 3) * (lam / (geometry.d1_m * geometry.d2_m)) ** 2
-    )
+    d1d2 = geometry.d1_m * geometry.d2_m
+    try:
+        factor = (1.0 / (4.0 * math.pi) ** 3) * (lam / d1d2) ** 2
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(
+            f"d1*d2 = {d1d2:.3g} m^2 is so small that the spreading factor overflows"
+        ) from None
+    if factor == 0.0:
+        raise ValueError(f"d1*d2 = {d1d2:.3g} m^2 is so large that the spreading factor underflows")
+    return 10.0 * math.log10(factor)
 
 
 def received_power(s: LinkScenario, sigma_ris_dbsm: float) -> float:

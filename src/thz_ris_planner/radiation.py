@@ -13,7 +13,10 @@ Every production field evaluation (principal cuts, single-direction gain,
 the directivity quadrature, the squint gain trace, the broadside beamwidth
 and the beam-peak track) goes through one kernel, _field, which is separable
 over the lattice axes: per chunk of directions it builds two exponential
-tables and does one matrix product. Two further routes exist:
+tables and does one matrix product. A PhaseProfile lies on a lattice centred
+on the origin, x[n-1-i] == -x[i] exactly, so row n-1-i of each table is the
+complex conjugate of row i; _phase_table evaluates exp on half the rows and
+mirrors the rest, bit for bit. Two further routes exist:
 
 * array_factor_fft: zero-padded 2-D DFT on the (u, v) lattice, equal to the
   direct sum at lattice points for every profile, because a PhaseProfile
@@ -70,7 +73,7 @@ from .surface import PhaseProfile, TaperSpec, UNIFORM_TAPER, quantize_profile, s
 BEAMWIDTH_FACTOR = 0.886  # uniform-aperture 3 dB beamwidth in units of lambda/D
 HPBW_GRID = 17  # samples per bracketing pass of the broadside -3 dB point
 PEAK_WINDOW = 21  # samples of the steering-plane array factor around the beam
-FIELD_CHUNK = 1024  # directions per pair of exponential tables in _field
+FIELD_CHUNK = 1024  # directions per pair of tables in _field; exp fills half of each, conj the rest
 COARSE_RESOLUTION = math.radians(0.5)  # directivity grid step away from the main lobe
 LOBE_WINDOW = math.radians(2.0)  # least half-width of the fine grid around the main lobe
 CUT_STEPS_PER_BEAMWIDTH = 20  # quantization-loss cut samples per analytical beamwidth
@@ -256,6 +259,23 @@ def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> U
     return UVPattern(ax1=u, ax2=v, field=field)
 
 
+def _phase_table(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The table exp(j x_i q_s), on an axis mirrored about 0 (x[n-1-i] == -x[i]).
+
+    exp runs on the upper n - n//2 rows only; each lower row i is the
+    conjugate of row n-1-i, which equals exp(-j x_i q_s) bit for bit once
+    the -0 that conj makes of a zero imaginary part is set back to the +0
+    that exp gives there.
+    """
+    h = x.size // 2
+    table = np.empty((x.size, q.size), dtype=complex)
+    table[h:] = np.exp(1j * np.outer(x[h:], q))
+    lower = table[:h]
+    np.conj(table[::-1][:h], out=lower)
+    np.add(lower.imag, 0.0, out=lower.imag)  # -0 + 0 is +0, every other value stays
+    return table
+
+
 def _field(c: np.ndarray, p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
     """Array factor sum_ij c_ij exp(j (ku_s x_i + kv_s y_j)) at each pair (ku_s, kv_s).
 
@@ -263,8 +283,11 @@ def _field(c: np.ndarray, p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np
     shape and carries no element factor. c is the coefficient grid on the
     lattice of p (p.coefficients, or e.g. its magnitudes). The sum is
     separable over the lattice axes: per FIELD_CHUNK directions it builds the
-    tables exp(j x ku) and exp(j y kv) and does one matrix product. Directions
-    run along the last axis, so the final sum over x is over long rows.
+    tables exp(j x ku) and exp(j y kv) and does one matrix product. Both
+    tables come from _phase_table, which relies on the centred lattice of p
+    to take half of each table's rows as conjugates of the other half.
+    Directions run along the last axis, so the final sum over x is over long
+    rows.
     """
     ku = np.asarray(ku, dtype=float)
     kv = np.asarray(kv, dtype=float)
@@ -273,8 +296,8 @@ def _field(c: np.ndarray, p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np
     out = np.empty(flat_u.size, dtype=complex)
     for s in range(0, flat_u.size, FIELD_CHUNK):
         chunk = slice(s, s + FIELD_CHUNK)
-        ax = np.exp(1j * np.outer(x, flat_u[chunk]))
-        by = np.exp(1j * np.outer(y, flat_v[chunk]))
+        ax = _phase_table(x, flat_u[chunk])
+        by = _phase_table(y, flat_v[chunk])
         out[chunk] = np.einsum("is,is->s", ax, c @ by)
     return out.reshape(ku.shape)
 

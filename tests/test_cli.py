@@ -316,6 +316,10 @@ BAD_INPUT = [
     (PAPER, ("aperture_efficiency = 0.25", "aperture_efficiency = 5e-324"), ["solve-aperture"], 2),
     # a zero design frequency is refused, not replaced by [link] frequency
     (PAPER, ("design_frequency = 140 GHz", "design_frequency = 0 GHz"), ["link-budget"], 1),
+    # d1*d2 so large that the spreading factor underflows, and so small that it overflows
+    (PAPER, ("d1 = 50 m\nd2 = 50 m", "d1 = 1e80 m\nd2 = 1e80 m"), ["link-budget"], 1),
+    (PAPER, ("d1 = 50 m\nd2 = 50 m", "d1 = 1e80 m\nd2 = 1e80 m"), ["solve-aperture"], 1),
+    (PAPER, ("d1 = 50 m\nd2 = 50 m", "d1 = 1e-100 m\nd2 = 1e-100 m"), ["link-budget"], 1),
 ]
 
 

@@ -63,6 +63,22 @@ def test_spreading_depends_on_distance_product_only():
         assert fwd == pytest.approx(rev, abs=1e-12)
 
 
+def test_spreading_out_of_float_range_names_distance_product():
+    f = Frequency.from_ghz(140)
+    inc, out = Direction(0.0), Direction.from_degrees(45)
+    # (4 pi)^-3 (lambda / (d1 d2))^2 underflows to 0 for d1 d2 above about 3e157 m^2 at 140 GHz
+    with pytest.raises(ValueError, match=r"d1\*d2 = 1e\+160 m\^2 .* underflows"):
+        spreading_term(BistaticGeometry(1e80, 1e80, inc, out), f)
+    # and overflows, or divides by an underflowed d1 d2, at the other end
+    for d in (1e-100, 1e-170):
+        with pytest.raises(ValueError, match=r"d1\*d2 = .* overflows"):
+            spreading_term(BistaticGeometry(d, d, inc, out), f)
+    # just inside the range the value is finite and follows 20 log10 of the product
+    near = spreading_term(BistaticGeometry(1e75, 1e75, inc, out), f)
+    reference = spreading_term(reference_geometry(), f)
+    assert near == pytest.approx(reference - 20.0 * math.log10(1e150 / 2500.0))
+
+
 # --- received power ---------------------------------------------------------
 
 

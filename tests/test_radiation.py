@@ -15,6 +15,7 @@ from thz_ris_planner.radiation import (
     GridResolutionError,
     _j1,
     _largest_array,
+    _phase_table,
     check_array_budget,
     array_factor_direct,
     array_factor_fft,
@@ -347,6 +348,24 @@ def test_principal_plane_cut_peaks_at_steer_angle():
 def _field_from_dbi(dbi, power):
     """|E| recovered from directivity in dBi and the hemisphere power."""
     return np.sqrt(10.0 ** (np.asarray(dbi) / 10.0) * power / (4.0 * math.pi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 130),
+    pitch=st.floats(1e-5, 1e-2),
+    max_phase=st.floats(0.0, 1e5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phase_table_matches_plain_exp_property(n, pitch, max_phase, seed):
+    x = PhaseProfile(np.ones((n, 1)), F140, pitch).x_m
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-1.0, 1.0, 64) * max_phase / max(np.max(np.abs(x)), pitch)  # |x q| <= max_phase
+    # a cut in the plane phi = 0 has kv = 0 in every direction, and conj
+    # turns the +0 imaginary part exp gives there into -0
+    q[:2] = 0.0, -0.0
+    plain = np.exp(1j * np.outer(x, q))
+    assert np.array_equal(_phase_table(x, q).view(np.uint64), plain.view(np.uint64))
 
 
 @settings(max_examples=25, deadline=None)

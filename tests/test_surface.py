@@ -215,6 +215,17 @@ def test_profile_shape_validation():
             PhaseProfile(np.ones((3, 3), dtype=complex), F140, pitch)
 
 
+def test_lattice_axes_are_mirrored_exactly():
+    # the field kernel takes half of each exponential table as the conjugate
+    # of the other half, which needs x[n-1-i] == -x[i] with no rounding
+    rng = np.random.default_rng(3)
+    for rows, cols in [(1, 1), (1, 2), (7, 8), (64, 63), (101, 560)]:
+        for pitch in [1e-3, *rng.uniform(1e-5, 1e-2, 5)]:
+            prof = PhaseProfile(np.ones((rows, cols), dtype=complex), F140, pitch)
+            assert np.array_equal(prof.x_m, -prof.x_m[::-1])
+            assert np.array_equal(prof.y_m, -prof.y_m[::-1])
+
+
 def test_profile_equality_is_identity():
     panel = ApertureSpec.from_element_grid(4, F140)
     p = synthesize_profile(panel, BROADSIDE, OUT45)
