@@ -67,15 +67,13 @@ def _write_result(out_dir: Path, stem: str, record: dict, fmt: str) -> Path:
 
 
 def _direction(cfg: ScenarioConfig, which: str) -> Direction:
-    theta = cfg.get("link", f"theta_{which}")
-    phi = cfg.get("link", f"phi_{which}", 0.0)
-    return Direction(theta, phi)
+    link = cfg.section("link")
+    return Direction(link[f"theta_{which}"], link.get(f"phi_{which}", 0.0))
 
 
 def _link_scenario(cfg: ScenarioConfig) -> LinkScenario:
-    cfg.require("link", "frequency", "d1", "d2", "theta_in", "theta_out",
-                "tx_power", "bs_gain", "terminal_gain")
     link = cfg.section("link")
+    f = Frequency(link["frequency"])
     geometry = BistaticGeometry(
         d1_m=link["d1"],
         d2_m=link["d2"],
@@ -84,7 +82,7 @@ def _link_scenario(cfg: ScenarioConfig) -> LinkScenario:
     )
     return LinkScenario(
         geometry=geometry,
-        f=Frequency(link["frequency"]),
+        f=f,
         tx_power_dbm=link["tx_power"],
         bs_gain_dbi=link["bs_gain"],
         terminal_gain_dbi=link["terminal_gain"],
@@ -96,7 +94,6 @@ def _sensitivity_dbm(cfg: ScenarioConfig) -> float:
     recv = cfg.section("receiver")
     if "sensitivity" in recv:
         return float(recv["sensitivity"])
-    cfg.require("receiver", "bandwidth", "noise_figure", "modulation")
     spec = ReceiverSpec(
         bandwidth_hz=recv["bandwidth"],
         noise_figure_db=recv["noise_figure"],
@@ -119,6 +116,8 @@ def _aperture(cfg: ScenarioConfig) -> ApertureSpec:
     freq = _design_frequency(cfg)
     pitch = ap.get("cell_pitch")
     eta = ap.get("aperture_efficiency", 1.0)
+    if "side" in ap and "n_per_side" in ap:
+        raise ConfigError("section [aperture] takes 'side' or 'n_per_side', not both")
     if "n_per_side" in ap:
         return ApertureSpec.from_element_grid(ap["n_per_side"], freq, pitch, eta)
     if "side" in ap:
@@ -164,7 +163,6 @@ def cmd_link_budget(args, cfg: ScenarioConfig) -> int:
 def cmd_solve_aperture(args, cfg: ScenarioConfig) -> int:
     scenario = _link_scenario(cfg)
     sens = _sensitivity_dbm(cfg)
-    cfg.require("aperture", "aperture_efficiency")
     eta = cfg.section("aperture")["aperture_efficiency"]
     freq = _design_frequency(cfg)
     incident = scenario.geometry.incident
@@ -215,14 +213,12 @@ def cmd_pattern(args, cfg: ScenarioConfig) -> int:
 
     if not (math.isfinite(args.cut_step_deg) and args.cut_step_deg > 0.0):
         raise ValueError(f"--cut-step-deg must be a positive angle, got {args.cut_step_deg}")
-    cfg.require("link", "theta_in", "theta_out")
-    cfg.require("quantization", "bits")
-    panel = _aperture(cfg)
-    taper = _taper(cfg)
     incident = _direction(cfg, "in")
-    check_normal_incidence(incident)
     outgoing = _direction(cfg, "out")
     bits_list = cfg.section("quantization")["bits"]
+    panel = _aperture(cfg)
+    taper = _taper(cfg)
+    check_normal_incidence(incident)
     step = math.radians(args.cut_step_deg)
     check_array_budget(panel.n_per_side, n_directions=int(math.pi / step) + 1)
 
@@ -296,13 +292,12 @@ def cmd_squint(args, cfg: ScenarioConfig) -> int:
     from . import svgplot
     from .radiation import squint_vs_angle
 
-    cfg.require("link", "theta_in", "theta_out")
-    cfg.require("sweep", "f_span", "n_samples")
-    panel = _aperture(cfg)
-    taper = _taper(cfg)
     incident = _direction(cfg, "in")
     outgoing = _direction(cfg, "out")
     sweep = cfg.section("sweep")
+    f_span, n_samples = sweep["f_span"], sweep["n_samples"]
+    panel = _aperture(cfg)
+    taper = _taper(cfg)
     bits_setting = cfg.get("quantization", "bits")
     if bits_setting is not None and len(bits_setting) != 1:
         raise ConfigError("squint uses a single [quantization] bits setting")
@@ -317,8 +312,8 @@ def cmd_squint(args, cfg: ScenarioConfig) -> int:
         [outgoing, *(Direction(t, outgoing.phi) for t in angles)],
         taper,
         bits,
-        sweep["f_span"],
-        sweep["n_samples"],
+        f_span,
+        n_samples,
     )
     trace_path = args.out / "squint.csv"
     _write_csv(
@@ -368,7 +363,6 @@ def cmd_squint(args, cfg: ScenarioConfig) -> int:
 
 
 def cmd_power(args, cfg: ScenarioConfig) -> int:
-    cfg.require("power", "profile")
     name = cfg.section("power")["profile"]
     custom_power = cfg.get("power", "per_cell_power")
     if custom_power is not None:

@@ -2,7 +2,8 @@
 
 Physical quantities must carry a unit ("140 GHz", "50 m", "-10 dB"); bare
 numbers are rejected for them. Unknown sections or keys are rejected with the
-offending line number.
+offending line number; reading a key the file does not set names the section
+and the key.
 """
 
 from __future__ import annotations
@@ -98,19 +99,19 @@ def _parse_modulation(text: str, key: str, line: int | None) -> int:
 
 
 def _parse_bits_list(text: str, key: str, line: int | None) -> list[int | None]:
-    """Quantization list: comma-separated bit counts and/or 'continuous'."""
+    """Quantization list: comma-separated bit counts and/or 'continuous', each once."""
     out: list[int | None] = []
     for token in text.split(","):
         token = token.strip().lower()
-        if token == "continuous":
-            out.append(None)
-        else:
-            try:
-                out.append(int(token))
-            except ValueError:
-                raise ConfigError(
-                    f"'{key}': expected bit counts or 'continuous', got {token!r}", line
-                ) from None
+        try:
+            bits = None if token == "continuous" else int(token)
+        except ValueError:
+            raise ConfigError(
+                f"'{key}': expected bit counts or 'continuous', got {token!r}", line
+            ) from None
+        if bits in out:
+            raise ConfigError(f"'{key}': setting {token!r} is listed twice", line)
+        out.append(bits)
     return out
 
 
@@ -118,63 +119,68 @@ def _parse_angle_list(text: str, key: str, line: int | None) -> list[float]:
     return [parse_quantity(t.strip(), "angle", key, line) for t in text.split(",")]
 
 
-# key -> (parser spec) per section; parser spec is either a dimension name
-# for parse_quantity or a callable tag
-_SCHEMAS: dict[str, dict[str, str]] = {
+def _quantity(dimension: str):
+    """Schema parser for a value with a unit of the given dimension."""
+    return lambda text, key, line: parse_quantity(text, dimension, key, line)
+
+
+# key -> parser (text, key, line) -> value, per section
+_SCHEMAS = {
     "link": {
-        "frequency": "frequency",
-        "d1": "length",
-        "d2": "length",
-        "theta_in": "angle",
-        "theta_out": "angle",
-        "phi_in": "angle",
-        "phi_out": "angle",
-        "tx_power": "power_dbm",
-        "bs_gain": "gain_db",
-        "terminal_gain": "gain_db",
+        "frequency": _quantity("frequency"),
+        "d1": _quantity("length"),
+        "d2": _quantity("length"),
+        "theta_in": _quantity("angle"),
+        "theta_out": _quantity("angle"),
+        "phi_in": _quantity("angle"),
+        "phi_out": _quantity("angle"),
+        "tx_power": _quantity("power_dbm"),
+        "bs_gain": _quantity("gain_db"),
+        "terminal_gain": _quantity("gain_db"),
     },
     "receiver": {
-        "bandwidth": "frequency",
-        "noise_figure": "level_db",
-        "modulation": "modulation",
-        "target_ber": "float",
-        "implementation_loss": "level_db",
-        "sensitivity": "power_dbm",
+        "bandwidth": _quantity("frequency"),
+        "noise_figure": _quantity("level_db"),
+        "modulation": _parse_modulation,
+        "target_ber": _parse_float,
+        "implementation_loss": _quantity("level_db"),
+        "sensitivity": _quantity("power_dbm"),
     },
     "aperture": {
-        "design_frequency": "frequency",
-        "side": "length",
-        "n_per_side": "int",
-        "cell_pitch": "length",
-        "aperture_efficiency": "fraction",
+        "design_frequency": _quantity("frequency"),
+        "side": _quantity("length"),
+        "n_per_side": _parse_int,
+        "cell_pitch": _quantity("length"),
+        "aperture_efficiency": _parse_fraction,
     },
     "taper": {
-        "edge_level": "level_db",
+        "edge_level": _quantity("level_db"),
     },
     "quantization": {
-        "bits": "bits_list",
+        "bits": _parse_bits_list,
     },
     "sweep": {
-        "f_span": "frequency",
-        "n_samples": "int",
-        "theta_out_sweep": "angle_list",
+        "f_span": _quantity("frequency"),
+        "n_samples": _parse_int,
+        "theta_out_sweep": _parse_angle_list,
     },
     "power": {
-        "profile": "str",
-        "cells": "int",
-        "per_cell_power": "watts",
+        "profile": lambda text, key, line: text,
+        "cells": _parse_int,
+        "per_cell_power": _quantity("watts"),
     },
 }
 
-_PARSERS = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "str": lambda text, key, line: text,
-    "fraction": _parse_fraction,
-    "modulation": _parse_modulation,
-    "bits_list": _parse_bits_list,
-    "angle_list": _parse_angle_list,
-}
+
+class _Section(dict):
+    """One section's parsed values; reading a key the file did not set raises ConfigError."""
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, key: str):
+        raise ConfigError(f"section [{self.name}] is missing required key '{key}'")
 
 
 @dataclass
@@ -188,19 +194,13 @@ class ScenarioConfig:
             raise ConfigError(f"missing required section [{name}]")
         return self.sections[name]
 
-    def require(self, section: str, *keys: str) -> None:
-        values = self.section(section)
-        for key in keys:
-            if key not in values:
-                raise ConfigError(f"section [{section}] is missing required key '{key}'")
-
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read and validate an INI-style scenario file."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8-sig")
     sections: dict[str, dict[str, object]] = {}
     current: str | None = None
 
@@ -219,7 +219,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
                 raise ConfigError(f"unknown section [{name}]", lineno)
             if name in sections:
                 raise ConfigError(f"duplicate section [{name}]", lineno)
-            sections[name] = {}
+            sections[name] = _Section(name)
             current = name
             continue
         if "=" not in line:
@@ -234,11 +234,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"unknown key '{key}' in section [{current}]", lineno)
         if key in sections[current]:
             raise ConfigError(f"duplicate key '{key}' in section [{current}]", lineno)
-        spec = schema[key]
-        if spec in _UNITS:
-            parsed: object = parse_quantity(value, spec, key, lineno)
-        else:
-            parsed = _PARSERS[spec](value, key, lineno)
-        sections[current][key] = parsed
+        sections[current][key] = schema[key](value, key, lineno)
 
     return ScenarioConfig(sections=sections)

@@ -41,6 +41,8 @@ class Direction:
     def __post_init__(self):
         if not (0.0 <= self.theta <= math.pi / 2):
             raise ValueError(f"theta must be in [0, pi/2], got {self.theta}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
 
     @classmethod

@@ -320,6 +320,10 @@ BAD_INPUT = [
     (PAPER, ("d1 = 50 m\nd2 = 50 m", "d1 = 1e80 m\nd2 = 1e80 m"), ["link-budget"], 1),
     (PAPER, ("d1 = 50 m\nd2 = 50 m", "d1 = 1e80 m\nd2 = 1e80 m"), ["solve-aperture"], 1),
     (PAPER, ("d1 = 50 m\nd2 = 50 m", "d1 = 1e-100 m\nd2 = 1e-100 m"), ["link-budget"], 1),
+    # a panel is sized by its side or by its cell count, never both
+    (SMALL_PATTERN, ("n_per_side = 20", "n_per_side = 20\nside = 80 mm"), ["pattern"], 1),
+    # a bit setting listed twice would write two identical curves
+    (SMALL_PATTERN, ("bits = 1, 2, 3, continuous", "bits = 2, 2"), ["pattern"], 1),
 ]
 
 
@@ -343,6 +347,28 @@ def test_bad_input_fails_with_one_line(tmp_path, capsys, config, edit, args, exp
     assert "Traceback" not in err
     # a refused run leaves no artifact behind
     assert not out.exists() or not any(out.iterdir())
+
+
+LINK_KEYS = ["frequency", "d1", "d2", "theta_in", "theta_out", "tx_power", "bs_gain", "terminal_gain"]
+
+
+# every key a scalar command reads from paper_scenario.cfg without a default
+@pytest.mark.parametrize(
+    "command,section,key",
+    [(command, "link", key) for command in ("link-budget", "solve-aperture") for key in LINK_KEYS]
+    + [("solve-aperture", "aperture", "aperture_efficiency"), ("power", "power", "profile")],
+)
+def test_missing_required_key_is_named(tmp_path, capsys, command, section, key):
+    lines = PAPER.splitlines()
+    kept = [line for line in lines if line.partition("=")[0].strip() != key]
+    assert len(kept) == len(lines) - 1
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("\n".join(kept) + "\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: section [{section}] is missing required key '{key}'\n"
+    assert not any(out.iterdir())
 
 
 def test_solve_aperture_underflowing_efficiency_is_infeasible(tmp_path, capsys):
@@ -425,12 +451,15 @@ def test_bundled_fig5_runs_to_completion(tmp_path, capsys):
 
 
 def test_bundled_fig6_runs_to_completion(tmp_path, capsys):
-    code = main(["--config", data_path("fig6.cfg"), "--out", str(tmp_path), "squint"])
-    assert code == 0
-    rows = (tmp_path / "squint_vs_angle.csv").read_text().splitlines()[2:]
+    for run_dir in ("r1", "r2"):
+        code = main(["--config", data_path("fig6.cfg"), "--out", str(tmp_path / run_dir), "squint"])
+        assert code == 0
+    rows = (tmp_path / "r1" / "squint_vs_angle.csv").read_text().splitlines()[2:]
     bws = [float(r.split(",")[1]) for r in rows]
     assert len(bws) == 13
     assert all(a > b for a, b in zip(bws, bws[1:]))
+    for name in ("squint.csv", "squint_vs_angle.csv"):
+        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
 def test_malformed_config_line_anchored(tmp_path, capsys):
@@ -500,3 +529,13 @@ def test_package_exports_resolve_to_their_modules():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(thz_ris_planner.__all__)
     assert set(thz_ris_planner.__all__) <= set(dir(thz_ris_planner))
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```")[0], {})
+    side_mm, squint_ghz = (float(line.split()[0]) for line in capsys.readouterr().out.splitlines())
+    assert side_mm == pytest.approx(110, abs=10)
+    assert squint_ghz == pytest.approx(3.78, abs=0.1)

@@ -119,12 +119,14 @@ def test_missing_section_reported():
 def test_require_reports_missing_key(tmp_path):
     cfg = load_config(_write(tmp_path, GOOD))
     with pytest.raises(ConfigError, match="missing required key 'sensitivity'"):
-        cfg.require("receiver", "sensitivity")
+        cfg.section("receiver")["sensitivity"]
 
 
 def test_bits_list_parsing(tmp_path):
     cfg = load_config(_write(tmp_path, "[quantization]\nbits = 1, 2, 3, continuous\n"))
     assert cfg.section("quantization")["bits"] == [1, 2, 3, None]
+    with pytest.raises(ConfigError, match=r"line 2: 'bits': setting '2' is listed twice"):
+        load_config(_write(tmp_path, "[quantization]\nbits = 2, 2\n"))
 
 
 def test_angle_list_parsing(tmp_path):
@@ -139,6 +141,15 @@ def test_fraction_and_percent(tmp_path):
     assert cfg1.section("aperture")["aperture_efficiency"] == 0.25
     cfg2 = load_config(_write(tmp_path, "[aperture]\nside = 110 mm\naperture_efficiency = 25 %\n"))
     assert cfg2.section("aperture")["aperture_efficiency"] == pytest.approx(0.25)
+
+
+def test_byte_order_mark_and_utf8_units(tmp_path):
+    path = tmp_path / "scenario.cfg"
+    path.write_text("[power]\nprofile = lab\nper_cell_power = 20 \u00b5W\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    cfg = load_config(path)
+    assert cfg.section("power")["profile"] == "lab"
+    assert cfg.section("power")["per_cell_power"] == pytest.approx(20e-6)
 
 
 def test_inline_comments_stripped(tmp_path):

@@ -84,11 +84,12 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
         lambda x: ReceiverSpec(bandwidth_hz=2e9, noise_figure_db=7.0, implementation_loss_db=x),
         lambda x: TechnologyProfile("lab", x),
         lambda x: EfficiencyLedger(insertion_loss_db=x),
+        lambda x: Direction(0.3, x),
     ],
     ids=[
         "aperture-side", "aperture-pitch", "taper-edge", "geometry-d1", "geometry-d2",
         "receiver-bandwidth", "receiver-nf", "receiver-impl-loss", "tech-cell-power",
-        "ledger-insertion-loss",
+        "ledger-insertion-loss", "direction-phi",
     ],
 )
 def test_validators_reject_non_finite(build, bad):
