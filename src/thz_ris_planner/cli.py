@@ -67,12 +67,12 @@ def _write_result(out_dir: Path, stem: str, record: dict, fmt: str) -> Path:
 
 
 def _direction(cfg: ScenarioConfig, which: str) -> Direction:
-    link = cfg.section("link")
+    link = cfg["link"]
     return Direction(link[f"theta_{which}"], link.get(f"phi_{which}", 0.0))
 
 
 def _link_scenario(cfg: ScenarioConfig) -> LinkScenario:
-    link = cfg.section("link")
+    link = cfg["link"]
     f = Frequency(link["frequency"])
     geometry = BistaticGeometry(
         d1_m=link["d1"],
@@ -91,7 +91,7 @@ def _link_scenario(cfg: ScenarioConfig) -> LinkScenario:
 
 def _sensitivity_dbm(cfg: ScenarioConfig) -> float:
     """Explicit [receiver] sensitivity wins; otherwise reconstruct from M-QAM."""
-    recv = cfg.section("receiver")
+    recv = cfg["receiver"]
     if "sensitivity" in recv:
         return float(recv["sensitivity"])
     spec = ReceiverSpec(
@@ -105,14 +105,14 @@ def _sensitivity_dbm(cfg: ScenarioConfig) -> float:
 
 
 def _design_frequency(cfg: ScenarioConfig) -> Frequency:
-    hz = cfg.get("aperture", "design_frequency", cfg.get("link", "frequency"))
+    hz = cfg["aperture"].get("design_frequency", cfg["link"].get("frequency"))
     if hz is None:
         raise ConfigError("need [aperture] design_frequency or [link] frequency")
     return Frequency(hz)
 
 
 def _aperture(cfg: ScenarioConfig) -> ApertureSpec:
-    ap = cfg.section("aperture")
+    ap = cfg["aperture"]
     freq = _design_frequency(cfg)
     pitch = ap.get("cell_pitch")
     eta = ap.get("aperture_efficiency", 1.0)
@@ -120,7 +120,8 @@ def _aperture(cfg: ScenarioConfig) -> ApertureSpec:
         raise ConfigError("section [aperture] takes 'side' or 'n_per_side', not both")
     if "n_per_side" in ap:
         return ApertureSpec.from_element_grid(ap["n_per_side"], freq, pitch, eta)
-    if "side" in ap:
+    if "side" in ap or "aperture" not in cfg:
+        # reading 'side' from an absent section reports the missing section
         return ApertureSpec(ap["side"], freq, pitch, eta)
     raise ConfigError("section [aperture] needs either 'side' or 'n_per_side'")
 
@@ -128,7 +129,7 @@ def _aperture(cfg: ScenarioConfig) -> ApertureSpec:
 def _taper(cfg: ScenarioConfig):
     from .surface import UNIFORM_TAPER, TaperSpec
 
-    level = cfg.get("taper", "edge_level")
+    level = cfg["taper"].get("edge_level")
     if level is None:
         return UNIFORM_TAPER
     return TaperSpec(level)
@@ -139,14 +140,19 @@ def cmd_link_budget(args, cfg: ScenarioConfig) -> int:
     sens = _sensitivity_dbm(cfg)
     panel = _aperture(cfg)
     sigma_m2 = rcs(panel, scenario.geometry.incident, scenario.geometry.outgoing)
-    report = evaluate_link(scenario, sens, 10.0 * math.log10(sigma_m2))
+    if sigma_m2 == 0.0:
+        raise UnreachableGeometryError(
+            "the panel's RCS underflows to 0 m^2: eta*cos(theta_in)*cos(theta_out) is too small"
+        )
+    sigma_dbsm = 10.0 * math.log10(sigma_m2)
+    report = evaluate_link(scenario, sens, sigma_dbsm)
 
     record = {
         "rx_power_dbm": report.rx_power_dbm,
         "sensitivity_dbm": report.sensitivity_dbm,
         "margin_db": report.margin_db,
         "spreading_term_db": report.spreading_term_db,
-        "sigma_dbsm": 10.0 * math.log10(sigma_m2),
+        "sigma_dbsm": sigma_dbsm,
     }
     print(f"received power   {report.rx_power_dbm:10.2f} dBm")
     print(f"sensitivity      {report.sensitivity_dbm:10.2f} dBm")
@@ -163,13 +169,18 @@ def cmd_link_budget(args, cfg: ScenarioConfig) -> int:
 def cmd_solve_aperture(args, cfg: ScenarioConfig) -> int:
     scenario = _link_scenario(cfg)
     sens = _sensitivity_dbm(cfg)
-    eta = cfg.section("aperture")["aperture_efficiency"]
+    eta = cfg["aperture"]["aperture_efficiency"]
     freq = _design_frequency(cfg)
     incident = scenario.geometry.incident
     outgoing = scenario.geometry.outgoing
 
     sigma_dbsm = required_rcs_for_target(scenario, sens)
-    sigma_m2 = 10.0 ** (sigma_dbsm / 10.0)
+    try:
+        sigma_m2 = 10.0 ** (sigma_dbsm / 10.0)
+    except OverflowError:
+        raise UnreachableGeometryError(
+            f"the required RCS of {sigma_dbsm:.6g} dBsm is beyond the float range"
+        ) from None
     side = solve_aperture_size(sigma_m2, eta, incident, outgoing, freq)
 
     cos_product = math.cos(incident.theta) * math.cos(outgoing.theta)
@@ -179,7 +190,7 @@ def cmd_solve_aperture(args, cfg: ScenarioConfig) -> int:
             file=sys.stderr,
         )
 
-    pitch = cfg.get("aperture", "cell_pitch")
+    pitch = cfg["aperture"].get("cell_pitch")
     panel = ApertureSpec(side, freq, pitch, eta)
     n_elements = element_count(panel)
 
@@ -215,7 +226,7 @@ def cmd_pattern(args, cfg: ScenarioConfig) -> int:
         raise ValueError(f"--cut-step-deg must be a positive angle, got {args.cut_step_deg}")
     incident = _direction(cfg, "in")
     outgoing = _direction(cfg, "out")
-    bits_list = cfg.section("quantization")["bits"]
+    bits_list = cfg["quantization"]["bits"]
     panel = _aperture(cfg)
     taper = _taper(cfg)
     check_normal_incidence(incident)
@@ -294,11 +305,11 @@ def cmd_squint(args, cfg: ScenarioConfig) -> int:
 
     incident = _direction(cfg, "in")
     outgoing = _direction(cfg, "out")
-    sweep = cfg.section("sweep")
+    sweep = cfg["sweep"]
     f_span, n_samples = sweep["f_span"], sweep["n_samples"]
     panel = _aperture(cfg)
     taper = _taper(cfg)
-    bits_setting = cfg.get("quantization", "bits")
+    bits_setting = cfg["quantization"].get("bits")
     if bits_setting is not None and len(bits_setting) != 1:
         raise ConfigError("squint uses a single [quantization] bits setting")
     bits = bits_setting[0] if bits_setting else None
@@ -363,17 +374,17 @@ def cmd_squint(args, cfg: ScenarioConfig) -> int:
 
 
 def cmd_power(args, cfg: ScenarioConfig) -> int:
-    name = cfg.section("power")["profile"]
-    custom_power = cfg.get("power", "per_cell_power")
+    name = cfg["power"]["profile"]
+    custom_power = cfg["power"].get("per_cell_power")
     if custom_power is not None:
         tech = TechnologyProfile(name, custom_power)
     else:
         tech = PROFILES.get(name)
     if tech is None:
         raise ConfigError(f"unknown technology profile '{name}' (known: {', '.join(sorted(PROFILES))})")
-    cells = cfg.get("power", "cells")
+    cells = cfg["power"].get("cells")
     if cells is None:
-        if "aperture" in cfg.sections:
+        if "aperture" in cfg:
             cells = element_count(_aperture(cfg))
         else:
             raise ConfigError("need [power] cells or an [aperture] section to count cells")

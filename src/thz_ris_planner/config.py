@@ -1,22 +1,20 @@
 """Scenario config files: INI-style sections with unit-suffixed scalars.
 
 Physical quantities must carry a unit ("140 GHz", "50 m", "-10 dB"); bare
-numbers are rejected for them. Unknown sections or keys are rejected with the
-offending line number; reading a key the file does not set names the section
-and the key.
+numbers are rejected for them. Each schema parser turns a value's text into
+its value or raises ConfigError with the reason alone; load_config prefixes
+the line and the key. Unknown sections or keys are rejected with the offending
+line number; reading a key or section the file does not set names it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 
 class ConfigError(Exception):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+    """A scenario file, or one value in it, that cannot be read."""
 
 
 # factors convert the suffixed number to the SI / dB base of each dimension
@@ -31,100 +29,90 @@ _UNITS = {
 }
 
 
-def parse_quantity(text: str, dimension: str, key: str = "", line: int | None = None) -> float:
+def _number(convert, text: str, reason: str):
+    """convert(text), with the ValueError of a text it refuses raised as ConfigError(reason)."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(reason) from None
+
+
+def _finite(value: float) -> float:
+    """value itself; nan and +-inf (which float() accepts) raise ConfigError."""
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {value}")
+    return value
+
+
+def parse_quantity(text: str, dimension: str) -> float:
     """Parse "value unit" into the dimension's base unit."""
     parts = text.split()
     units = _UNITS[dimension]
     if len(parts) != 2:
-        expected = "/".join(units)
-        raise ConfigError(
-            f"'{key}' needs a value with a unit ({expected}), got {text!r}", line
-        )
+        raise ConfigError(f"needs a value with a unit ({'/'.join(units)}), got {text!r}")
     raw, unit = parts
     if unit not in units:
-        raise ConfigError(
-            f"'{key}': unit {unit!r} is not valid for {dimension} (use {'/'.join(units)})", line
-        )
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"'{key}': cannot parse number {raw!r}", line) from None
-    return _finite(value * units[unit], key, line)
+        raise ConfigError(f"unit {unit!r} is not valid for {dimension} (use {'/'.join(units)})")
+    return _finite(_number(float, raw, f"cannot parse number {raw!r}") * units[unit])
 
 
-def _finite(value: float, key: str, line: int | None) -> float:
-    """value itself; nan and +-inf (which float() accepts) raise ConfigError."""
-    if not math.isfinite(value):
-        raise ConfigError(f"'{key}': expected a finite number, got {value}", line)
-    return value
-
-
-def _parse_fraction(text: str, key: str, line: int | None) -> float:
+def _parse_fraction(text: str) -> float:
     """Efficiencies: either a bare fraction ("0.25") or a percentage ("25 %")."""
     parts = text.split()
-    try:
-        if len(parts) == 2 and parts[1] in ("%", "percent"):
-            return _finite(float(parts[0]), key, line) / 100.0
-        if len(parts) == 1:
-            return _finite(float(parts[0]), key, line)
-    except ValueError:
-        pass
-    raise ConfigError(f"'{key}': expected a fraction or percentage, got {text!r}", line)
+    reason = f"expected a fraction or percentage, got {text!r}"
+    percent = len(parts) == 2 and parts[1] in ("%", "percent")
+    if len(parts) != 1 and not percent:
+        raise ConfigError(reason)
+    return _finite(_number(float, parts[0], reason)) / (100.0 if percent else 1.0)
 
 
-def _parse_int(text: str, key: str, line: int | None) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"'{key}': expected an integer, got {text!r}", line) from None
+def _parse_int(text: str) -> int:
+    return _number(int, text, f"expected an integer, got {text!r}")
 
 
-def _parse_float(text: str, key: str, line: int | None) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"'{key}': expected a number, got {text!r}", line) from None
-    return _finite(value, key, line)
+def _parse_float(text: str) -> float:
+    return _finite(_number(float, text, f"expected a number, got {text!r}"))
 
 
-def _parse_modulation(text: str, key: str, line: int | None) -> int:
+def _parse_modulation(text: str) -> int:
     """Modulation like "4-QAM" -> order 4."""
     token = text.strip().upper()
-    if token.endswith("-QAM"):
-        try:
-            return int(token[:-4])
-        except ValueError:
-            pass
-    raise ConfigError(f"'{key}': expected '<M>-QAM' (e.g. 4-QAM), got {text!r}", line)
+    reason = f"expected '<M>-QAM' (e.g. 4-QAM), got {text!r}"
+    if not token.endswith("-QAM"):
+        raise ConfigError(reason)
+    return _number(int, token[:-4], reason)
 
 
-def _parse_bits_list(text: str, key: str, line: int | None) -> list[int | None]:
-    """Quantization list: comma-separated bit counts and/or 'continuous', each once."""
-    out: list[int | None] = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        try:
-            bits = None if token == "continuous" else int(token)
-        except ValueError:
-            raise ConfigError(
-                f"'{key}': expected bit counts or 'continuous', got {token!r}", line
-            ) from None
-        if bits in out:
-            raise ConfigError(f"'{key}': setting {token!r} is listed twice", line)
-        out.append(bits)
-    return out
+def _parse_bits(token: str) -> int | None:
+    """One quantization setting: a bit count or 'continuous'."""
+    token = token.lower()
+    if token == "continuous":
+        return None
+    return _number(int, token, f"expected bit counts or 'continuous', got {token!r}")
 
 
-def _parse_angle_list(text: str, key: str, line: int | None) -> list[float]:
-    return [parse_quantity(t.strip(), "angle", key, line) for t in text.split(",")]
+def _distinct_list(parse_entry):
+    """Schema parser for a comma-separated list whose entries parse_entry reads, each once."""
+
+    def parse(text: str) -> list:
+        out = []
+        for token in text.split(","):
+            token = token.strip()
+            value = parse_entry(token)
+            if value in out:
+                raise ConfigError(f"setting {token!r} is listed twice")
+            out.append(value)
+        return out
+
+    return parse
 
 
 def _quantity(dimension: str):
     """Schema parser for a value with a unit of the given dimension."""
-    return lambda text, key, line: parse_quantity(text, dimension, key, line)
+    return lambda text: parse_quantity(text, dimension)
 
 
-# key -> parser (text, key, line) -> value, per section
+# key -> parser text -> value, per section
 _SCHEMAS = {
     "link": {
         "frequency": _quantity("frequency"),
@@ -157,15 +145,15 @@ _SCHEMAS = {
         "edge_level": _quantity("level_db"),
     },
     "quantization": {
-        "bits": _parse_bits_list,
+        "bits": _distinct_list(_parse_bits),
     },
     "sweep": {
         "f_span": _quantity("frequency"),
         "n_samples": _parse_int,
-        "theta_out_sweep": _parse_angle_list,
+        "theta_out_sweep": _distinct_list(_quantity("angle")),
     },
     "power": {
-        "profile": lambda text, key, line: text,
+        "profile": str,
         "cells": _parse_int,
         "per_cell_power": _quantity("watts"),
     },
@@ -175,33 +163,31 @@ _SCHEMAS = {
 class _Section(dict):
     """One section's parsed values; reading a key the file did not set raises ConfigError."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, present: bool = True):
         super().__init__()
-        self.name = name
+        self.name, self.present = name, present
 
     def __missing__(self, key: str):
+        if not self.present:
+            raise ConfigError(f"missing required section [{self.name}]")
         raise ConfigError(f"section [{self.name}] is missing required key '{key}'")
 
 
-@dataclass
-class ScenarioConfig:
-    """Parsed and validated scenario file; one dict of typed values per section."""
+class ScenarioConfig(dict):
+    """Parsed and validated scenario file: section name -> its _Section.
 
-    sections: dict[str, dict[str, object]] = field(default_factory=dict)
+    A section the file lacks reads as an empty one, so its optional keys take
+    their defaults and its first required key raises the missing section.
+    """
 
-    def section(self, name: str) -> dict[str, object]:
-        if name not in self.sections:
-            raise ConfigError(f"missing required section [{name}]")
-        return self.sections[name]
-
-    def get(self, section: str, key: str, default=None):
-        return self.sections.get(section, {}).get(key, default)
+    def __missing__(self, name: str) -> _Section:
+        return _Section(name, present=False)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read and validate an INI-style scenario file."""
     text = Path(path).read_text(encoding="utf-8-sig")
-    sections: dict[str, dict[str, object]] = {}
+    cfg = ScenarioConfig()
     current: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -216,24 +202,26 @@ def load_config(path: str | Path) -> ScenarioConfig:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name not in _SCHEMAS:
-                raise ConfigError(f"unknown section [{name}]", lineno)
-            if name in sections:
-                raise ConfigError(f"duplicate section [{name}]", lineno)
-            sections[name] = _Section(name)
+                raise ConfigError(f"line {lineno}: unknown section [{name}]")
+            if name in cfg:
+                raise ConfigError(f"line {lineno}: duplicate section [{name}]")
+            cfg[name] = _Section(name)
             current = name
             continue
         if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         if current is None:
-            raise ConfigError("key outside of any [section]", lineno)
+            raise ConfigError(f"line {lineno}: key outside of any [section]")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         schema = _SCHEMAS[current]
         if key not in schema:
-            raise ConfigError(f"unknown key '{key}' in section [{current}]", lineno)
-        if key in sections[current]:
-            raise ConfigError(f"duplicate key '{key}' in section [{current}]", lineno)
-        sections[current][key] = schema[key](value, key, lineno)
+            raise ConfigError(f"line {lineno}: unknown key '{key}' in section [{current}]")
+        if key in cfg[current]:
+            raise ConfigError(f"line {lineno}: duplicate key '{key}' in section [{current}]")
+        try:
+            cfg[current][key] = schema[key](value.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: '{key}': {exc}") from None
 
-    return ScenarioConfig(sections=sections)
+    return cfg

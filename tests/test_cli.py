@@ -324,6 +324,16 @@ BAD_INPUT = [
     (SMALL_PATTERN, ("n_per_side = 20", "n_per_side = 20\nside = 80 mm"), ["pattern"], 1),
     # a bit setting listed twice would write two identical curves
     (SMALL_PATTERN, ("bits = 1, 2, 3, continuous", "bits = 2, 2"), ["pattern"], 1),
+    # a sweep angle listed twice would write two identical rows
+    (SMALL_SQUINT, ("n_samples = 41", "n_samples = 41\ntheta_out_sweep = 30 deg, 30 deg"), ["squint"], 1),
+    # a required RCS beyond the float range, and a panel RCS that underflows to 0 m^2
+    (PAPER, ("sensitivity = -60 dBm", "sensitivity = 3100 dBm"), ["solve-aperture"], 2),
+    (
+        PAPER.replace("aperture_efficiency = 0.25", "aperture_efficiency = 5e-324"),
+        ("theta_in = 0 deg\ntheta_out = 45 deg", "theta_in = 89.9 deg\ntheta_out = 89.9 deg"),
+        ["link-budget"],
+        2,
+    ),
 ]
 
 
@@ -347,6 +357,44 @@ def test_bad_input_fails_with_one_line(tmp_path, capsys, config, edit, args, exp
     assert "Traceback" not in err
     # a refused run leaves no artifact behind
     assert not out.exists() or not any(out.iterdir())
+
+
+def _without_section(text, name):
+    """text minus the [name] header and every line up to the next header."""
+    kept, skipping = [], False
+    for line in text.splitlines(keepends=True):
+        if line.startswith("["):
+            skipping = line.strip() == f"[{name}]"
+        if not skipping:
+            kept.append(line)
+    return "".join(kept)
+
+
+# every command under each section it cannot run without
+SECTION_CASES = [
+    *(
+        (command, PAPER, section)
+        for command in ("link-budget", "solve-aperture")
+        for section in ("link", "receiver", "aperture")
+    ),
+    *(("pattern", SMALL_PATTERN, section) for section in ("link", "aperture", "quantization")),
+    *(("squint", SMALL_SQUINT, section) for section in ("link", "aperture", "sweep")),
+    ("power", PAPER, "power"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,config,section", SECTION_CASES, ids=[f"{c}-{s}" for c, _, s in SECTION_CASES]
+)
+def test_missing_section_is_named(tmp_path, capsys, command, config, section):
+    text = _without_section(config, section)
+    assert f"[{section}]" in config and f"[{section}]" not in text
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+    assert capsys.readouterr().err == f"config error: missing required section [{section}]\n"
+    assert not any(out.iterdir())
 
 
 LINK_KEYS = ["frequency", "d1", "d2", "theta_in", "theta_out", "tx_power", "bs_gain", "terminal_gain"]

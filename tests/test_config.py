@@ -1,9 +1,10 @@
+import functools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from thz_ris_planner.config import _UNITS, ConfigError, load_config, parse_quantity
+from thz_ris_planner.config import _SCHEMAS, _UNITS, ConfigError, load_config, parse_quantity
 
 
 def test_parse_quantity_units():
@@ -32,12 +33,12 @@ def test_parse_quantity_round_trip(dim_unit, x):
 
 def test_parse_quantity_rejects_unitless():
     with pytest.raises(ConfigError, match="needs a value with a unit"):
-        parse_quantity("140", "frequency", key="frequency")
+        parse_quantity("140", "frequency")
 
 
 def test_parse_quantity_rejects_wrong_unit():
     with pytest.raises(ConfigError, match="not valid"):
-        parse_quantity("140 m", "frequency", key="frequency")
+        parse_quantity("140 m", "frequency")
 
 
 def _write(tmp_path, text):
@@ -85,11 +86,11 @@ def test_non_finite_numbers_rejected(tmp_path, section, line):
 
 def test_load_good_config(tmp_path):
     cfg = load_config(_write(tmp_path, GOOD))
-    link = cfg.section("link")
+    link = cfg["link"]
     assert link["frequency"] == pytest.approx(140e9)
     assert link["theta_out"] == pytest.approx(math.radians(45))
-    assert cfg.section("receiver")["modulation"] == 4
-    assert cfg.get("receiver", "target_ber") == pytest.approx(1e-6)
+    assert cfg["receiver"]["modulation"] == 4
+    assert cfg["receiver"].get("target_ber") == pytest.approx(1e-6)
 
 
 def test_unknown_key_is_line_anchored(tmp_path):
@@ -108,39 +109,37 @@ def test_duplicate_key_rejected(tmp_path):
         load_config(_write(tmp_path, GOOD + "\n[taper]\nedge_level = -10 dB\nedge_level = -3 dB\n"))
 
 
-def test_missing_section_reported():
-    from thz_ris_planner.config import ScenarioConfig
-
-    cfg = ScenarioConfig(sections={"link": {}})
+def test_missing_section_reported(tmp_path):
+    cfg = load_config(_write(tmp_path, "[link]\n"))
     with pytest.raises(ConfigError, match=r"missing required section \[receiver\]"):
-        cfg.section("receiver")
+        cfg["receiver"]["bandwidth"]
 
 
 def test_require_reports_missing_key(tmp_path):
     cfg = load_config(_write(tmp_path, GOOD))
     with pytest.raises(ConfigError, match="missing required key 'sensitivity'"):
-        cfg.section("receiver")["sensitivity"]
+        cfg["receiver"]["sensitivity"]
 
 
 def test_bits_list_parsing(tmp_path):
     cfg = load_config(_write(tmp_path, "[quantization]\nbits = 1, 2, 3, continuous\n"))
-    assert cfg.section("quantization")["bits"] == [1, 2, 3, None]
+    assert cfg["quantization"]["bits"] == [1, 2, 3, None]
     with pytest.raises(ConfigError, match=r"line 2: 'bits': setting '2' is listed twice"):
         load_config(_write(tmp_path, "[quantization]\nbits = 2, 2\n"))
 
 
 def test_angle_list_parsing(tmp_path):
     cfg = load_config(_write(tmp_path, "[sweep]\nf_span = 20 GHz\nn_samples = 81\ntheta_out_sweep = 10 deg, 20 deg\n"))
-    sweep = cfg.section("sweep")
+    sweep = cfg["sweep"]
     assert sweep["theta_out_sweep"] == pytest.approx([math.radians(10), math.radians(20)])
     assert sweep["n_samples"] == 81
 
 
 def test_fraction_and_percent(tmp_path):
     cfg1 = load_config(_write(tmp_path, "[aperture]\nside = 110 mm\naperture_efficiency = 0.25\n"))
-    assert cfg1.section("aperture")["aperture_efficiency"] == 0.25
+    assert cfg1["aperture"]["aperture_efficiency"] == 0.25
     cfg2 = load_config(_write(tmp_path, "[aperture]\nside = 110 mm\naperture_efficiency = 25 %\n"))
-    assert cfg2.section("aperture")["aperture_efficiency"] == pytest.approx(0.25)
+    assert cfg2["aperture"]["aperture_efficiency"] == pytest.approx(0.25)
 
 
 def test_byte_order_mark_and_utf8_units(tmp_path):
@@ -148,13 +147,13 @@ def test_byte_order_mark_and_utf8_units(tmp_path):
     path.write_text("[power]\nprofile = lab\nper_cell_power = 20 \u00b5W\n", encoding="utf-8-sig")
     assert path.read_bytes().startswith(b"\xef\xbb\xbf")
     cfg = load_config(path)
-    assert cfg.section("power")["profile"] == "lab"
-    assert cfg.section("power")["per_cell_power"] == pytest.approx(20e-6)
+    assert cfg["power"]["profile"] == "lab"
+    assert cfg["power"]["per_cell_power"] == pytest.approx(20e-6)
 
 
 def test_inline_comments_stripped(tmp_path):
     cfg = load_config(_write(tmp_path, "[taper]\nedge_level = -10 dB  # heavy taper\n"))
-    assert cfg.section("taper")["edge_level"] == -10.0
+    assert cfg["taper"]["edge_level"] == -10.0
 
 
 def test_malformed_line_rejected(tmp_path):
@@ -165,3 +164,56 @@ def test_malformed_line_rejected(tmp_path):
 def test_bad_modulation_string(tmp_path):
     with pytest.raises(ConfigError, match="QAM"):
         load_config(_write(tmp_path, "[receiver]\nbandwidth = 2 GHz\nnoise_figure = 7 dB\nmodulation = QPSK\n"))
+
+
+UNIT_NAMES = sorted({unit for units in _UNITS.values() for unit in units})
+NUMBER = st.one_of(st.integers(-3, 300), st.floats(-1e3, 1e3, allow_nan=False)).map(str)
+KEYS = [(section, key) for section, schema in _SCHEMAS.items() for key in schema]
+
+
+def _takes(parser, text):
+    """Whether the schema parser accepts text."""
+    try:
+        parser(text)
+    except ConfigError:
+        return False
+    return True
+
+
+@functools.cache
+def _values(parser):
+    """Values for one schema key: valid ones, near misses, and garbage."""
+    units = [unit for unit in UNIT_NAMES if _takes(parser, f"1 {unit}")] or UNIT_NAMES
+    entry = st.one_of(
+        st.tuples(NUMBER, st.sampled_from(units)).map(" ".join),
+        NUMBER,
+        st.sampled_from(["continuous", "4-QAM", "25 %", "cmos_rfsoi"]),
+    )
+    return st.one_of(
+        entry,
+        NUMBER.map(lambda x: f"{x} furlong"),
+        st.tuples(st.sampled_from(["nan", "inf", "-inf"]), st.sampled_from(["", *units])).map(" ".join),
+        st.sampled_from(units).map(lambda unit: f"1e400 {unit}"),
+        # anything that stays on its line and holds no comment marker
+        st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters="#;"), max_size=12),
+        st.lists(entry, min_size=1, max_size=3).map(lambda entries: ", ".join(entries + entries[:1])),
+    )
+
+
+@pytest.fixture(scope="module")
+def one_key_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("schema") / "scenario.cfg"
+
+
+@pytest.mark.parametrize("section,key", KEYS)
+@settings(derandomize=True, max_examples=25)
+@given(data=st.data())
+def test_every_schema_key_parses_or_names_line_and_key(one_key_file, section, key, data):
+    value = data.draw(_values(_SCHEMAS[section][key]), label="value")
+    one_key_file.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    try:
+        cfg = load_config(one_key_file)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"line 2: '{key}': "), str(exc)
+    else:
+        assert cfg[section][key] == _SCHEMAS[section][key](value.strip())

@@ -1,0 +1,113 @@
+"""Byte-identity of the 13 bundled artifacts against tests/golden.json.
+
+The artifacts are fig5 `pattern --svg`, fig6 `squint --svg`, and
+paper_scenario's link-budget, solve-aperture and power in CSV and in JSON.
+golden.json holds the sha256 of each one, digests of up to BLOCKS runs of its
+lines (one line per run for an artifact of at most BLOCKS lines) to locate
+the first difference, and the numpy version and machine it was made on:
+the field kernel's matrix product goes through BLAS, so its last bits depend
+on both.
+
+Rewrite the record after an intended change of output with
+
+    PYTHONPATH=src python tests/test_golden.py --update
+
+and list the artifacts that moved, and why, in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+
+from thz_ris_planner.cli import main
+
+GOLDEN = Path(__file__).with_name("golden.json")
+DATA = resources.files("thz_ris_planner").joinpath("data")
+RUNS = [
+    ("fig5.cfg", ["--svg", "pattern"]),
+    ("fig6.cfg", ["--svg", "squint"]),
+    *(
+        ("paper_scenario.cfg", ["--format", fmt, command])
+        for fmt in ("csv", "json")
+        for command in ("link-budget", "solve-aperture", "power")
+    ),
+]
+BLOCKS = 64
+
+
+def _environment() -> dict[str, str]:
+    return {"numpy": np.__version__, "machine": platform.machine()}
+
+
+def _generate(out: Path) -> dict[str, bytes]:
+    """Run every bundled command into out; artifact name -> bytes."""
+    for config, args in RUNS:
+        code = main(["--config", str(DATA.joinpath(config)), "--out", str(out), *args])
+        assert code == 0, f"{config} {' '.join(args)} exited {code}"
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _block_digests(lines: list[bytes], size: int) -> list[str]:
+    return [
+        hashlib.sha256(b"".join(lines[i : i + size])).hexdigest()[:8]
+        for i in range(0, len(lines), size)
+    ]
+
+
+def _record(data: bytes) -> dict:
+    lines = data.splitlines(keepends=True)
+    return {
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "lines": len(lines),
+        "blocks": " ".join(_block_digests(lines, max(1, -(-len(lines) // BLOCKS)))),
+    }
+
+
+def _first_difference(name: str, data: bytes, golden: dict) -> str:
+    """Where data first departs from the golden record, as one line."""
+    lines = data.splitlines(keepends=True)
+    size = max(1, -(-golden["lines"] // BLOCKS))
+    pairs = zip(_block_digests(lines, size), golden["blocks"].split())
+    block = next((i for i, (now, then) in enumerate(pairs) if now != then), None)
+    if block is None:
+        start = end = min(len(lines), golden["lines"]) + 1
+    else:
+        start, end = block * size + 1, min(block * size + size, golden["lines"])
+    if end > start:
+        where = f"lines {start}-{end}"
+    else:
+        now = lines[start - 1][:120] if start <= len(lines) else b"<end of file>"
+        where = f"line {start}, now {now!r}"
+    return f"{name}: first difference in {where} ({len(lines)} lines, was {golden['lines']})"
+
+
+def test_bundled_artifacts_match_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    artifacts = _generate(tmp_path)
+    assert sorted(artifacts) == sorted(golden["artifacts"])
+    problems = [
+        _first_difference(name, data, golden["artifacts"][name])
+        for name, data in artifacts.items()
+        if hashlib.sha256(data).hexdigest() != golden["artifacts"][name]["sha256"]
+    ]
+    if problems and golden["environment"] != _environment():
+        problems.append(f"golden.json was made with {golden['environment']}, this run has {_environment()}")
+    assert not problems, "\n".join(problems)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --update")
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        artifacts = _generate(Path(tmp))
+    record = {"environment": _environment(), "artifacts": {n: _record(d) for n, d in artifacts.items()}}
+    GOLDEN.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {GOLDEN}: {len(artifacts)} artifacts")
