@@ -11,36 +11,33 @@ gives the panel size needed to close a link budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import Direction, Frequency
+from .core import Direction, Frequency, Value
 
 
 class UnreachableGeometryError(ValueError):
     """Raised when the requested scatter geometry cannot produce the RCS."""
 
 
-@dataclass(frozen=True)
-class ApertureSpec:
+class ApertureSpec(Value):
     """Square RIS aperture: side length, unit-cell pitch, and efficiency.
 
     cell_pitch_m defaults to half a wavelength at the design frequency.
     """
 
-    side_m: float
-    design_freq: Frequency
-    cell_pitch_m: float | None = None
-    aperture_efficiency: float = 1.0
+    __slots__ = ("side_m", "design_freq", "cell_pitch_m", "aperture_efficiency")
 
-    def __post_init__(self):
-        if self.cell_pitch_m is None:
-            object.__setattr__(self, "cell_pitch_m", self.design_freq.wavelength_m / 2.0)
-        if not (0.0 < self.cell_pitch_m < math.inf):
+    def __init__(self, side_m: float, design_freq: Frequency, cell_pitch_m: float | None = None,
+                 aperture_efficiency: float = 1.0):
+        if cell_pitch_m is None:
+            cell_pitch_m = design_freq.wavelength_m / 2.0
+        if not (0.0 < cell_pitch_m < math.inf):
             raise ValueError("cell pitch must be positive and finite")
-        if not (0.0 < self.aperture_efficiency <= 1.0):
+        if not (0.0 < aperture_efficiency <= 1.0):
             raise ValueError("aperture efficiency must be in (0, 1]")
-        if not (self.cell_pitch_m <= self.side_m < math.inf):
+        if not (cell_pitch_m <= side_m < math.inf):
             raise ValueError("aperture side must be finite and at least one cell pitch")
+        super().__init__(side_m, design_freq, cell_pitch_m, aperture_efficiency)
 
     @classmethod
     def from_element_grid(
@@ -63,15 +60,25 @@ class ApertureSpec:
 
 
 def rcs(a: ApertureSpec, incident: Direction, outgoing: Direction) -> float:
-    """RIS radar cross section in square meters."""
+    """RIS radar cross section in square meters.
+
+    Raises ValueError when the side is so large that the RCS leaves the
+    range of a float.
+    """
     lam = a.design_freq.wavelength_m
-    return (
-        a.aperture_efficiency
-        * (4.0 * math.pi / lam**2)
-        * a.side_m**4
-        * math.cos(incident.theta)
-        * math.cos(outgoing.theta)
-    )
+    try:
+        sigma = (
+            a.aperture_efficiency
+            * (4.0 * math.pi / lam**2)
+            * a.side_m**4
+            * math.cos(incident.theta)
+            * math.cos(outgoing.theta)
+        )
+    except OverflowError:
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise ValueError(f"aperture side {a.side_m:.3g} m is so large that the RCS overflows")
+    return sigma
 
 
 def solve_aperture_size(
@@ -123,18 +130,17 @@ def pec_bound_check(a: ApertureSpec, incident: Direction, outgoing: Direction) -
     return rcs(a, incident, outgoing) <= rcs(pec, incident, outgoing) * (1.0 + 1e-12)
 
 
-@dataclass(frozen=True)
-class EfficiencyLedger:
+class EfficiencyLedger(Value):
     """Decomposition of the lumped aperture efficiency into its budget lines."""
 
-    passive_aperture_eff: float = 0.5
-    insertion_loss_db: float = 3.0
+    __slots__ = ("passive_aperture_eff", "insertion_loss_db")
 
-    def __post_init__(self):
-        if not (0.0 < self.passive_aperture_eff <= 1.0):
+    def __init__(self, passive_aperture_eff: float = 0.5, insertion_loss_db: float = 3.0):
+        if not (0.0 < passive_aperture_eff <= 1.0):
             raise ValueError("passive aperture efficiency must be in (0, 1]")
-        if not (0.0 <= self.insertion_loss_db < math.inf):
+        if not (0.0 <= insertion_loss_db < math.inf):
             raise ValueError("insertion loss must be finite and >= 0 dB")
+        super().__init__(passive_aperture_eff, insertion_loss_db)
 
     @property
     def resulting_eff(self) -> float:

@@ -15,7 +15,6 @@ Every failure is reported as one line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -57,6 +56,8 @@ def _fmt_cell(value) -> str:
 
 def _write_result(out_dir: Path, stem: str, record: dict, fmt: str) -> Path:
     if fmt == "json":
+        import json  # imported here: the default CSV output does not need it
+
         path = out_dir / f"{stem}.json"
         path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     else:

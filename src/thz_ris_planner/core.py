@@ -3,20 +3,58 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 
 
-@dataclass(frozen=True)
-class Frequency:
+class Value:
+    """Immutable record whose fields are the names in __slots__, in order.
+
+    A subclass validates its arguments in __init__ and stores them through
+    Value.__init__. Equality, hash and repr go field by field; copies and
+    pickles rebuild the object through __init__, so they are validated too.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class Frequency(Value):
     """A positive frequency in hertz."""
 
-    hertz: float
+    __slots__ = ("hertz",)
 
-    def __post_init__(self):
-        if not (self.hertz > 0 and math.isfinite(self.hertz)):
-            raise ValueError(f"frequency must be positive and finite, got {self.hertz}")
+    def __init__(self, hertz: float):
+        if not (hertz > 0 and math.isfinite(hertz)):
+            raise ValueError(f"frequency must be positive and finite, got {hertz}")
+        super().__init__(hertz)
 
     @property
     def wavelength_m(self) -> float:
@@ -27,23 +65,21 @@ class Frequency:
         return cls(value * 1e9)
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Value):
     """Propagation direction: polar angle theta in [0, pi/2], azimuth phi in [0, 2*pi).
 
     theta is measured from the surface normal (broadside); phi wraps modulo 2*pi
     at construction.
     """
 
-    theta: float
-    phi: float = 0.0
+    __slots__ = ("theta", "phi")
 
-    def __post_init__(self):
-        if not (0.0 <= self.theta <= math.pi / 2):
-            raise ValueError(f"theta must be in [0, pi/2], got {self.theta}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
-        object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
+    def __init__(self, theta: float, phi: float = 0.0):
+        if not (0.0 <= theta <= math.pi / 2):
+            raise ValueError(f"theta must be in [0, pi/2], got {theta}")
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi}")
+        super().__init__(theta, phi % (2.0 * math.pi))
 
     @classmethod
     def from_degrees(cls, theta_deg: float, phi_deg: float = 0.0) -> "Direction":
@@ -58,18 +94,15 @@ class Direction:
 BROADSIDE = Direction(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class BistaticGeometry:
+class BistaticGeometry(Value):
     """One BS -> RIS -> terminal hop: path lengths plus incident/outgoing directions."""
 
-    d1_m: float
-    d2_m: float
-    incident: Direction
-    outgoing: Direction
+    __slots__ = ("d1_m", "d2_m", "incident", "outgoing")
 
-    def __post_init__(self):
-        if not (0.0 < self.d1_m < math.inf and 0.0 < self.d2_m < math.inf):
+    def __init__(self, d1_m: float, d2_m: float, incident: Direction, outgoing: Direction):
+        if not (0.0 < d1_m < math.inf and 0.0 < d2_m < math.inf):
             raise ValueError("path lengths d1 and d2 must be positive and finite")
+        super().__init__(d1_m, d2_m, incident, outgoing)
 
 
 def fraunhofer_distance(aperture_d_m: float, f: Frequency) -> float:

@@ -16,60 +16,56 @@ the target BER (Nyquist signaling, symbol rate equal to bandwidth).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from statistics import NormalDist
 
-from .core import BistaticGeometry, Frequency
+from .core import BistaticGeometry, Frequency, Value
 
 THERMAL_NOISE_DBM_HZ = -174.0  # kT at 290 K
 
 
-@dataclass(frozen=True)
-class LinkScenario:
+class LinkScenario(Value):
     """Geometry, gains, and transmit power of one BS-RIS-terminal link."""
 
-    geometry: BistaticGeometry
-    f: Frequency
-    tx_power_dbm: float
-    bs_gain_dbi: float
-    terminal_gain_dbi: float
+    __slots__ = ("geometry", "f", "tx_power_dbm", "bs_gain_dbi", "terminal_gain_dbi")
 
-    def __post_init__(self):
-        for name in ("tx_power_dbm", "bs_gain_dbi", "terminal_gain_dbi"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, geometry: BistaticGeometry, f: Frequency, tx_power_dbm: float,
+                 bs_gain_dbi: float, terminal_gain_dbi: float):
+        gains = (tx_power_dbm, bs_gain_dbi, terminal_gain_dbi)
+        for name, value in zip(self.__slots__[2:], gains):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        super().__init__(geometry, f, tx_power_dbm, bs_gain_dbi, terminal_gain_dbi)
 
 
-@dataclass(frozen=True)
-class ReceiverSpec:
+class ReceiverSpec(Value):
     """Receiver noise bandwidth, noise figure, and modulation target.
 
     modulation_order is the M of M-QAM; supported orders are 2 (BPSK), 4
     (QPSK), and square constellations 16, 64, 256, ...
     """
 
-    bandwidth_hz: float
-    noise_figure_db: float
-    modulation_order: int = 4
-    target_ber: float = 1e-6
-    implementation_loss_db: float = 0.0
+    __slots__ = ("bandwidth_hz", "noise_figure_db", "modulation_order", "target_ber",
+                 "implementation_loss_db")
 
-    def __post_init__(self):
-        if not (0.0 < self.bandwidth_hz < math.inf):
+    def __init__(self, bandwidth_hz: float, noise_figure_db: float, modulation_order: int = 4,
+                 target_ber: float = 1e-6, implementation_loss_db: float = 0.0):
+        if not (0.0 < bandwidth_hz < math.inf):
             raise ValueError("bandwidth must be positive and finite")
-        for name in ("noise_figure_db", "implementation_loss_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not (0.0 < self.target_ber < 0.5):
+        if not math.isfinite(noise_figure_db):
+            raise ValueError("noise_figure_db must be finite")
+        if not math.isfinite(implementation_loss_db):
+            raise ValueError("implementation_loss_db must be finite")
+        if not (0.0 < target_ber < 0.5):
             raise ValueError("target BER must be in (0, 0.5)")
-        _check_modulation_order(self.modulation_order)
+        _check_modulation_order(modulation_order)
+        super().__init__(bandwidth_hz, noise_figure_db, modulation_order, target_ber,
+                         implementation_loss_db)
 
 
-@dataclass(frozen=True)
-class LinkReport:
-    rx_power_dbm: float
-    sensitivity_dbm: float
-    spreading_term_db: float
+class LinkReport(Value):
+    __slots__ = ("rx_power_dbm", "sensitivity_dbm", "spreading_term_db")
+
+    def __init__(self, rx_power_dbm: float, sensitivity_dbm: float, spreading_term_db: float):
+        super().__init__(rx_power_dbm, sensitivity_dbm, spreading_term_db)
 
     @property
     def margin_db(self) -> float:
@@ -89,6 +85,8 @@ def _check_modulation_order(m: int) -> None:
 
 def _q_inverse(p: float) -> float:
     """Inverse of the Gaussian tail function Q."""
+    from statistics import NormalDist  # imported here: most runs give the sensitivity directly
+
     return -NormalDist().inv_cdf(p)
 
 

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .core import Value
 
 
-@dataclass(frozen=True)
-class TechnologyProfile:
-    name: str
-    per_cell_power_w: float
+class TechnologyProfile(Value):
+    __slots__ = ("name", "per_cell_power_w")
 
-    def __post_init__(self):
-        if not (0.0 <= self.per_cell_power_w < math.inf):
+    def __init__(self, name: str, per_cell_power_w: float):
+        if not (0.0 <= per_cell_power_w < math.inf):
             raise ValueError("per-cell power must be finite and >= 0")
+        super().__init__(name, per_cell_power_w)
 
 
 # order-of-magnitude defaults for the two mainstream switch families: CMOS
@@ -25,7 +25,16 @@ PROFILES = {
 
 
 def panel_power(n_cells: int, tech: TechnologyProfile) -> float:
-    """Total panel control power in watts: n_cells * per-cell power."""
+    """Total panel control power in watts: n_cells * per-cell power.
+
+    Raises ValueError when the product leaves the range of a float.
+    """
     if n_cells < 1:
         raise ValueError("panel needs at least one cell")
-    return n_cells * tech.per_cell_power_w
+    try:
+        total = n_cells * tech.per_cell_power_w
+    except OverflowError:  # n_cells is an int too large for a float
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError("panel power overflows: n_cells * per-cell power is beyond the float range")
+    return total

@@ -62,12 +62,11 @@ scales as f0 * HPBW / tan(theta0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .aperture import ApertureSpec
-from .core import BROADSIDE, SPEED_OF_LIGHT, Direction, Frequency
+from .core import BROADSIDE, SPEED_OF_LIGHT, Direction, Frequency, Value
 from .surface import PhaseProfile, TaperSpec, UNIFORM_TAPER, quantize_profile, synthesize_profile
 
 BEAMWIDTH_FACTOR = 0.886  # uniform-aperture 3 dB beamwidth in units of lambda/D
@@ -109,16 +108,16 @@ class FrequencySpanError(ValueError):
     """Raised when a squint sweep band is too narrow to bracket the squint band."""
 
 
-@dataclass
-class UVPattern:
+class UVPattern(Value):
     """Complex field E on a (u, v) lattice: ax1/ax2 are direction cosines.
 
     field is NaN in the invisible region u^2 + v^2 > 1.
     """
 
-    ax1: np.ndarray
-    ax2: np.ndarray
-    field: np.ndarray
+    __slots__ = ("ax1", "ax2", "field")
+
+    def __init__(self, ax1: np.ndarray, ax2: np.ndarray, field: np.ndarray):
+        super().__init__(ax1, ax2, field)
 
     def peak_uv(self) -> tuple[float, float, float]:
         """(|E|, u, v) at the strongest visible lattice point."""
@@ -129,18 +128,17 @@ class UVPattern:
         return float(mag[i, j]), float(self.ax1[i]), float(self.ax2[j])
 
 
-@dataclass
-class SpherePattern:
+class SpherePattern(Value):
     """Directivity on a (theta, phi) grid: ax1 is theta (rad), ax2 is phi (rad).
 
     directivity_dbi holds 4*pi*|E|^2 / total_power in dB, where total_power
     is the quadrature of |E|^2 over the front hemisphere.
     """
 
-    ax1: np.ndarray
-    ax2: np.ndarray
-    directivity_dbi: np.ndarray
-    total_power: float
+    __slots__ = ("ax1", "ax2", "directivity_dbi", "total_power")
+
+    def __init__(self, ax1: np.ndarray, ax2: np.ndarray, directivity_dbi: np.ndarray, total_power: float):
+        super().__init__(ax1, ax2, directivity_dbi, total_power)
 
     def peak_directivity(self) -> tuple[float, Direction]:
         """Peak directivity in dBi and its direction."""
@@ -149,8 +147,7 @@ class SpherePattern:
         return float(self.directivity_dbi[i, j]), Direction(float(self.ax1[i]), float(self.ax2[j]))
 
 
-@dataclass
-class SquintReport:
+class SquintReport(Value):
     """Beam-peak track and gain trace of a frozen profile versus frequency.
 
     bw_3db_hz is the band around f0 where the measured beam peak in the
@@ -160,27 +157,27 @@ class SquintReport:
     the directivity toward the fixed target direction.
     """
 
-    design_freq_hz: float
-    target: Direction
-    freq_hz: np.ndarray
-    gain_dbi: np.ndarray
-    peak_theta_rad: np.ndarray
-    hpbw_rad: float
-    bw_3db_hz: float
-    saturated: bool = False
+    __slots__ = ("design_freq_hz", "target", "freq_hz", "gain_dbi", "peak_theta_rad",
+                 "hpbw_rad", "bw_3db_hz", "saturated")
+
+    def __init__(self, design_freq_hz: float, target: Direction, freq_hz: np.ndarray,
+                 gain_dbi: np.ndarray, peak_theta_rad: np.ndarray, hpbw_rad: float,
+                 bw_3db_hz: float, saturated: bool = False):
+        super().__init__(design_freq_hz, target, freq_hz, gain_dbi, peak_theta_rad,
+                         hpbw_rad, bw_3db_hz, saturated)
 
     @property
     def fractional_bw_pct(self) -> float:
         return 100.0 * self.bw_3db_hz / self.design_freq_hz
 
 
-@dataclass
-class QuantizationReport:
+class QuantizationReport(Value):
     """Peak directivity per quantization setting and the loss vs continuous."""
 
-    bits: list[int]
-    peak_dbi: list[float]
-    continuous_dbi: float
+    __slots__ = ("bits", "peak_dbi", "continuous_dbi")
+
+    def __init__(self, bits: list[int], peak_dbi: list[float], continuous_dbi: float):
+        super().__init__(bits, peak_dbi, continuous_dbi)
 
     @property
     def losses_db(self) -> list[float]:

@@ -12,18 +12,16 @@ evaluated at the design frequency f0 on the element lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .aperture import ApertureSpec
-from .core import Direction, Frequency
+from .core import Direction, Frequency, Value
 
 MAX_QUANTIZATION_BITS = 8  # beyond practical per-cell switch counts
 
 
-@dataclass(frozen=True)
-class TaperSpec:
+class TaperSpec(Value):
     """Amplitude illumination: raised cosine on a pedestal over the aperture radius.
 
     edge_level_db is the field amplitude at the aperture edge relative to the
@@ -32,11 +30,12 @@ class TaperSpec:
     normalized to the half-side, clipped at 1 toward the corners.
     """
 
-    edge_level_db: float = 0.0
+    __slots__ = ("edge_level_db",)
 
-    def __post_init__(self):
-        if not (-math.inf < self.edge_level_db <= 0.0):
+    def __init__(self, edge_level_db: float = 0.0):
+        if not (-math.inf < edge_level_db <= 0.0):
             raise ValueError("taper edge level must be finite and <= 0 dB")
+        super().__init__(edge_level_db)
 
     @property
     def pedestal(self) -> float:
@@ -51,8 +50,7 @@ class TaperSpec:
 UNIFORM_TAPER = TaperSpec(0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseProfile:
+class PhaseProfile(Value):
     """Programmed complex reflection coefficients on a uniform element lattice.
 
     The lattice is centred on the panel by construction: coefficients[i, j]
@@ -62,19 +60,20 @@ class PhaseProfile:
     identity; the coefficient array is read-only.
     """
 
-    coefficients: np.ndarray
-    design_freq: Frequency
-    cell_pitch_m: float
+    __slots__ = ("coefficients", "design_freq", "cell_pitch_m")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if self.coefficients.ndim != 2:
+    def __init__(self, coefficients: np.ndarray, design_freq: Frequency, cell_pitch_m: float):
+        if coefficients.ndim != 2:
             raise ValueError("coefficients must be a 2-D element grid")
-        if not (0.0 < self.cell_pitch_m < math.inf):
+        if not (0.0 < cell_pitch_m < math.inf):
             raise ValueError("cell pitch must be positive and finite")
         # written as not-all-<= so that NaN magnitudes fail too
-        if not np.all(np.abs(self.coefficients) <= 1.0 + 1e-9):
+        if not np.all(np.abs(coefficients) <= 1.0 + 1e-9):
             raise ValueError("reflection coefficient magnitudes must be <= 1")
-        self.coefficients.setflags(write=False)
+        coefficients.setflags(write=False)
+        super().__init__(coefficients, design_freq, cell_pitch_m)
 
     @property
     def rows(self) -> int:

@@ -334,6 +334,16 @@ BAD_INPUT = [
         ["link-budget"],
         2,
     ),
+    # so large a side that side^4 overflows
+    (PAPER, ("side = 110 mm", "side = 1e100 m"), ["link-budget"], 1),
+    # a cell count too large for a float, and a finite product beyond the float range
+    (PAPER, ("profile = cmos_rfsoi", "profile = cmos_rfsoi\ncells = " + "9" * 310), ["power"], 1),
+    (
+        PAPER,
+        ("profile = cmos_rfsoi", "profile = lab\nper_cell_power = 1e300 kW\ncells = 1000000"),
+        ["power"],
+        1,
+    ),
 ]
 
 
@@ -543,7 +553,9 @@ def test_cli_import_leaves_scipy_signal_out():
 def test_scalar_path_loads_no_numpy(tmp_path, command):
     src = str(Path(thz_ris_planner.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    loaded = "[m for m in sys.modules if m.split('.')[0] == 'numpy']"
+    # numpy, and the stdlib modules whose import cost more than the scalar commands' own work
+    heavy = ("numpy", "dataclasses", "inspect", "json", "statistics")
+    loaded = f"[m for m in sys.modules if m.split('.')[0] in {heavy!r}]"
     if command is None:
         # importing the package itself loads none of its submodules
         probe = (

@@ -1,4 +1,7 @@
+import copy
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,9 +14,10 @@ from thz_ris_planner.core import (
     SPEED_OF_LIGHT,
     fraunhofer_distance,
 )
-from thz_ris_planner.link_budget import ReceiverSpec
+from thz_ris_planner.link_budget import LinkReport, LinkScenario, ReceiverSpec
 from thz_ris_planner.power import TechnologyProfile
-from thz_ris_planner.surface import TaperSpec
+from thz_ris_planner.radiation import QuantizationReport, SpherePattern, SquintReport, UVPattern
+from thz_ris_planner.surface import PhaseProfile, TaperSpec
 
 
 def test_wavelength_anchors():
@@ -108,3 +112,74 @@ def test_fraunhofer_anchors():
 
 def test_speed_of_light_is_exact():
     assert SPEED_OF_LIGHT == 299792458.0
+
+
+GEOMETRY = BistaticGeometry(50.0, 60.0, Direction(0.0), Direction(0.5, 1.0))
+AXIS = np.linspace(-1.0, 1.0, 3)
+# one sample of every value type
+VALUE_SAMPLES = [
+    Frequency(140e9),
+    Direction(0.3, -1.0),
+    GEOMETRY,
+    ApertureSpec(0.11, F140, aperture_efficiency=0.25),
+    EfficiencyLedger(0.6, 2.0),
+    LinkScenario(GEOMETRY, F140, 20.0, 46.0, 10.0),
+    ReceiverSpec(2e9, 7.0, 16, 1e-5, 1.5),
+    LinkReport(-59.8, -60.0, -154.3),
+    TechnologyProfile("lab", 1e-3),
+    TaperSpec(-10.0),
+    PhaseProfile(np.array([[1.0, 1j], [-1.0, -0.5j]]), F140, 1e-3),
+    UVPattern(AXIS, AXIS, np.full((3, 3), np.nan + 0j)),
+    SpherePattern(AXIS, AXIS, np.zeros((3, 3)), 2.5),
+    SquintReport(140e9, Direction(0.5), AXIS, AXIS, AXIS, 0.01, 4e9, True),
+    QuantizationReport([1, 2], [20.0, 23.0], 24.0),
+]
+# records whose fields hold arrays or lists: they compare field-wise but cannot be hashed
+UNHASHABLE = (UVPattern, SpherePattern, SquintReport, QuantizationReport)
+
+
+def test_value_samples_cover_every_value_type():
+    from thz_ris_planner.core import Value
+
+    assert {type(v) for v in VALUE_SAMPLES} == set(Value.__subclasses__())
+
+
+def _assert_same_fields(a, b, names):
+    assert type(a) is type(b)
+    for name in names:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("value", VALUE_SAMPLES, ids=lambda v: type(v).__name__)
+def test_value_type_contract(value):
+    cls = type(value)
+    names = list(inspect.signature(cls).parameters)
+    fields = {name: getattr(value, name) for name in names}
+    twin = cls(**fields)
+
+    if cls is PhaseProfile:
+        # the coefficients are an array, so profiles compare and hash by identity
+        assert value == value and twin != value and hash(value) != hash(twin)
+    else:
+        assert twin == value and not twin != value
+        if cls in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(twin) == hash(value)
+    assert value.__eq__(object()) is NotImplemented
+    assert repr(value) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        _assert_same_fields(clone, value, names)
+        if cls is PhaseProfile:
+            assert not clone.coefficients.flags.writeable
+        elif cls not in UNHASHABLE:
+            assert clone == value
+
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, fields[name])
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is fields[name]
