@@ -37,15 +37,21 @@ with corr(d) = sum_m c_m conj(c_{m-d}) the lattice autocorrelation at lag d,
 follows from integrating the cos(theta) element power pattern over the
 hemisphere. It normalises cuts, single-direction gains and the squint sweep,
 in two parts: _power_kernel holds what depends on the lattice and the
-wavenumbers only, and _fold_power applies it to one profile. Since the
-kernel depends on |d| only, corr is summed per distinct squared integer lag
-i^2 + j^2 (about a tenth of the (2R-1)(2C-1) lags), and the kernel is a J1
-table over (k, distinct radius). squint_vs_angle builds it once for its
-frequency grid and shares that one table across every angle; squint_sweep is
-its single-angle case. J1 itself is _j1, a numpy routine in three regimes:
-the power series for x <= 2, Miller's backward recurrence up to 25 and the
-Hankel asymptotic expansion above (Abramowitz & Stegun 9.1.10, 9.1.27,
-9.1.46, 9.2.5, 9.2.9-10); it is within 3e-16 of the exact value.
+wavenumbers only, and _fold_power applies it to one profile. _fold_power
+takes the autocorrelation by FFT at the least 5-smooth length L >= 2n-1 per
+axis (a prime 2n-1 would send pocketfft to Bluestein's algorithm), and only
+its real part, which is even in d, so one rfft2 gives it on the half
+lattice j >= 0, where each lag with j > 0 weighs 2. Since the kernel
+depends on |d| only, that half is summed per distinct squared integer lag
+i^2 + j^2 (2122 radii for the 11175 half-lattice lags of a 75x75 panel), and
+the kernel is a J1 table over (k, distinct radius). squint_vs_angle builds
+it once for its frequency grid and shares that one table across every
+angle; squint_sweep is its single-angle case. J1 itself is _j1, a numpy
+routine in three regimes: the power series for x <= 2, Miller's backward
+recurrence up to 25 and the Hankel asymptotic expansion above (Abramowitz &
+Stegun 9.1.10, 9.1.27, 9.1.46, 9.2.5, 9.2.9-10); it is within 3e-16 of the
+exact value. The expansion runs on the whole table and the other two
+regimes overwrite the few entries at or below 25.
 
 Quantization loss reads each peak directivity off the principal-plane cut in
 the steering plane, normalised by that closed form; quantized_cuts takes
@@ -364,41 +370,72 @@ def hemisphere_power_exact(p: PhaseProfile, f: Frequency | None = None) -> float
     return float(_fold_power(p, _power_kernel(p.rows, p.cols, p.cell_pitch_m, k))[0])
 
 
-def _power_kernel(rows: int, cols: int, pitch: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The profile-independent half of the closed-form power: (radius index, J1 table).
+def _fast_length(n: int) -> int:
+    """Least 5-smooth length 2^a 3^b 5^c >= n, a size pocketfft transforms without Bluestein.
 
-    A cyclic correlation of length 2n-1 per axis holds every lag without
-    wrap-around; fftfreq gives each bin its integer lag. The kernel depends on
+    Walks the products of powers of 3 and 5 below the next power of two and
+    rounds each up by a power of two, so the cost grows with log(n)^2, not n.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _power_kernel(
+    rows: int, cols: int, pitch: float, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The profile-independent half of the closed-form power: (radius index, weights, J1 table).
+
+    Re corr is even in the lag, Re corr(-d) == Re corr(d), so only the half
+    lattice j >= 0 is folded: lag rows i = 0..rows-1, -(rows-1)..-1 (the
+    order _fold_power reads them in) by lag columns j = 0..cols-1. A lag with
+    j > 0 stands for itself and its mirror and weighs 2; the j = 0 column
+    holds both signs of i already and weighs 1. The kernel depends on
     |d|^2 = pitch^2 * (i^2 + j^2) only, so the lags are indexed by their
     distinct values of i^2 + j^2. Those values are small integers, so counting
     finds them in ascending order without a sort; the first is the zero lag.
     The table holds 2*pi*J1(k rho)/(k rho) for each k and each nonzero
     distinct radius rho.
     """
-    nx, ny = 2 * rows - 1, 2 * cols - 1
-    i = np.rint(np.fft.fftfreq(nx) * nx).astype(np.int64)
-    j = np.rint(np.fft.fftfreq(ny) * ny).astype(np.int64)
+    i = np.concatenate([np.arange(rows), np.arange(1 - rows, 0)])
+    j = np.arange(cols)
     r2 = (i[:, None] ** 2 + j[None, :] ** 2).ravel()
     present = np.bincount(r2) > 0
     radius_index = (np.cumsum(present) - 1)[r2]
+    weights = np.full((i.size, cols), 2.0)
+    weights[:, 0] = 1.0
     kr = np.outer(k, pitch * np.sqrt(np.flatnonzero(present)[1:]))
     table = _j1(kr)
     table *= 2.0 * math.pi
     table /= kr
-    return radius_index, table
+    return radius_index, weights.ravel(), table
 
 
-def _fold_power(p: PhaseProfile, kernel: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _fold_power(p: PhaseProfile, kernel: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Closed-form power of profile p at each k of a _power_kernel built on its lattice.
 
-    Only the real part of corr survives the Hermitian sum over +d and -d; it
-    is summed per distinct radius, and the zero lag takes the kernel's limit pi.
+    The cyclic autocorrelation at a 5-smooth length L >= 2n-1 per axis holds
+    every lag without wrap-around. fft2 pads and transforms the last axis
+    first, so that pass runs on the n non-zero rows only. |F|^2 is real, so
+    Re corr = Re ifft2(|F|^2) = Re fft2(|F|^2)/N comes from one rfft2, whose
+    half spectrum is the half lattice j >= 0. Only the real part of corr
+    survives the Hermitian sum over +d and -d; it is weighted, summed per
+    distinct radius, and the zero lag takes the kernel's limit pi.
     """
-    radius_index, table = kernel
-    nx, ny = 2 * p.rows - 1, 2 * p.cols - 1
-    spectrum = np.fft.fft2(p.coefficients, s=(nx, ny))
-    corr = np.fft.ifft2(spectrum * np.conj(spectrum)).real
-    folded = np.bincount(radius_index, weights=corr.ravel())
+    radius_index, weights, table = kernel
+    lx, ly = _fast_length(2 * p.rows - 1), _fast_length(2 * p.cols - 1)
+    spectrum = np.fft.fft2(p.coefficients, s=(lx, ly))
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
+    lags = np.r_[0 : p.rows, lx - p.rows + 1 : lx]
+    corr = np.fft.rfft2(power)[lags, : p.cols].real / (lx * ly)
+    folded = np.bincount(radius_index, weights=weights * corr.ravel())
     return math.pi * folded[0] + table @ folded[1:]
 
 
@@ -411,24 +448,38 @@ def _j1(x: np.ndarray) -> np.ndarray:
     Hankel expansion J1 = (P (sin x - cos x) + Q (sin x + cos x)) / sqrt(pi x)
     above it (A&S 9.2.5, 9.2.9-10). That phase is cos(x - 3pi/4) and
     sin(x - 3pi/4) expanded, so no rounding comes from the subtraction.
+
+    Most of a squint table lies above J1_HANKEL_MIN, so the expansion runs on
+    the whole table in a few reused buffers, with no gather or scatter; below
+    it the expansion means nothing (it is inf or nan at 0), and those entries
+    are overwritten by the series and Miller results on that subset.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    with np.errstate(all="ignore"):
+        z = np.multiply(x, x)
+        np.divide(1.0, z, out=z)  # z = 1/x^2
+        out = _polynomial(_HANKEL_P, z)  # P
+        big_q = _polynomial(_HANKEL_Q, z)
+        big_q /= x  # Q
+        sin, cos = np.sin(x), np.cos(x)
+        np.subtract(sin, cos, out=z)
+        sin += cos
+        out *= z  # P (sin - cos)
+        big_q *= sin  # Q (sin + cos)
+        out += big_q
+        np.multiply(x, math.pi, out=z)
+        np.sqrt(z, out=z)
+        out /= z
 
-    series = x <= J1_SERIES_MAX
-    half = x[series] / 2.0
-    out[series] = half * _polynomial(_SERIES, half * half)
+    low = x <= J1_HANKEL_MIN
+    xl = x[low]
+    vals = np.empty_like(xl)
+    series = xl <= J1_SERIES_MAX
+    half = xl[series] / 2.0
+    vals[series] = half * _polynomial(_SERIES, half * half)
 
-    hankel = x > J1_HANKEL_MIN
-    xh = x[hankel]
-    z = 1.0 / (xh * xh)
-    big_p = _polynomial(_HANKEL_P, z)
-    big_q = _polynomial(_HANKEL_Q, z) / xh
-    sin, cos = np.sin(xh), np.cos(xh)
-    out[hankel] = (big_p * (sin - cos) + big_q * (sin + cos)) / np.sqrt(math.pi * xh)
-
-    miller = ~(series | hankel)
-    xm = x[miller]
+    miller = ~series
+    xm = xl[miller]
     # unscaled: from MILLER_ORDER at x > J1_SERIES_MAX the recurrence peaks
     # below 1e89, far from overflow, and the normalisation divides the scale out
     j_next, j = np.zeros_like(xm), np.ones_like(xm)
@@ -439,7 +490,8 @@ def _j1(x: np.ndarray) -> np.ndarray:
             j1 = j.copy()
         elif n % 2 == 1 and n > 1:
             even_sum += j
-    out[miller] = j1 / (j + 2.0 * even_sum)
+    vals[miller] = j1 / (j + 2.0 * even_sum)
+    out[low] = vals
     return out
 
 
@@ -468,15 +520,20 @@ def check_normal_incidence(incident: Direction) -> None:
 def _largest_array(n_per_side: int, n_freqs: int = 1, n_directions: int = 0) -> tuple[str, int]:
     """(name, bytes) of the largest array a pattern or squint run would allocate.
 
-    Estimated from the sizes alone: the zero-padded lattice FFT holds (2n)^2
-    complex values (the power autocorrelation, the pattern_uv map); the power
-    kernel n_freqs floats per distinct lag radius, at most n(n+1)/2 of them,
-    or per PEAK_WINDOW sample of the beam track when that is wider; the cut
-    one complex value per direction.
+    Estimated from the sizes alone: the zero-padded lattice FFT holds
+    max(2n, L)^2 complex values, L the 5-smooth length of the power
+    autocorrelation and 2n that of the pattern_uv map; the power kernel
+    n_freqs floats per distinct lag radius, at most n(n+1)/2 of them, or per
+    PEAK_WINDOW sample of the beam track when that is wider; the cut one
+    complex value per direction. L is only sought once (2n)^2 fits the limit,
+    so the estimate costs nothing however large n is.
     """
+    side = 2 * n_per_side
+    if 16 * side**2 <= MAX_ARRAY_BYTES:
+        side = max(side, _fast_length(side - 1))
     radii = max(n_per_side * (n_per_side + 1) // 2, PEAK_WINDOW)
     candidates = (
-        ("lattice FFT", 16 * (2 * n_per_side) ** 2),
+        ("lattice FFT", 16 * side**2),
         ("power kernel", 8 * n_freqs * radii),
         ("cut", 16 * n_directions),
     )

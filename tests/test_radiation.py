@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import j1
 
 from thz_ris_planner.aperture import ApertureSpec
@@ -227,6 +227,30 @@ def test_hemisphere_power_matches_explicit_pair_sum(rows, cols):
         assert hemisphere_power_exact(prof, f) == pytest.approx(expected, rel=1e-12)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 9), cols=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+@example(rows=7, cols=7, seed=1)  # 2n-1 = 13 is prime, padded to 15
+@example(rows=4, cols=9, seed=2)  # 7 and 17 are prime, padded to 8 and 18
+@example(rows=8, cols=3, seed=3)  # 15 and 5 are 5-smooth already
+@example(rows=1, cols=6, seed=4)  # a single row: the j = 0 column is the zero lag alone
+@example(rows=5, cols=1, seed=5)  # a single column: the half lattice is the j = 0 column
+def test_half_lattice_fold_matches_pair_sum_property(rows, cols, seed):
+    # every element pair, summed without the half-lattice weights or the
+    # padded transform, at three wavenumber scales
+    prof = _random_lattice(rows, cols, np.random.default_rng(seed))
+    gx, gy = np.meshgrid(prof.x_m, prof.y_m, indexing="ij")
+    c, px, py = prof.coefficients.ravel(), gx.ravel(), gy.ravel()
+    dist = np.hypot(px[:, None] - px[None, :], py[:, None] - py[None, :])
+    pair = (c[:, None] * np.conj(c[None, :])).real
+    for scale in (0.7, 1.0, 1.3):
+        f = Frequency(scale * F140.hertz)
+        kd = 2.0 * math.pi / f.wavelength_m * dist
+        kernel = np.full(kd.shape, math.pi)
+        np.divide(2.0 * math.pi * j1(kd), kd, out=kernel, where=kd > 0.0)
+        expected = float(np.sum(pair * kernel))
+        assert hemisphere_power_exact(prof, f) == pytest.approx(expected, rel=1e-12)
+
+
 @settings(max_examples=15, deadline=None)
 @given(rows=st.integers(2, 12), cols=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
 def test_closed_form_power_matches_quadrature_property(rows, cols, seed):
@@ -263,6 +287,25 @@ def test_j1_small_arguments():
     assert np.all(_j1(x[:100]) == x[:100] / 2.0)
 
 
+def test_j1_on_mixed_regime_table():
+    # a (k, rho) table laid out as _power_kernel builds it: every row holds
+    # 0, 1e-300 and both sides of each regime edge next to k*rho values that
+    # run through all three regimes, so no row is a single regime
+    specials = np.concatenate([[0.0, 1e-300], _regime_edges()])
+    k = np.array([0.5, 1.0, 1.7, 3.0])
+    rho = np.linspace(0.0, 400.0, 2001)
+    x = np.hstack([np.tile(specials, (k.size, 1)), np.outer(k, rho)])
+    for row in x:
+        assert row.min() == 0.0 and np.any((J1_SERIES_MAX < row) & (row <= J1_HANKEL_MIN))
+        assert row.max() > J1_HANKEL_MIN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _j1(x)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - j1(x))) <= 2e-15
+    assert np.all(got[:, 0] == 0.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(0.0, 1500.0), min_size=1, max_size=50))
 def test_j1_matches_scipy_property(xs):
@@ -282,6 +325,8 @@ def test_j1_matches_scipy_property(xs):
         (20, 1, 1_000_001, "cut", 16 * 1_000_001),
         (200_000, 1, 0, "lattice FFT", 16 * 400_000**2),
         (75, 200_000_001, 0, "power kernel", 8 * 200_000_001 * 2850),
+        (70, 1, 0, "lattice FFT", 16 * 144**2),  # 2n - 1 = 139 is prime; the power FFT pads to 144
+        (7, 1, 0, "lattice FFT", 16 * 15**2),  # 13 pads to 15, past 2n = 14
     ],
 )
 def test_largest_array_estimate(n, n_freqs, n_directions, name, size):
@@ -298,6 +343,7 @@ def test_largest_array_estimate(n, n_freqs, n_directions, name, size):
         (200_000, 1, 0, True),  # pattern, n_per_side = 200000
         (75, 200_000_001, 0, True),  # squint, n_samples = 200000001
         (20, 1, int(math.pi / math.radians(1e-9)) + 1, True),  # pattern --cut-step-deg 1e-9
+        (10**15, 1, 0, True),  # refused on the (2n)^2 bound, before any FFT length is sought
     ],
 )
 def test_check_array_budget(n, n_freqs, n_directions, refused):
