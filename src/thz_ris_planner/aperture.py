@@ -37,6 +37,8 @@ class ApertureSpec(Value):
             raise ValueError("aperture efficiency must be in (0, 1]")
         if not (cell_pitch_m <= side_m < math.inf):
             raise ValueError("aperture side must be finite and at least one cell pitch")
+        if side_m / cell_pitch_m >= 2.0**512:  # (side/pitch)^2 cells would overflow a float
+            raise ValueError(f"aperture side {side_m:.3g} m holds too many {cell_pitch_m:.3g} m cells")
         super().__init__(side_m, design_freq, cell_pitch_m, aperture_efficiency)
 
     @classmethod
@@ -62,8 +64,8 @@ class ApertureSpec(Value):
 def rcs(a: ApertureSpec, incident: Direction, outgoing: Direction) -> float:
     """RIS radar cross section in square meters.
 
-    Raises ValueError when the side is so large that the RCS leaves the
-    range of a float.
+    Raises ValueError when the side or the wavelength puts the RCS beyond
+    the float range.
     """
     lam = a.design_freq.wavelength_m
     try:
@@ -74,10 +76,10 @@ def rcs(a: ApertureSpec, incident: Direction, outgoing: Direction) -> float:
             * math.cos(incident.theta)
             * math.cos(outgoing.theta)
         )
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         sigma = math.inf
     if not math.isfinite(sigma):
-        raise ValueError(f"aperture side {a.side_m:.3g} m is so large that the RCS overflows")
+        raise ValueError(f"the RCS of a {a.side_m:.3g} m side at {lam:.3g} m wavelength overflows")
     return sigma
 
 
@@ -91,8 +93,8 @@ def solve_aperture_size(
     """Side length D (m) whose RCS equals required_sigma_m2.
 
     Raises UnreachableGeometryError at grazing incidence or reflection, where
-    the cosine product collapses, and when eta times that product is so small
-    that D^4 overflows: either way no finite aperture closes the link.
+    the cosine product collapses, and when D^4 overflows because eta times
+    that product is too small or lambda too long: no finite aperture closes it.
     """
     if required_sigma_m2 <= 0:
         raise ValueError("required RCS must be positive")
@@ -105,10 +107,13 @@ def solve_aperture_size(
         )
     lam = f.wavelength_m
     denominator = 4.0 * math.pi * eta * cos_product
-    quartic = required_sigma_m2 * lam**2 / denominator if denominator > 0.0 else math.inf
+    try:
+        quartic = required_sigma_m2 * lam**2 / denominator
+    except (OverflowError, ZeroDivisionError):
+        quartic = math.inf
     if not math.isfinite(quartic):
         raise UnreachableGeometryError(
-            "no finite aperture reaches the required RCS: eta*cos(theta_in)*cos(theta_out) is too small"
+            "no finite side reaches the required RCS: eta*cos(theta_in)*cos(theta_out)/lambda^2 is too small"
         )
     return quartic**0.25
 

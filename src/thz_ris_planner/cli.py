@@ -142,9 +142,7 @@ def cmd_link_budget(args, cfg: ScenarioConfig) -> int:
     panel = _aperture(cfg)
     sigma_m2 = rcs(panel, scenario.geometry.incident, scenario.geometry.outgoing)
     if sigma_m2 == 0.0:
-        raise UnreachableGeometryError(
-            "the panel's RCS underflows to 0 m^2: eta*cos(theta_in)*cos(theta_out) is too small"
-        )
+        raise UnreachableGeometryError("the panel's RCS underflows to 0 m^2")
     sigma_dbsm = 10.0 * math.log10(sigma_m2)
     report = evaluate_link(scenario, sens, sigma_dbsm)
 
@@ -179,9 +177,11 @@ def cmd_solve_aperture(args, cfg: ScenarioConfig) -> int:
     try:
         sigma_m2 = 10.0 ** (sigma_dbsm / 10.0)
     except OverflowError:
+        sigma_m2 = math.inf
+    if not (math.isfinite(sigma_dbsm) and math.isfinite(sigma_m2)):
         raise UnreachableGeometryError(
             f"the required RCS of {sigma_dbsm:.6g} dBsm is beyond the float range"
-        ) from None
+        )
     side = solve_aperture_size(sigma_m2, eta, incident, outgoing, freq)
 
     cos_product = math.cos(incident.theta) * math.cos(outgoing.theta)

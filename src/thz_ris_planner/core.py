@@ -10,16 +10,22 @@ SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 class Value:
     """Immutable record whose fields are the names in __slots__, in order.
 
-    A subclass validates its arguments in __init__ and stores them through
-    Value.__init__. Equality, hash and repr go field by field; copies and
-    pickles rebuild the object through __init__, so they are validated too.
+    Value.__init__ takes each field once, by position or by name, so a record
+    that checks nothing declares no constructor; a subclass with invariants
+    validates its arguments in __init__ and stores them through Value.__init__.
+    Equality, hash and repr go field by field; copies and pickles rebuild the
+    object through __init__, so they are validated too.
     """
 
     __slots__ = ()
 
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values, **named) -> None:
+        names = self.__slots__
+        fields = {**dict(zip(names, values)), **named}  # a surplus or doubled field shows in the count
+        if fields.keys() != set(names) or len(values) + len(named) != len(names):
+            raise TypeError(f"{self.__class__.__qualname__} takes each of ({', '.join(names)}) once")
+        for name in names:
+            object.__setattr__(self, name, fields[name])
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

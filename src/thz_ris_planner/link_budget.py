@@ -29,10 +29,10 @@ class LinkScenario(Value):
 
     def __init__(self, geometry: BistaticGeometry, f: Frequency, tx_power_dbm: float,
                  bs_gain_dbi: float, terminal_gain_dbi: float):
-        gains = (tx_power_dbm, bs_gain_dbi, terminal_gain_dbi)
-        for name, value in zip(self.__slots__[2:], gains):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+        # finite only when each term is, and their sum stays in the float range
+        total = tx_power_dbm + bs_gain_dbi + terminal_gain_dbi
+        if not math.isfinite(total):
+            raise ValueError(f"tx_power + bs_gain + terminal_gain must be finite, got {total} dBm")
         super().__init__(geometry, f, tx_power_dbm, bs_gain_dbi, terminal_gain_dbi)
 
 
@@ -62,10 +62,9 @@ class ReceiverSpec(Value):
 
 
 class LinkReport(Value):
-    __slots__ = ("rx_power_dbm", "sensitivity_dbm", "spreading_term_db")
+    """One link's received rx_power_dbm and sensitivity_dbm (dBm), and its spreading_term_db (dB)."""
 
-    def __init__(self, rx_power_dbm: float, sensitivity_dbm: float, spreading_term_db: float):
-        super().__init__(rx_power_dbm, sensitivity_dbm, spreading_term_db)
+    __slots__ = ("rx_power_dbm", "sensitivity_dbm", "spreading_term_db")
 
     @property
     def margin_db(self) -> float:
@@ -118,12 +117,15 @@ def noise_floor_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
 
 
 def sensitivity(r: ReceiverSpec) -> float:
-    """Minimum received power (dBm) that sustains the target BER."""
-    return (
+    """Minimum received power (dBm) that sustains the target BER; it must be a finite float."""
+    total = (
         noise_floor_dbm(r.bandwidth_hz, r.noise_figure_db)
         + required_snr_db(r.modulation_order, r.target_ber)
         + r.implementation_loss_db
     )
+    if not math.isfinite(total):
+        raise ValueError(f"the sensitivity must be finite, got {total} dBm")
+    return total
 
 
 def spreading_term(geometry: BistaticGeometry, f: Frequency) -> float:
@@ -137,9 +139,9 @@ def spreading_term(geometry: BistaticGeometry, f: Frequency) -> float:
     try:
         factor = (1.0 / (4.0 * math.pi) ** 3) * (lam / d1d2) ** 2
     except (ZeroDivisionError, OverflowError):
-        raise ValueError(
-            f"d1*d2 = {d1d2:.3g} m^2 is so small that the spreading factor overflows"
-        ) from None
+        factor = math.inf
+    if factor == math.inf:  # lam / d1d2 itself may overflow to inf without raising
+        raise ValueError(f"d1*d2 = {d1d2:.3g} m^2 is so small that the spreading factor overflows")
     if factor == 0.0:
         raise ValueError(f"d1*d2 = {d1d2:.3g} m^2 is so large that the spreading factor underflows")
     return 10.0 * math.log10(factor)
@@ -173,9 +175,12 @@ def required_rcs(s: LinkScenario, r: ReceiverSpec) -> float:
 
 
 def evaluate_link(s: LinkScenario, sensitivity_dbm: float, sigma_ris_dbsm: float) -> LinkReport:
-    """Assemble the received power, sensitivity, and margin into one report."""
-    return LinkReport(
+    """Assemble the received power, sensitivity, and margin into one report; the margin must be finite."""
+    report = LinkReport(
         rx_power_dbm=received_power(s, sigma_ris_dbsm),
         sensitivity_dbm=sensitivity_dbm,
         spreading_term_db=spreading_term(s.geometry, s.f),
     )
+    if not math.isfinite(report.margin_db):
+        raise ValueError(f"the margin {report.rx_power_dbm:.6g} - ({sensitivity_dbm:.6g}) dB must be finite")
+    return report

@@ -41,7 +41,7 @@ wavenumbers only, and _fold_power applies it to one profile. _fold_power
 takes the autocorrelation by FFT at the least 5-smooth length L >= 2n-1 per
 axis (a prime 2n-1 would send pocketfft to Bluestein's algorithm), and only
 its real part, which is even in d, so one rfft2 gives it on the half
-lattice j >= 0, where each lag with j > 0 weighs 2. Since the kernel
+lattice j >= 0, where each lag with j > 0 is doubled. Since the kernel
 depends on |d| only, that half is summed per distinct squared integer lag
 i^2 + j^2 (2122 radii for the 11175 half-lattice lags of a 75x75 panel), and
 the kernel is a J1 table over (k, distinct radius). squint_vs_angle builds
@@ -115,15 +115,14 @@ class FrequencySpanError(ValueError):
 
 
 class UVPattern(Value):
-    """Complex field E on a (u, v) lattice: ax1/ax2 are direction cosines.
+    """Complex field E at (ax1[i], ax2[j]) on a lattice of direction cosines (u, v).
 
-    field is NaN in the invisible region u^2 + v^2 > 1.
+    field is NaN in the invisible region u^2 + v^2 > 1; patterns compare by identity.
     """
 
     __slots__ = ("ax1", "ax2", "field")
-
-    def __init__(self, ax1: np.ndarray, ax2: np.ndarray, field: np.ndarray):
-        super().__init__(ax1, ax2, field)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def peak_uv(self) -> tuple[float, float, float]:
         """(|E|, u, v) at the strongest visible lattice point."""
@@ -137,14 +136,13 @@ class UVPattern(Value):
 class SpherePattern(Value):
     """Directivity on a (theta, phi) grid: ax1 is theta (rad), ax2 is phi (rad).
 
-    directivity_dbi holds 4*pi*|E|^2 / total_power in dB, where total_power
-    is the quadrature of |E|^2 over the front hemisphere.
+    directivity_dbi holds 4*pi*|E|^2 / total_power in dB at (ax1[i], ax2[j]), where
+    total_power is the quadrature of |E|^2 over the front hemisphere; compared by identity.
     """
 
     __slots__ = ("ax1", "ax2", "directivity_dbi", "total_power")
-
-    def __init__(self, ax1: np.ndarray, ax2: np.ndarray, directivity_dbi: np.ndarray, total_power: float):
-        super().__init__(ax1, ax2, directivity_dbi, total_power)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def peak_directivity(self) -> tuple[float, Direction]:
         """Peak directivity in dBi and its direction."""
@@ -154,23 +152,20 @@ class SpherePattern(Value):
 
 
 class SquintReport(Value):
-    """Beam-peak track and gain trace of a frozen profile versus frequency.
+    """Beam-peak track and gain trace versus frequency of a profile frozen at design_freq_hz (f0).
 
-    bw_3db_hz is the band around f0 where the measured beam peak in the
-    steering plane, peak_theta_rad (signed, rad, one per frequency), stays
-    within hpbw_rad/2 of the target angle. hpbw_rad is the measured -3 dB
-    width of the same aperture and taper steered to broadside. gain_dbi is
-    the directivity toward the fixed target direction.
+    gain_dbi is the directivity toward the target Direction at each frequency
+    of freq_hz. bw_3db_hz is the band around f0 where the measured beam peak
+    in the steering plane, peak_theta_rad (signed, rad, one per frequency),
+    stays within hpbw_rad/2 of the target; hpbw_rad is the measured -3 dB width
+    of the same aperture and taper steered to broadside. saturated: the peak
+    never leaves it, and bw_3db_hz is the span. Reports compare by identity.
     """
 
     __slots__ = ("design_freq_hz", "target", "freq_hz", "gain_dbi", "peak_theta_rad",
                  "hpbw_rad", "bw_3db_hz", "saturated")
-
-    def __init__(self, design_freq_hz: float, target: Direction, freq_hz: np.ndarray,
-                 gain_dbi: np.ndarray, peak_theta_rad: np.ndarray, hpbw_rad: float,
-                 bw_3db_hz: float, saturated: bool = False):
-        super().__init__(design_freq_hz, target, freq_hz, gain_dbi, peak_theta_rad,
-                         hpbw_rad, bw_3db_hz, saturated)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def fractional_bw_pct(self) -> float:
@@ -178,12 +173,9 @@ class SquintReport(Value):
 
 
 class QuantizationReport(Value):
-    """Peak directivity per quantization setting and the loss vs continuous."""
+    """Peak directivity peak_dbi[i] (dBi) at bits[i] bits, against continuous_dbi unquantized."""
 
     __slots__ = ("bits", "peak_dbi", "continuous_dbi")
-
-    def __init__(self, bits: list[int], peak_dbi: list[float], continuous_dbi: float):
-        super().__init__(bits, peak_dbi, continuous_dbi)
 
     @property
     def losses_db(self) -> list[float]:
@@ -387,37 +379,32 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _power_kernel(
-    rows: int, cols: int, pitch: float, k: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The profile-independent half of the closed-form power: (radius index, weights, J1 table).
+def _power_kernel(rows: int, cols: int, pitch: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The profile-independent half of the closed-form power: (radius index, J1 table).
 
     Re corr is even in the lag, Re corr(-d) == Re corr(d), so only the half
     lattice j >= 0 is folded: lag rows i = 0..rows-1, -(rows-1)..-1 (the
-    order _fold_power reads them in) by lag columns j = 0..cols-1. A lag with
-    j > 0 stands for itself and its mirror and weighs 2; the j = 0 column
-    holds both signs of i already and weighs 1. The kernel depends on
-    |d|^2 = pitch^2 * (i^2 + j^2) only, so the lags are indexed by their
-    distinct values of i^2 + j^2. Those values are small integers, so counting
-    finds them in ascending order without a sort; the first is the zero lag.
-    The table holds 2*pi*J1(k rho)/(k rho) for each k and each nonzero
-    distinct radius rho.
+    order _fold_power reads them in) by lag columns j = 0..cols-1, and
+    _fold_power doubles each lag with j > 0 for its mirror. The kernel
+    depends on |d|^2 = pitch^2 * (i^2 + j^2) only, so the lags are indexed
+    by their distinct values of i^2 + j^2. Those values are small integers,
+    so counting finds them in ascending order without a sort; the first is
+    the zero lag. The table holds 2*pi*J1(k rho)/(k rho) for each k and each
+    nonzero distinct radius rho.
     """
     i = np.concatenate([np.arange(rows), np.arange(1 - rows, 0)])
     j = np.arange(cols)
     r2 = (i[:, None] ** 2 + j[None, :] ** 2).ravel()
     present = np.bincount(r2) > 0
     radius_index = (np.cumsum(present) - 1)[r2]
-    weights = np.full((i.size, cols), 2.0)
-    weights[:, 0] = 1.0
     kr = np.outer(k, pitch * np.sqrt(np.flatnonzero(present)[1:]))
     table = _j1(kr)
     table *= 2.0 * math.pi
     table /= kr
-    return radius_index, weights.ravel(), table
+    return radius_index, table
 
 
-def _fold_power(p: PhaseProfile, kernel: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+def _fold_power(p: PhaseProfile, kernel: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Closed-form power of profile p at each k of a _power_kernel built on its lattice.
 
     The cyclic autocorrelation at a 5-smooth length L >= 2n-1 per axis holds
@@ -425,17 +412,19 @@ def _fold_power(p: PhaseProfile, kernel: tuple[np.ndarray, np.ndarray, np.ndarra
     first, so that pass runs on the n non-zero rows only. |F|^2 is real, so
     Re corr = Re ifft2(|F|^2) = Re fft2(|F|^2)/N comes from one rfft2, whose
     half spectrum is the half lattice j >= 0. Only the real part of corr
-    survives the Hermitian sum over +d and -d; it is weighted, summed per
-    distinct radius, and the zero lag takes the kernel's limit pi.
+    survives the Hermitian sum over +d and -d. Columns j > 0 are doubled in
+    place for their mirrors (j = 0 holds both signs of i); corr is then
+    summed per distinct radius, and the zero lag takes the kernel's limit pi.
     """
-    radius_index, weights, table = kernel
+    radius_index, table = kernel
     lx, ly = _fast_length(2 * p.rows - 1), _fast_length(2 * p.cols - 1)
     spectrum = np.fft.fft2(p.coefficients, s=(lx, ly))
     power = np.square(spectrum.real)
     power += np.square(spectrum.imag)
     lags = np.r_[0 : p.rows, lx - p.rows + 1 : lx]
     corr = np.fft.rfft2(power)[lags, : p.cols].real / (lx * ly)
-    folded = np.bincount(radius_index, weights=weights * corr.ravel())
+    corr[:, 1:] *= 2.0
+    folded = np.bincount(radius_index, weights=corr.ravel())
     return math.pi * folded[0] + table @ folded[1:]
 
 

@@ -1,6 +1,10 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -8,10 +12,14 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import thz_ris_planner
 from thz_ris_planner import radiation
-from thz_ris_planner.cli import main
+from thz_ris_planner.cli import _fmt_cell, main
+from thz_ris_planner.config import _SCHEMAS
+
+from test_config import UNIT_NAMES, _takes, _values
 
 DATA = resources.files("thz_ris_planner").joinpath("data")
 PAPER = DATA.joinpath("paper_scenario.cfg").read_text()
@@ -344,6 +352,28 @@ BAD_INPUT = [
         ["power"],
         1,
     ),
+    # transmit terms whose sum leaves the float range, either way
+    (PAPER, ("tx_power = 20 dBm\nbs_gain = 46 dBi", "tx_power = 1e308 dBm\nbs_gain = 1e308 dBi"), ["link-budget"], 1),
+    (PAPER, ("tx_power = 20 dBm\nbs_gain = 46 dBi", "tx_power = -1e308 dBm\nbs_gain = -1e308 dBi"), ["solve-aperture"], 1),
+    # a derived sensitivity of -inf dBm
+    (
+        PAPER.replace("sensitivity = -60 dBm", ""),
+        ("noise_figure = 7 dB", "noise_figure = -1e308 dB\nimplementation_loss = -1e308 dB"),
+        ["link-budget"],
+        1,
+    ),
+    # a required RCS of +inf dBsm, and a margin of -inf dB
+    *(
+        (
+            PAPER.replace("tx_power = 20 dBm", "tx_power = -1e308 dBm"),
+            ("sensitivity = -60 dBm", "sensitivity = 1e308 dBm"),
+            [command],
+            code,
+        )
+        for command, code in (("solve-aperture", 2), ("link-budget", 1))
+    ),
+    # d1*d2 so small that lambda/(d1*d2) overflows to inf without raising
+    (PAPER, ("d1 = 50 m", "d1 = 5e-324 m"), ["link-budget"], 1),
 ]
 
 
@@ -367,6 +397,16 @@ def test_bad_input_fails_with_one_line(tmp_path, capsys, config, edit, args, exp
     assert "Traceback" not in err
     # a refused run leaves no artifact behind
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_infinite_required_rcs_is_beyond_the_float_range(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(
+        PAPER.replace("tx_power = 20 dBm", "tx_power = -1e308 dBm")
+        .replace("sensitivity = -60 dBm", "sensitivity = 1e308 dBm")
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "solve-aperture"]) == 2
+    assert capsys.readouterr().err == "infeasible: the required RCS of inf dBsm is beyond the float range\n"
 
 
 def _without_section(text, name):
@@ -599,3 +639,109 @@ def test_readme_library_example_runs(capsys):
     side_mm, squint_ghz = (float(line.split()[0]) for line in capsys.readouterr().out.splitlines())
     assert side_mm == pytest.approx(110, abs=10)
     assert squint_ghz == pytest.approx(3.78, abs=0.1)
+
+
+# --- hostile configs for the scalar commands ----------------------------------
+
+SCALAR_COMMANDS = ("link-budget", "solve-aperture", "power")
+SCALAR_KEYS = [(section, key) for section in ("link", "receiver", "aperture", "power") for key in _SCHEMAS[section]]
+
+
+def _sections(text):
+    """section -> {key: value text} of a config without repeated sections or keys."""
+    sections, current = {}, None
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            current = sections.setdefault(line[1:-1], {})
+        elif line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            current[key.strip()] = value.strip()
+    return sections
+
+
+PAPER_SECTIONS = _sections(PAPER)
+
+
+@functools.cache
+def _hostile(parser):
+    """Removal (None), the config fuzz's values, or a float-range extreme with a valid unit."""
+    units = [unit for unit in UNIT_NAMES if _takes(parser, f"1 {unit}")] or [""]
+    extreme = st.tuples(st.sampled_from(["1e-308", "1e308", "-1e308"]), st.sampled_from(units))
+    return st.one_of(st.none(), _values(parser), extreme.map(lambda pair: " ".join(pair).strip()))
+
+
+# up to three keys of paper_scenario.cfg removed or set to a hostile value
+HOSTILE_EDITS = st.lists(st.sampled_from(SCALAR_KEYS), max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _hostile(_SCHEMAS[k[0]][k[1]]) for k in keys})
+)
+
+
+def _render(edits):
+    sections = {name: dict(keys) for name, keys in PAPER_SECTIONS.items()}
+    for (section, key), value in edits.items():
+        keys = sections.setdefault(section, {})
+        keys.pop(key, None)
+        if value is not None:
+            keys[key] = value
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+def _run_scalar(cfg, out, command, fmt):
+    """(exit code, stderr, the record written or None) of one in-process run."""
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), "--out", str(out), "--format", fmt, command])
+    written = list(out.iterdir()) if out.exists() else []
+    assert len(written) <= 1, written
+    if not written:
+        return code, err.getvalue(), None
+    text = written[0].read_text()
+    if fmt == "json":
+        return code, err.getvalue(), json.loads(text)
+    _, header, row = text.splitlines()
+    return code, err.getvalue(), dict(zip(header.split(","), row.split(","), strict=True))
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(edits=HOSTILE_EDITS)
+@example(edits={("link", "tx_power"): "1e308 dBm", ("link", "bs_gain"): "1e308 dBi"})
+@example(edits={("link", "tx_power"): "-1e308 dBm", ("link", "bs_gain"): "-1e308 dBi"})
+@example(
+    edits={
+        ("receiver", "sensitivity"): None,
+        ("receiver", "noise_figure"): "-1e308 dB",
+        ("receiver", "implementation_loss"): "-1e308 dB",
+    }
+)
+@example(edits={("receiver", "sensitivity"): "1e308 dBm", ("link", "tx_power"): "-1e308 dBm"})
+def test_scalar_commands_survive_hostile_configs(hostile_dir, edits):
+    cfg = hostile_dir / "scenario.cfg"
+    cfg.write_text(_render(edits))
+    for command in SCALAR_COMMANDS:
+        runs = {fmt: _run_scalar(cfg, hostile_dir / fmt, command, fmt) for fmt in ("csv", "json")}
+        for code, err, record in runs.values():
+            assert code in (0, 1, 2), (command, code)
+            if code != 0:
+                assert err.count("\n") == 1 and err.endswith("\n"), (command, err)
+            assert "Traceback" not in err
+            if code == 0:
+                assert record is not None, command
+        (csv_code, csv_err, csv_record), (json_code, json_err, json_record) = runs.values()
+        assert (csv_code, csv_err) == (json_code, json_err), command
+        if json_record is None:
+            assert csv_record is None, command
+            continue
+        # whatever a run writes is finite, also under exit 2
+        numbers = [v for v in json_record.values() if isinstance(v, (int, float))]
+        assert all(math.isfinite(v) for v in numbers), (command, json_record)
+        assert csv_record == {k: _fmt_cell(v) for k, v in json_record.items()}, command

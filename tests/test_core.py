@@ -1,5 +1,4 @@
 import copy
-import inspect
 import math
 import pickle
 
@@ -134,8 +133,10 @@ VALUE_SAMPLES = [
     SquintReport(140e9, Direction(0.5), AXIS, AXIS, AXIS, 0.01, 4e9, True),
     QuantizationReport([1, 2], [20.0, 23.0], 24.0),
 ]
-# records whose fields hold arrays or lists: they compare field-wise but cannot be hashed
-UNHASHABLE = (UVPattern, SpherePattern, SquintReport, QuantizationReport)
+# records whose fields hold arrays: they compare and hash by identity
+IDENTITY = (PhaseProfile, UVPattern, SpherePattern, SquintReport)
+# a record whose fields hold lists: it compares field-wise but cannot be hashed
+UNHASHABLE = (QuantizationReport,)
 
 
 def test_value_samples_cover_every_value_type():
@@ -153,12 +154,11 @@ def _assert_same_fields(a, b, names):
 @pytest.mark.parametrize("value", VALUE_SAMPLES, ids=lambda v: type(v).__name__)
 def test_value_type_contract(value):
     cls = type(value)
-    names = list(inspect.signature(cls).parameters)
+    names = list(cls.__slots__)
     fields = {name: getattr(value, name) for name in names}
     twin = cls(**fields)
 
-    if cls is PhaseProfile:
-        # the coefficients are an array, so profiles compare and hash by identity
+    if cls in IDENTITY:
         assert value == value and twin != value and hash(value) != hash(twin)
     else:
         assert twin == value and not twin != value
@@ -174,7 +174,7 @@ def test_value_type_contract(value):
         _assert_same_fields(clone, value, names)
         if cls is PhaseProfile:
             assert not clone.coefficients.flags.writeable
-        elif cls not in UNHASHABLE:
+        if cls not in IDENTITY + UNHASHABLE:
             assert clone == value
 
     for name in names:
@@ -183,3 +183,36 @@ def test_value_type_contract(value):
         with pytest.raises(AttributeError):
             delattr(value, name)
         assert getattr(value, name) is fields[name]
+
+
+def test_records_take_fields_by_position_or_name():
+    by_position = LinkReport(-59.8, -60.0, -154.3)
+    assert LinkReport(-59.8, sensitivity_dbm=-60.0, spreading_term_db=-154.3) == by_position
+    assert LinkReport(spreading_term_db=-154.3, rx_power_dbm=-59.8, sensitivity_dbm=-60.0) == by_position
+    assert by_position.margin_db == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize(
+    "args,kwargs",
+    [
+        ((-59.8, -60.0), {}),  # missing, by position
+        ((-59.8,), {"sensitivity_dbm": -60.0}),  # missing, mixed
+        ((-59.8, -60.0, -154.3, 1.0), {}),  # one positional too many
+        ((-59.8, -60.0, -154.3), {"margin_db": 0.2}),  # unknown name
+        ((-59.8, -60.0), {"rx_power_dbm": -59.8, "spreading_term_db": -154.3}),  # doubled
+    ],
+    ids=["missing", "missing-mixed", "surplus", "unknown", "doubled"],
+)
+def test_record_fields_each_given_once(args, kwargs):
+    fields = r"\(rx_power_dbm, sensitivity_dbm, spreading_term_db\)"
+    with pytest.raises(TypeError, match=rf"LinkReport takes each of {fields} once"):
+        LinkReport(*args, **kwargs)
+
+
+def test_array_records_compare_by_identity():
+    def report():
+        return SquintReport(140e9, Direction(0.5), AXIS.copy(), AXIS.copy(), AXIS.copy(), 0.01, 4e9, False)
+
+    a, b = report(), report()
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2

@@ -233,3 +233,15 @@ def test_link_report_margin():
     report = evaluate_link(reference_scenario(), -60.0, 18.5082)
     assert report.margin_db == pytest.approx(report.rx_power_dbm - report.sensitivity_dbm, abs=1e-12)
     assert report.margin_db == pytest.approx(0.187, abs=0.01)
+
+
+def test_budget_terms_must_stay_in_the_float_range():
+    f = Frequency.from_ghz(140)
+    # each term is finite, their sum is not
+    for gains in ((1e308, 1e308, 0.0), (-1e308, -1e308, 10.0)):
+        with pytest.raises(ValueError, match=r"tx_power \+ bs_gain \+ terminal_gain must be finite"):
+            LinkScenario(reference_geometry(), f, *gains)
+    with pytest.raises(ValueError, match="sensitivity must be finite, got -inf dBm"):
+        sensitivity(ReceiverSpec(2e9, -1e308, implementation_loss_db=-1e308))
+    with pytest.raises(ValueError, match="margin .* must be finite"):
+        evaluate_link(LinkScenario(reference_geometry(), f, 1e308, 0.0, 0.0), -1e308, 0.0)
