@@ -39,8 +39,6 @@ _EXPORTS = {
     ),
     "power": ("PROFILES", "TechnologyProfile", "panel_power"),
     "radiation": (
-        "FrequencySpanError",
-        "GridResolutionError",
         "QuantizationReport",
         "SpherePattern",
         "SquintReport",
@@ -58,7 +56,6 @@ _EXPORTS = {
     "surface": (
         "PhaseProfile",
         "TaperSpec",
-        "UNIFORM_TAPER",
         "quantize_profile",
         "synthesize_profile",
     ),

@@ -52,6 +52,8 @@ class ApertureSpec(Value):
         """Aperture sized to hold exactly n_per_side x n_per_side cells."""
         if n_per_side < 1:
             raise ValueError("n_per_side must be >= 1")
+        if n_per_side >= 2**512:  # n_per_side^2 cells would overflow a float
+            raise ValueError("n_per_side must be below 2^512")
         pitch = cell_pitch_m if cell_pitch_m is not None else design_freq.wavelength_m / 2.0
         return cls(n_per_side * pitch, design_freq, pitch, aperture_efficiency)
 

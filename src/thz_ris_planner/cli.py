@@ -128,12 +128,9 @@ def _aperture(cfg: ScenarioConfig) -> ApertureSpec:
 
 
 def _taper(cfg: ScenarioConfig):
-    from .surface import UNIFORM_TAPER, TaperSpec
+    from .surface import TaperSpec
 
-    level = cfg["taper"].get("edge_level")
-    if level is None:
-        return UNIFORM_TAPER
-    return TaperSpec(level)
+    return TaperSpec(cfg["taper"].get("edge_level", 0.0))
 
 
 def cmd_link_budget(args, cfg: ScenarioConfig) -> int:
@@ -182,7 +179,15 @@ def cmd_solve_aperture(args, cfg: ScenarioConfig) -> int:
         raise UnreachableGeometryError(
             f"the required RCS of {sigma_dbsm:.6g} dBsm is beyond the float range"
         )
-    side = solve_aperture_size(sigma_m2, eta, incident, outgoing, freq)
+    # a required RCS that underflows to 0 m^2 needs no panel at all
+    side = solve_aperture_size(sigma_m2, eta, incident, outgoing, freq) if sigma_m2 > 0.0 else 0.0
+    pitch = cfg["aperture"].get("cell_pitch")
+    if side < (freq.wavelength_m / 2.0 if pitch is None else pitch):
+        raise ValueError(
+            f"the required RCS of {sigma_dbsm:.6g} dBsm gives a side below one cell pitch, "
+            "so any panel closes the link"
+        )
+    panel = ApertureSpec(side, freq, pitch, eta)
 
     cos_product = math.cos(incident.theta) * math.cos(outgoing.theta)
     if cos_product < 0.01:
@@ -191,8 +196,6 @@ def cmd_solve_aperture(args, cfg: ScenarioConfig) -> int:
             file=sys.stderr,
         )
 
-    pitch = cfg["aperture"].get("cell_pitch")
-    panel = ApertureSpec(side, freq, pitch, eta)
     n_elements = element_count(panel)
 
     record = {
@@ -214,7 +217,6 @@ def cmd_pattern(args, cfg: ScenarioConfig) -> int:
 
     from . import svgplot
     from .radiation import (
-        GridResolutionError,
         analytical_hpbw,
         array_factor_fft,
         check_array_budget,
@@ -232,12 +234,13 @@ def cmd_pattern(args, cfg: ScenarioConfig) -> int:
     taper = _taper(cfg)
     check_normal_incidence(incident)
     step = math.radians(args.cut_step_deg)
-    check_array_budget(panel.n_per_side, n_directions=int(math.pi / step) + 1)
+    # a float count, so that a step too small for pi/step to be finite reads as inf, not a traceback
+    check_array_budget(panel.n_per_side, n_directions=math.pi // step + 1)
 
     continuous = synthesize_profile(panel, incident, outgoing, taper)
     hpbw = analytical_hpbw(continuous, panel.design_freq)
     if step > hpbw / 2.0:
-        raise GridResolutionError(
+        raise ValueError(
             f"cut step {args.cut_step_deg} deg under-resolves the "
             f"{math.degrees(hpbw):.3f} deg beam; use --cut-step-deg "
             f"{math.degrees(hpbw / 2):.3f} or less"

@@ -91,6 +91,13 @@ def _parse_bits(token: str) -> int | None:
     return _number(int, token, f"expected bit counts or 'continuous', got {token!r}")
 
 
+def _parse_name(text: str) -> str:
+    """A technology profile name, which power.csv writes as one unquoted cell."""
+    if "," in text or '"' in text:
+        raise ConfigError(f"a name cannot contain ',' or '\"', got {text!r}")
+    return text
+
+
 def _distinct_list(parse_entry):
     """Schema parser for a comma-separated list whose entries parse_entry reads, each once."""
 
@@ -153,7 +160,7 @@ _SCHEMAS = {
         "theta_out_sweep": _distinct_list(_quantity("angle")),
     },
     "power": {
-        "profile": str,
+        "profile": _parse_name,
         "cells": _parse_int,
         "per_cell_power": _quantity("watts"),
     },

@@ -73,7 +73,7 @@ import numpy as np
 
 from .aperture import ApertureSpec
 from .core import BROADSIDE, SPEED_OF_LIGHT, Direction, Frequency, Value
-from .surface import PhaseProfile, TaperSpec, UNIFORM_TAPER, quantize_profile, synthesize_profile
+from .surface import PhaseProfile, TaperSpec, quantize_profile, synthesize_profile
 
 BEAMWIDTH_FACTOR = 0.886  # uniform-aperture 3 dB beamwidth in units of lambda/D
 HPBW_GRID = 17  # samples per bracketing pass of the broadside -3 dB point
@@ -104,14 +104,6 @@ def _hankel_coefficients(terms: int) -> tuple[tuple[float, ...], tuple[float, ..
 
 _SERIES = _series_coefficients(12)  # the first omitted term is 3e-19 at x = 2
 _HANKEL_P, _HANKEL_Q = _hankel_coefficients(16)  # the first omitted term is 5e-17 at x = 25
-
-
-class GridResolutionError(ValueError):
-    """Raised when the angular grid under-resolves the main lobe."""
-
-
-class FrequencySpanError(ValueError):
-    """Raised when a squint sweep band is too narrow to bracket the squint band."""
 
 
 class UVPattern(Value):
@@ -317,7 +309,7 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
     f = p.design_freq
     hpbw = analytical_hpbw(p, f)
     if grid_resolution > hpbw / 2.0:
-        raise GridResolutionError(
+        raise ValueError(
             f"grid resolution {math.degrees(grid_resolution):.3f} deg under-resolves the "
             f"{math.degrees(hpbw):.3f} deg main lobe; use at most {math.degrees(hpbw / 2):.3f} deg"
         )
@@ -363,20 +355,15 @@ def hemisphere_power_exact(p: PhaseProfile, f: Frequency | None = None) -> float
 
 
 def _fast_length(n: int) -> int:
-    """Least 5-smooth length 2^a 3^b 5^c >= n, a size pocketfft transforms without Bluestein.
-
-    Walks the products of powers of 3 and 5 below the next power of two and
-    rounds each up by a power of two, so the cost grows with log(n)^2, not n.
-    """
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+    """Least 5-smooth length 2^a 3^b 5^c >= n, a size pocketfft transforms without Bluestein."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _power_kernel(rows: int, cols: int, pitch: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -533,8 +520,9 @@ def check_array_budget(n_per_side: int, n_freqs: int = 1, n_directions: int = 0)
     """Raise ValueError before a run whose largest array would exceed MAX_ARRAY_BYTES."""
     name, size = _largest_array(n_per_side, n_freqs, n_directions)
     if size > MAX_ARRAY_BYTES:
+        gib = size / 2**30 if size < 2**1000 else math.inf  # a size beyond the float range reads inf
         raise ValueError(
-            f"the {name} would need {size / 2**30:.3g} GiB, over the "
+            f"the {name} would need {gib:.3g} GiB, over the "
             f"{MAX_ARRAY_BYTES / 2**30:g} GiB limit; reduce the panel, samples or cut resolution"
         )
 
@@ -575,7 +563,7 @@ def quantization_loss(
     a: ApertureSpec,
     outgoing: Direction,
     bits_list: list[int],
-    taper: TaperSpec = UNIFORM_TAPER,
+    taper: TaperSpec = TaperSpec(),
 ) -> QuantizationReport:
     """Peak directivity per quantization setting plus the continuous reference.
 
@@ -608,7 +596,7 @@ def squint_sweep(
     a: ApertureSpec,
     incident: Direction,
     outgoing: Direction,
-    taper: TaperSpec = UNIFORM_TAPER,
+    taper: TaperSpec = TaperSpec(),
     bits: int | None = None,
     f_span_hz: float = 20e9,
     n_samples: int = 81,
@@ -624,7 +612,7 @@ def squint_vs_angle(
     a: ApertureSpec,
     incident: Direction,
     outgoing_list: list[Direction],
-    taper: TaperSpec = UNIFORM_TAPER,
+    taper: TaperSpec = TaperSpec(),
     bits: int | None = None,
     f_span_hz: float = 20e9,
     n_samples: int = 81,
@@ -644,7 +632,7 @@ def squint_vs_angle(
     If the peak never drifts by HPBW/2 anywhere in the band (e.g. a
     frequency-flat broadside profile) the report saturates at f_span_hz. If
     only one edge lies inside the band the sweep cannot bracket it and
-    FrequencySpanError asks for a larger span. Only normal incidence is
+    ValueError asks for a larger span. Only normal incidence is
     modelled; any other incident direction raises ValueError.
 
     The sweep is validated and the J1 table of the closed-form power built
@@ -693,7 +681,7 @@ def squint_vs_angle(
         if saturated:
             bw = f_span_hz
         elif lo_crossed != hi_crossed:
-            raise FrequencySpanError("the squint band extends past a band edge; increase f_span")
+            raise ValueError("the squint band extends past a band edge; increase f_span")
         else:
             f_lo = _interp_crossing(freqs[lo - 1], freqs[lo], excess[lo - 1], excess[lo])
             f_hi = _interp_crossing(freqs[hi + 1], freqs[hi], excess[hi + 1], excess[hi])

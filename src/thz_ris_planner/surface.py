@@ -47,9 +47,6 @@ class TaperSpec(Value):
         return p + (1.0 - p) * np.cos(np.pi * rho / 2.0) ** 2
 
 
-UNIFORM_TAPER = TaperSpec(0.0)
-
-
 class PhaseProfile(Value):
     """Programmed complex reflection coefficients on a uniform element lattice.
 
@@ -107,7 +104,7 @@ def synthesize_profile(
     a: ApertureSpec,
     incident: Direction,
     outgoing: Direction,
-    taper: TaperSpec = UNIFORM_TAPER,
+    taper: TaperSpec = TaperSpec(),
 ) -> PhaseProfile:
     """Continuous (unquantized) profile steering incident -> outgoing at f0."""
     x = _centred_axis(a.n_per_side, a.cell_pitch_m)

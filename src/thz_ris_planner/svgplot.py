@@ -39,11 +39,9 @@ def line_plot(
     ylabel: str,
     title: str,
 ) -> None:
-    """Write a multi-series line plot."""
+    """Write a multi-series line plot; the series hold at least one finite y."""
     xs = [x for s in series for x in s[0]]
     ys = [y for s in series for y in s[1] if math.isfinite(y)]
-    if not xs or not ys:
-        raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -124,13 +122,11 @@ def heatmap(
     title: str,
     z_floor: float,
 ) -> None:
-    """Grayscale cell heatmap of z[i][j] over x[i], y[j], shaded from z_floor up."""
-    finite = [v for row in z for v in row if math.isfinite(v)]
-    if not finite:
-        raise ValueError("nothing to plot")
-    z_hi = max(finite)
-    if z_hi == z_floor:
-        z_hi = z_floor + 1.0
+    """Grayscale cell heatmap of z[i][j] over x[i], y[j], shaded from z_floor up.
+
+    The largest finite z, drawn black, must lie above z_floor.
+    """
+    z_hi = max(v for row in z for v in row if math.isfinite(v))
 
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import thz_ris_planner
 from thz_ris_planner import radiation
 from thz_ris_planner.cli import _fmt_cell, main
-from thz_ris_planner.config import _SCHEMAS
+from thz_ris_planner.config import _SCHEMAS, _UNITS
 
 from test_config import UNIT_NAMES, _takes, _values
 
@@ -374,6 +374,42 @@ BAD_INPUT = [
     ),
     # d1*d2 so small that lambda/(d1*d2) overflows to inf without raising
     (PAPER, ("d1 = 50 m", "d1 = 5e-324 m"), ["link-budget"], 1),
+    # a profile name with a comma would shift the cells of power.csv
+    (PAPER, ("profile = cmos_rfsoi", "profile = a, b\nper_cell_power = 20 uW\ncells = 10"), ["power"], 1),
+    # a link so loose that any panel closes it: the required RCS underflows to
+    # 0 m^2, or the solved side is below one cell pitch
+    *(
+        (PAPER, ("sensitivity = -60 dBm", f"sensitivity = {s} dBm"), ["solve-aperture"], 1)
+        for s in (-3500, -300)
+    ),
+    # a bad pitch is refused before the near-grazing warning, so stderr holds one line
+    (
+        PAPER.replace("theta_out = 45 deg", "theta_out = 89.9 deg"),
+        ("aperture_efficiency = 0.25", "aperture_efficiency = 0.25\ncell_pitch = -1 mm"),
+        ["solve-aperture"],
+        1,
+    ),
+    # a repeated section, and a key before the first section
+    (PAPER + "[power]\n", None, ["power"], 1),
+    ("profile = cmos_rfsoi\n" + PAPER, None, ["power"], 1),
+    # no frequency to derive the cell pitch from, and a panel with no size
+    ("[aperture]\nside = 110 mm\n\n[power]\nprofile = cmos_rfsoi\n", None, ["power"], 1),
+    (PAPER, ("side = 110 mm\n", ""), ["link-budget"], 1),
+    # no cell count and no panel to count cells on
+    ("[power]\nprofile = cmos_rfsoi\n", None, ["power"], 1),
+    # more cells than a float can count, by side and by count
+    (PAPER, ("side = 110 mm", "side = 1e160 m"), ["link-budget"], 1),
+    (SMALL_PATTERN, ("n_per_side = 20", "n_per_side = " + "9" * 310), ["pattern"], 1),
+    # a sweep, and a cut, whose size is beyond the float range
+    (SMALL_SQUINT, ("n_samples = 41", "n_samples = " + "9" * 400), ["squint"], 1),
+    (SMALL_PATTERN, None, ["pattern", "--cut-step-deg", "1e-320"], 1),
+    # a target BER too loose for the modulation to need any SNR
+    (
+        PAPER.replace("sensitivity = -60 dBm", ""),
+        ("modulation = 4-QAM\ntarget_ber = 1e-6", "modulation = 16-QAM\ntarget_ber = 0.45"),
+        ["link-budget"],
+        1,
+    ),
 ]
 
 
@@ -407,6 +443,16 @@ def test_infinite_required_rcs_is_beyond_the_float_range(tmp_path, capsys):
     )
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "solve-aperture"]) == 2
     assert capsys.readouterr().err == "infeasible: the required RCS of inf dBsm is beyond the float range\n"
+
+
+@pytest.mark.parametrize("sensitivity,sigma", [("-3500 dBm", "-3421.68"), ("-300 dBm", "-221.679")])
+def test_solve_aperture_names_a_link_any_panel_closes(tmp_path, capsys, sensitivity, sigma):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(PAPER.replace("sensitivity = -60 dBm", f"sensitivity = {sensitivity}"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "solve-aperture"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: the required RCS of {sigma} dBsm gives a side below one cell pitch, so any panel closes the link\n"
+    )
 
 
 def _without_section(text, name):
@@ -641,7 +687,7 @@ def test_readme_library_example_runs(capsys):
     assert squint_ghz == pytest.approx(3.78, abs=0.1)
 
 
-# --- hostile configs for the scalar commands ----------------------------------
+# --- hostile configs for every command -----------------------------------------
 
 SCALAR_COMMANDS = ("link-budget", "solve-aperture", "power")
 SCALAR_KEYS = [(section, key) for section in ("link", "receiver", "aperture", "power") for key in _SCHEMAS[section]]
@@ -676,35 +722,75 @@ HOSTILE_EDITS = st.lists(st.sampled_from(SCALAR_KEYS), max_size=3, unique=True).
     lambda keys: st.fixed_dictionaries({k: _hostile(_SCHEMAS[k[0]][k[1]]) for k in keys})
 )
 
+# one structural fault, or none: (kind, a number that picks the line it hits)
+GARBAGE_LINES = ("no equals sign here", "[link", "[]", "= 5 GHz")
+STRUCTURE = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from(("drop key", "repeat key", "repeat section", "key first", "garbage")),
+        st.integers(0, 100),
+    ),
+)
 
-def _render(edits):
-    sections = {name: dict(keys) for name, keys in PAPER_SECTIONS.items()}
+
+def _render(edits, base=PAPER_SECTIONS, structure=None):
+    """The config text of base with edits applied, then the structural fault, if any."""
+    sections = {name: dict(keys) for name, keys in base.items()}
     for (section, key), value in edits.items():
         keys = sections.setdefault(section, {})
         keys.pop(key, None)
         if value is not None:
             keys[key] = value
-    return "".join(
-        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+    lines = [
+        line
         for name, keys in sections.items()
-    )
+        for line in (f"[{name}]\n", *(f"{key} = {value}\n" for key, value in keys.items()))
+    ]
+    if structure is not None:
+        kind, n = structure
+        key_lines = [i for i, line in enumerate(lines) if "=" in line]
+        i = key_lines[n % len(key_lines)]
+        if kind == "drop key":
+            del lines[i]
+        elif kind == "repeat key":
+            lines.insert(i, lines[i])
+        elif kind == "repeat section":
+            lines.append(next(line for line in lines[i::-1] if line.startswith("[")))
+        elif kind == "key first":
+            lines.insert(0, lines.pop(i))
+        else:
+            lines.insert(n % (len(lines) + 1), GARBAGE_LINES[n % len(GARBAGE_LINES)] + "\n")
+    return "".join(lines)
+
+
+def _run(cfg, out, argv):
+    """(exit code, stderr, {artifact name: text}) of one in-process run."""
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = _exit_code(["--config", str(cfg), "--out", str(out), *argv])
+    written = {path.name: path.read_text() for path in out.iterdir()} if out.exists() else {}
+    return code, err.getvalue(), written
+
+
+def _check_exit(command, code, err):
+    assert code in (0, 1, 2), (command, code)
+    if code != 0:
+        assert err.count("\n") == 1 and err.endswith("\n"), (command, err)
+    assert "Traceback" not in err
 
 
 def _run_scalar(cfg, out, command, fmt):
     """(exit code, stderr, the record written or None) of one in-process run."""
-    shutil.rmtree(out, ignore_errors=True)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["--config", str(cfg), "--out", str(out), "--format", fmt, command])
-    written = list(out.iterdir()) if out.exists() else []
+    code, err, written = _run(cfg, out, ["--format", fmt, command])
     assert len(written) <= 1, written
     if not written:
-        return code, err.getvalue(), None
-    text = written[0].read_text()
+        return code, err, None
+    (text,) = written.values()
     if fmt == "json":
-        return code, err.getvalue(), json.loads(text)
+        return code, err, json.loads(text)
     _, header, row = text.splitlines()
-    return code, err.getvalue(), dict(zip(header.split(","), row.split(","), strict=True))
+    return code, err, dict(zip(header.split(","), row.split(","), strict=True))
 
 
 @pytest.fixture(scope="module")
@@ -713,27 +799,32 @@ def hostile_dir(tmp_path_factory):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(edits=HOSTILE_EDITS)
-@example(edits={("link", "tx_power"): "1e308 dBm", ("link", "bs_gain"): "1e308 dBi"})
-@example(edits={("link", "tx_power"): "-1e308 dBm", ("link", "bs_gain"): "-1e308 dBi"})
+@given(edits=HOSTILE_EDITS, structure=STRUCTURE)
+@example(edits={("link", "tx_power"): "1e308 dBm", ("link", "bs_gain"): "1e308 dBi"}, structure=None)
+@example(edits={("link", "tx_power"): "-1e308 dBm", ("link", "bs_gain"): "-1e308 dBi"}, structure=None)
 @example(
     edits={
         ("receiver", "sensitivity"): None,
         ("receiver", "noise_figure"): "-1e308 dB",
         ("receiver", "implementation_loss"): "-1e308 dB",
-    }
+    },
+    structure=None,
 )
-@example(edits={("receiver", "sensitivity"): "1e308 dBm", ("link", "tx_power"): "-1e308 dBm"})
-def test_scalar_commands_survive_hostile_configs(hostile_dir, edits):
+@example(edits={("receiver", "sensitivity"): "1e308 dBm", ("link", "tx_power"): "-1e308 dBm"}, structure=None)
+# a wavelength so long that (lambda/(d1*d2))^2 overflows
+@example(edits={("link", "frequency"): "1e-308 GHz"}, structure=None)
+# a profile name with a comma would shift the cells of power.csv
+@example(
+    edits={("power", "profile"): "a, b", ("power", "per_cell_power"): "20 uW", ("power", "cells"): "10"},
+    structure=None,
+)
+def test_scalar_commands_survive_hostile_configs(hostile_dir, edits, structure):
     cfg = hostile_dir / "scenario.cfg"
-    cfg.write_text(_render(edits))
+    cfg.write_text(_render(edits, structure=structure))
     for command in SCALAR_COMMANDS:
         runs = {fmt: _run_scalar(cfg, hostile_dir / fmt, command, fmt) for fmt in ("csv", "json")}
         for code, err, record in runs.values():
-            assert code in (0, 1, 2), (command, code)
-            if code != 0:
-                assert err.count("\n") == 1 and err.endswith("\n"), (command, err)
-            assert "Traceback" not in err
+            _check_exit(command, code, err)
             if code == 0:
                 assert record is not None, command
         (csv_code, csv_err, csv_record), (json_code, json_err, json_record) = runs.values()
@@ -745,3 +836,101 @@ def test_scalar_commands_survive_hostile_configs(hostile_dir, edits):
         numbers = [v for v in json_record.values() if isinstance(v, (int, float))]
         assert all(math.isfinite(v) for v in numbers), (command, json_record)
         assert csv_record == {k: _fmt_cell(v) for k, v in json_record.items()}, command
+
+
+# SMALL_PATTERN and SMALL_SQUINT cut to 16 and 15 cells per side
+ARRAY_BASES = {
+    "pattern": _sections(SMALL_PATTERN.replace("n_per_side = 20", "n_per_side = 16")),
+    "squint": _sections(SMALL_SQUINT.replace("side = 80 mm", "side = 16 mm")),
+}
+ARRAY_SECTIONS = ("link", "aperture", "taper", "quantization", "sweep")
+ARRAY_KEYS = [(section, key) for section in ARRAY_SECTIONS for key in _SCHEMAS[section]]
+
+
+def _capped(valid, extremes):
+    """Removal, a value from a range that keeps the run small, an extreme, or a malformed value."""
+    return st.one_of(st.none(), valid, extremes, st.sampled_from(["16", "16 furlong", "many", "1.5", ""]))
+
+
+def _scaled(low, high, unit):
+    return st.floats(low, high).map(lambda x: f"{x:.6g} {unit}")
+
+
+def _extremes(dimension):
+    values = st.sampled_from(["0", "nan", "1e-308", "1e308", "-1e308"])
+    return st.tuples(values, st.sampled_from(list(_UNITS[dimension]))).map(" ".join)
+
+
+def _list_of(parser, entries):
+    """The config fuzz's values, or up to four valid entries, as often with a repeat as without."""
+    return st.one_of(_hostile(parser), st.lists(st.sampled_from(entries), min_size=1, max_size=4).map(", ".join))
+
+
+# the keys that size a run: every valid draw keeps the panel at 16 cells per
+# side or fewer (a pitch of at least 1 mm, 150 GHz at most, a side of 16 mm at
+# most), the sweep at 41 samples or fewer and each list at four entries or
+# fewer; an extreme must be refused before anything is allocated. The list
+# keys draw valid lists too, because every entry must give its own rows.
+CAPPED = {
+    ("link", "frequency"): _capped(_scaled(1e-3, 150.0, "GHz"), _extremes("frequency")),
+    ("aperture", "design_frequency"): _capped(_scaled(1e-3, 150.0, "GHz"), _extremes("frequency")),
+    ("aperture", "side"): _capped(_scaled(0.5, 16.0, "mm"), _extremes("length")),
+    ("aperture", "cell_pitch"): _capped(_scaled(1.0, 10.0, "mm"), _extremes("length")),
+    ("aperture", "n_per_side"): _capped(st.integers(-3, 16).map(str), st.sampled_from(["0", "9" * 310])),
+    ("sweep", "n_samples"): _capped(st.integers(-3, 41).map(str), st.sampled_from(["0", "9" * 400])),
+    ("quantization", "bits"): _list_of(_SCHEMAS["quantization"]["bits"], ["1", "2", "3", "continuous"]),
+    ("sweep", "theta_out_sweep"): _list_of(
+        _SCHEMAS["sweep"]["theta_out_sweep"], ["0 deg", "20 deg", "30 deg", "40 deg", "0.75 rad"]
+    ),
+}
+# up to three keys of each base removed or set to a hostile value
+ARRAY_EDITS = st.lists(st.sampled_from(ARRAY_KEYS), max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {k: CAPPED[k] if k in CAPPED else _hostile(_SCHEMAS[k[0]][k[1]]) for k in keys}
+    )
+)
+CUT_STEPS = st.one_of(
+    st.floats(0.5, 4.0).map(lambda x: f"{x:.6g}"),
+    st.sampled_from(["0", "nan", "1e-320", "1e308", "-1e308"]),
+)
+
+
+def _numbers(text, label_columns=0):
+    """Each data row of a planner CSV: its first label_columns cells, then floats."""
+    _, header, *rows = text.splitlines()
+    width = len(header.split(","))
+    out = []
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == width, row
+        out.append((*cells[:label_columns], *map(float, cells[label_columns:])))
+    return out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(edits=ARRAY_EDITS, structure=STRUCTURE, step=CUT_STEPS)
+def test_array_commands_survive_hostile_configs(hostile_dir, edits, structure, step):
+    cfg = hostile_dir / "scenario.cfg"
+    for command, args in (("pattern", ["pattern", f"--cut-step-deg={step}"]), ("squint", ["squint"])):
+        cfg.write_text(_render(edits, ARRAY_BASES[command], structure))
+        # --format does not apply to these commands: both runs write the same
+        runs = [_run(cfg, hostile_dir / fmt, ["--format", fmt, "--svg", *args]) for fmt in ("csv", "json")]
+        for code, err, _ in runs:
+            _check_exit(command, code, err)
+        assert runs[0] == runs[1], command
+        code, _, written = runs[0]
+        if code != 0:
+            continue
+        if command == "pattern":
+            rows = _numbers(written["pattern.csv"], label_columns=1)
+            assert all(math.isfinite(t) and math.isfinite(p) for _, t, p, _ in rows)
+            # an exact null reads -inf
+            assert all(math.isfinite(d) or d == -math.inf for *_, d in rows)
+            assert len({(bits, t) for bits, t, *_ in rows}) == len(rows)
+        else:
+            rows = _numbers(written["squint.csv"])
+            assert rows and all(map(math.isfinite, (x for row in rows for x in row)))
+            if "squint_vs_angle.csv" in written:
+                rows = _numbers(written["squint_vs_angle.csv"])
+                assert all(map(math.isfinite, (x for row in rows for x in row)))
+                assert len({row[0] for row in rows}) == len(rows)

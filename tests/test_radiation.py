@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import j1
 
+from thz_ris_planner import radiation
 from thz_ris_planner.aperture import ApertureSpec
 from thz_ris_planner.core import BROADSIDE, Direction, Frequency
 from thz_ris_planner.radiation import (
     J1_HANKEL_MIN,
     J1_SERIES_MAX,
-    FrequencySpanError,
-    GridResolutionError,
+    _fast_length,
     _j1,
     _largest_array,
     _phase_table,
@@ -193,7 +193,7 @@ def test_gain_at_exact_null_reads_minus_inf():
 def test_directivity_grid_guard():
     ap = ApertureSpec.from_element_grid(100, F140)
     prof = synthesize_profile(ap, BROADSIDE, BROADSIDE)
-    with pytest.raises(GridResolutionError, match="use at most"):
+    with pytest.raises(ValueError, match="use at most"):
         directivity(prof, grid_resolution=math.radians(2.0))
 
 
@@ -331,6 +331,22 @@ def test_j1_matches_scipy_property(xs):
 )
 def test_largest_array_estimate(n, n_freqs, n_directions, name, size):
     assert _largest_array(n, n_freqs, n_directions) == (name, size)
+
+
+def test_fast_length_is_the_least_5_smooth_length():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(7))
+    for n in range(1, 5001):
+        assert _fast_length(n) == next(m for m in smooth if m >= n), n
+
+
+def test_largest_array_seeks_the_fft_length_only_when_the_map_fits(monkeypatch):
+    calls = []
+    monkeypatch.setattr(radiation, "_fast_length", lambda n: calls.append(n) or n)
+    fits = math.isqrt(radiation.MAX_ARRAY_BYTES // 16) // 2  # largest n with 16 (2n)^2 in the limit
+    _largest_array(fits + 1)
+    assert calls == []
+    _largest_array(fits)
+    assert calls == [2 * fits - 1]
 
 
 @pytest.mark.parametrize(
@@ -533,7 +549,7 @@ def test_squint_broadside_saturates():
 
 def test_squint_narrow_span_raises():
     ap = ApertureSpec(0.080, F140)
-    with pytest.raises(FrequencySpanError, match="increase f_span"):
+    with pytest.raises(ValueError, match="increase f_span"):
         squint_sweep(ap, BROADSIDE, Direction.from_degrees(10.0), TaperSpec(-10.0), f_span_hz=20e9)
 
 

@@ -9,7 +9,6 @@ from thz_ris_planner.core import BROADSIDE, Direction, Frequency
 from thz_ris_planner.surface import (
     PhaseProfile,
     TaperSpec,
-    UNIFORM_TAPER,
     quantization_levels,
     quantize_profile,
     synthesize_profile,
@@ -87,7 +86,7 @@ def test_taper_clips_beyond_edge():
 
 
 def test_uniform_taper_is_unity():
-    assert np.allclose(UNIFORM_TAPER.amplitude(np.linspace(0, 1, 9)), 1.0)
+    assert np.allclose(TaperSpec().amplitude(np.linspace(0, 1, 9)), 1.0)
 
 
 def test_taper_rejects_positive_edge():
