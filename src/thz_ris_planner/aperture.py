@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Direction, Frequency, Value
+from .core import Direction, Frequency, Value, _finite
 
 
 class UnreachableGeometryError(ValueError):
@@ -70,19 +70,11 @@ def rcs(a: ApertureSpec, incident: Direction, outgoing: Direction) -> float:
     the float range.
     """
     lam = a.design_freq.wavelength_m
-    try:
-        sigma = (
-            a.aperture_efficiency
-            * (4.0 * math.pi / lam**2)
-            * a.side_m**4
-            * math.cos(incident.theta)
-            * math.cos(outgoing.theta)
-        )
-    except (OverflowError, ZeroDivisionError):
-        sigma = math.inf
-    if not math.isfinite(sigma):
-        raise ValueError(f"the RCS of a {a.side_m:.3g} m side at {lam:.3g} m wavelength overflows")
-    return sigma
+    return _finite(
+        lambda: a.aperture_efficiency * (4.0 * math.pi / lam**2) * a.side_m**4
+        * math.cos(incident.theta) * math.cos(outgoing.theta),
+        ValueError(f"the RCS of a {a.side_m:.3g} m side at {lam:.3g} m wavelength overflows"),
+    )
 
 
 def solve_aperture_size(
@@ -107,16 +99,13 @@ def solve_aperture_size(
         raise UnreachableGeometryError(
             "unreachable geometry: cos(theta_in)*cos(theta_out) is zero at grazing angles"
         )
-    lam = f.wavelength_m
     denominator = 4.0 * math.pi * eta * cos_product
-    try:
-        quartic = required_sigma_m2 * lam**2 / denominator
-    except (OverflowError, ZeroDivisionError):
-        quartic = math.inf
-    if not math.isfinite(quartic):
-        raise UnreachableGeometryError(
+    quartic = _finite(
+        lambda: required_sigma_m2 * f.wavelength_m**2 / denominator,
+        UnreachableGeometryError(
             "no finite side reaches the required RCS: eta*cos(theta_in)*cos(theta_out)/lambda^2 is too small"
-        )
+        ),
+    )
     return quartic**0.25
 
 

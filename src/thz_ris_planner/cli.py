@@ -4,6 +4,11 @@ Subcommands: link-budget, solve-aperture, pattern, squint, power. All read an
 INI-style scenario file (see config module) and write deterministic CSV/JSON
 artifacts plus optional self-contained SVG plots.
 
+Each cmd_* function only computes. It returns its stdout lines, its stderr
+warnings, an exit-2 failure line or None, and (file name, writer) pairs;
+main alone prints them and calls each writer on the output directory, so no
+command writes anything until all its results are computed.
+
 link-budget, solve-aperture and power run on the standard library alone.
 pattern and squint import numpy, with the radiation and surface modules,
 when they run, so the scalar commands start without it.
@@ -27,7 +32,7 @@ from .aperture import (
     solve_aperture_size,
 )
 from .config import ConfigError, ScenarioConfig, load_config
-from .core import BistaticGeometry, Direction, Frequency
+from .core import BistaticGeometry, Direction, Frequency, _finite
 from .link_budget import (
     LinkScenario,
     ReceiverSpec,
@@ -40,12 +45,16 @@ from .power import PROFILES, TechnologyProfile, panel_power
 CSV_VERSION_LINE = "# thz-ris-planner v1"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write the version line, the header and each row of the iterable rows as it comes."""
-    with path.open("w") as fh:
-        fh.write(f"{CSV_VERSION_LINE}\n{','.join(header)}\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
+def _write_csv(header: list[str], rows):
+    """Writer of the version line, the header and each row of the iterable rows as it comes."""
+
+    def write(path: Path) -> None:
+        with path.open("w") as fh:
+            fh.write(f"{CSV_VERSION_LINE}\n{','.join(header)}\n")
+            for row in rows:
+                fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
+
+    return write
 
 
 def _fmt_cell(value) -> str:
@@ -54,17 +63,24 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _write_result(out_dir: Path, stem: str, record: dict, fmt: str) -> Path:
-    if fmt == "json":
+def _write_result(stem: str, record: dict, fmt: str):
+    """(file name, writer) of one scalar record in the --format fmt."""
+    if fmt == "csv":
+        return f"{stem}.csv", _write_csv(list(record), [list(record.values())])
+
+    def write(path: Path) -> None:
         import json  # imported here: the default CSV output does not need it
 
-        path = out_dir / f"{stem}.json"
         path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    else:
-        path = out_dir / f"{stem}.csv"
-        keys = list(record)
-        _write_csv(path, keys, [[record[k] for k in keys]])
-    return path
+
+    return f"{stem}.json", write
+
+
+def _line_plot(series, xlabel: str, ylabel: str, title: str):
+    """Writer of a line plot whose series() builds its Python lists only as the plot is written."""
+    from . import svgplot
+
+    return lambda path: svgplot.line_plot(path, series(), xlabel, ylabel, title)
 
 
 def _direction(cfg: ScenarioConfig, which: str) -> Direction:
@@ -133,7 +149,7 @@ def _taper(cfg: ScenarioConfig):
     return TaperSpec(cfg["taper"].get("edge_level", 0.0))
 
 
-def cmd_link_budget(args, cfg: ScenarioConfig) -> int:
+def cmd_link_budget(args, cfg: ScenarioConfig):
     scenario = _link_scenario(cfg)
     sens = _sensitivity_dbm(cfg)
     panel = _aperture(cfg)
@@ -150,19 +166,17 @@ def cmd_link_budget(args, cfg: ScenarioConfig) -> int:
         "spreading_term_db": report.spreading_term_db,
         "sigma_dbsm": sigma_dbsm,
     }
-    print(f"received power   {report.rx_power_dbm:10.2f} dBm")
-    print(f"sensitivity      {report.sensitivity_dbm:10.2f} dBm")
-    print(f"margin           {report.margin_db:10.2f} dB")
-    print(f"spreading term   {report.spreading_term_db:10.2f} dB")
-    path = _write_result(args.out, "link_budget", record, args.format)
-    print(f"wrote {path}")
-    if report.margin_db < 0:
-        print("link does not close (negative margin)", file=sys.stderr)
-        return 2
-    return 0
+    lines = [
+        f"received power   {report.rx_power_dbm:10.2f} dBm",
+        f"sensitivity      {report.sensitivity_dbm:10.2f} dBm",
+        f"margin           {report.margin_db:10.2f} dB",
+        f"spreading term   {report.spreading_term_db:10.2f} dB",
+    ]
+    failure = "link does not close (negative margin)" if report.margin_db < 0 else None
+    return lines, [], failure, [_write_result("link_budget", record, args.format)]
 
 
-def cmd_solve_aperture(args, cfg: ScenarioConfig) -> int:
+def cmd_solve_aperture(args, cfg: ScenarioConfig):
     scenario = _link_scenario(cfg)
     sens = _sensitivity_dbm(cfg)
     eta = cfg["aperture"]["aperture_efficiency"]
@@ -171,14 +185,10 @@ def cmd_solve_aperture(args, cfg: ScenarioConfig) -> int:
     outgoing = scenario.geometry.outgoing
 
     sigma_dbsm = required_rcs_for_target(scenario, sens)
-    try:
-        sigma_m2 = 10.0 ** (sigma_dbsm / 10.0)
-    except OverflowError:
-        sigma_m2 = math.inf
-    if not (math.isfinite(sigma_dbsm) and math.isfinite(sigma_m2)):
-        raise UnreachableGeometryError(
-            f"the required RCS of {sigma_dbsm:.6g} dBsm is beyond the float range"
-        )
+    sigma_m2 = _finite(  # a required RCS of -inf dBsm is refused too, not read as 0 m^2
+        lambda: 10.0 ** (sigma_dbsm / 10.0) if math.isfinite(sigma_dbsm) else sigma_dbsm,
+        UnreachableGeometryError(f"the required RCS of {sigma_dbsm:.6g} dBsm is beyond the float range"),
+    )
     # a required RCS that underflows to 0 m^2 needs no panel at all
     side = solve_aperture_size(sigma_m2, eta, incident, outgoing, freq) if sigma_m2 > 0.0 else 0.0
     pitch = cfg["aperture"].get("cell_pitch")
@@ -189,13 +199,9 @@ def cmd_solve_aperture(args, cfg: ScenarioConfig) -> int:
         )
     panel = ApertureSpec(side, freq, pitch, eta)
 
-    cos_product = math.cos(incident.theta) * math.cos(outgoing.theta)
-    if cos_product < 0.01:
-        print(
-            "warning: near-grazing geometry inflates the required aperture",
-            file=sys.stderr,
-        )
-
+    warnings = []
+    if math.cos(incident.theta) * math.cos(outgoing.theta) < 0.01:
+        warnings.append("warning: near-grazing geometry inflates the required aperture")
     n_elements = element_count(panel)
 
     record = {
@@ -204,15 +210,15 @@ def cmd_solve_aperture(args, cfg: ScenarioConfig) -> int:
         "d_m": side,
         "n_elements": n_elements,
     }
-    print(f"required RCS     {sigma_dbsm:10.2f} dBsm  ({sigma_m2:.1f} m^2)")
-    print(f"aperture side D  {side * 1e3:10.2f} mm")
-    print(f"unit elements    {n_elements:10d}")
-    path = _write_result(args.out, "solve_aperture", record, args.format)
-    print(f"wrote {path}")
-    return 0
+    lines = [
+        f"required RCS     {sigma_dbsm:10.2f} dBsm  ({sigma_m2:.1f} m^2)",
+        f"aperture side D  {side * 1e3:10.2f} mm",
+        f"unit elements    {n_elements:10d}",
+    ]
+    return lines, warnings, None, [_write_result("solve_aperture", record, args.format)]
 
 
-def cmd_pattern(args, cfg: ScenarioConfig) -> int:
+def cmd_pattern(args, cfg: ScenarioConfig):
     import numpy as np
 
     from . import svgplot
@@ -250,61 +256,41 @@ def cmd_pattern(args, cfg: ScenarioConfig) -> int:
     labels = ["continuous" if bits is None else str(bits) for bits in bits_list]
     phi_deg = math.degrees(outgoing.phi)
     back_deg = (phi_deg + 180.0) % 360.0
-    csv_path = args.out / "pattern.csv"
-    _write_csv(
-        csv_path,
-        ["bits", "theta_deg", "phi_deg", "directivity_dbi"],
-        (
-            [label, t, phi_deg if t >= 0 else back_deg, d]
-            for label, (theta_deg, dbi) in zip(labels, cuts)
-            for t, d in zip(theta_deg.tolist(), dbi.tolist())
-        ),
-    )
     peaks = {label: float(np.max(dbi)) for label, (_, dbi) in zip(labels, cuts)}
-    for label, peak in peaks.items():
-        print(f"peak directivity [{label:>10s}]  {peak:7.2f} dBi")
-    print(f"wrote {csv_path}")
+    lines = [f"peak directivity [{label:>10s}]  {peak:7.2f} dBi" for label, peak in peaks.items()]
+    rows = (
+        [label, t, phi_deg if t >= 0 else back_deg, d]
+        for label, (theta_deg, dbi) in zip(labels, cuts)
+        for t, d in zip(theta_deg.tolist(), dbi.tolist())
+    )
+    writers = [("pattern.csv", _write_csv(["bits", "theta_deg", "phi_deg", "directivity_dbi"], rows))]
+    if not args.svg:
+        return lines, [], None, writers
+    uv = array_factor_fft(continuous, panel.design_freq, uv_oversample=2)
 
-    if args.svg:
-        # floor deep nulls so the plot scale stays readable; CSV keeps raw values
-        curves = [
-            (
-                theta_deg.tolist(),
-                np.maximum(dbi, peaks[label] - 60.0).tolist(),
-                label if bits is None else f"{label} bit",
-            )
-            for bits, label, (theta_deg, dbi) in zip(bits_list, labels, cuts)
+    def cut_series():
+        # the cuts share one theta grid; floor deep nulls so the plot scale
+        # stays readable, while the CSV keeps raw values
+        theta = cuts[0][0].tolist()
+        return [
+            (theta, np.maximum(dbi, peaks[label] - 60.0).tolist(), label if bits is None else f"{label} bit")
+            for bits, label, (_, dbi) in zip(bits_list, labels, cuts)
         ]
-        svg_path = args.out / "pattern.svg"
-        svgplot.line_plot(
-            svg_path,
-            curves,
-            xlabel="theta (deg)",
-            ylabel="directivity (dBi)",
-            title="principal-plane cut",
-        )
-        uv = array_factor_fft(continuous, panel.design_freq, uv_oversample=2)
+
+    def uv_plot(path: Path) -> None:
         mag = np.abs(uv.field)
         with np.errstate(divide="ignore", invalid="ignore"):
             mag_db = 20.0 * np.log10(mag / np.nanmax(mag))
-        heat_path = args.out / "pattern_uv.svg"
         svgplot.heatmap(
-            heat_path,
-            uv.ax1.tolist(),
-            uv.ax2.tolist(),
-            mag_db.tolist(),
-            xlabel="u",
-            ylabel="v",
-            title="|E(u,v)| (dB rel. peak)",
-            z_floor=-60.0,
+            path, uv.ax1.tolist(), uv.ax2.tolist(), mag_db.tolist(),
+            xlabel="u", ylabel="v", title="|E(u,v)| (dB rel. peak)", z_floor=-60.0,
         )
-        print(f"wrote {svg_path}")
-        print(f"wrote {heat_path}")
-    return 0
+
+    cut_plot = _line_plot(cut_series, "theta (deg)", "directivity (dBi)", "principal-plane cut")
+    return lines, [], None, [*writers, ("pattern.svg", cut_plot), ("pattern_uv.svg", uv_plot)]
 
 
-def cmd_squint(args, cfg: ScenarioConfig) -> int:
-    from . import svgplot
+def cmd_squint(args, cfg: ScenarioConfig):
     from .radiation import squint_vs_angle
 
     incident = _direction(cfg, "in")
@@ -318,9 +304,16 @@ def cmd_squint(args, cfg: ScenarioConfig) -> int:
         raise ConfigError("squint uses a single [quantization] bits setting")
     bits = bits_setting[0] if bits_setting else None
     angles = sweep.get("theta_out_sweep") or []
+    written = {}  # angles that squint_vs_angle.csv would write as one text make identical rows
+    for theta in angles:
+        text = _fmt_cell(math.degrees(theta))
+        if written.setdefault(text, theta) != theta:
+            first, second = math.degrees(written[text]), math.degrees(theta)
+            raise ValueError(
+                f"theta_out_sweep angles {first:.15g} and {second:.15g} deg are both written as {text}"
+            )
 
-    # one power kernel serves theta_out and every sweep angle; nothing is
-    # written until all of them have succeeded
+    # one power kernel serves theta_out and every sweep angle
     report, *reports = squint_vs_angle(
         panel,
         incident,
@@ -330,54 +323,31 @@ def cmd_squint(args, cfg: ScenarioConfig) -> int:
         f_span,
         n_samples,
     )
-    trace_path = args.out / "squint.csv"
-    _write_csv(
-        trace_path, ["freq_hz", "gain_db"], zip(report.freq_hz.tolist(), report.gain_dbi.tolist())
-    )
     suffix = " (saturated at band edges)" if report.saturated else ""
-    print(
+    line = (
         f"BW_3dB at theta_out={math.degrees(outgoing.theta):.1f} deg: "
         f"{report.bw_3db_hz / 1e9:.3f} GHz ({report.fractional_bw_pct:.2f}%){suffix}"
     )
-    print(f"wrote {trace_path}")
-
+    trace = zip(report.freq_hz.tolist(), report.gain_dbi.tolist())
+    writers = [("squint.csv", _write_csv(["freq_hz", "gain_db"], trace))]
     if args.svg:
-        svg_path = args.out / "squint.svg"
-        svgplot.line_plot(
-            svg_path,
-            [((report.freq_hz / 1e9).tolist(), report.gain_dbi.tolist(), "gain at target")],
-            xlabel="frequency (GHz)",
-            ylabel="gain (dBi)",
-            title="beam-squint gain trace",
-        )
-        print(f"wrote {svg_path}")
-
+        writers.append(("squint.svg", _line_plot(
+            lambda: [((report.freq_hz / 1e9).tolist(), report.gain_dbi.tolist(), "gain at target")],
+            "frequency (GHz)", "gain (dBi)", "beam-squint gain trace",
+        )))
     if reports:
-        rows = [
-            [math.degrees(r.target.theta), r.bw_3db_hz, r.fractional_bw_pct]
-            for r in reports
-        ]
-        sweep_path = args.out / "squint_vs_angle.csv"
-        _write_csv(sweep_path, ["theta_out_deg", "bw_3db_hz", "fractional_bw_pct"], rows)
-        print(f"wrote {sweep_path}")
-        if args.svg:
-            svg_path = args.out / "squint_vs_angle.svg"
-            svgplot.line_plot(
-                svg_path,
-                [(
-                    [math.degrees(r.target.theta) for r in reports],
-                    [r.bw_3db_hz / 1e9 for r in reports],
-                    "BW_3dB",
-                )],
-                xlabel="theta_out (deg)",
-                ylabel="BW_3dB (GHz)",
-                title="beam-squint bandwidth vs reflection angle",
-            )
-            print(f"wrote {svg_path}")
-    return 0
+        rows = [[math.degrees(r.target.theta), r.bw_3db_hz, r.fractional_bw_pct] for r in reports]
+        header = ["theta_out_deg", "bw_3db_hz", "fractional_bw_pct"]
+        writers.append(("squint_vs_angle.csv", _write_csv(header, rows)))
+    if reports and args.svg:
+        writers.append(("squint_vs_angle.svg", _line_plot(
+            lambda: [([row[0] for row in rows], [row[1] / 1e9 for row in rows], "BW_3dB")],
+            "theta_out (deg)", "BW_3dB (GHz)", "beam-squint bandwidth vs reflection angle",
+        )))
+    return [line], [], None, writers
 
 
-def cmd_power(args, cfg: ScenarioConfig) -> int:
+def cmd_power(args, cfg: ScenarioConfig):
     name = cfg["power"]["profile"]
     custom_power = cfg["power"].get("per_cell_power")
     if custom_power is not None:
@@ -399,10 +369,8 @@ def cmd_power(args, cfg: ScenarioConfig) -> int:
         "per_cell_power_w": tech.per_cell_power_w,
         "panel_power_w": total,
     }
-    print(f"{tech.name}: {cells} cells x {tech.per_cell_power_w * 1e6:.1f} uW = {total:.3f} W")
-    path = _write_result(args.out, "power", record, args.format)
-    print(f"wrote {path}")
-    return 0
+    line = f"{tech.name}: {cells} cells x {tech.per_cell_power_w * 1e6:.1f} uW = {total:.3f} W"
+    return [line], [], None, [_write_result("power", record, args.format)]
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -447,7 +415,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         args.out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, cfg)
+        lines, warnings, failure, writers = args.func(args, cfg)
+        for line in warnings:
+            print(line, file=sys.stderr)
+        for line in lines:
+            print(line)
+        for name, write in writers:
+            write(args.out / name)
+            print(f"wrote {args.out / name}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -457,6 +432,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

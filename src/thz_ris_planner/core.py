@@ -7,6 +7,17 @@ import math
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 
 
+def _finite(compute, error: Exception) -> float:
+    """compute(), or raise error where it overflows, divides by an underflowed zero or is not finite."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise error
+    return value
+
+
 class Value:
     """Immutable record whose fields are the names in __slots__, in order.
 

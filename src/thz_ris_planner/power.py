@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Value
+from .core import Value, _finite
 
 
 class TechnologyProfile(Value):
@@ -31,10 +31,7 @@ def panel_power(n_cells: int, tech: TechnologyProfile) -> float:
     """
     if n_cells < 1:
         raise ValueError("panel needs at least one cell")
-    try:
-        total = n_cells * tech.per_cell_power_w
-    except OverflowError:  # n_cells is an int too large for a float
-        total = math.inf
-    if not math.isfinite(total):
-        raise ValueError("panel power overflows: n_cells * per-cell power is beyond the float range")
-    return total
+    return _finite(  # n_cells may be an int too large for a float
+        lambda: n_cells * tech.per_cell_power_w,
+        ValueError("panel power overflows: n_cells * per-cell power is beyond the float range"),
+    )

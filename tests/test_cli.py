@@ -410,6 +410,13 @@ BAD_INPUT = [
         ["link-budget"],
         1,
     ),
+    # two sweep angles that squint_vs_angle.csv would write as one text, so as two identical rows
+    (
+        SMALL_SQUINT.replace("side = 80 mm", "side = 16 mm"),
+        ("n_samples = 41", "n_samples = 41\ntheta_out_sweep = 20 deg, 20.0000000001 deg"),
+        ["squint"],
+        1,
+    ),
 ]
 
 
@@ -685,6 +692,98 @@ def test_readme_library_example_runs(capsys):
     side_mm, squint_ghz = (float(line.split()[0]) for line in capsys.readouterr().out.splitlines())
     assert side_mm == pytest.approx(110, abs=10)
     assert squint_ghz == pytest.approx(3.78, abs=0.1)
+
+
+# command -> (artifact stem, stdout before the "wrote" line) on paper_scenario.cfg
+SCALAR_LINES = {
+    "link-budget": (
+        "link_budget",
+        "received power       -59.81 dBm\n"
+        "sensitivity          -60.00 dBm\n"
+        "margin                 0.19 dB\n"
+        "spreading term      -154.32 dB\n",
+    ),
+    "solve-aperture": (
+        "solve_aperture",
+        "required RCS          18.32 dBsm  (67.9 m^2)\n"
+        "aperture side D      108.82 mm\n"
+        "unit elements         10330\n",
+    ),
+    "power": ("power", "cmos_rfsoi: 10555 cells x 20.0 uW = 0.211 W\n"),
+}
+# (bundled config, (old, new) edit or None, the arguments after --config and
+# --out, exit code, stdout, stderr); "<out>" stands for the output directory
+SNAPSHOTS = [
+    (
+        "fig5.cfg",
+        None,
+        ["--svg", "pattern"],
+        0,
+        "peak directivity [         1]    38.91 dBi\n"
+        "peak directivity [         2]    41.89 dBi\n"
+        "peak directivity [         3]    42.58 dBi\n"
+        "peak directivity [continuous]    42.80 dBi\n"
+        "wrote <out>/pattern.csv\nwrote <out>/pattern.svg\nwrote <out>/pattern_uv.svg\n",
+        "",
+    ),
+    (
+        "fig6.cfg",
+        None,
+        ["--svg", "squint"],
+        0,
+        "BW_3dB at theta_out=45.0 deg: 3.775 GHz (2.70%)\n"
+        "wrote <out>/squint.csv\nwrote <out>/squint.svg\n"
+        "wrote <out>/squint_vs_angle.csv\nwrote <out>/squint_vs_angle.svg\n",
+        "",
+    ),
+    *(
+        ("paper_scenario.cfg", None, ["--format", fmt, command], 0, lines + f"wrote <out>/{stem}.{fmt}\n", "")
+        for fmt in ("csv", "json")
+        for command, (stem, lines) in SCALAR_LINES.items()
+    ),
+    (
+        "paper_scenario.cfg",
+        ("sensitivity = -60 dBm", "sensitivity = 40 dBm"),
+        ["link-budget"],
+        2,
+        "received power       -59.81 dBm\n"
+        "sensitivity           40.00 dBm\n"
+        "margin               -99.81 dB\n"
+        "spreading term      -154.32 dB\n"
+        "wrote <out>/link_budget.csv\n",
+        "link does not close (negative margin)\n",
+    ),
+    (
+        "paper_scenario.cfg",
+        ("theta_out = 45 deg", "theta_out = 89.9 deg"),
+        ["solve-aperture"],
+        0,
+        "required RCS          18.32 dBsm  (67.9 m^2)\n"
+        "aperture side D      488.23 mm\n"
+        "unit elements        207929\n"
+        "wrote <out>/solve_aperture.csv\n",
+        "warning: near-grazing geometry inflates the required aperture\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config,edit,args,code,stdout,stderr",
+    SNAPSHOTS,
+    ids=[f"{i:02d}-{row[0].removesuffix('.cfg')}-{'_'.join(row[2])}" for i, row in enumerate(SNAPSHOTS)],
+)
+def test_stdout_and_stderr_snapshot(tmp_path, capsys, config, edit, args, code, stdout, stderr):
+    text = DATA.joinpath(config).read_text()
+    if edit is not None:
+        assert edit[0] in text
+        text = text.replace(*edit)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), *args]) == code
+    captured = capsys.readouterr()
+    assert captured.out == stdout.replace("<out>", str(out))
+    assert captured.err == stderr
 
 
 # --- hostile configs for every command -----------------------------------------

@@ -160,19 +160,23 @@ def test_fft_matches_direct_property(rows, cols, seed, oversample, pitch_wl, f_s
 # --- directivity ------------------------------------------------------------
 
 
-def test_broadside_directivity_anchor():
+@pytest.fixture(scope="module")
+def broadside_100():
+    """The uniform, broadside 100x100 profile at 140 GHz and its quadrature pattern."""
+    prof = synthesize_profile(ApertureSpec.from_element_grid(100, F140), BROADSIDE, BROADSIDE)
+    return prof, directivity(prof)
+
+
+def test_broadside_directivity_anchor(broadside_100):
     # uniform 100x100 half-wavelength grid: 4*pi*A/lambda^2 = 44.97 dBi
-    ap = ApertureSpec.from_element_grid(100, F140)
-    prof = synthesize_profile(ap, BROADSIDE, BROADSIDE)
-    pat = directivity(prof)
-    peak, at = pat.peak_directivity()
+    peak, at = broadside_100[1].peak_directivity()
     assert peak == pytest.approx(44.97, abs=0.3)
     assert at.theta == pytest.approx(0.0, abs=math.radians(0.1))
 
 
-def test_steered_projected_aperture_loss():
+def test_steered_projected_aperture_loss(broadside_100):
     ap = ApertureSpec.from_element_grid(100, F140)
-    broadside = directivity(synthesize_profile(ap, BROADSIDE, BROADSIDE)).peak_directivity()[0]
+    broadside = broadside_100[1].peak_directivity()[0]
     steered = directivity(synthesize_profile(ap, BROADSIDE, OUT45)).peak_directivity()[0]
     assert broadside - steered == pytest.approx(-10.0 * math.log10(math.cos(math.pi / 4)), abs=0.4)
 
@@ -197,12 +201,10 @@ def test_directivity_grid_guard():
         directivity(prof, grid_resolution=math.radians(2.0))
 
 
-def test_hemisphere_energy_closure():
+def test_hemisphere_energy_closure(broadside_100):
     # quadrature normalization against the closed-form lattice integral
-    ap = ApertureSpec.from_element_grid(100, F140)
-    for outgoing, taper in ((BROADSIDE, None), (OUT45, TaperSpec(-10.0))):
-        prof = synthesize_profile(ap, BROADSIDE, outgoing, taper or TaperSpec(0.0))
-        pat = directivity(prof)
+    steered = synthesize_profile(ApertureSpec.from_element_grid(100, F140), BROADSIDE, OUT45, TaperSpec(-10.0))
+    for prof, pat in (broadside_100, (steered, directivity(steered))):
         ratio = hemisphere_power_exact(prof, F140) / pat.total_power
         assert 0.98 <= ratio <= 1.0
 
