@@ -7,7 +7,8 @@ artifacts plus optional self-contained SVG plots.
 Each cmd_* function only computes. It returns its stdout lines, its stderr
 warnings, an exit-2 failure line or None, and (file name, writer) pairs;
 main alone prints them and calls each writer on the output directory, so no
-command writes anything until all its results are computed.
+command writes anything until all its results are computed, nor names any
+artifact until every writer has returned.
 
 link-budget, solve-aperture and power run on the standard library alone.
 pattern and squint import numpy, with the radiation and surface modules,
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -222,37 +224,19 @@ def cmd_pattern(args, cfg: ScenarioConfig):
     import numpy as np
 
     from . import svgplot
-    from .radiation import (
-        analytical_hpbw,
-        array_factor_fft,
-        check_array_budget,
-        check_normal_incidence,
-        quantized_cuts,
-    )
+    from .radiation import array_factor_fft, check_array_budget, check_normal_incidence, quantized_cuts
     from .surface import synthesize_profile
 
-    if not (math.isfinite(args.cut_step_deg) and args.cut_step_deg > 0.0):
-        raise ValueError(f"--cut-step-deg must be a positive angle, got {args.cut_step_deg}")
     incident = _direction(cfg, "in")
     outgoing = _direction(cfg, "out")
     bits_list = cfg["quantization"]["bits"]
     panel = _aperture(cfg)
     taper = _taper(cfg)
     check_normal_incidence(incident)
-    step = math.radians(args.cut_step_deg)
-    # a float count, so that a step too small for pi/step to be finite reads as inf, not a traceback
-    check_array_budget(panel.n_per_side, n_directions=math.pi // step + 1)
+    check_array_budget(panel.n_per_side)
 
     continuous = synthesize_profile(panel, incident, outgoing, taper)
-    hpbw = analytical_hpbw(continuous, panel.design_freq)
-    if step > hpbw / 2.0:
-        raise ValueError(
-            f"cut step {args.cut_step_deg} deg under-resolves the "
-            f"{math.degrees(hpbw):.3f} deg beam; use --cut-step-deg "
-            f"{math.degrees(hpbw / 2):.3f} or less"
-        )
-
-    cuts = quantized_cuts(continuous, bits_list, outgoing.phi, step)
+    cuts = quantized_cuts(continuous, bits_list, outgoing.phi)
     labels = ["continuous" if bits is None else str(bits) for bits in bits_list]
     phi_deg = math.degrees(outgoing.phi)
     back_deg = (phi_deg + 180.0) % 360.0
@@ -391,27 +375,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--svg", action="store_true", help="also write SVG plots")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("link-budget", help="received power, sensitivity, and margin").set_defaults(
-        func=cmd_link_budget
-    )
-    sub.add_parser("solve-aperture", help="aperture size for the required RCS").set_defaults(
-        func=cmd_solve_aperture
-    )
-    p_pattern = sub.add_parser("pattern", help="directivity cuts per quantization setting")
-    p_pattern.add_argument("--cut-step-deg", type=float, default=0.05)
-    p_pattern.set_defaults(func=cmd_pattern)
-    sub.add_parser("squint", help="gain vs frequency and the beam-squint band").set_defaults(
-        func=cmd_squint
-    )
-    sub.add_parser("power", help="panel control power for a technology profile").set_defaults(
-        func=cmd_power
-    )
+    for name, func, text in (
+        ("link-budget", cmd_link_budget, "received power, sensitivity, and margin"),
+        ("solve-aperture", cmd_solve_aperture, "aperture size for the required RCS"),
+        ("pattern", cmd_pattern, "directivity cuts per quantization setting"),
+        ("squint", cmd_squint, "gain vs frequency and the beam-squint band"),
+        ("power", cmd_power, "panel control power for a technology profile"),
+    ):
+        sub.add_parser(name, help=text).set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    temps = []  # each artifact's temporary sibling, renamed into place once every writer has returned
     try:
         cfg = load_config(args.config)
         args.out.mkdir(parents=True, exist_ok=True)
@@ -421,7 +399,13 @@ def main(argv: list[str] | None = None) -> int:
         for line in lines:
             print(line)
         for name, write in writers:
-            write(args.out / name)
+            if (args.out / name).exists() and not (args.out / name).is_file():
+                raise ValueError(f"{args.out / name} exists and is not a regular file")
+            temps.append(args.out / f".{name}.{os.getpid()}.tmp")
+            write(temps[-1])
+        for (name, _), temp in zip(writers, temps):
+            temp.replace(args.out / name)
+        for name, _ in writers:
             print(f"wrote {args.out / name}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -432,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:  # a failed run leaves no temporary, and so no artifact, behind
+        for temp in temps:
+            temp.unlink(missing_ok=True)
     if failure is not None:
         print(failure, file=sys.stderr)
         return 2

@@ -53,10 +53,10 @@ Stegun 9.1.10, 9.1.27, 9.1.46, 9.2.5, 9.2.9-10); it is within 3e-16 of the
 exact value. The expansion runs on the whole table and the other two
 regimes overwrite the few entries at or below 25.
 
-Quantization loss reads each peak directivity off the principal-plane cut in
-the steering plane, normalised by that closed form; quantized_cuts takes
-those cuts for it and for the pattern command. The cut step is a fixed
-fraction of the analytical beamwidth, so no resolution is left to the caller.
+Quantization loss and the pattern command take the same principal-plane cuts
+in the steering plane, normalised by that closed form, from quantized_cuts.
+Its cut step is a fixed fraction of the analytical beamwidth, so neither
+leaves the resolution to its caller.
 
 Squint bandwidth follows the beam-shift convention (Mailloux, Phased Array
 Antenna Handbook): with the phases frozen, the beam peak drifts as
@@ -227,8 +227,13 @@ def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> U
     beta = np.fft.fftshift(np.fft.fftfreq(ly))
 
     lam = f.wavelength_m
-    u = alpha * lam / p.cell_pitch_m
-    v = beta * lam / p.cell_pitch_m
+    # a pitch so far below the wavelength that u or u^2 overflows to inf puts
+    # that point outside the visible region, where it belongs
+    with np.errstate(over="ignore"):
+        u = alpha * lam / p.cell_pitch_m
+        v = beta * lam / p.cell_pitch_m
+        uu, vv = np.meshgrid(u, v, indexing="ij")
+        r2 = uu**2 + vv**2
 
     # grid centering: x_i = (i - (nx-1)/2) * pitch
     centering = np.exp(-2j * math.pi * alpha * (nx - 1) / 2.0)[:, None] * np.exp(
@@ -236,8 +241,6 @@ def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> U
     )[None, :]
     field = spectrum * centering
 
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    r2 = uu**2 + vv**2
     visible = r2 <= 1.0
     ef = np.zeros_like(r2)
     ef[visible] = (1.0 - r2[visible]) ** 0.25  # sqrt(cos(theta))
@@ -523,7 +526,7 @@ def check_array_budget(n_per_side: int, n_freqs: int = 1, n_directions: int = 0)
         gib = size / 2**30 if size < 2**1000 else math.inf  # a size beyond the float range reads inf
         raise ValueError(
             f"the {name} would need {gib:.3g} GiB, over the "
-            f"{MAX_ARRAY_BYTES / 2**30:g} GiB limit; reduce the panel, samples or cut resolution"
+            f"{MAX_ARRAY_BYTES / 2**30:g} GiB limit; reduce the panel or samples"
         )
 
 
@@ -546,8 +549,10 @@ def principal_plane_cut(
 
     Returns (theta_deg, dbi) with signed theta: negative angles lie at
     phi + 180 deg. total_power defaults to the closed-form hemisphere
-    integral.
+    integral. A theta_step that is not positive and finite raises ValueError.
     """
+    if not 0.0 < theta_step < math.inf:
+        raise ValueError(f"theta_step must be positive and finite, got {theta_step}")
     if f is None:
         f = p.design_freq
     if total_power is None:
@@ -567,27 +572,30 @@ def quantization_loss(
 ) -> QuantizationReport:
     """Peak directivity per quantization setting plus the continuous reference.
 
-    Each peak is the maximum of the principal-plane cut at azimuth
-    outgoing.phi, normalized by the closed-form hemisphere power, sampled
-    CUT_STEPS_PER_BEAMWIDTH times per analytical beamwidth.
+    Each peak is the maximum of the quantized_cuts cut at azimuth
+    outgoing.phi, normalized by the closed-form hemisphere power.
     """
     continuous = synthesize_profile(a, BROADSIDE, outgoing, taper)
-    step = analytical_hpbw(continuous, a.design_freq) / CUT_STEPS_PER_BEAMWIDTH
-    cuts = quantized_cuts(continuous, [*bits_list, None], outgoing.phi, step)
+    cuts = quantized_cuts(continuous, [*bits_list, None], outgoing.phi)
     peaks = [float(np.max(dbi)) for _, dbi in cuts]
     return QuantizationReport(bits=list(bits_list), peak_dbi=peaks[:-1], continuous_dbi=peaks[-1])
 
 
 def quantized_cuts(
-    p: PhaseProfile, bits_list: list[int | None], phi: float, theta_step: float
+    p: PhaseProfile, bits_list: list[int | None], phi: float
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """principal_plane_cut (theta_deg, dbi) of p at azimuth phi per quantization setting.
 
     Each entry of bits_list quantizes p to that many bits, or keeps it
-    continuous when None.
+    continuous when None. Each cut takes CUT_STEPS_PER_BEAMWIDTH samples per
+    analytical beamwidth at p.design_freq, at most pi, so that a panel much
+    smaller than a wavelength is not cut at one angle; a beamwidth that
+    underflows to 0 asks for an endless cut, which check_array_budget refuses.
     """
+    step = min(analytical_hpbw(p, p.design_freq), math.pi) / CUT_STEPS_PER_BEAMWIDTH
+    check_array_budget(max(p.rows, p.cols), n_directions=math.pi / step + 1 if step > 0.0 else math.inf)
     return [
-        principal_plane_cut(p if bits is None else quantize_profile(p, bits), None, phi, theta_step)
+        principal_plane_cut(p if bits is None else quantize_profile(p, bits), None, phi, step)
         for bits in bits_list
     ]
 

@@ -137,6 +137,11 @@ def test_pec_bound_attained_at_unity():
 def test_eta_above_unity_rejected():
     with pytest.raises(ValueError):
         ApertureSpec(0.1, F140, aperture_efficiency=1.2)
+    with pytest.raises(ValueError, match="passive aperture efficiency"):
+        EfficiencyLedger(1.2)
+    for eta in (0.0, 1.2):
+        with pytest.raises(ValueError, match="aperture efficiency must be in"):
+            solve_aperture_size(67.9, eta, Direction(0.0), Direction.from_degrees(45), F140)
 
 
 def test_efficiency_ledger_default_budget():
@@ -156,6 +161,9 @@ def test_aperture_validation():
         ApertureSpec(0.0005, F140)  # smaller than one cell
     with pytest.raises(ValueError):
         ApertureSpec(0.1, F140, cell_pitch_m=-1.0)
+    for sigma in (0.0, -1.0):
+        with pytest.raises(ValueError, match="required RCS must be positive"):
+            solve_aperture_size(sigma, 0.25, Direction(0.0), Direction.from_degrees(45), F140)
 
 
 def test_element_coordinates_centered():

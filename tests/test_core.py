@@ -107,6 +107,9 @@ def test_fraunhofer_anchors():
     # D = lambda gives exactly 2*lambda
     lam = f140.wavelength_m
     assert fraunhofer_distance(lam, f140) == pytest.approx(2.0 * lam, rel=1e-12)
+    for size in (0.0, -0.1):
+        with pytest.raises(ValueError, match="aperture size must be positive"):
+            fraunhofer_distance(size, f140)
 
 
 def test_speed_of_light_is_exact():

@@ -177,6 +177,9 @@ def test_receiver_spec_validation():
         ReceiverSpec(0.0, 7.0)
     with pytest.raises(ValueError):
         ReceiverSpec(2e9, 7.0, target_ber=0.7)
+    for bandwidth in (0.0, -1e9):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            noise_floor_dbm(bandwidth)
 
 
 # --- required RCS -----------------------------------------------------------

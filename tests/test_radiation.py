@@ -24,6 +24,7 @@ from thz_ris_planner.radiation import (
     hemisphere_power_exact,
     principal_plane_cut,
     quantization_loss,
+    quantized_cuts,
     squint_sweep,
     squint_vs_angle,
 )
@@ -117,6 +118,17 @@ def test_fft_dc_bin_is_coherent_sum():
     j = int(np.argmin(np.abs(pat.ax2)))
     assert pat.ax1[i] == 0.0 and pat.ax2[j] == 0.0
     assert pat.field[i, j] == pytest.approx(400.0 + 0.0j, abs=1e-9)
+    with pytest.raises(ValueError, match="uv_oversample"):
+        array_factor_fft(prof, F140, uv_oversample=0)
+
+
+def test_fft_of_a_pitch_far_below_the_wavelength_sees_only_its_dc_bin():
+    # lambda / pitch overflows, so every lattice point but u = v = 0 lies at infinity
+    ap = ApertureSpec.from_element_grid(4, F140, cell_pitch_m=1e-314)
+    pat = array_factor_fft(synthesize_profile(ap, BROADSIDE, BROADSIDE), F140, uv_oversample=1)
+    visible = np.isfinite(pat.field)
+    assert np.count_nonzero(visible) == 1
+    assert pat.field[visible][0] == pytest.approx(16.0 + 0.0j, abs=1e-9)
 
 
 def test_fft_visible_region_scales_with_frequency():
@@ -360,7 +372,7 @@ def test_largest_array_seeks_the_fft_length_only_when_the_map_fits(monkeypatch):
         (4097, 1, 0, True),
         (200_000, 1, 0, True),  # pattern, n_per_side = 200000
         (75, 200_000_001, 0, True),  # squint, n_samples = 200000001
-        (20, 1, int(math.pi / math.radians(1e-9)) + 1, True),  # pattern --cut-step-deg 1e-9
+        (20, 1, int(math.pi / math.radians(1e-9)) + 1, True),  # a cut sampled every 1e-9 deg
         (10**15, 1, 0, True),  # refused on the (2n)^2 bound, before any FFT length is sought
     ],
 )
@@ -404,6 +416,23 @@ def test_principal_plane_cut_peaks_at_steer_angle():
     prof = synthesize_profile(ap, BROADSIDE, Direction.from_degrees(25.0))
     theta_deg, dbi = principal_plane_cut(prof, F140, phi=0.0, theta_step=math.radians(0.1))
     assert theta_deg[int(np.argmax(dbi))] == pytest.approx(25.0, abs=0.3)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+def test_principal_plane_cut_refuses_a_bad_step(step):
+    prof = synthesize_profile(ApertureSpec.from_element_grid(16, F140), BROADSIDE, BROADSIDE)
+    with pytest.raises(ValueError, match="theta_step must be positive and finite"):
+        principal_plane_cut(prof, theta_step=step)
+
+
+def test_quantized_cuts_resolve_a_panel_far_below_a_wavelength():
+    # 0.01 wavelengths across, so the analytical beamwidth is about 90 rad
+    tiny = ApertureSpec.from_element_grid(2, F140, cell_pitch_m=F140.wavelength_m / 200)
+    ((theta_deg, dbi),) = quantized_cuts(synthesize_profile(tiny, BROADSIDE, BROADSIDE), [None], 0.0)
+    # a beamwidth above pi counts as pi, so the cut keeps 20 steps and its broadside sample
+    assert theta_deg.size == 21
+    # a point source with the cos(theta) element power has a directivity of 4
+    assert np.max(dbi) == pytest.approx(10.0 * math.log10(4.0), abs=1e-3)
 
 
 # --- field kernel against the direct-sum oracle ------------------------------
