@@ -12,7 +12,9 @@ Rewrite the record after an intended change of output with
 
     PYTHONPATH=src python tests/test_golden.py --update
 
-and list the artifacts that moved, and why, in CHANGES.md.
+It compares the new record with the one it replaces and prints one line per
+artifact that moved: its old -> new line count and how many of its line
+blocks changed. List those artifacts, and why they moved, in CHANGES.md.
 """
 
 import contextlib
@@ -71,12 +73,17 @@ def _record(data: bytes) -> dict:
     }
 
 
+def _blocks_against(lines: list[bytes], golden: dict) -> tuple[int, list[str], list[str]]:
+    """(block size, digests of lines, golden digests), both cut at the golden record's block size."""
+    size = max(1, -(-golden["lines"] // BLOCKS))
+    return size, _block_digests(lines, size), golden["blocks"].split()
+
+
 def _first_difference(name: str, data: bytes, golden: dict) -> str:
     """Where data first departs from the golden record, as one line."""
     lines = data.splitlines(keepends=True)
-    size = max(1, -(-golden["lines"] // BLOCKS))
-    pairs = zip(_block_digests(lines, size), golden["blocks"].split())
-    block = next((i for i, (now, then) in enumerate(pairs) if now != then), None)
+    size, now, then = _blocks_against(lines, golden)
+    block = next((i for i, (a, b) in enumerate(zip(now, then)) if a != b), None)
     if block is None:
         start = end = min(len(lines), golden["lines"]) + 1
     else:
@@ -106,8 +113,19 @@ def test_bundled_artifacts_match_golden(tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --update")
+    before = json.loads(GOLDEN.read_text())["artifacts"]
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         artifacts = _generate(Path(tmp))
     record = {"environment": _environment(), "artifacts": {n: _record(d) for n, d in artifacts.items()}}
+    for name in sorted(before.keys() - artifacts.keys()):
+        print(f"{name}: removed")
+    for name, data in artifacts.items():
+        if name not in before:
+            print(f"{name}: new, {record['artifacts'][name]['lines']} lines")
+        elif record["artifacts"][name]["sha256"] != before[name]["sha256"]:
+            _, now, then = _blocks_against(data.splitlines(keepends=True), before[name])
+            changed = sum(a != b for a, b in zip(now, then)) + abs(len(now) - len(then))
+            print(f"{name}: {before[name]['lines']} -> {record['artifacts'][name]['lines']} lines, "
+                  f"{changed} of {len(then)} blocks changed")
     GOLDEN.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {GOLDEN}: {len(artifacts)} artifacts")

@@ -12,10 +12,16 @@ from thz_ris_planner.core import BROADSIDE, Direction, Frequency
 from thz_ris_planner.radiation import (
     J1_HANKEL_MIN,
     J1_SERIES_MAX,
+    _HANKEL_P,
+    _HANKEL_Q,
+    _SERIES,
+    _element_factor,
     _fast_length,
+    _field,
     _j1,
     _largest_array,
     _phase_table,
+    _polynomial,
     check_array_budget,
     array_factor_direct,
     array_factor_fft,
@@ -327,6 +333,21 @@ def test_j1_matches_scipy_property(xs):
     assert np.max(np.abs(_j1(x) - j1(x))) <= 2e-15
 
 
+def test_polynomial_is_horner_from_zero_bit_for_bit():
+    rng = np.random.default_rng(7)
+    t = np.concatenate([rng.uniform(-2.0, 2.0, 1000), 1.0 / rng.uniform(25.0, 1500.0, 1000) ** 2, [0.0, -0.0]])
+    for coefficients in (_SERIES, _HANKEL_P, _HANKEL_Q):
+        horner = np.zeros_like(t)
+        for c in reversed(coefficients):
+            horner = horner * t + c
+        assert np.array_equal(_polynomial(coefficients, t).view(np.uint64), horner.view(np.uint64))
+    # at x = 0 the Hankel argument 1/x^2 is inf, where either start gives no
+    # finite value; _j1 overwrites those entries with the series
+    with np.errstate(all="ignore"):
+        assert not np.any(np.isfinite(_polynomial(_HANKEL_P, np.array([np.inf]))))
+    assert np.array_equal(_j1(np.array([0.0, 30.0, 0.0]))[[0, 2]], [0.0, 0.0])
+
+
 # --- memory guard (estimates only; nothing large is allocated) ---------------
 
 
@@ -450,15 +471,46 @@ def _field_from_dbi(dbi, power):
     max_phase=st.floats(0.0, 1e5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_phase_table_matches_plain_exp_property(n, pitch, max_phase, seed):
+def test_phase_table_mirrors_and_stays_within_two_eps_property(n, pitch, max_phase, seed):
     x = PhaseProfile(np.ones((n, 1)), F140, pitch).x_m
     rng = np.random.default_rng(seed)
     q = rng.uniform(-1.0, 1.0, 64) * max_phase / max(np.max(np.abs(x)), pitch)  # |x q| <= max_phase
     # a cut in the plane phi = 0 has kv = 0 in every direction, and conj
     # turns the +0 imaginary part exp gives there into -0
     q[:2] = 0.0, -0.0
+    table = _phase_table(x, q)
     plain = np.exp(1j * np.outer(x, q))
-    assert np.array_equal(_phase_table(x, q).view(np.uint64), plain.view(np.uint64))
+
+    # row n-1-i is the conjugate of row i, with a zero imaginary part read as +0
+    mirrored = np.conj(table[::-1])
+    mirrored.imag += 0.0
+    assert np.array_equal(table.view(np.uint64), mirrored.view(np.uint64))
+    assert np.array_equal(table[:, :2].view(np.uint64), plain[:, :2].view(np.uint64))
+
+    # the coarse x fine products stay within the rounding of the argument, as plain exp does
+    exact = np.exp(1j * np.outer(x.astype(np.longdouble), q.astype(np.longdouble)))
+    bound = 2.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(np.outer(x, q))))
+    assert np.max(np.abs(table - exact)) <= bound
+    assert np.max(np.abs(plain - exact)) <= bound
+
+
+@pytest.mark.parametrize(
+    "n, f_ghz, bits",
+    [(100, 140.0, None), (100, 140.0, 1), (128, 300.0, 2), (48, 200.0, None)],
+)
+def test_field_kernel_matches_direct_sum_to_1e13_of_peak(n, f_ghz, bits):
+    f = Frequency.from_ghz(f_ghz)
+    target = Direction.from_degrees(30.0, 20.0)
+    prof = synthesize_profile(ApertureSpec.from_element_grid(n, f), BROADSIDE, target, TaperSpec(-10.0))
+    if bits is not None:
+        prof = quantize_profile(prof, bits)
+    rng = np.random.default_rng(n)
+    theta = np.append(rng.uniform(0.0, 0.5 * math.pi, 300), target.theta)
+    phi = np.append(rng.uniform(0.0, 2.0 * math.pi, 300), target.phi)
+    kt = radiation._wavenumber(f) * np.sin(theta)
+    kernel = _field(prof.coefficients, prof, kt * np.cos(phi), kt * np.sin(phi)) * _element_factor(theta)
+    direct = array_factor_direct(prof, f, [Direction(t, p) for t, p in zip(theta, phi)])
+    assert np.max(np.abs(kernel - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 @settings(max_examples=25, deadline=None)
