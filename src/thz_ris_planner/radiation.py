@@ -12,17 +12,22 @@ f != f0 is what produces beam squint.
 Every production field evaluation (principal cuts, single-direction gain,
 the directivity quadrature, the squint gain trace, the broadside beamwidth
 and the beam-peak track) goes through one kernel, _field, which is separable
-over the lattice axes: per chunk of directions it builds two exponential
-tables and does one matrix product. A PhaseProfile lies on a uniform lattice
-centred on the origin, x[n-1-i] == -x[i] exactly, so row n-1-i of each table
-is the complex conjugate of row i, and _phase_table builds only the upper m
-rows. It splits them coarse x fine, as pocketfft builds its twiddle factors:
-with f = ceil(sqrt(m)), exp runs on the m/f coarse rows and the f - 1 fine
-offsets, and one product per entry fills the rest, so a direction costs
-about 2*sqrt(m) exps instead of m. Each entry is within 2*eps*max(1, max|x q|) of
-the exact phasor, the bound plain exp meets too, and the kernel is within
-1e-15 of the peak of array_factor_direct on 48^2 to 128^2 panels. Two
-further routes exist:
+over the lattice axes. A PhaseProfile lies on a uniform lattice centred on
+the origin, x[n-1-i] == -x[i] exactly, so cos(x q) is even in x and sin(x q)
+odd, and _field works on the upper m = n - n//2 rows of each axis in real
+arithmetic only. _parity_fold folds the coefficient grid once into its four
+parity parts, c[u] +/- c[n-1-u] per axis (the centre of an odd axis once),
+times j per sine axis: one real (4*mx, 2*my) matrix. Per chunk of directions
+_cos_sin_table builds cos and sin of the upper rows, split coarse x fine as
+pocketfft builds its twiddle factors: with f = ceil(sqrt(m)), exp runs on
+the m/f coarse rows and the f - 1 fine offsets, and one product per entry
+fills the rest, so a direction costs about 2*sqrt(m) exps instead of m. One
+real matrix product of the folded grid with [cos; sin] of y, half the
+multiplies of the complex product over all rows, and a real product-sum
+against [cos; sin] of x finish the chunk. Each table entry is within
+2*eps*max(1, max|x q|) of the exact value, the bound plain exp meets too,
+and the kernel is within 1e-15 of the peak of array_factor_direct on 1^2 to
+128^2 panels. Two further routes exist:
 
 * array_factor_fft: zero-padded 2-D DFT on the (u, v) lattice, equal to the
   direct sum at lattice points for every profile, because a PhaseProfile
@@ -84,7 +89,7 @@ from .surface import PhaseProfile, TaperSpec, quantize_profile, synthesize_profi
 BEAMWIDTH_FACTOR = 0.886  # uniform-aperture 3 dB beamwidth in units of lambda/D
 HPBW_GRID = 17  # samples per bracketing pass of the broadside -3 dB point
 PEAK_WINDOW = 21  # samples of the steering-plane array factor around the beam
-FIELD_CHUNK = 1024  # directions per pair of tables in _field, each built coarse x fine on half its rows
+FIELD_CHUNK = 1024  # directions per pair of cos/sin half tables in _field; none of 256-4096 clearly faster
 COARSE_RESOLUTION = math.radians(0.5)  # directivity grid step away from the main lobe
 LOBE_WINDOW = math.radians(2.0)  # least half-width of the fine grid around the main lobe
 CUT_STEPS_PER_BEAMWIDTH = 20  # quantization-loss cut samples per analytical beamwidth
@@ -255,52 +260,80 @@ def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> U
     return UVPattern(ax1=u, ax2=v, field=field)
 
 
-def _phase_table(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The table exp(j x_i q_s), on a uniform axis mirrored about 0 (x[n-1-i] == -x[i]).
+def _parity_fold(c: np.ndarray) -> np.ndarray:
+    """The coefficient grid c folded for _field: one real (4*mx, 2*my) matrix.
 
-    The upper m = n - n//2 rows, from h = n//2, are split coarse x fine, as
-    pocketfft splits its twiddle factors: with f = ceil(sqrt(m)), row
-    h + a*f + b is exp(j x[h + a*f] q) * exp(j (x[h + b] - x[h]) q), so one
-    exp over the ceil(m/f) coarse rows x[h::f] and the f - 1 fine offsets
-    fills them all, about 2*sqrt(m) exps per direction instead of m. Rows with b = 0
-    are plain exp. Each entry is within 2*eps*max(1, max|x q|) of the exact
-    phasor, the same order as plain exp, whose error is the rounding of its
-    argument. Each lower row i is the conjugate of row n-1-i, which equals
-    exp(-j x_i q_s) once the -0 that conj makes of a zero imaginary part is
-    set back to the +0 that exp gives there.
+    On an axis mirrored about 0 (x[n-1-i] == -x[i]) cos(x q) is even in x and
+    sin(x q) odd, so the sum over the rows of c against exp(j x q) is a sum
+    over the upper m = n - n//2 rows only: of c[h+u] + c[m-1-u] against cos
+    and of c[h+u] - c[m-1-u] against j sin, h = n//2. The centre row of an
+    odd axis mirrors onto itself and counts once; its x is 0, where sin
+    vanishes. Folding both axes gives four parity parts (cos or sin in x by
+    cos or sin in y), each times j for each sine axis. Rows of the result are
+    (real or imaginary part, cos or sin in x, upper row u), columns (cos or
+    sin in y, upper column v).
+    """
+    parts = _parity_halves(_parity_halves(c).transpose(2, 0, 1))  # [py, v, px, u]
+    signed = parts.transpose(2, 3, 0, 1) * np.array([[1.0, 1j], [1j, -1.0]])[:, None, :, None]
+    folded = np.empty((2, *signed.shape))
+    folded[0] = signed.real
+    folded[1] = signed.imag
+    return folded.reshape(4 * signed.shape[1], 2 * signed.shape[3])
+
+
+def _parity_halves(a: np.ndarray) -> np.ndarray:
+    """[a[h+u] + a[m-1-u], a[h+u] - a[m-1-u]] over the m = n - n//2 upper rows of axis 0, centre once."""
+    n = a.shape[0]
+    h = n // 2
+    upper, lower = a[h:], a[n - h - 1 :: -1]
+    parts = np.empty((2, *upper.shape), dtype=upper.dtype)
+    np.add(upper, lower, out=parts[0])
+    np.subtract(upper, lower, out=parts[1])
+    if n % 2:
+        parts[0, 0] = a[h]
+    return parts
+
+
+def _cos_sin_table(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """[cos(x_i q_s); sin(x_i q_s)] over the upper m = n - n//2 rows i = h.., h = n//2, of x.
+
+    The rows are split coarse x fine, as pocketfft splits its twiddle
+    factors: with f = ceil(sqrt(m)), row h + a*f + b is exp(j x[h + a*f] q) *
+    exp(j (x[h + b] - x[h]) q), so one exp over the ceil(m/f) coarse rows
+    x[h::f] and the f - 1 fine offsets fills them all, about 2*sqrt(m) exps
+    per direction instead of m. Rows with b = 0 are plain exp. Each entry is
+    within 2*eps*max(1, max|x q|) of the exact value, the same order as plain
+    exp, whose error is the rounding of its argument. The result is real,
+    (2m, q.size): the cos rows, then the sin rows.
     """
     n = x.size
     h = n // 2
     m = n - h
     f = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
     a = -(-m // f)
-    phasors = np.exp(1j * np.outer(np.concatenate([x[h::f], x[h + 1 : h + f] - x[h]]), q))
+    phasors = np.exp(np.outer(1j * np.concatenate([x[h::f], x[h + 1 : h + f] - x[h]]), q))
     coarse, fine = phasors[:a], phasors[a:]
-    rows = np.empty((h + a * f, q.size), dtype=complex)  # the block may overrun row n-1
-    block = rows[h:].reshape(a, f, q.size)
+    block = np.empty((a, f, q.size), dtype=complex)  # the block may overrun row m-1
     block[:, 0] = coarse
     np.multiply(coarse[:, None], fine[None], out=block[:, 1:])
-    table = rows[:n]
-    lower = table[:h]
-    np.conj(table[::-1][:h], out=lower)
-    np.add(lower.imag, 0.0, out=lower.imag)  # -0 + 0 is +0, every other value stays
-    return table
+    rows = block.reshape(a * f, q.size)[:m]
+    return np.concatenate([rows.real, rows.imag])
 
 
-def _field(c: np.ndarray, p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
+def _field(folded: np.ndarray, p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
     """Array factor sum_ij c_ij exp(j (ku_s x_i + kv_s y_j)) at each pair (ku_s, kv_s).
 
     ku and kv are k*u and k*v (rad/m) of the same shape; the result has that
-    shape and carries no element factor. c is the coefficient grid on the
-    lattice of p (p.coefficients, or e.g. its magnitudes). The sum is
-    separable over the lattice axes: per FIELD_CHUNK directions it builds the
-    tables exp(j x ku) and exp(j y kv) and does one matrix product. Both
-    tables come from _phase_table, which relies on the centred uniform
-    lattice of p: half of each table's rows are conjugates of the other half,
-    and that half is products of coarse and fine phasors, about 2*sqrt(m)
-    exps per direction for m = n - n//2 rows, within 2*eps*max(1, max|x q|) of exact.
-    Directions run along the last axis, so the final sum over x is over long
-    rows.
+    shape and carries no element factor. folded is _parity_fold of the
+    coefficient grid c on the lattice of p (p.coefficients, or e.g. its
+    magnitudes); a caller that evaluates one grid more than once folds it
+    once. The sum is separable over the lattice axes, and the centred lattice
+    of p lets it run on the upper half of each axis in real arithmetic: per
+    FIELD_CHUNK directions it builds the half tables [cos; sin] of x ku and of
+    y kv with _cos_sin_table, does one real matrix product of folded with the
+    y table, and sums that against the x table for the real and the imaginary
+    part. Directions run along the last axis, so the final sum over x is over
+    long rows.
     """
     ku = np.asarray(ku, dtype=float)
     kv = np.asarray(kv, dtype=float)
@@ -309,9 +342,9 @@ def _field(c: np.ndarray, p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np
     out = np.empty(flat_u.size, dtype=complex)
     for s in range(0, flat_u.size, FIELD_CHUNK):
         chunk = slice(s, s + FIELD_CHUNK)
-        ax = _phase_table(x, flat_u[chunk])
-        by = _phase_table(y, flat_v[chunk])
-        out[chunk] = np.einsum("is,is->s", ax, c @ by)
+        ax = _cos_sin_table(x, flat_u[chunk])
+        partial = (folded @ _cos_sin_table(y, flat_v[chunk])).reshape(2, ax.shape[0], -1)
+        out.real[chunk], out.imag[chunk] = np.einsum("rks,ks->rs", partial, ax)
     return out.reshape(ku.shape)
 
 
@@ -362,7 +395,7 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
 
     k = _wavenumber(f)
     st = np.sin(theta)[:, None]
-    field = _field(p.coefficients, p, k * st * np.cos(phi), k * st * np.sin(phi))
+    field = _field(_parity_fold(p.coefficients), p, k * st * np.cos(phi), k * st * np.sin(phi))
     e2 = np.abs(field * _element_factor(theta)[:, None]) ** 2
     inner = np.trapezoid(e2 * st, x=phi, axis=1)
     total = float(np.trapezoid(inner, x=theta))
@@ -557,7 +590,7 @@ def gain_at(p: PhaseProfile, f: Frequency, direction: Direction) -> float:
     """Directivity (dBi) at one direction, normalized by the exact power."""
     k = _wavenumber(f)
     u, v = direction.transverse()
-    e = _field(p.coefficients, p, k * u, k * v) * _element_factor(direction.theta)
+    e = _field(_parity_fold(p.coefficients), p, k * u, k * v) * _element_factor(direction.theta)
     return float(_dbi(abs(e) ** 2, hemisphere_power_exact(p, f)))
 
 
@@ -583,7 +616,8 @@ def principal_plane_cut(
     theta = np.arange(-math.pi / 2, math.pi / 2 + 1e-12, theta_step)
     # negative theta at phi + 180 deg is positive theta with k*sin(theta) negated
     q = _wavenumber(f) * np.sin(theta)
-    e = _field(p.coefficients, p, q * math.cos(phi), q * math.sin(phi)) * _element_factor(theta)
+    e = _field(_parity_fold(p.coefficients), p, q * math.cos(phi), q * math.sin(phi))
+    e *= _element_factor(theta)
     return np.degrees(theta), _dbi(np.abs(e) ** 2, total_power)
 
 
@@ -687,13 +721,14 @@ def squint_vs_angle(
         if bits is not None:
             profile = quantize_profile(profile, bits)
 
+        folded = _parity_fold(profile.coefficients)
         u_t, v_t = outgoing.transverse()
-        e = _field(profile.coefficients, profile, k_per_f * u_t, k_per_f * v_t)
+        e = _field(folded, profile, k_per_f * u_t, k_per_f * v_t)
         e *= _element_factor(outgoing.theta)
         gain = _dbi(np.abs(e) ** 2, _fold_power(profile, kernel))
 
         hpbw = _broadside_hpbw(profile, outgoing.phi, f0)
-        peak = _track_beam_peak(profile, outgoing, k0, hpbw, k_per_f)
+        peak = _track_beam_peak(profile, folded, outgoing, k0, hpbw, k_per_f)
         excess = np.abs(peak - outgoing.theta) - hpbw / 2.0
         if excess[mid] > 0.0:
             raise ValueError(
@@ -752,12 +787,13 @@ def _broadside_hpbw(p: PhaseProfile, phi: float, f: Frequency) -> float:
     """
     amps = np.abs(p.coefficients)
     peak = np.sum(amps) ** 2
+    folded = _parity_fold(amps)
     k = _wavenumber(f)
     lo, hi = 0.0, min(analytical_hpbw(p, f), math.pi / 2)
     for _ in range(2):
         theta = np.linspace(lo, hi, HPBW_GRID)
         q = k * np.sin(theta)
-        power = np.abs(_field(amps, p, q * math.cos(phi), q * math.sin(phi))) ** 2 * np.cos(theta)
+        power = np.abs(_field(folded, p, q * math.cos(phi), q * math.sin(phi))) ** 2 * np.cos(theta)
         with np.errstate(divide="ignore"):
             rel = 10.0 * np.log10(power / peak)
         below = np.flatnonzero(rel < -3.0)
@@ -769,9 +805,11 @@ def _broadside_hpbw(p: PhaseProfile, phi: float, f: Frequency) -> float:
 
 
 def _track_beam_peak(
-    p: PhaseProfile, outgoing: Direction, k0: float, hpbw: float, k_per_f: np.ndarray
+    p: PhaseProfile, folded: np.ndarray, outgoing: Direction, k0: float, hpbw: float, k_per_f: np.ndarray
 ) -> np.ndarray:
     """Signed beam-peak angle (rad) in the steering plane at each wavenumber.
+
+    folded is _parity_fold of p.coefficients.
 
     |AF(q)|^2 is sampled once on PEAK_WINDOW points within the broadside
     half-power half width of q0 = k0*sin(theta0). At each wavenumber the
@@ -784,7 +822,7 @@ def _track_beam_peak(
     # along azimuth phi the frozen-phase array factor depends on k*sin(theta)
     # only, so one evaluation at q serves every frequency
     ku, kv = q * math.cos(outgoing.phi), q * math.sin(outgoing.phi)
-    af2 = np.abs(_field(p.coefficients, p, ku, kv)) ** 2
+    af2 = np.abs(_field(folded, p, ku, kv)) ** 2
     cos_theta = np.sqrt(np.maximum(1.0 - (q[None, :] / k_per_f[:, None]) ** 2, 0.0))
     log_p = np.log(np.maximum(af2 * cos_theta, np.finfo(float).tiny))
     idx = np.argmax(log_p, axis=1)

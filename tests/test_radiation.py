@@ -17,10 +17,11 @@ from thz_ris_planner.radiation import (
     _SERIES,
     _element_factor,
     _fast_length,
+    _cos_sin_table,
     _field,
     _j1,
     _largest_array,
-    _phase_table,
+    _parity_fold,
     _polynomial,
     check_array_budget,
     array_factor_direct,
@@ -471,44 +472,57 @@ def _field_from_dbi(dbi, power):
     max_phase=st.floats(0.0, 1e5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_phase_table_mirrors_and_stays_within_two_eps_property(n, pitch, max_phase, seed):
+def test_cos_sin_table_stays_within_two_eps_property(n, pitch, max_phase, seed):
     x = PhaseProfile(np.ones((n, 1)), F140, pitch).x_m
     rng = np.random.default_rng(seed)
     q = rng.uniform(-1.0, 1.0, 64) * max_phase / max(np.max(np.abs(x)), pitch)  # |x q| <= max_phase
-    # a cut in the plane phi = 0 has kv = 0 in every direction, and conj
-    # turns the +0 imaginary part exp gives there into -0
+    # a cut in the plane phi = 0 has kv = 0 in every direction
     q[:2] = 0.0, -0.0
-    table = _phase_table(x, q)
-    plain = np.exp(1j * np.outer(x, q))
-
-    # row n-1-i is the conjugate of row i, with a zero imaginary part read as +0
-    mirrored = np.conj(table[::-1])
-    mirrored.imag += 0.0
-    assert np.array_equal(table.view(np.uint64), mirrored.view(np.uint64))
-    assert np.array_equal(table[:, :2].view(np.uint64), plain[:, :2].view(np.uint64))
+    upper = x[n // 2 :]
+    m = upper.size
+    table = _cos_sin_table(x, q)
+    assert table.shape == (2 * m, q.size)
+    cos, sin = table[:m], table[m:]
+    assert np.all(cos[:, :2] == 1.0)
+    assert np.all(sin[:, :2] == 0.0)
 
     # the coarse x fine products stay within the rounding of the argument, as plain exp does
-    exact = np.exp(1j * np.outer(x.astype(np.longdouble), q.astype(np.longdouble)))
+    exact = np.exp(1j * np.outer(upper.astype(np.longdouble), q.astype(np.longdouble)))
     bound = 2.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(np.outer(x, q))))
-    assert np.max(np.abs(table - exact)) <= bound
-    assert np.max(np.abs(plain - exact)) <= bound
+    assert np.max(np.abs(cos + 1j * sin - exact)) <= bound
+    assert np.max(np.abs(np.exp(1j * np.outer(upper, q)) - exact)) <= bound
 
 
 @pytest.mark.parametrize(
     "n, f_ghz, bits",
-    [(100, 140.0, None), (100, 140.0, 1), (128, 300.0, 2), (48, 200.0, None)],
+    [
+        (100, 140.0, None),
+        (100, 140.0, 1),
+        (128, 300.0, 2),
+        (48, 200.0, None),
+        # odd and tiny panels fold a centre row and column that count once
+        (1, 140.0, None),
+        (3, 140.0, 1),
+        (49, 200.0, None),
+        (127, 300.0, 2),
+        (49, 200.0, "magnitudes"),
+    ],
 )
 def test_field_kernel_matches_direct_sum_to_1e13_of_peak(n, f_ghz, bits):
     f = Frequency.from_ghz(f_ghz)
     target = Direction.from_degrees(30.0, 20.0)
     prof = synthesize_profile(ApertureSpec.from_element_grid(n, f), BROADSIDE, target, TaperSpec(-10.0))
-    if bits is not None:
+    if bits == "magnitudes":
+        # the real grid |c| that the broadside beamwidth radiates
+        prof = PhaseProfile(np.abs(prof.coefficients), f, prof.cell_pitch_m)
+    elif bits is not None:
         prof = quantize_profile(prof, bits)
     rng = np.random.default_rng(n)
     theta = np.append(rng.uniform(0.0, 0.5 * math.pi, 300), target.theta)
     phi = np.append(rng.uniform(0.0, 2.0 * math.pi, 300), target.phi)
     kt = radiation._wavenumber(f) * np.sin(theta)
-    kernel = _field(prof.coefficients, prof, kt * np.cos(phi), kt * np.sin(phi)) * _element_factor(theta)
+    field = _field(_parity_fold(prof.coefficients), prof, kt * np.cos(phi), kt * np.sin(phi))
+    kernel = field * _element_factor(theta)
     direct = array_factor_direct(prof, f, [Direction(t, p) for t, p in zip(theta, phi)])
     assert np.max(np.abs(kernel - direct)) <= 1e-13 * np.max(np.abs(direct))
 

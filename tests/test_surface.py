@@ -215,8 +215,9 @@ def test_profile_shape_validation():
 
 
 def test_lattice_axes_are_mirrored_exactly():
-    # the field kernel takes half of each exponential table as the conjugate
-    # of the other half, which needs x[n-1-i] == -x[i] with no rounding
+    # the field kernel folds each row i of the coefficient grid onto row n-1-i
+    # against the even cos and odd sin of x q, which needs x[n-1-i] == -x[i]
+    # with no rounding
     rng = np.random.default_rng(3)
     for rows, cols in [(1, 1), (1, 2), (7, 8), (64, 63), (101, 560)]:
         for pitch in [1e-3, *rng.uniform(1e-5, 1e-2, 5)]:
