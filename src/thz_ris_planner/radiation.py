@@ -57,12 +57,17 @@ depends on |d| only, that half is summed per distinct squared integer lag
 i^2 + j^2 (2122 radii for the 11175 half-lattice lags of a 75x75 panel), and
 the kernel is a J1 table over (k, distinct radius). squint_vs_angle builds
 it once for its frequency grid and shares that one table across every
-angle; squint_sweep is its single-angle case. J1 itself is _j1, a numpy
-routine in three regimes: the power series for x <= 2, Miller's backward
-recurrence up to 25 and the Hankel asymptotic expansion above (Abramowitz &
-Stegun 9.1.10, 9.1.27, 9.1.46, 9.2.5, 9.2.9-10); it is within 3e-16 of the
-exact value. The expansion runs on the whole table and the other two
-regimes overwrite the few entries at or below 25.
+angle; squint_sweep is its single-angle case. _power_kernel fills the table
+in place, one block of at most J1_BLOCK_BYTES at a time: whole rows of k
+when a row fits, else a column range of one row. So J1's scratch memory is
+bounded by that budget whatever the panel or the frequency grid, and the
+table equals one call on all of it bit for bit, as every step is
+elementwise. J1 itself is _j1, a numpy routine in three regimes: the power
+series for x <= 2, Miller's backward recurrence up to 25 and the Hankel
+asymptotic expansion above (Abramowitz & Stegun 9.1.10, 9.1.27, 9.1.46,
+9.2.5, 9.2.9-10); it is within 3e-16 of the exact value. The expansion runs
+on the whole block and the other two regimes overwrite the few entries at
+or below 25.
 
 Quantization loss and the pattern command take the same principal-plane cuts
 in the steering plane, normalised by that closed form, from quantized_cuts.
@@ -94,6 +99,7 @@ COARSE_RESOLUTION = math.radians(0.5)  # directivity grid step away from the mai
 LOBE_WINDOW = math.radians(2.0)  # least half-width of the fine grid around the main lobe
 CUT_STEPS_PER_BEAMWIDTH = 20  # quantization-loss cut samples per analytical beamwidth
 MAX_ARRAY_BYTES = 2**30  # largest single array a pattern or squint run may allocate
+J1_BLOCK_BYTES = 2**17  # bytes of table per _power_kernel J1 block: the least of 2**15-2**19 that costs no time
 J1_SERIES_MAX = 2.0  # _j1 sums the power series up to here,
 J1_HANKEL_MIN = 25.0  # the Hankel expansion above here, and Miller's recurrence between
 MILLER_ORDER = 64  # even starting order of the backward recurrence; from 60 the error at x = 25 is rounding
@@ -437,16 +443,30 @@ def _power_kernel(rows: int, cols: int, pitch: float, k: np.ndarray) -> tuple[np
     so counting finds them in ascending order without a sort; the first is
     the zero lag. The table holds 2*pi*J1(k rho)/(k rho) for each k and each
     nonzero distinct radius rho.
+
+    The table is allocated once and filled in blocks of at most
+    J1_BLOCK_BYTES of entries: as many whole rows (wavenumbers) as fit, or,
+    when one row is longer than that, column ranges of one row. Each block
+    computes k*rho, _j1, times 2*pi and over k*rho on its own, so every
+    temporary is bounded by the budget and not by the table, and each entry
+    is the same as from one _j1 call on the whole table.
     """
     i = np.concatenate([np.arange(rows), np.arange(1 - rows, 0)])
     j = np.arange(cols)
     r2 = (i[:, None] ** 2 + j[None, :] ** 2).ravel()
     present = np.bincount(r2) > 0
     radius_index = (np.cumsum(present) - 1)[r2]
-    kr = np.outer(k, pitch * np.sqrt(np.flatnonzero(present)[1:]))
-    table = _j1(kr)
-    table *= 2.0 * math.pi
-    table /= kr
+    rho = pitch * np.sqrt(np.flatnonzero(present)[1:])
+    table = np.empty((k.size, rho.size))
+    entries = J1_BLOCK_BYTES // table.itemsize
+    block_rows = max(1, entries // max(1, rho.size))
+    block_cols = max(1, min(rho.size, entries))
+    for r in range(0, k.size, block_rows):
+        for c in range(0, rho.size, block_cols):
+            kr = np.outer(k[r : r + block_rows], rho[c : c + block_cols])
+            block = table[r : r + block_rows, c : c + block_cols]
+            np.multiply(_j1(kr), 2.0 * math.pi, out=block)
+            block /= kr
     return radius_index, table
 
 
@@ -702,6 +722,9 @@ def squint_vs_angle(
 
     The sweep is validated and the J1 table of the closed-form power built
     once, for the lattice and the frequency grid, and shared by every angle.
+    HPBW depends on the aperture, the taper and the azimuth only, so it is
+    measured once per distinct outgoing.phi, on the broadside profile whose
+    coefficients are the taper itself.
     """
     check_normal_incidence(incident)
     if n_samples < 11 or n_samples % 2 == 0:
@@ -715,6 +738,7 @@ def squint_vs_angle(
     kernel = _power_kernel(a.n_per_side, a.n_per_side, a.cell_pitch_m, k_per_f)
     k0 = _wavenumber(f0)
     mid = n_samples // 2
+    hpbw_per_phi = {}
     reports = []
     for outgoing in outgoing_list:
         profile = synthesize_profile(a, incident, outgoing, taper)
@@ -727,7 +751,10 @@ def squint_vs_angle(
         e *= _element_factor(outgoing.theta)
         gain = _dbi(np.abs(e) ** 2, _fold_power(profile, kernel))
 
-        hpbw = _broadside_hpbw(profile, outgoing.phi, f0)
+        hpbw = hpbw_per_phi.get(outgoing.phi)
+        if hpbw is None:
+            broadside = synthesize_profile(a, incident, Direction(0.0, outgoing.phi), taper)
+            hpbw = hpbw_per_phi[outgoing.phi] = _broadside_hpbw(broadside, outgoing.phi, f0)
         peak = _track_beam_peak(profile, folded, outgoing, k0, hpbw, k_per_f)
         excess = np.abs(peak - outgoing.theta) - hpbw / 2.0
         if excess[mid] > 0.0:

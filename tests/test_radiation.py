@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from thz_ris_planner import radiation
 from thz_ris_planner.aperture import ApertureSpec
 from thz_ris_planner.core import BROADSIDE, Direction, Frequency
 from thz_ris_planner.radiation import (
+    J1_BLOCK_BYTES,
     J1_HANKEL_MIN,
     J1_SERIES_MAX,
     _HANKEL_P,
@@ -23,6 +25,7 @@ from thz_ris_planner.radiation import (
     _largest_array,
     _parity_fold,
     _polynomial,
+    _power_kernel,
     check_array_budget,
     array_factor_direct,
     array_factor_fft,
@@ -309,9 +312,10 @@ def test_j1_small_arguments():
 
 
 def test_j1_on_mixed_regime_table():
-    # a (k, rho) table laid out as _power_kernel builds it: every row holds
-    # 0, 1e-300 and both sides of each regime edge next to k*rho values that
-    # run through all three regimes, so no row is a single regime
+    # a (k, rho) block such as _power_kernel passes to _j1, within
+    # J1_BLOCK_BYTES: every row holds 0, 1e-300 and both sides of each regime
+    # edge next to k*rho values that run through all three regimes, so no row
+    # is a single regime
     specials = np.concatenate([[0.0, 1e-300], _regime_edges()])
     k = np.array([0.5, 1.0, 1.7, 3.0])
     rho = np.linspace(0.0, 400.0, 2001)
@@ -347,6 +351,65 @@ def test_polynomial_is_horner_from_zero_bit_for_bit():
     with np.errstate(all="ignore"):
         assert not np.any(np.isfinite(_polynomial(_HANKEL_P, np.array([np.inf]))))
     assert np.array_equal(_j1(np.array([0.0, 30.0, 0.0]))[[0, 2]], [0.0, 0.0])
+
+
+# --- the J1 power kernel, built in blocks --------------------------------------
+
+SQUINT_SHAPES = ((34, 81), (46, 161), (52, 101), (56, 121), (70, 81))  # (n, frequencies) of the squint benchmark
+
+
+def _one_j1_call(rows, cols, pitch, k):
+    """2*pi*J1(k rho)/(k rho) from one _j1 call on the whole (k, distinct nonzero radius) table."""
+    rho = pitch * np.sqrt(np.unique(np.add.outer(np.arange(rows) ** 2, np.arange(cols) ** 2))[1:])
+    kr = np.outer(k, rho)
+    return _j1(kr) * (2.0 * math.pi) / kr
+
+
+@pytest.mark.parametrize(
+    "entries,rows,cols,k",
+    [
+        (12, 3, 3, np.linspace(500.0, 3000.0, 5)),  # 5 radii: 2 rows a block, then 1
+        (12, 6, 6, np.array([3000.0])),  # one k whose row is longer than the budget
+        (12, 6, 5, np.linspace(500.0, 3000.0, 3)),  # every row split into column blocks
+        *((J1_BLOCK_BYTES // 8, n, n, 2.0 * math.pi / F140.wavelength_m * np.linspace(0.85, 1.15, size))
+          for n, size in SQUINT_SHAPES),
+    ],
+)
+def test_power_kernel_blocks_equal_one_j1_call(monkeypatch, entries, rows, cols, k):
+    monkeypatch.setattr(radiation, "J1_BLOCK_BYTES", 8 * entries)
+    pitch = F140.wavelength_m / 2.0
+    _, table = _power_kernel(rows, cols, pitch, k)
+    expected = _one_j1_call(rows, cols, pitch, k)
+    assert table.size > entries  # more than one block
+    assert table.shape == expected.shape
+    assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
+
+
+def _kernel_peak(n, k):
+    """tracemalloc peak (bytes) of one n x n _power_kernel call at 1 mm pitch, and its table's bytes."""
+    tracemalloc.start()
+    try:
+        _, table = _power_kernel(n, n, 1e-3, k)
+        return tracemalloc.get_traced_memory()[1], table.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_power_kernel_scratch_is_bounded_by_the_budget():
+    # the radius index is built before any J1 block: with no wavenumbers the
+    # peak is the index alone, and all that a table adds beyond its own bytes
+    # is J1 scratch, which the budget bounds whatever the table's shape. The
+    # wavenumbers put k*rho in the series, Miller or Hankel regime; Miller's
+    # recurrence holds the most buffers, about 14 budgets' worth.
+    regimes = (5.0, 150.0, 1e5)
+    cases = [(n, size, k_max) for n, sizes in ((9, (1, 161)), (33, (1, 40)), (64, (7, 161)))
+             for size in sizes for k_max in regimes]
+    cases += [(120, 161, 1e5), (120, 1, 150.0), (300, 1, 1e5)]
+    assert _kernel_peak(300, np.array([1e5]))[1] > J1_BLOCK_BYTES  # the one 300^2 row spans two blocks
+    for n, size, k_max in cases:
+        index_only, _ = _kernel_peak(n, np.empty(0))
+        peak, table = _kernel_peak(n, np.linspace(k_max / 2.0, k_max, size))
+        assert peak - table - index_only <= 16 * J1_BLOCK_BYTES, (n, size, k_max)
 
 
 # --- memory guard (estimates only; nothing large is allocated) ---------------
@@ -689,6 +752,20 @@ def test_squint_vs_angle_equals_one_sweep_per_angle(bits):
         assert report.bw_3db_hz == single.bw_3db_hz
 
 
+def test_squint_measures_the_beamwidth_once_per_azimuth(monkeypatch):
+    calls = []
+    measure = radiation._broadside_hpbw
+    monkeypatch.setattr(radiation, "_broadside_hpbw", lambda p, phi, f: calls.append(phi) or measure(p, phi, f))
+    ap = ApertureSpec.from_element_grid(30, F140)
+    taper = TaperSpec(-10.0)
+    targets = [Direction.from_degrees(t, phi) for phi in (0.0, 30.0) for t in (30.0, 45.0)]
+    quantized = squint_vs_angle(ap, BROADSIDE, targets, taper, 2, 40e9, 61)
+    assert calls == [0.0, math.radians(30.0)]
+    # measured on the taper steered to broadside, whatever the bits
+    continuous = squint_vs_angle(ap, BROADSIDE, targets, taper, None, 40e9, 61)
+    assert [r.hpbw_rad for r in quantized] == [r.hpbw_rad for r in continuous]
+
+
 def test_squint_quantized_profile_runs():
     ap = ApertureSpec(0.080, F140)
     report = squint_sweep(ap, BROADSIDE, OUT45, TaperSpec(-10.0), bits=2)
@@ -704,7 +781,7 @@ def tracked_reports():
 
 def test_squint_hpbw_is_broadside_half_power_width(tracked_reports):
     hpbw = tracked_reports[0].hpbw_rad
-    assert [r.hpbw_rad for r in tracked_reports] == pytest.approx([hpbw] * 3, rel=1e-12)
+    assert [r.hpbw_rad for r in tracked_reports] == [hpbw] * 3
     flat = synthesize_profile(ApertureSpec(0.080, F140), BROADSIDE, BROADSIDE, TaperSpec(-10.0))
     e0, e_half = array_factor_direct(flat, F140, [BROADSIDE, Direction(hpbw / 2.0, 0.0)])
     assert 20.0 * math.log10(abs(e_half) / abs(e0)) == pytest.approx(-3.0, abs=1e-3)
