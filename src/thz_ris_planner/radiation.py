@@ -18,10 +18,9 @@ odd, and _field works on the upper m = n - n//2 rows of each axis in real
 arithmetic only. _parity_fold folds the coefficient grid once into its four
 parity parts, c[u] +/- c[n-1-u] per axis (the centre of an odd axis once),
 times j per sine axis: one real (4*mx, 2*my) matrix. Per chunk of directions
-_cos_sin_table builds cos and sin of the upper rows, split coarse x fine as
-pocketfft builds its twiddle factors: with f = ceil(sqrt(m)), exp runs on
-the m/f coarse rows and the f - 1 fine offsets, and one product per entry
-fills the rest, so a direction costs about 2*sqrt(m) exps instead of m. One
+_cos_sin_table builds cos and sin of the upper rows with _split_exp, coarse
+x fine as pocketfft builds its twiddle factors: exp on the m/f coarse rows
+and f - 1 fine offsets, f = ceil(sqrt(m)), then one product per entry. One
 real matrix product of the folded grid with [cos; sin] of y, half the
 multiplies of the complex product over all rows, and a real product-sum
 against [cos; sin] of x finish the chunk. Each table entry is within
@@ -58,16 +57,14 @@ i^2 + j^2 (2122 radii for the 11175 half-lattice lags of a 75x75 panel), and
 the kernel is a J1 table over (k, distinct radius). squint_vs_angle builds
 it once for its frequency grid and shares that one table across every
 angle; squint_sweep is its single-angle case. _power_kernel fills the table
-in place, one block of at most J1_BLOCK_BYTES at a time: whole rows of k
-when a row fits, else a column range of one row. So J1's scratch memory is
-bounded by that budget whatever the panel or the frequency grid, and the
-table equals one call on all of it bit for bit, as every step is
-elementwise. J1 itself is _j1, a numpy routine in three regimes: the power
-series for x <= 2, Miller's backward recurrence up to 25 and the Hankel
-asymptotic expansion above (Abramowitz & Stegun 9.1.10, 9.1.27, 9.1.46,
-9.2.5, 9.2.9-10); it is within 3e-16 of the exact value. The expansion runs
-on the whole block and the other two regimes overwrite the few entries at
-or below 25.
+in place in blocks of at most J1_BLOCK_BYTES, every k (or whole coarse
+strides of k) by a range of radii, which bound J1's scratch memory; no entry
+depends on the blocking. For a uniform k grid _k_phases builds exp(j k rho)
+coarse x fine along k with _cos_sin_table's _split_exp, within
+2*eps*max(1, |k rho|) as plain exp is; one k keeps np.sin and np.cos. _j1
+sums the power series up to 2, Miller's recurrence up to 25 and the Hankel
+expansion above (A&S 9.1, 9.2): within 3e-16 with np.sin and np.cos, and
+3e-15 up to x = 300 and 7e-15 up to 3000 with coarse x fine phases.
 
 Quantization loss and the pattern command take the same principal-plane cuts
 in the steering plane, normalised by that closed form, from quantized_cuts.
@@ -303,27 +300,27 @@ def _parity_halves(a: np.ndarray) -> np.ndarray:
 def _cos_sin_table(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     """[cos(x_i q_s); sin(x_i q_s)] over the upper m = n - n//2 rows i = h.., h = n//2, of x.
 
-    The rows are split coarse x fine, as pocketfft splits its twiddle
-    factors: with f = ceil(sqrt(m)), row h + a*f + b is exp(j x[h + a*f] q) *
-    exp(j (x[h + b] - x[h]) q), so one exp over the ceil(m/f) coarse rows
-    x[h::f] and the f - 1 fine offsets fills them all, about 2*sqrt(m) exps
-    per direction instead of m. Rows with b = 0 are plain exp. Each entry is
-    within 2*eps*max(1, max|x q|) of the exact value, the same order as plain
-    exp, whose error is the rounding of its argument. The result is real,
-    (2m, q.size): the cos rows, then the sin rows.
+    _split_exp builds row h + a*f + b, f = ceil(sqrt(m)), as exp(j x[h + a*f] q)
+    times exp(j (x[h + b] - x[h]) q), within 2*eps*max(1, max|x q|) of the
+    exact value as plain exp is. Real, (2m, q.size): cos rows, then sin rows.
     """
-    n = x.size
-    h = n // 2
-    m = n - h
-    f = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
-    a = -(-m // f)
-    phasors = np.exp(np.outer(1j * np.concatenate([x[h::f], x[h + 1 : h + f] - x[h]]), q))
-    coarse, fine = phasors[:a], phasors[a:]
-    block = np.empty((a, f, q.size), dtype=complex)  # the block may overrun row m-1
-    block[:, 0] = coarse
-    np.multiply(coarse[:, None], fine[None], out=block[:, 1:])
-    rows = block.reshape(a * f, q.size)[:m]
+    upper = x[x.size // 2 :]
+    f = math.isqrt(upper.size - 1) + 1  # ceil(sqrt(m))
+    rows = _split_exp(upper[::f], upper[1:f] - upper[0], q, upper.size)
     return np.concatenate([rows.real, rows.imag])
+
+
+def _split_exp(coarse: np.ndarray, fine: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
+    """exp(j x_i q_s) on the first m rows i = a*f + b, x_i = coarse[a] + fine[b-1], f = fine.size + 1.
+
+    One exp over the coarse and fine arguments, one product per entry; rows b = 0 are plain exp.
+    """
+    a, f = coarse.size, fine.size + 1
+    phasors = np.exp(np.outer(1j * np.concatenate([coarse, fine]), q))
+    block = np.empty((a, f, q.size), dtype=complex)
+    block[:, 0] = phasors[:a]
+    np.multiply(phasors[:a, None], phasors[None, a:], out=block[:, 1:])
+    return block.reshape(a * f, q.size)[:m]
 
 
 def _field(folded: np.ndarray, p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
@@ -445,11 +442,10 @@ def _power_kernel(rows: int, cols: int, pitch: float, k: np.ndarray) -> tuple[np
     nonzero distinct radius rho.
 
     The table is allocated once and filled in blocks of at most
-    J1_BLOCK_BYTES of entries: as many whole rows (wavenumbers) as fit, or,
-    when one row is longer than that, column ranges of one row. Each block
-    computes k*rho, _j1, times 2*pi and over k*rho on its own, so every
-    temporary is bounded by the budget and not by the table, and each entry
-    is the same as from one _j1 call on the whole table.
+    J1_BLOCK_BYTES of entries: every k (or a range of whole coarse strides
+    when the grid alone is longer) by a range of radii. So every temporary
+    is bounded by the budget and not by the table, and each entry is the
+    same as from one call of _j1 and _k_phases on the whole table.
     """
     i = np.concatenate([np.arange(rows), np.arange(1 - rows, 0)])
     j = np.arange(cols)
@@ -459,15 +455,40 @@ def _power_kernel(rows: int, cols: int, pitch: float, k: np.ndarray) -> tuple[np
     rho = pitch * np.sqrt(np.flatnonzero(present)[1:])
     table = np.empty((k.size, rho.size))
     entries = J1_BLOCK_BYTES // table.itemsize
-    block_rows = max(1, entries // max(1, rho.size))
-    block_cols = max(1, min(rho.size, entries))
+    f = math.isqrt(max(k.size - 1, 0)) + 1  # the coarse stride of _k_phases
+    block_rows = max(1, min(k.size, max(f, entries // f * f)))
+    block_cols = max(1, entries // block_rows)
     for r in range(0, k.size, block_rows):
         for c in range(0, rho.size, block_cols):
-            kr = np.outer(k[r : r + block_rows], rho[c : c + block_cols])
-            block = table[r : r + block_rows, c : c + block_cols]
-            np.multiply(_j1(kr), 2.0 * math.pi, out=block)
+            rows, cols = slice(r, r + block_rows), slice(c, c + block_cols)
+            kr = np.outer(k[rows], rho[cols])
+            block = table[rows, cols]
+            np.multiply(_j1(kr, _k_phases(k, rho[cols], rows)), 2.0 * math.pi, out=block)
             block /= kr
     return radius_index, table
+
+
+def _k_phases(k: np.ndarray, rho: np.ndarray, rows: slice) -> np.ndarray | None:
+    """exp(j k_m rho_s) for the rows m of a uniform grid k, coarse x fine; None for np.sin and np.cos.
+
+    _split_exp builds row a*f + b from k[a*f] and k[b] - k[0], f =
+    ceil(sqrt(k.size)), rows.start a multiple of f. The grid's rounding
+    leaves r = k[m] - k[a*f] - (k[b] - k[0]), exact (Sterbenz) and worth up
+    to 3*eps*|k rho|; the factor 1 + j r rho takes it out to first order, to
+    within 2*eps*max(1, |k rho|). None for one k, or k not uniform to 16*eps*|k|.
+    """
+    f = math.isqrt(max(k.size - 1, 0)) + 1
+    m = np.arange(k.size)
+    residual = (k - k[m - m % f]) - (k[m % f] - k[0])
+    if f == 1 or np.any(np.abs(residual) > 16.0 * np.finfo(float).eps * np.abs(k)):
+        return None
+    phase = _split_exp(k[rows][::f], k[1:f] - k[0], rho, m[rows].size)
+    theta = np.outer(residual[rows], rho)
+    d_cos = phase.imag * theta  # phase *= 1 + j theta, in place in real arithmetic
+    theta *= phase.real
+    phase.real -= d_cos
+    phase.imag += theta
+    return phase
 
 
 def _fold_power(p: PhaseProfile, kernel: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -494,20 +515,23 @@ def _fold_power(p: PhaseProfile, kernel: tuple[np.ndarray, np.ndarray]) -> np.nd
     return math.pi * folded[0] + table @ folded[1:]
 
 
-def _j1(x: np.ndarray) -> np.ndarray:
-    """Bessel function J1 of non-negative real x, within 3e-16 absolute.
+def _j1(x: np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:
+    """Bessel function J1 of non-negative real x.
 
     Three regimes: the power series for x <= J1_SERIES_MAX; Miller's backward
     recurrence J_{n-1} = (2n/x) J_n - J_{n+1} from MILLER_ORDER, normalised by
     J0 + 2 sum_k J_2k = 1 (A&S 9.1.27, 9.1.46), up to J1_HANKEL_MIN; and the
     Hankel expansion J1 = (P (sin x - cos x) + Q (sin x + cos x)) / sqrt(pi x)
     above it (A&S 9.2.5, 9.2.9-10). That phase is cos(x - 3pi/4) and
-    sin(x - 3pi/4) expanded, so no rounding comes from the subtraction.
+    sin(x - 3pi/4) expanded, so no rounding comes from the subtraction. sin x
+    and cos x are np.sin and np.cos, or the parts of phase = exp(j x). Against
+    a 40-digit reference: within 3e-16 with np.sin and np.cos; with _k_phases,
+    3e-15 up to x = 300 and 7e-15 up to 3000 (phase error times amplitude).
 
     Most of a squint table lies above J1_HANKEL_MIN, so the expansion runs on
     the whole table in a few reused buffers, with no gather or scatter; below
     it the expansion means nothing (it is inf or nan at 0), and those entries
-    are overwritten by the series and Miller results on that subset.
+    are overwritten by the series and Miller results; an empty regime is skipped.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
@@ -516,37 +540,38 @@ def _j1(x: np.ndarray) -> np.ndarray:
         out = _polynomial(_HANKEL_P, z)  # P
         big_q = _polynomial(_HANKEL_Q, z)
         big_q /= x  # Q
-        sin, cos = np.sin(x), np.cos(x)
+        sin, cos = (np.sin(x), np.cos(x)) if phase is None else (phase.imag, phase.real)
         np.subtract(sin, cos, out=z)
-        sin += cos
         out *= z  # P (sin - cos)
-        big_q *= sin  # Q (sin + cos)
+        np.add(sin, cos, out=z)
+        big_q *= z  # Q (sin + cos)
         out += big_q
         np.multiply(x, math.pi, out=z)
         np.sqrt(z, out=z)
         out /= z
+    del z, big_q  # freed before the series and Miller buffers
 
     low = x <= J1_HANKEL_MIN
-    xl = x[low]
-    vals = np.empty_like(xl)
-    series = xl <= J1_SERIES_MAX
-    half = xl[series] / 2.0
-    vals[series] = half * _polynomial(_SERIES, half * half)
-
-    miller = ~series
-    xm = xl[miller]
-    # unscaled: from MILLER_ORDER at x > J1_SERIES_MAX the recurrence peaks
-    # below 1e89, far from overflow, and the normalisation divides the scale out
-    j_next, j = np.zeros_like(xm), np.ones_like(xm)
-    even_sum, j1 = np.zeros_like(xm), np.zeros_like(xm)
-    for n in range(MILLER_ORDER, 0, -1):
-        j_next, j = j, (2.0 * n / xm) * j - j_next  # j is now J_{n-1}
-        if n == 2:
-            j1 = j.copy()
-        elif n % 2 == 1 and n > 1:
-            even_sum += j
-    vals[miller] = j1 / (j + 2.0 * even_sum)
-    out[low] = vals
+    if not low.any():
+        return out
+    series = x <= J1_SERIES_MAX
+    if series.any():
+        half = x[series] / 2.0
+        out[series] = half * _polynomial(_SERIES, half * half)
+    miller = low ^ series  # J1_SERIES_MAX < x <= J1_HANKEL_MIN
+    if miller.any():
+        xm = x[miller]
+        # unscaled: from MILLER_ORDER at x > J1_SERIES_MAX the recurrence peaks
+        # below 1e89, far from overflow, and the normalisation divides the scale out
+        j_next, j = np.zeros_like(xm), np.ones_like(xm)
+        even_sum, j1 = np.zeros_like(xm), np.zeros_like(xm)
+        for n in range(MILLER_ORDER, 0, -1):
+            j_next, j = j, (2.0 * n / xm) * j - j_next  # j is now J_{n-1}
+            if n == 2:
+                j1 = j.copy()
+            elif n % 2 == 1 and n > 1:
+                even_sum += j
+        out[miller] = j1 / (j + 2.0 * even_sum)
     return out
 
 

@@ -11,6 +11,7 @@ evaluated at the design frequency f0 on the element lattice.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -95,9 +96,12 @@ class PhaseProfile(Value):
         return np.abs(self.coefficients)
 
 
+@functools.lru_cache(maxsize=64)
 def _centred_axis(n: int, pitch: float) -> np.ndarray:
-    """Coordinates of n cells at the given pitch along one axis, centred on 0."""
-    return (np.arange(n) - (n - 1) / 2.0) * pitch
+    """Coordinates of n cells at the given pitch along one axis, centred on 0; built once, read-only."""
+    axis = (np.arange(n) - (n - 1) / 2.0) * pitch
+    axis.setflags(write=False)
+    return axis
 
 
 def synthesize_profile(

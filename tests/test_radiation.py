@@ -22,6 +22,7 @@ from thz_ris_planner.radiation import (
     _cos_sin_table,
     _field,
     _j1,
+    _k_phases,
     _largest_array,
     _parity_fold,
     _polynomial,
@@ -331,6 +332,21 @@ def test_j1_on_mixed_regime_table():
     assert np.all(got[:, 0] == 0.0)
 
 
+def test_j1_runs_no_regime_without_entries(monkeypatch):
+    # a block wholly above J1_HANKEL_MIN never enters the Miller loop or the
+    # series, and one wholly in Miller's regime never enters the series
+    hankel = np.linspace(np.nextafter(J1_HANKEL_MIN, np.inf), 3000.0, 16384)
+    miller = np.linspace(np.nextafter(J1_SERIES_MAX, np.inf), J1_HANKEL_MIN, 1001)
+    expected = _j1(hankel), _j1(miller)
+    monkeypatch.setattr(radiation, "_SERIES", None)
+    assert np.array_equal(_j1(miller).view(np.uint64), expected[1].view(np.uint64))
+    monkeypatch.setattr(radiation, "MILLER_ORDER", None)
+    assert np.array_equal(_j1(hankel).view(np.uint64), expected[0].view(np.uint64))
+    assert _j1(np.empty(0)).size == 0
+    with pytest.raises(TypeError):  # the patched constants are read when a regime has entries
+        _j1(np.array([30.0, 10.0]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(0.0, 1500.0), min_size=1, max_size=50))
 def test_j1_matches_scipy_property(xs):
@@ -359,20 +375,31 @@ SQUINT_SHAPES = ((34, 81), (46, 161), (52, 101), (56, 121), (70, 81))  # (n, fre
 
 
 def _one_j1_call(rows, cols, pitch, k):
-    """2*pi*J1(k rho)/(k rho) from one _j1 call on the whole (k, distinct nonzero radius) table."""
-    rho = pitch * np.sqrt(np.unique(np.add.outer(np.arange(rows) ** 2, np.arange(cols) ** 2))[1:])
+    """2*pi*J1(k rho)/(k rho) from one _j1 call on the whole (k, distinct nonzero radius) table.
+
+    Its phases come from one _k_phases call on every k; a single k takes plain np.sin and np.cos.
+    """
+    rho = _radii(rows, cols, pitch)
     kr = np.outer(k, rho)
-    return _j1(kr) * (2.0 * math.pi) / kr
+    return _j1(kr, _k_phases(k, rho, slice(None))) * (2.0 * math.pi) / kr
+
+
+def _radii(rows, cols, pitch):
+    """The distinct nonzero lag radii of a rows x cols lattice, ascending."""
+    return pitch * np.sqrt(np.unique(np.add.outer(np.arange(rows) ** 2, np.arange(cols) ** 2))[1:])
 
 
 @pytest.mark.parametrize(
     "entries,rows,cols,k",
     [
-        (12, 3, 3, np.linspace(500.0, 3000.0, 5)),  # 5 radii: 2 rows a block, then 1
+        (12, 3, 3, np.linspace(500.0, 3000.0, 5)),  # 5 radii: every k by 2 radii a block, then by 1
         (12, 6, 6, np.array([3000.0])),  # one k whose row is longer than the budget
-        (12, 6, 5, np.linspace(500.0, 3000.0, 3)),  # every row split into column blocks
+        (12, 6, 5, np.linspace(500.0, 3000.0, 3)),  # every k by 4 radii a block
         *((J1_BLOCK_BYTES // 8, n, n, 2.0 * math.pi / F140.wavelength_m * np.linspace(0.85, 1.15, size))
           for n, size in SQUINT_SHAPES),
+        (12, 4, 4, np.linspace(2e4, 3e4, 40)),  # 40 k, longer than the budget: 7 k (the stride) by 1 radius a block
+        (12, 6, 6, np.array([1e5])),  # one k, all its radii in the Hankel regime
+        (J1_BLOCK_BYTES // 8, 300, 300, np.array([2e3])),  # one k whose row spans two blocks at the real budget
     ],
 )
 def test_power_kernel_blocks_equal_one_j1_call(monkeypatch, entries, rows, cols, k):
@@ -383,6 +410,46 @@ def test_power_kernel_blocks_equal_one_j1_call(monkeypatch, entries, rows, cols,
     assert table.size > entries  # more than one block
     assert table.shape == expected.shape
     assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
+    if k.size == 1:  # plain np.sin and np.cos, bit for bit
+        kr = np.outer(k, _radii(rows, cols, pitch))
+        assert np.array_equal(table.view(np.uint64), (_j1(kr) * (2.0 * math.pi) / kr).view(np.uint64))
+
+
+def test_power_kernel_of_a_nonuniform_grid_takes_plain_sin_and_cos(monkeypatch):
+    # a grid that is not uniform to within rounding has no coarse x fine
+    # split, and a single k needs none
+    monkeypatch.setattr(radiation, "J1_BLOCK_BYTES", 8 * 12)
+    k = np.geomspace(2e4, 3e4, 40)
+    pitch = F140.wavelength_m / 2.0
+    rho = _radii(4, 4, pitch)
+    kr = np.outer(k, rho)
+    assert _k_phases(k, rho, slice(None)) is None
+    assert _k_phases(k[:1], rho, slice(None)) is None
+    assert _k_phases(np.linspace(2e4, 3e4, 40), rho, slice(None)) is not None
+    _, table = _power_kernel(4, 4, pitch, k)
+    assert np.array_equal(table.view(np.uint64), (_j1(kr) * (2.0 * math.pi) / kr).view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_samples=st.integers(11, 1601),
+    f0_ghz=st.floats(1.0, 1000.0),
+    span=st.floats(0.01, 0.99),
+    kr_max=st.floats(0.0, 3000.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_samples=1601, f0_ghz=140.0, span=40.0 / 140.0, kr_max=3000.0, seed=0)
+def test_k_phases_and_j1_stay_accurate_property(n_samples, f0_ghz, span, kr_max, seed):
+    # a squint frequency grid built as squint_vs_angle builds it, and radii with k rho up to kr_max
+    f0 = f0_ghz * 1e9
+    k = 2.0 * math.pi * (f0 + np.linspace(-span * f0 / 2.0, span * f0 / 2.0, n_samples)) / 299792458.0
+    rho = np.random.default_rng(seed).uniform(0.0, kr_max / k[-1], 48)
+    rho[0] = 0.0
+    kr = np.outer(k, rho)
+    phase = _k_phases(k, rho, slice(None))
+    exact = np.exp(1j * np.outer(k.astype(np.longdouble), rho.astype(np.longdouble)))
+    assert np.max(np.abs(phase - exact)) <= 2.0 * np.finfo(float).eps * max(1.0, np.max(kr))
+    assert np.max(np.abs(_j1(kr, phase) - j1(kr))) <= 2e-14
 
 
 def _kernel_peak(n, k):
