@@ -18,15 +18,17 @@ odd, and _field works on the upper m = n - n//2 rows of each axis in real
 arithmetic only. _parity_fold folds the coefficient grid once into its four
 parity parts, c[u] +/- c[n-1-u] per axis (the centre of an odd axis once),
 times j per sine axis: one real (4*mx, 2*my) matrix. Per chunk of directions
-_cos_sin_table builds cos and sin of the upper rows with _split_exp, coarse
-x fine as pocketfft builds its twiddle factors: exp on the m/f coarse rows
-and f - 1 fine offsets, f = ceil(sqrt(m)), then one product per entry. One
-real matrix product of the folded grid with [cos; sin] of y, half the
-multiplies of the complex product over all rows, and a real product-sum
-against [cos; sin] of x finish the chunk. Each table entry is within
-2*eps*max(1, max|x q|) of the exact value, the bound plain exp meets too,
-and the kernel is within 1e-15 of the peak of array_factor_direct on 1^2 to
-128^2 panels. Two further routes exist:
+_cos_sin_table builds cos and sin of the upper rows from three exps per
+direction, the first row and the lattice steps 1 and f = ceil(sqrt(m)) rows
+long, as pocketfft builds its twiddle factors from powers of a step:
+repeated products give the m/f coarse rows and the f fine powers, and one
+product per entry the rest. One real matrix product of the folded grid with
+[cos; sin] of y, half the multiplies of the complex product over all rows,
+and a real product-sum against [cos; sin] of x finish the chunk. Each table
+entry is within eps*(2*max(1, max|x q|) + 2*sqrt(m)) of the exact value,
+plain exp's bound plus the rounding of at most 2*sqrt(m) products, and the
+kernel is within 1e-15 of the peak of array_factor_direct on 1^2 to 128^2
+panels. Two further routes exist:
 
 * array_factor_fft: zero-padded 2-D DFT on the (u, v) lattice, equal to the
   direct sum at lattice points for every profile, because a PhaseProfile
@@ -60,11 +62,11 @@ angle; squint_sweep is its single-angle case. _power_kernel fills the table
 in place in blocks of at most J1_BLOCK_BYTES, every k (or whole coarse
 strides of k) by a range of radii, which bound J1's scratch memory; no entry
 depends on the blocking. For a uniform k grid _k_phases builds exp(j k rho)
-coarse x fine along k with _cos_sin_table's _split_exp, within
-2*eps*max(1, |k rho|) as plain exp is; one k keeps np.sin and np.cos. _j1
-sums the power series up to 2, Miller's recurrence up to 25 and the Hankel
-expansion above (A&S 9.1, 9.2): within 3e-16 with np.sin and np.cos, and
-3e-15 up to x = 300 and 7e-15 up to 3000 with coarse x fine phases.
+coarse x fine along k with _split_exp, within 2*eps*max(1, |k rho|) as
+plain exp is; one k keeps np.sin and np.cos. _j1 sums the power series up
+to 2, Miller's recurrence up to 25 and the Hankel expansion above (A&S 9.1,
+9.2): within 3e-16 with np.sin and np.cos, and 3e-15 up to x = 300 and
+7e-15 up to 3000 with coarse x fine phases.
 
 Quantization loss and the pattern command take the same principal-plane cuts
 in the steering plane, normalised by that closed form, from quantized_cuts.
@@ -300,20 +302,28 @@ def _parity_halves(a: np.ndarray) -> np.ndarray:
 def _cos_sin_table(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     """[cos(x_i q_s); sin(x_i q_s)] over the upper m = n - n//2 rows i = h.., h = n//2, of x.
 
-    _split_exp builds row h + a*f + b, f = ceil(sqrt(m)), as exp(j x[h + a*f] q)
-    times exp(j (x[h + b] - x[h]) q), within 2*eps*max(1, max|x q|) of the
-    exact value as plain exp is. Real, (2m, q.size): cos rows, then sin rows.
+    Three exps per direction: h0 = exp(j x[h] q) and the steps w and W of 1
+    and f = ceil(sqrt(m)) rows. Row h + a*f + b is h0 W^a times w^b, b < f,
+    each factor a run of repeated products: within eps*(2*max(1, max|x q|) +
+    2*sqrt(m)) of the exact value. Real, (2m, q.size): cos rows, then sin rows.
     """
     upper = x[x.size // 2 :]
-    f = math.isqrt(upper.size - 1) + 1  # ceil(sqrt(m))
-    rows = _split_exp(upper[::f], upper[1:f] - upper[0], q, upper.size)
+    m = upper.size
+    f = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
+    x0, last = upper[0], m - 1  # a step past the last row is never used
+    steps = [1j * x0, 1j * (upper[min(f, last)] - x0), 1j * (upper[min(1, last)] - x0)]
+    chains = np.exp(np.multiply.outer(steps, q)).repeat([1, f - 1, f], axis=0).reshape(2, f, q.size)
+    chains[1, 0] = 1.0  # [h0, W, W, ..] and [1, w, w, ..]
+    np.multiply.accumulate(chains, axis=1, out=chains)
+    rows = (chains[0, : -(-m // f), None] * chains[1]).reshape(-1, q.size)[:m]
     return np.concatenate([rows.real, rows.imag])
 
 
 def _split_exp(coarse: np.ndarray, fine: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
     """exp(j x_i q_s) on the first m rows i = a*f + b, x_i = coarse[a] + fine[b-1], f = fine.size + 1.
 
-    One exp over the coarse and fine arguments, one product per entry; rows b = 0 are plain exp.
+    _k_phases' table along k: one exp over the coarse and fine arguments, one
+    product per entry; rows b = 0 are plain exp.
     """
     a, f = coarse.size, fine.size + 1
     phasors = np.exp(np.outer(1j * np.concatenate([coarse, fine]), q))

@@ -104,6 +104,15 @@ def _centred_axis(n: int, pitch: float) -> np.ndarray:
     return axis
 
 
+@functools.lru_cache(maxsize=1)  # holds one grid: 8 MB at 1000^2 cells
+def _taper_grid(n: int, pitch: float, side: float, taper: TaperSpec) -> np.ndarray:
+    """Taper magnitude over the n x n lattice of a panel of the given side; built once, read-only."""
+    x = _centred_axis(n, pitch)
+    amp = taper.amplitude(np.hypot(x[:, None], x[None, :]) / (side / 2.0))
+    amp.setflags(write=False)
+    return amp
+
+
 def synthesize_profile(
     a: ApertureSpec,
     incident: Direction,
@@ -112,18 +121,13 @@ def synthesize_profile(
 ) -> PhaseProfile:
     """Continuous (unquantized) profile steering incident -> outgoing at f0."""
     x = _centred_axis(a.n_per_side, a.cell_pitch_m)
-    gx, gy = np.meshgrid(x, x, indexing="ij")
-
     k0 = 2.0 * math.pi / a.design_freq.wavelength_m
     u_in, v_in = incident.transverse()
     u_out, v_out = outgoing.transverse()
-    psi = np.mod(-k0 * ((u_out - u_in) * gx + (v_out - v_in) * gy), 2.0 * math.pi)
-
-    rho = np.hypot(gx, gy) / (a.side_m / 2.0)
-    amp = taper.amplitude(rho)
+    psi = np.mod(-k0 * ((u_out - u_in) * x[:, None] + (v_out - v_in) * x[None, :]), 2.0 * math.pi)
 
     return PhaseProfile(
-        coefficients=amp * np.exp(1j * psi),
+        coefficients=_taper_grid(a.n_per_side, a.cell_pitch_m, a.side_m, taper) * np.exp(1j * psi),
         design_freq=a.design_freq,
         cell_pitch_m=a.cell_pitch_m,
     )

@@ -11,6 +11,7 @@ from thz_ris_planner import radiation
 from thz_ris_planner.aperture import ApertureSpec
 from thz_ris_planner.core import BROADSIDE, Direction, Frequency
 from thz_ris_planner.radiation import (
+    FIELD_CHUNK,
     J1_BLOCK_BYTES,
     J1_HANKEL_MIN,
     J1_SERIES_MAX,
@@ -616,11 +617,13 @@ def test_cos_sin_table_stays_within_two_eps_property(n, pitch, max_phase, seed):
     assert np.all(cos[:, :2] == 1.0)
     assert np.all(sin[:, :2] == 0.0)
 
-    # the coarse x fine products stay within the rounding of the argument, as plain exp does
+    # plain exp stays within the rounding of the argument; the table adds that of its
+    # at most 2*sqrt(m) products: powers of the steps, coarse x fine
     exact = np.exp(1j * np.outer(upper.astype(np.longdouble), q.astype(np.longdouble)))
-    bound = 2.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(np.outer(x, q))))
-    assert np.max(np.abs(cos + 1j * sin - exact)) <= bound
-    assert np.max(np.abs(np.exp(1j * np.outer(upper, q)) - exact)) <= bound
+    eps = np.finfo(float).eps
+    phase = max(1.0, np.max(np.abs(np.outer(x, q))))
+    assert np.max(np.abs(cos + 1j * sin - exact)) <= eps * (2.0 * phase + 2.0 * math.sqrt(m))
+    assert np.max(np.abs(np.exp(1j * np.outer(upper, q)) - exact)) <= 2.0 * eps * phase
 
 
 @pytest.mark.parametrize(
@@ -650,11 +653,26 @@ def test_field_kernel_matches_direct_sum_to_1e13_of_peak(n, f_ghz, bits):
     rng = np.random.default_rng(n)
     theta = np.append(rng.uniform(0.0, 0.5 * math.pi, 300), target.theta)
     phi = np.append(rng.uniform(0.0, 2.0 * math.pi, 300), target.phi)
+    # the small-phase regime near broadside (exact 0 included) and the far end near grazing
+    edge = rng.uniform(0.0, 1e-3, 40)
+    theta = np.concatenate([theta, [0.0], edge[:20], 0.5 * math.pi - edge[20:]])
+    phi = np.append(phi, rng.uniform(0.0, 2.0 * math.pi, 41))
     kt = radiation._wavenumber(f) * np.sin(theta)
     field = _field(_parity_fold(prof.coefficients), prof, kt * np.cos(phi), kt * np.sin(phi))
     kernel = field * _element_factor(theta)
     direct = array_factor_direct(prof, f, [Direction(t, p) for t, p in zip(theta, phi)])
     assert np.max(np.abs(kernel - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("size", [FIELD_CHUNK + 1, 2 * FIELD_CHUNK - 1])
+def test_field_chunks_are_computed_alone(size):
+    # the last chunk holds 1 or FIELD_CHUNK - 1 directions
+    rng = np.random.default_rng(size)
+    prof = _random_lattice(7, 6, rng)
+    ku, kv = rng.uniform(-1.0, 1.0, (2, size)) * radiation._wavenumber(F140)
+    folded = _parity_fold(prof.coefficients)
+    chunks = [_field(folded, prof, ku[s : s + FIELD_CHUNK], kv[s : s + FIELD_CHUNK]) for s in (0, FIELD_CHUNK)]
+    assert np.array_equal(_field(folded, prof, ku, kv), np.concatenate(chunks))
 
 
 @settings(max_examples=25, deadline=None)

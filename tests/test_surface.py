@@ -9,6 +9,8 @@ from thz_ris_planner.core import BROADSIDE, Direction, Frequency
 from thz_ris_planner.surface import (
     PhaseProfile,
     TaperSpec,
+    _centred_axis,
+    _taper_grid,
     quantization_levels,
     quantize_profile,
     synthesize_profile,
@@ -235,6 +237,29 @@ def test_lattice_axes_are_built_once_and_read_only():
         assert np.array_equal(axis.view(np.uint64), ((np.arange(n) - (n - 1) / 2.0) * pitch).view(np.uint64))
         with pytest.raises(ValueError):
             axis[0] = 0.0
+
+
+def test_taper_grid_is_built_once_and_profiles_keep_their_bits():
+    # a sweep synthesises one aperture and taper at many angles: the taper
+    # magnitude is cached, and every profile still equals the meshgrid formula
+    rng = np.random.default_rng(5)
+    for n, edge_db in ((1, 0.0), (7, -3.3), (56, -10.0)):
+        panel = ApertureSpec.from_element_grid(n, F140)
+        taper = TaperSpec(edge_db)
+        x = _centred_axis(n, panel.cell_pitch_m)
+        gx, gy = np.meshgrid(x, x, indexing="ij")
+        amp = taper.amplitude(np.hypot(gx, gy) / (panel.side_m / 2.0))
+        k0 = 2.0 * math.pi / F140.wavelength_m
+        grids = set()
+        for out in (BROADSIDE, *(Direction(rng.uniform(0.0, 1.5), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(3))):
+            u_out, v_out = out.transverse()  # incidence from broadside: u_in = v_in = 0
+            psi = np.mod(-k0 * (u_out * gx + v_out * gy), 2.0 * math.pi)
+            prof = synthesize_profile(panel, BROADSIDE, out, taper)
+            assert np.array_equal(prof.coefficients.view(np.uint64), (amp * np.exp(1j * psi)).view(np.uint64))
+            grids.add(id(_taper_grid(n, panel.cell_pitch_m, panel.side_m, taper)))
+        assert len(grids) == 1
+        with pytest.raises(ValueError):
+            _taper_grid(n, panel.cell_pitch_m, panel.side_m, taper)[0, 0] = 0.0
 
 
 def test_profile_equality_is_identity():
