@@ -297,7 +297,7 @@ def cmd_squint(args, cfg: ScenarioConfig):
                 f"theta_out_sweep angles {first:.15g} and {second:.15g} deg are both written as {text}"
             )
 
-    # one power kernel serves theta_out and every sweep angle
+    # one contraction, block by block with no J1 table, gives theta_out and every sweep angle their power
     report, *reports = squint_vs_angle(
         panel,
         incident,

@@ -47,26 +47,26 @@ cut route against. A closed form for the same integral on a uniform lattice,
 
 with corr(d) = sum_m c_m conj(c_{m-d}) the lattice autocorrelation at lag d,
 follows from integrating the cos(theta) element power pattern over the
-hemisphere. It normalises cuts, single-direction gains and the squint sweep,
-in two parts: _power_kernel holds what depends on the lattice and the
-wavenumbers only, and _fold_power applies it to one profile. _fold_power
-takes the autocorrelation by FFT at the least 5-smooth length L >= 2n-1 per
-axis (a prime 2n-1 would send pocketfft to Bluestein's algorithm), and only
-its real part, which is even in d, so one rfft2 gives it on the half
-lattice j >= 0, where each lag with j > 0 is doubled. Since the kernel
-depends on |d| only, that half is summed per distinct squared integer lag
-i^2 + j^2 (2122 radii for the 11175 half-lattice lags of a 75x75 panel), and
-the kernel is a J1 table over (k, distinct radius). squint_vs_angle builds
-it once for its frequency grid and shares that one table across every
-angle; squint_sweep is its single-angle case. _power_kernel fills the table
-in place in blocks of at most J1_BLOCK_BYTES, every k (or whole coarse
-strides of k) by a range of radii, which bound J1's scratch memory; no entry
-depends on the blocking. For a uniform k grid _k_phases builds exp(j k rho)
-coarse x fine along k with _split_exp, within 2*eps*max(1, |k rho|) as
-plain exp is; one k keeps np.sin and np.cos. _j1 sums the power series up
-to 2, Miller's recurrence up to 25 and the Hankel expansion above (A&S 9.1,
-9.2): within 3e-16 with np.sin and np.cos, and 3e-15 up to x = 300 and
-7e-15 up to 3000 with coarse x fine phases.
+hemisphere. It normalises cuts, single-direction gains and the squint sweep.
+_radial_corr takes a profile's autocorrelation by FFT at the least 5-smooth
+length L >= 2n-1 per axis (a prime 2n-1 would send pocketfft to Bluestein's
+algorithm), and only its real part, which is even in d, so one rfft2 gives
+it on the half lattice j >= 0, where each lag with j > 0 is doubled. The
+kernel depends on |d| only, so that half is summed per distinct squared
+integer lag i^2 + j^2, as _lag_radii indexes them (2122 radii for the 11175
+half-lattice lags of a 75x75 panel): one column of a (1 + radii) x profiles
+matrix G. _closed_form_power contracts G with the J1 kernel over (k, radius)
+block by block, with no table: each block of at most J1_BLOCK_BYTES, every k
+(or whole coarse strides of k) by a range of radii, is built, contracted and
+dropped, so memory does not grow with the frequency count, and no kernel
+entry depends on the blocking. squint_vs_angle folds every angle to its
+column and contracts them all in one pass; hemisphere_power_exact is the
+one-k, one-column case. For a uniform k grid _k_phases builds exp(j k rho)
+coarse x fine along k with _split_exp, within 2*eps*max(1, |k rho|) as plain
+exp is; one k keeps np.sin and np.cos. _j1 sums the power series up to 2,
+Miller's recurrence up to 25 and the Hankel expansion above (A&S 9.1, 9.2):
+within 3e-16 with np.sin and np.cos, and 3e-15 up to x = 300 and 7e-15 up to
+3000 with coarse x fine phases.
 
 Quantization loss and the pattern command take the same principal-plane cuts
 in the steering plane, normalised by that closed form, from quantized_cuts.
@@ -98,7 +98,7 @@ COARSE_RESOLUTION = math.radians(0.5)  # directivity grid step away from the mai
 LOBE_WINDOW = math.radians(2.0)  # least half-width of the fine grid around the main lobe
 CUT_STEPS_PER_BEAMWIDTH = 20  # quantization-loss cut samples per analytical beamwidth
 MAX_ARRAY_BYTES = 2**30  # largest single array a pattern or squint run may allocate
-J1_BLOCK_BYTES = 2**17  # bytes of table per _power_kernel J1 block: the least of 2**15-2**19 that costs no time
+J1_BLOCK_BYTES = 2**17  # bytes per _closed_form_power J1 block: the least of 2**15-2**19 that costs no time
 J1_SERIES_MAX = 2.0  # _j1 sums the power series up to here,
 J1_HANKEL_MIN = 25.0  # the Hankel expansion above here, and Miller's recurrence between
 MILLER_ORDER = 64  # even starting order of the backward recurrence; from 60 the error at x = 25 is rounding
@@ -423,7 +423,9 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
 def hemisphere_power_exact(p: PhaseProfile, f: Frequency | None = None) -> float:
     """Closed-form hemisphere integral sum_d corr(d) * 2*pi*J1(k|d|)/(k|d|) of |E|^2."""
     k = np.array([_wavenumber(p.design_freq if f is None else f)])
-    return float(_fold_power(p, _power_kernel(p.rows, p.cols, p.cell_pitch_m, k))[0])
+    radius_index, squared = _lag_radii(p.rows, p.cols)
+    corr = _radial_corr(p, radius_index)[:, None]
+    return float(_closed_form_power(p.cell_pitch_m, squared, k, corr)[0, 0])
 
 
 def _fast_length(n: int) -> int:
@@ -438,33 +440,55 @@ def _fast_length(n: int) -> int:
         n += 1
 
 
-def _power_kernel(rows: int, cols: int, pitch: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The profile-independent half of the closed-form power: (radius index, J1 table).
+def _lag_radii(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """(radius index, distinct squared lags i^2 + j^2) of the half lattice of lags of rows x cols.
 
-    Re corr is even in the lag, Re corr(-d) == Re corr(d), so only the half
-    lattice j >= 0 is folded: lag rows i = 0..rows-1, -(rows-1)..-1 (the
-    order _fold_power reads them in) by lag columns j = 0..cols-1, and
-    _fold_power doubles each lag with j > 0 for its mirror. The kernel
-    depends on |d|^2 = pitch^2 * (i^2 + j^2) only, so the lags are indexed
-    by their distinct values of i^2 + j^2. Those values are small integers,
-    so counting finds them in ascending order without a sort; the first is
-    the zero lag. The table holds 2*pi*J1(k rho)/(k rho) for each k and each
-    nonzero distinct radius rho.
-
-    The table is allocated once and filled in blocks of at most
-    J1_BLOCK_BYTES of entries: every k (or a range of whole coarse strides
-    when the grid alone is longer) by a range of radii. So every temporary
-    is bounded by the budget and not by the table, and each entry is the
-    same as from one call of _j1 and _k_phases on the whole table.
+    Re corr is even in the lag, so only the half lattice j >= 0 is folded:
+    lag rows i = 0..rows-1, -(rows-1)..-1 (the order _radial_corr reads them
+    in) by lag columns j = 0..cols-1. The J1 kernel depends on i^2 + j^2
+    only, small integers, so counting finds the distinct ones in ascending
+    order without a sort; the first is the zero lag.
     """
     i = np.concatenate([np.arange(rows), np.arange(1 - rows, 0)])
     j = np.arange(cols)
     r2 = (i[:, None] ** 2 + j[None, :] ** 2).ravel()
     present = np.bincount(r2) > 0
-    radius_index = (np.cumsum(present) - 1)[r2]
-    rho = pitch * np.sqrt(np.flatnonzero(present)[1:])
-    table = np.empty((k.size, rho.size))
-    entries = J1_BLOCK_BYTES // table.itemsize
+    return (np.cumsum(present) - 1)[r2], np.flatnonzero(present)
+
+
+def _radial_corr(p: PhaseProfile, radius_index: np.ndarray) -> np.ndarray:
+    """Re corr of profile p over its half lattice of lags, summed per distinct radius of _lag_radii.
+
+    The cyclic autocorrelation at a 5-smooth length L >= 2n-1 per axis holds
+    every lag without wrap-around. fft2 pads and transforms the last axis
+    first, so that pass runs on the n non-zero rows only. |F|^2 is real, so
+    Re corr = Re ifft2(|F|^2) = Re fft2(|F|^2)/N comes from one rfft2, whose
+    half spectrum is the half lattice j >= 0. Only the real part of corr
+    survives the Hermitian sum over +d and -d. Columns j > 0 are doubled in
+    place for their mirrors (j = 0 holds both signs of i) before the sum.
+    """
+    lx, ly = _fast_length(2 * p.rows - 1), _fast_length(2 * p.cols - 1)
+    spectrum = np.fft.fft2(p.coefficients, s=(lx, ly))
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
+    lags = np.r_[0 : p.rows, lx - p.rows + 1 : lx]
+    corr = np.fft.rfft2(power)[lags, : p.cols].real / (lx * ly)
+    corr[:, 1:] *= 2.0
+    return np.bincount(radius_index, weights=corr.ravel())
+
+
+def _closed_form_power(pitch: float, squared: np.ndarray, k: np.ndarray, corr: np.ndarray) -> np.ndarray:
+    """Closed-form power (k.size, profiles) of each column of corr, a _radial_corr, at each k.
+
+    The zero lag takes the kernel's limit pi, each radius rho = pitch *
+    sqrt(squared) 2*pi*J1(k rho)/(k rho). Each block of kernel entries holds
+    what one _j1 and _k_phases call on every k and radius would give; it is
+    contracted with corr, one matrix-vector product per column so that no
+    profile's power depends on the others, and dropped.
+    """
+    rho = pitch * np.sqrt(squared[1:])
+    power = np.full((k.size, corr.shape[1]), math.pi * corr[0])
+    entries = J1_BLOCK_BYTES // power.itemsize
     f = math.isqrt(max(k.size - 1, 0)) + 1  # the coarse stride of _k_phases
     block_rows = max(1, min(k.size, max(f, entries // f * f)))
     block_cols = max(1, entries // block_rows)
@@ -472,10 +496,12 @@ def _power_kernel(rows: int, cols: int, pitch: float, k: np.ndarray) -> tuple[np
         for c in range(0, rho.size, block_cols):
             rows, cols = slice(r, r + block_rows), slice(c, c + block_cols)
             kr = np.outer(k[rows], rho[cols])
-            block = table[rows, cols]
-            np.multiply(_j1(kr, _k_phases(k, rho[cols], rows)), 2.0 * math.pi, out=block)
+            block = _j1(kr, _k_phases(k, rho[cols], rows))
+            block *= 2.0 * math.pi
             block /= kr
-    return radius_index, table
+            for column, weights in zip(power.T, corr[1:].T):
+                column[rows] += block @ weights[cols]
+    return power
 
 
 def _k_phases(k: np.ndarray, rho: np.ndarray, rows: slice) -> np.ndarray | None:
@@ -499,30 +525,6 @@ def _k_phases(k: np.ndarray, rho: np.ndarray, rows: slice) -> np.ndarray | None:
     phase.real -= d_cos
     phase.imag += theta
     return phase
-
-
-def _fold_power(p: PhaseProfile, kernel: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Closed-form power of profile p at each k of a _power_kernel built on its lattice.
-
-    The cyclic autocorrelation at a 5-smooth length L >= 2n-1 per axis holds
-    every lag without wrap-around. fft2 pads and transforms the last axis
-    first, so that pass runs on the n non-zero rows only. |F|^2 is real, so
-    Re corr = Re ifft2(|F|^2) = Re fft2(|F|^2)/N comes from one rfft2, whose
-    half spectrum is the half lattice j >= 0. Only the real part of corr
-    survives the Hermitian sum over +d and -d. Columns j > 0 are doubled in
-    place for their mirrors (j = 0 holds both signs of i); corr is then
-    summed per distinct radius, and the zero lag takes the kernel's limit pi.
-    """
-    radius_index, table = kernel
-    lx, ly = _fast_length(2 * p.rows - 1), _fast_length(2 * p.cols - 1)
-    spectrum = np.fft.fft2(p.coefficients, s=(lx, ly))
-    power = np.square(spectrum.real)
-    power += np.square(spectrum.imag)
-    lags = np.r_[0 : p.rows, lx - p.rows + 1 : lx]
-    corr = np.fft.rfft2(power)[lags, : p.cols].real / (lx * ly)
-    corr[:, 1:] *= 2.0
-    folded = np.bincount(radius_index, weights=corr.ravel())
-    return math.pi * folded[0] + table @ folded[1:]
 
 
 def _j1(x: np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:
@@ -607,32 +609,35 @@ def check_normal_incidence(incident: Direction) -> None:
         )
 
 
-def _largest_array(n_per_side: int, n_freqs: int = 1, n_directions: int = 0) -> tuple[str, int]:
+def _largest_array(
+    n_per_side: int, n_freqs: int = 1, n_directions: int = 0, n_angles: int = 1
+) -> tuple[str, int]:
     """(name, bytes) of the largest array a pattern or squint run would allocate.
 
     Estimated from the sizes alone: the zero-padded lattice FFT holds
     max(2n, L)^2 complex values, L the 5-smooth length of the power
-    autocorrelation and 2n that of the pattern_uv map; the power kernel
-    n_freqs floats per distinct lag radius, at most n(n+1)/2 of them, or per
-    PEAK_WINDOW sample of the beam track when that is wider; the cut one
-    complex value per direction. L is only sought once (2n)^2 fits the limit,
-    so the estimate costs nothing however large n is.
+    autocorrelation and 2n that of the pattern_uv map; squint n_freqs floats
+    per PEAK_WINDOW sample of the beam track and per angle, and one float per
+    distinct lag radius (at most n(n+1)/2) per angle; the cut one complex
+    value per direction. L is only sought once (2n)^2 fits the limit, so the
+    estimate costs nothing however large n is.
     """
     side = 2 * n_per_side
     if 16 * side**2 <= MAX_ARRAY_BYTES:
         side = max(side, _fast_length(side - 1))
-    radii = max(n_per_side * (n_per_side + 1) // 2, PEAK_WINDOW)
     candidates = (
         ("lattice FFT", 16 * side**2),
-        ("power kernel", 8 * n_freqs * radii),
+        ("beam track", 8 * n_freqs * PEAK_WINDOW),
+        ("radial correlation", 8 * n_per_side * (n_per_side + 1) // 2 * n_angles),
+        ("squint power", 8 * n_freqs * n_angles),
         ("cut", 16 * n_directions),
     )
     return max(candidates, key=lambda c: c[1])
 
 
-def check_array_budget(n_per_side: int, n_freqs: int = 1, n_directions: int = 0) -> None:
+def check_array_budget(n_per_side: int, n_freqs: int = 1, n_directions: int = 0, n_angles: int = 1) -> None:
     """Raise ValueError before a run whose largest array would exceed MAX_ARRAY_BYTES."""
-    name, size = _largest_array(n_per_side, n_freqs, n_directions)
+    name, size = _largest_array(n_per_side, n_freqs, n_directions, n_angles)
     if size > MAX_ARRAY_BYTES:
         gib = size / 2**30 if size < 2**1000 else math.inf  # a size beyond the float range reads inf
         raise ValueError(
@@ -755,11 +760,12 @@ def squint_vs_angle(
     ValueError asks for a larger span. Only normal incidence is
     modelled; any other incident direction raises ValueError.
 
-    The sweep is validated and the J1 table of the closed-form power built
-    once, for the lattice and the frequency grid, and shared by every angle.
-    HPBW depends on the aperture, the taper and the azimuth only, so it is
-    measured once per distinct outgoing.phi, on the broadside profile whose
-    coefficients are the taper itself.
+    The sweep is validated first. Each profile is folded to its column of
+    radial correlations in the loop and not kept; one contraction after it
+    gives every angle's power, block by block with no J1 table. HPBW depends
+    on the aperture, the taper and the azimuth only, so it is measured once
+    per distinct outgoing.phi, on the broadside profile whose coefficients
+    are the taper itself.
     """
     check_normal_incidence(incident)
     if n_samples < 11 or n_samples % 2 == 0:
@@ -767,24 +773,25 @@ def squint_vs_angle(
     f0 = a.design_freq
     if not (0.0 < f_span_hz < f0.hertz):
         raise ValueError("f_span must be positive and below the design frequency")
-    check_array_budget(a.n_per_side, n_freqs=n_samples)
+    check_array_budget(a.n_per_side, n_freqs=n_samples, n_angles=len(outgoing_list))
     freqs = f0.hertz + np.linspace(-f_span_hz / 2.0, f_span_hz / 2.0, n_samples)
     k_per_f = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
-    kernel = _power_kernel(a.n_per_side, a.n_per_side, a.cell_pitch_m, k_per_f)
+    radius_index, squared = _lag_radii(a.n_per_side, a.n_per_side)
+    corr = np.empty((squared.size, len(outgoing_list)), order="F")  # each angle's column contiguous
     k0 = _wavenumber(f0)
     mid = n_samples // 2
     hpbw_per_phi = {}
-    reports = []
-    for outgoing in outgoing_list:
+    tracks = []
+    for outgoing, column in zip(outgoing_list, corr.T):
         profile = synthesize_profile(a, incident, outgoing, taper)
         if bits is not None:
             profile = quantize_profile(profile, bits)
+        column[:] = _radial_corr(profile, radius_index)
 
         folded = _parity_fold(profile.coefficients)
         u_t, v_t = outgoing.transverse()
         e = _field(folded, profile, k_per_f * u_t, k_per_f * v_t)
         e *= _element_factor(outgoing.theta)
-        gain = _dbi(np.abs(e) ** 2, _fold_power(profile, kernel))
 
         hpbw = hpbw_per_phi.get(outgoing.phi)
         if hpbw is None:
@@ -814,20 +821,13 @@ def squint_vs_angle(
             f_lo = _interp_crossing(freqs[lo - 1], freqs[lo], excess[lo - 1], excess[lo])
             f_hi = _interp_crossing(freqs[hi + 1], freqs[hi], excess[hi + 1], excess[hi])
             bw = f_hi - f_lo
+        tracks.append((outgoing, np.abs(e) ** 2, peak, hpbw, bw, saturated))
 
-        reports.append(
-            SquintReport(
-                design_freq_hz=f0.hertz,
-                target=outgoing,
-                freq_hz=freqs,
-                gain_dbi=gain,
-                peak_theta_rad=peak,
-                hpbw_rad=hpbw,
-                bw_3db_hz=bw,
-                saturated=saturated,
-            )
-        )
-    return reports
+    power = _closed_form_power(a.cell_pitch_m, squared, k_per_f, corr)
+    return [
+        SquintReport(f0.hertz, outgoing, freqs, _dbi(e2, angle_power), *band)
+        for (outgoing, e2, *band), angle_power in zip(tracks, power.T)
+    ]
 
 
 def _interp_crossing(x_out: float, x_in: float, y_out: float, y_in: float, level: float = 0.0) -> float:

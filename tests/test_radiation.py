@@ -20,14 +20,16 @@ from thz_ris_planner.radiation import (
     _SERIES,
     _element_factor,
     _fast_length,
+    _closed_form_power,
     _cos_sin_table,
     _field,
     _j1,
     _k_phases,
+    _lag_radii,
     _largest_array,
     _parity_fold,
     _polynomial,
-    _power_kernel,
+    _radial_corr,
     check_array_budget,
     array_factor_direct,
     array_factor_fft,
@@ -314,7 +316,7 @@ def test_j1_small_arguments():
 
 
 def test_j1_on_mixed_regime_table():
-    # a (k, rho) block such as _power_kernel passes to _j1, within
+    # a (k, rho) block such as _closed_form_power passes to _j1, within
     # J1_BLOCK_BYTES: every row holds 0, 1e-300 and both sides of each regime
     # edge next to k*rho values that run through all three regimes, so no row
     # is a single regime
@@ -370,7 +372,7 @@ def test_polynomial_is_horner_from_zero_bit_for_bit():
     assert np.array_equal(_j1(np.array([0.0, 30.0, 0.0]))[[0, 2]], [0.0, 0.0])
 
 
-# --- the J1 power kernel, built in blocks --------------------------------------
+# --- the J1 power kernel, contracted in blocks ---------------------------------
 
 SQUINT_SHAPES = ((34, 81), (46, 161), (52, 101), (56, 121), (70, 81))  # (n, frequencies) of the squint benchmark
 
@@ -390,6 +392,18 @@ def _radii(rows, cols, pitch):
     return pitch * np.sqrt(np.unique(np.add.outer(np.arange(rows) ** 2, np.arange(cols) ** 2))[1:])
 
 
+def _kernel_columns(rows, cols, pitch, k, radii):
+    """Kernel columns radii (of the distinct nonzero radii) as the contraction gives them.
+
+    Against a one-hot column of G the power is that kernel column exactly:
+    the zero lag adds pi * 0, the other radii x * 0, and the one x * 1.
+    """
+    _, squared = _lag_radii(rows, cols)
+    one_hot = np.zeros((squared.size, radii.size))
+    one_hot[1 + radii, np.arange(radii.size)] = 1.0
+    return _closed_form_power(pitch, squared, k, one_hot)
+
+
 @pytest.mark.parametrize(
     "entries,rows,cols,k",
     [
@@ -406,14 +420,28 @@ def _radii(rows, cols, pitch):
 def test_power_kernel_blocks_equal_one_j1_call(monkeypatch, entries, rows, cols, k):
     monkeypatch.setattr(radiation, "J1_BLOCK_BYTES", 8 * entries)
     pitch = F140.wavelength_m / 2.0
-    _, table = _power_kernel(rows, cols, pitch, k)
     expected = _one_j1_call(rows, cols, pitch, k)
-    assert table.size > entries  # more than one block
-    assert table.shape == expected.shape
-    assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
+    assert expected.size > entries  # more than one block
+    n_radii = expected.shape[1]
+    if n_radii <= 4096:
+        radii = np.arange(n_radii)
+    else:  # a sample of the radii of every block, with both sides of each block edge
+        edges = np.arange(entries, n_radii, entries)
+        radii = np.unique(np.r_[np.linspace(0, n_radii - 1, 257).astype(int), edges - 1, edges])
+        assert edges.size > 0
+    columns = _kernel_columns(rows, cols, pitch, k, radii)
+    assert np.array_equal(columns.view(np.uint64), expected[:, radii].view(np.uint64))
     if k.size == 1:  # plain np.sin and np.cos, bit for bit
-        kr = np.outer(k, _radii(rows, cols, pitch))
-        assert np.array_equal(table.view(np.uint64), (_j1(kr) * (2.0 * math.pi) / kr).view(np.uint64))
+        kr = np.outer(k, _radii(rows, cols, pitch)[radii])
+        assert np.array_equal(columns.view(np.uint64), (_j1(kr) * (2.0 * math.pi) / kr).view(np.uint64))
+
+    # the streamed power of two profiles against one unblocked table product
+    radius_index, squared = _lag_radii(rows, cols)
+    rng = np.random.default_rng(rows * cols + k.size)
+    corr = np.stack([_radial_corr(_random_lattice(rows, cols, rng), radius_index) for _ in range(2)], axis=1)
+    unblocked = math.pi * corr[0] + expected @ corr[1:]
+    streamed = _closed_form_power(pitch, squared, k, corr)
+    assert np.max(np.abs(streamed / unblocked - 1.0)) <= 1e-14
 
 
 def test_power_kernel_of_a_nonuniform_grid_takes_plain_sin_and_cos(monkeypatch):
@@ -427,8 +455,8 @@ def test_power_kernel_of_a_nonuniform_grid_takes_plain_sin_and_cos(monkeypatch):
     assert _k_phases(k, rho, slice(None)) is None
     assert _k_phases(k[:1], rho, slice(None)) is None
     assert _k_phases(np.linspace(2e4, 3e4, 40), rho, slice(None)) is not None
-    _, table = _power_kernel(4, 4, pitch, k)
-    assert np.array_equal(table.view(np.uint64), (_j1(kr) * (2.0 * math.pi) / kr).view(np.uint64))
+    columns = _kernel_columns(4, 4, pitch, k, np.arange(rho.size))
+    assert np.array_equal(columns.view(np.uint64), (_j1(kr) * (2.0 * math.pi) / kr).view(np.uint64))
 
 
 @settings(max_examples=100, deadline=None)
@@ -453,31 +481,50 @@ def test_k_phases_and_j1_stay_accurate_property(n_samples, f0_ghz, span, kr_max,
     assert np.max(np.abs(_j1(kr, phase) - j1(kr))) <= 2e-14
 
 
-def _kernel_peak(n, k):
-    """tracemalloc peak (bytes) of one n x n _power_kernel call at 1 mm pitch, and its table's bytes."""
+def _power_peak(n, k):
+    """tracemalloc peaks (bytes) of the closed-form power of one n x n profile at 1 mm pitch.
+
+    The peak of the whole route, of indexing the lag radii alone, and of the
+    contraction with that index and G resident; and the bytes of G.
+    """
+    profile = PhaseProfile(np.exp(1j * np.arange(n * n).reshape(n, n)), F140, 1e-3)
     tracemalloc.start()
     try:
-        _, table = _power_kernel(n, n, 1e-3, k)
-        return tracemalloc.get_traced_memory()[1], table.nbytes
+        radius_index, squared = _lag_radii(n, n)
+        index_only = tracemalloc.get_traced_memory()[1]
+        corr = _radial_corr(profile, radius_index)[:, None]
+        before = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _closed_form_power(1e-3, squared, k, corr)
+        contraction = tracemalloc.get_traced_memory()[1]
+        return max(before, contraction), index_only, contraction, corr.nbytes
     finally:
         tracemalloc.stop()
 
 
 def test_power_kernel_scratch_is_bounded_by_the_budget():
-    # the radius index is built before any J1 block: with no wavenumbers the
-    # peak is the index alone, and all that a table adds beyond its own bytes
-    # is J1 scratch, which the budget bounds whatever the table's shape. The
-    # wavenumbers put k*rho in the series, Miller or Hankel regime; Miller's
-    # recurrence holds the most buffers, about 14 budgets' worth.
+    # the contraction keeps no table: all it adds to the radius index and G
+    # is the J1 scratch of a block, which the budget bounds whatever the
+    # frequency count. The wavenumbers put k*rho in the series, Miller or
+    # Hankel regime; Miller's recurrence holds the most buffers, about 14
+    # budgets' worth.
     regimes = (5.0, 150.0, 1e5)
     cases = [(n, size, k_max) for n, sizes in ((9, (1, 161)), (33, (1, 40)), (64, (7, 161)))
              for size in sizes for k_max in regimes]
     cases += [(120, 161, 1e5), (120, 1, 150.0), (300, 1, 1e5)]
-    assert _kernel_peak(300, np.array([1e5]))[1] > J1_BLOCK_BYTES  # the one 300^2 row spans two blocks
+    assert _radii(300, 300, 1e-3).nbytes > J1_BLOCK_BYTES  # the one 300^2 row spans two blocks
     for n, size, k_max in cases:
-        index_only, _ = _kernel_peak(n, np.empty(0))
-        peak, table = _kernel_peak(n, np.linspace(k_max / 2.0, k_max, size))
-        assert peak - table - index_only <= 16 * J1_BLOCK_BYTES, (n, size, k_max)
+        _, index_only, contraction, corr = _power_peak(n, np.linspace(k_max / 2.0, k_max, size))
+        assert contraction - index_only - corr <= 16 * J1_BLOCK_BYTES, (n, size, k_max)
+
+
+def test_power_peak_does_not_grow_with_the_frequency_count():
+    # a 100^2 panel over fig6's relative span: a J1 table would hold 4.7 MB
+    # at 161 frequencies and 47 MB at 1601; the blocks that replace it do not
+    # depend on the count, though their regime mix moves the J1 scratch a little
+    k0 = 2.0 * math.pi / F140.wavelength_m
+    peaks = [_power_peak(100, k0 * np.linspace(6.0 / 7.0, 8.0 / 7.0, size))[0] for size in (161, 1601)]
+    assert abs(peaks[1] / peaks[0] - 1.0) <= 0.1, peaks
 
 
 # --- memory guard (estimates only; nothing large is allocated) ---------------
@@ -487,17 +534,29 @@ def test_power_kernel_scratch_is_bounded_by_the_budget():
     "n,n_freqs,n_directions,name,size",
     [
         (100, 1, 3601, "lattice FFT", 16 * 200**2),  # fig5 pattern
-        (75, 161, 0, "power kernel", 8 * 161 * 2850),  # fig6 squint
-        (1, 201, 0, "power kernel", 8 * 201 * 21),  # one cell: the beam track is wider
+        (75, 161, 0, "lattice FFT", 16 * 150**2),  # fig6 squint at one angle
+        (1, 201, 0, "beam track", 8 * 201 * 21),  # one cell
         (20, 1, 1_000_001, "cut", 16 * 1_000_001),
         (200_000, 1, 0, "lattice FFT", 16 * 400_000**2),
-        (75, 200_000_001, 0, "power kernel", 8 * 200_000_001 * 2850),
+        (75, 200_000_001, 0, "beam track", 8 * 200_000_001 * 21),
         (70, 1, 0, "lattice FFT", 16 * 144**2),  # 2n - 1 = 139 is prime; the power FFT pads to 144
         (7, 1, 0, "lattice FFT", 16 * 15**2),  # 13 pads to 15, past 2n = 14
     ],
 )
 def test_largest_array_estimate(n, n_freqs, n_directions, name, size):
     assert _largest_array(n, n_freqs, n_directions) == (name, size)
+
+
+@pytest.mark.parametrize(
+    "n,n_freqs,n_angles,name,size",
+    [
+        (75, 161, 14, "lattice FFT", 16 * 150**2),  # fig6 squint: its 14 angles' correlations are smaller
+        (75, 161, 1000, "radial correlation", 8 * 2850 * 1000),
+        (1, 161, 1000, "squint power", 8 * 161 * 1000),
+    ],
+)
+def test_largest_array_counts_every_squint_angle(n, n_freqs, n_angles, name, size):
+    assert _largest_array(n, n_freqs, 0, n_angles) == (name, size)
 
 
 def test_fast_length_is_the_least_5_smooth_length():
@@ -525,6 +584,7 @@ def test_largest_array_seeks_the_fft_length_only_when_the_map_fits(monkeypatch):
         (4097, 1, 0, True),
         (200_000, 1, 0, True),  # pattern, n_per_side = 200000
         (75, 200_000_001, 0, True),  # squint, n_samples = 200000001
+        (560, 1601, 0, False),  # fig6 at side = 600 mm and n_samples = 1601
         (20, 1, int(math.pi / math.radians(1e-9)) + 1, True),  # a cut sampled every 1e-9 deg
         (10**15, 1, 0, True),  # refused on the (2n)^2 bound, before any FFT length is sought
     ],
@@ -835,6 +895,26 @@ def test_squint_vs_angle_equals_one_sweep_per_angle(bits):
         assert np.array_equal(report.peak_theta_rad, single.peak_theta_rad)
         assert report.hpbw_rad == single.hpbw_rad
         assert report.bw_3db_hz == single.bw_3db_hz
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(24, 40),
+    thetas=st.lists(st.floats(25.0, 60.0), min_size=2, max_size=5),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    edge_db=st.floats(-12.0, 0.0),
+    bits=st.sampled_from([None, 2, 3]),
+)
+def test_squint_trace_does_not_depend_on_the_other_angles_property(n, thetas, phi, edge_db, bits):
+    # every angle's power comes out of one contraction over all the angles
+    # of the call; each trace stays that of the angle swept alone
+    ap = ApertureSpec.from_element_grid(n, F140)
+    targets = [Direction(math.radians(t), phi) for t in thetas]
+    taper = TaperSpec(edge_db)
+    reports = squint_vs_angle(ap, BROADSIDE, targets, taper, bits, 0.5 * F140.hertz, 21)
+    for target, report in zip(targets, reports):
+        single = squint_sweep(ap, BROADSIDE, target, taper, bits, 0.5 * F140.hertz, 21)
+        assert np.max(np.abs(report.gain_dbi - single.gain_dbi)) <= 1e-12
 
 
 def test_squint_measures_the_beamwidth_once_per_azimuth(monkeypatch):
