@@ -127,7 +127,6 @@ _SCHEMAS = {
         "d2": _quantity("length"),
         "theta_in": _quantity("angle"),
         "theta_out": _quantity("angle"),
-        "phi_in": _quantity("angle"),
         "phi_out": _quantity("angle"),
         "tx_power": _quantity("power_dbm"),
         "bs_gain": _quantity("gain_db"),

@@ -11,24 +11,18 @@ f != f0 is what produces beam squint.
 
 Every production field evaluation (principal cuts, single-direction gain,
 the directivity quadrature, the squint gain trace, the broadside beamwidth
-and the beam-peak track) goes through one kernel, _field, which is separable
-over the lattice axes. A PhaseProfile lies on a uniform lattice centred on
-the origin, x[n-1-i] == -x[i] exactly, so cos(x q) is even in x and sin(x q)
-odd, and _field works on the upper m = n - n//2 rows of each axis in real
-arithmetic only. _parity_fold folds the coefficient grid once into its four
-parity parts, c[u] +/- c[n-1-u] per axis (the centre of an odd axis once),
-times j per sine axis: one real (4*mx, 2*my) matrix. Per chunk of directions
-_cos_sin_table builds cos and sin of the upper rows from three exps per
-direction, the first row and the lattice steps 1 and f = ceil(sqrt(m)) rows
-long, as pocketfft builds its twiddle factors from powers of a step:
-repeated products give the m/f coarse rows and the f fine powers, and one
-product per entry the rest. One real matrix product of the folded grid with
-[cos; sin] of y, half the multiplies of the complex product over all rows,
-and a real product-sum against [cos; sin] of x finish the chunk. Each table
-entry is within eps*(2*max(1, max|x q|) + 2*sqrt(m)) of the exact value,
-plain exp's bound plus the rounding of at most 2*sqrt(m) products, and the
-kernel is within 1e-15 of the peak of array_factor_direct on 1^2 to 128^2
-panels. Two further routes exist:
+and the beam-peak track) goes through one kernel, _field(p, ku, kv), which
+is separable over the lattice axes. A PhaseProfile lies on a uniform lattice
+centred on the origin, x[n-1-i] == -x[i] exactly, so cos(x q) is even in x
+and sin(x q) odd, and _field works on the upper m = n - n//2 rows of each
+axis in real arithmetic only. Its first step folds p.coefficients with
+_parity_fold into their four parity parts, c[u] +/- c[n-1-u] per axis: one
+real matrix. Per chunk of directions _cos_sin_table gives [cos; sin] of the
+upper rows of each axis, and one real matrix product of the folded grid
+with the y table, half the multiplies of the complex product over all rows,
+and a real product-sum against the x table finish the chunk. The kernel is
+within 1e-15 of the peak of array_factor_direct on 1^2 to 128^2 panels.
+Two further routes exist:
 
 * array_factor_fft: zero-padded 2-D DFT on the (u, v) lattice, equal to the
   direct sum at lattice points for every profile, because a PhaseProfile
@@ -48,25 +42,19 @@ cut route against. A closed form for the same integral on a uniform lattice,
 with corr(d) = sum_m c_m conj(c_{m-d}) the lattice autocorrelation at lag d,
 follows from integrating the cos(theta) element power pattern over the
 hemisphere. It normalises cuts, single-direction gains and the squint sweep.
-_radial_corr takes a profile's autocorrelation by FFT at the least 5-smooth
-length L >= 2n-1 per axis (a prime 2n-1 would send pocketfft to Bluestein's
-algorithm), and only its real part, which is even in d, so one rfft2 gives
-it on the half lattice j >= 0, where each lag with j > 0 is doubled. The
-kernel depends on |d| only, so that half is summed per distinct squared
-integer lag i^2 + j^2, as _lag_radii indexes them (2122 radii for the 11175
-half-lattice lags of a 75x75 panel): one column of a (1 + radii) x profiles
-matrix G. _closed_form_power contracts G with the J1 kernel over (k, radius)
-block by block, with no table: each block of at most J1_BLOCK_BYTES, every k
-(or whole coarse strides of k) by a range of radii, is built, contracted and
+_radial_corr takes a profile's autocorrelation by FFT and sums its real
+part, even in d, per distinct squared integer lag i^2 + j^2 of the half
+lattice, as _lag_radii indexes them (2122 radii for the 11175 half-lattice
+lags of a 75x75 panel): one column of a (1 + radii) x profiles matrix G.
+_closed_form_power contracts G with the J1 kernel over (k, radius) block by
+block, with no table: each block of at most J1_BLOCK_BYTES, every k (or
+whole coarse strides of k) by a range of radii, is built, contracted and
 dropped, so memory does not grow with the frequency count, and no kernel
 entry depends on the blocking. squint_vs_angle folds every angle to its
 column and contracts them all in one pass; hemisphere_power_exact is the
 one-k, one-column case. For a uniform k grid _k_phases builds exp(j k rho)
-coarse x fine along k with _split_exp, within 2*eps*max(1, |k rho|) as plain
-exp is; one k keeps np.sin and np.cos. _j1 sums the power series up to 2,
-Miller's recurrence up to 25 and the Hankel expansion above (A&S 9.1, 9.2):
-within 3e-16 with np.sin and np.cos, and 3e-15 up to x = 300 and 7e-15 up to
-3000 with coarse x fine phases.
+coarse x fine along k; one k keeps np.sin and np.cos. _j1 sums the power
+series, Miller's recurrence or the Hankel expansion by range (A&S 9.1, 9.2).
 
 Quantization loss and the pattern command take the same principal-plane cuts
 in the steering plane, normalised by that closed form, from quantized_cuts.
@@ -135,8 +123,7 @@ class UVPattern(Value):
     def peak_uv(self) -> tuple[float, float, float]:
         """(|E|, u, v) at the strongest visible lattice point."""
         mag = np.abs(self.field)
-        mag = np.where(np.isnan(mag), -1.0, mag)
-        flat = int(np.argmax(mag))
+        flat = int(np.nanargmax(mag))
         i, j = np.unravel_index(flat, mag.shape)
         return float(mag[i, j]), float(self.ax1[i]), float(self.ax2[j])
 
@@ -319,39 +306,24 @@ def _cos_sin_table(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.concatenate([rows.real, rows.imag])
 
 
-def _split_exp(coarse: np.ndarray, fine: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
-    """exp(j x_i q_s) on the first m rows i = a*f + b, x_i = coarse[a] + fine[b-1], f = fine.size + 1.
-
-    _k_phases' table along k: one exp over the coarse and fine arguments, one
-    product per entry; rows b = 0 are plain exp.
-    """
-    a, f = coarse.size, fine.size + 1
-    phasors = np.exp(np.outer(1j * np.concatenate([coarse, fine]), q))
-    block = np.empty((a, f, q.size), dtype=complex)
-    block[:, 0] = phasors[:a]
-    np.multiply(phasors[:a, None], phasors[None, a:], out=block[:, 1:])
-    return block.reshape(a * f, q.size)[:m]
-
-
-def _field(folded: np.ndarray, p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
+def _field(p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
     """Array factor sum_ij c_ij exp(j (ku_s x_i + kv_s y_j)) at each pair (ku_s, kv_s).
 
-    ku and kv are k*u and k*v (rad/m) of the same shape; the result has that
-    shape and carries no element factor. folded is _parity_fold of the
-    coefficient grid c on the lattice of p (p.coefficients, or e.g. its
-    magnitudes); a caller that evaluates one grid more than once folds it
-    once. The sum is separable over the lattice axes, and the centred lattice
-    of p lets it run on the upper half of each axis in real arithmetic: per
-    FIELD_CHUNK directions it builds the half tables [cos; sin] of x ku and of
-    y kv with _cos_sin_table, does one real matrix product of folded with the
-    y table, and sums that against the x table for the real and the imaginary
-    part. Directions run along the last axis, so the final sum over x is over
-    long rows.
+    c is p.coefficients. ku and kv are k*u and k*v (rad/m) of the same shape;
+    the result has that shape and carries no element factor. The sum is
+    separable over the lattice axes, and the centred lattice of p lets it run
+    on the upper half of each axis in real arithmetic: c is folded once with
+    _parity_fold, then per FIELD_CHUNK directions the half tables [cos; sin]
+    of x ku and of y kv are built with _cos_sin_table, the folded grid is
+    multiplied by the y table in one real matrix product, and that is summed
+    against the x table for the real and the imaginary part. Directions run
+    along the last axis, so the final sum over x is over long rows.
     """
     ku = np.asarray(ku, dtype=float)
     kv = np.asarray(kv, dtype=float)
     flat_u, flat_v = ku.ravel(), kv.ravel()
     x, y = p.x_m, p.y_m
+    folded = _parity_fold(p.coefficients)
     out = np.empty(flat_u.size, dtype=complex)
     for s in range(0, flat_u.size, FIELD_CHUNK):
         chunk = slice(s, s + FIELD_CHUNK)
@@ -408,7 +380,7 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
 
     k = _wavenumber(f)
     st = np.sin(theta)[:, None]
-    field = _field(_parity_fold(p.coefficients), p, k * st * np.cos(phi), k * st * np.sin(phi))
+    field = _field(p, k * st * np.cos(phi), k * st * np.sin(phi))
     e2 = np.abs(field * _element_factor(theta)[:, None]) ** 2
     inner = np.trapezoid(e2 * st, x=phi, axis=1)
     total = float(np.trapezoid(inner, x=theta))
@@ -507,18 +479,25 @@ def _closed_form_power(pitch: float, squared: np.ndarray, k: np.ndarray, corr: n
 def _k_phases(k: np.ndarray, rho: np.ndarray, rows: slice) -> np.ndarray | None:
     """exp(j k_m rho_s) for the rows m of a uniform grid k, coarse x fine; None for np.sin and np.cos.
 
-    _split_exp builds row a*f + b from k[a*f] and k[b] - k[0], f =
-    ceil(sqrt(k.size)), rows.start a multiple of f. The grid's rounding
-    leaves r = k[m] - k[a*f] - (k[b] - k[0]), exact (Sterbenz) and worth up
-    to 3*eps*|k rho|; the factor 1 + j r rho takes it out to first order, to
-    within 2*eps*max(1, |k rho|). None for one k, or k not uniform to 16*eps*|k|.
+    Row m = a*f + b, f = ceil(sqrt(k.size)) and rows.start a multiple of f,
+    is the product of exp(j k[a*f] rho) and exp(j (k[b] - k[0]) rho), one exp
+    per coarse and per fine argument; rows b = 0 are plain exp. The grid's
+    rounding leaves r = k[m] - k[a*f] - (k[b] - k[0]), exact (Sterbenz) and
+    worth up to 3*eps*|k rho|; the factor 1 + j r rho takes it out to first
+    order, to within 2*eps*max(1, |k rho|). None for one k, or k not uniform
+    to 16*eps*|k|.
     """
     f = math.isqrt(max(k.size - 1, 0)) + 1
     m = np.arange(k.size)
     residual = (k - k[m - m % f]) - (k[m % f] - k[0])
     if f == 1 or np.any(np.abs(residual) > 16.0 * np.finfo(float).eps * np.abs(k)):
         return None
-    phase = _split_exp(k[rows][::f], k[1:f] - k[0], rho, m[rows].size)
+    coarse = k[rows][::f]
+    phasors = np.exp(np.outer(1j * np.concatenate([coarse, k[1:f] - k[0]]), rho))
+    phase = np.empty((coarse.size, f, rho.size), dtype=complex)
+    phase[:, 0] = phasors[: coarse.size]
+    np.multiply(phasors[: coarse.size, None], phasors[None, coarse.size :], out=phase[:, 1:])
+    phase = phase.reshape(-1, rho.size)[: m[rows].size]
     theta = np.outer(residual[rows], rho)
     d_cos = phase.imag * theta  # phase *= 1 + j theta, in place in real arithmetic
     theta *= phase.real
@@ -650,7 +629,7 @@ def gain_at(p: PhaseProfile, f: Frequency, direction: Direction) -> float:
     """Directivity (dBi) at one direction, normalized by the exact power."""
     k = _wavenumber(f)
     u, v = direction.transverse()
-    e = _field(_parity_fold(p.coefficients), p, k * u, k * v) * _element_factor(direction.theta)
+    e = _field(p, k * u, k * v) * _element_factor(direction.theta)
     return float(_dbi(abs(e) ** 2, hemisphere_power_exact(p, f)))
 
 
@@ -676,7 +655,7 @@ def principal_plane_cut(
     theta = np.arange(-math.pi / 2, math.pi / 2 + 1e-12, theta_step)
     # negative theta at phi + 180 deg is positive theta with k*sin(theta) negated
     q = _wavenumber(f) * np.sin(theta)
-    e = _field(_parity_fold(p.coefficients), p, q * math.cos(phi), q * math.sin(phi))
+    e = _field(p, q * math.cos(phi), q * math.sin(phi))
     e *= _element_factor(theta)
     return np.degrees(theta), _dbi(np.abs(e) ** 2, total_power)
 
@@ -760,12 +739,13 @@ def squint_vs_angle(
     ValueError asks for a larger span. Only normal incidence is
     modelled; any other incident direction raises ValueError.
 
-    The sweep is validated first. Each profile is folded to its column of
+    The sweep is validated first. HPBW depends on the aperture, the taper and
+    the azimuth only, so it is measured before the loop on one broadside
+    profile, whose coefficients are the taper itself, once per distinct
+    outgoing.phi in first-seen order; a beamwidth that cannot be bracketed
+    raises before any angle is swept. Each profile is folded to its column of
     radial correlations in the loop and not kept; one contraction after it
-    gives every angle's power, block by block with no J1 table. HPBW depends
-    on the aperture, the taper and the azimuth only, so it is measured once
-    per distinct outgoing.phi, on the broadside profile whose coefficients
-    are the taper itself.
+    gives every angle's power, block by block with no J1 table.
     """
     check_normal_incidence(incident)
     if n_samples < 11 or n_samples % 2 == 0:
@@ -778,9 +758,11 @@ def squint_vs_angle(
     k_per_f = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
     radius_index, squared = _lag_radii(a.n_per_side, a.n_per_side)
     corr = np.empty((squared.size, len(outgoing_list)), order="F")  # each angle's column contiguous
-    k0 = _wavenumber(f0)
+    taper_profile = synthesize_profile(a, incident, BROADSIDE, taper)
+    azimuths = dict.fromkeys(o.phi for o in outgoing_list)  # distinct, in first-seen order
+    hpbw_per_phi = {phi: _broadside_hpbw(taper_profile, phi) for phi in azimuths}
+    del taper_profile  # not held beside each angle's field scratch
     mid = n_samples // 2
-    hpbw_per_phi = {}
     tracks = []
     for outgoing, column in zip(outgoing_list, corr.T):
         profile = synthesize_profile(a, incident, outgoing, taper)
@@ -788,16 +770,12 @@ def squint_vs_angle(
             profile = quantize_profile(profile, bits)
         column[:] = _radial_corr(profile, radius_index)
 
-        folded = _parity_fold(profile.coefficients)
         u_t, v_t = outgoing.transverse()
-        e = _field(folded, profile, k_per_f * u_t, k_per_f * v_t)
+        e = _field(profile, k_per_f * u_t, k_per_f * v_t)
         e *= _element_factor(outgoing.theta)
 
-        hpbw = hpbw_per_phi.get(outgoing.phi)
-        if hpbw is None:
-            broadside = synthesize_profile(a, incident, Direction(0.0, outgoing.phi), taper)
-            hpbw = hpbw_per_phi[outgoing.phi] = _broadside_hpbw(broadside, outgoing.phi, f0)
-        peak = _track_beam_peak(profile, folded, outgoing, k0, hpbw, k_per_f)
+        hpbw = hpbw_per_phi[outgoing.phi]
+        peak = _track_beam_peak(profile, outgoing, hpbw, k_per_f)
         excess = np.abs(peak - outgoing.theta) - hpbw / 2.0
         if excess[mid] > 0.0:
             raise ValueError(
@@ -839,23 +817,23 @@ def _interp_crossing(x_out: float, x_in: float, y_out: float, y_in: float, level
     return x_out + frac * (x_in - x_out)
 
 
-def _broadside_hpbw(p: PhaseProfile, phi: float, f: Frequency) -> float:
-    """Measured -3 dB width (rad) in the plane phi of |c_n| radiated to broadside.
+def _broadside_hpbw(p: PhaseProfile, phi: float) -> float:
+    """Measured -3 dB width (rad) in the plane phi of the broadside beam of p at p.design_freq.
 
-    The half-power angle is bracketed on a grid up to twice the uniform
-    aperture's half width, the bracket is resampled once on the same number
-    of points, and the -3 dB point is interpolated linearly in dB. For a
-    symmetric taper the pattern is even in theta, so the width is twice it.
+    p is steered to broadside, so its coefficients are its real taper and
+    its peak is their sum. The half-power angle is bracketed on a grid up to
+    twice the uniform aperture's half width, the bracket is resampled once
+    on the same number of points, and the -3 dB point is interpolated
+    linearly in dB. For a symmetric taper the pattern is even in theta, so
+    the width is twice it.
     """
-    amps = np.abs(p.coefficients)
-    peak = np.sum(amps) ** 2
-    folded = _parity_fold(amps)
-    k = _wavenumber(f)
-    lo, hi = 0.0, min(analytical_hpbw(p, f), math.pi / 2)
+    peak = np.sum(np.abs(p.coefficients)) ** 2
+    k = _wavenumber(p.design_freq)
+    lo, hi = 0.0, min(analytical_hpbw(p, p.design_freq), math.pi / 2)
     for _ in range(2):
         theta = np.linspace(lo, hi, HPBW_GRID)
         q = k * np.sin(theta)
-        power = np.abs(_field(folded, p, q * math.cos(phi), q * math.sin(phi))) ** 2 * np.cos(theta)
+        power = np.abs(_field(p, q * math.cos(phi), q * math.sin(phi))) ** 2 * np.cos(theta)
         with np.errstate(divide="ignore"):
             rel = 10.0 * np.log10(power / peak)
         below = np.flatnonzero(rel < -3.0)
@@ -866,25 +844,22 @@ def _broadside_hpbw(p: PhaseProfile, phi: float, f: Frequency) -> float:
     return 2.0 * _interp_crossing(theta[i], theta[i - 1], rel[i], rel[i - 1], level=-3.0)
 
 
-def _track_beam_peak(
-    p: PhaseProfile, folded: np.ndarray, outgoing: Direction, k0: float, hpbw: float, k_per_f: np.ndarray
-) -> np.ndarray:
+def _track_beam_peak(p: PhaseProfile, outgoing: Direction, hpbw: float, k_per_f: np.ndarray) -> np.ndarray:
     """Signed beam-peak angle (rad) in the steering plane at each wavenumber.
 
-    folded is _parity_fold of p.coefficients.
-
     |AF(q)|^2 is sampled once on PEAK_WINDOW points within the broadside
-    half-power half width of q0 = k0*sin(theta0). At each wavenumber the
-    cos(theta) element power is applied and the peak is refined by a parabola
-    through the log power around the largest sample. A peak that the window
-    cannot hold, because the lobe has run to the horizon or out of the
-    visible region, is recorded at 90 deg.
+    half-power half width of q0 = k0*sin(theta0), k0 the wavenumber at
+    p.design_freq. At each wavenumber the cos(theta) element power is applied
+    and the peak is refined by a parabola through the log power around the
+    largest sample. A peak that the window cannot hold, because the lobe has
+    run to the horizon or out of the visible region, is recorded at 90 deg.
     """
+    k0 = _wavenumber(p.design_freq)
     q = k0 * (math.sin(outgoing.theta) + math.sin(hpbw / 2.0) * np.linspace(-1.0, 1.0, PEAK_WINDOW))
     # along azimuth phi the frozen-phase array factor depends on k*sin(theta)
     # only, so one evaluation at q serves every frequency
     ku, kv = q * math.cos(outgoing.phi), q * math.sin(outgoing.phi)
-    af2 = np.abs(_field(folded, p, ku, kv)) ** 2
+    af2 = np.abs(_field(p, ku, kv)) ** 2
     cos_theta = np.sqrt(np.maximum(1.0 - (q[None, :] / k_per_f[:, None]) ** 2, 0.0))
     log_p = np.log(np.maximum(af2 * cos_theta, np.finfo(float).tiny))
     idx = np.argmax(log_p, axis=1)

@@ -27,7 +27,6 @@ from thz_ris_planner.radiation import (
     _k_phases,
     _lag_radii,
     _largest_array,
-    _parity_fold,
     _polynomial,
     _radial_corr,
     check_array_budget,
@@ -718,7 +717,7 @@ def test_field_kernel_matches_direct_sum_to_1e13_of_peak(n, f_ghz, bits):
     theta = np.concatenate([theta, [0.0], edge[:20], 0.5 * math.pi - edge[20:]])
     phi = np.append(phi, rng.uniform(0.0, 2.0 * math.pi, 41))
     kt = radiation._wavenumber(f) * np.sin(theta)
-    field = _field(_parity_fold(prof.coefficients), prof, kt * np.cos(phi), kt * np.sin(phi))
+    field = _field(prof, kt * np.cos(phi), kt * np.sin(phi))
     kernel = field * _element_factor(theta)
     direct = array_factor_direct(prof, f, [Direction(t, p) for t, p in zip(theta, phi)])
     assert np.max(np.abs(kernel - direct)) <= 1e-13 * np.max(np.abs(direct))
@@ -730,9 +729,8 @@ def test_field_chunks_are_computed_alone(size):
     rng = np.random.default_rng(size)
     prof = _random_lattice(7, 6, rng)
     ku, kv = rng.uniform(-1.0, 1.0, (2, size)) * radiation._wavenumber(F140)
-    folded = _parity_fold(prof.coefficients)
-    chunks = [_field(folded, prof, ku[s : s + FIELD_CHUNK], kv[s : s + FIELD_CHUNK]) for s in (0, FIELD_CHUNK)]
-    assert np.array_equal(_field(folded, prof, ku, kv), np.concatenate(chunks))
+    chunks = [_field(prof, ku[s : s + FIELD_CHUNK], kv[s : s + FIELD_CHUNK]) for s in (0, FIELD_CHUNK)]
+    assert np.array_equal(_field(prof, ku, kv), np.concatenate(chunks))
 
 
 @settings(max_examples=25, deadline=None)
@@ -918,14 +916,17 @@ def test_squint_trace_does_not_depend_on_the_other_angles_property(n, thetas, ph
 
 
 def test_squint_measures_the_beamwidth_once_per_azimuth(monkeypatch):
-    calls = []
-    measure = radiation._broadside_hpbw
-    monkeypatch.setattr(radiation, "_broadside_hpbw", lambda p, phi, f: calls.append(phi) or measure(p, phi, f))
+    calls, synthesized = [], []
+    measure, synthesize = radiation._broadside_hpbw, radiation.synthesize_profile
+    monkeypatch.setattr(radiation, "_broadside_hpbw", lambda p, phi: calls.append(phi) or measure(p, phi))
+    monkeypatch.setattr(radiation, "synthesize_profile", lambda *args: synthesized.append(args) or synthesize(*args))
     ap = ApertureSpec.from_element_grid(30, F140)
     taper = TaperSpec(-10.0)
     targets = [Direction.from_degrees(t, phi) for phi in (0.0, 30.0) for t in (30.0, 45.0)]
     quantized = squint_vs_angle(ap, BROADSIDE, targets, taper, 2, 40e9, 61)
     assert calls == [0.0, math.radians(30.0)]
+    # one broadside (taper) profile serves every azimuth
+    assert len(synthesized) == len(targets) + 1
     # measured on the taper steered to broadside, whatever the bits
     continuous = squint_vs_angle(ap, BROADSIDE, targets, taper, None, 40e9, 61)
     assert [r.hpbw_rad for r in quantized] == [r.hpbw_rad for r in continuous]
