@@ -47,14 +47,15 @@ part, even in d, per distinct squared integer lag i^2 + j^2 of the half
 lattice, as _lag_radii indexes them (2122 radii for the 11175 half-lattice
 lags of a 75x75 panel): one column of a (1 + radii) x profiles matrix G.
 _closed_form_power contracts G with the J1 kernel over (k, radius) block by
-block, with no table: each block of at most J1_BLOCK_BYTES, every k (or
-whole coarse strides of k) by a range of radii, is built, contracted and
-dropped, so memory does not grow with the frequency count, and no kernel
-entry depends on the blocking. squint_vs_angle folds every angle to its
-column and contracts them all in one pass; hemisphere_power_exact is the
-one-k, one-column case. For a uniform k grid _k_phases builds exp(j k rho)
-coarse x fine along k; one k keeps np.sin and np.cos. _j1 sums the power
-series, Miller's recurrence or the Hankel expansion by range (A&S 9.1, 9.2).
+block, with no table: each block, every k by as many radii as fit in
+J1_BLOCK_BYTES (at least one), is built, contracted and dropped, so memory
+does not grow with the frequency count, and no kernel entry depends on the
+blocking. squint_vs_angle folds every angle to its column and contracts them
+all in one pass; hemisphere_power_exact is the one-k, one-column case.
+_k_phases builds exp(j k rho) coarse x fine along a uniform k grid, and one
+exp per entry for one k or any other grid; _j1 reads sin and cos from those
+phases and sums the power series, Miller's recurrence or the Hankel
+expansion by range (A&S 9.1, 9.2).
 
 Quantization loss and the pattern command take the same principal-plane cuts
 in the steering plane, normalised by that closed form, from quantized_cuts.
@@ -333,10 +334,10 @@ def _field(p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
     return out.reshape(ku.shape)
 
 
-def analytical_hpbw(p: PhaseProfile, f: Frequency) -> float:
-    """Uniform-aperture 3 dB beamwidth estimate (rad): sets grid steps and guards."""
+def analytical_hpbw(p: PhaseProfile) -> float:
+    """Uniform-aperture 3 dB beamwidth estimate (rad) at p.design_freq: sets grid steps and guards."""
     span = max(p.rows, p.cols) * p.cell_pitch_m
-    return BEAMWIDTH_FACTOR * f.wavelength_m / span
+    return BEAMWIDTH_FACTOR * p.design_freq.wavelength_m / span
 
 
 def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) -> SpherePattern:
@@ -351,7 +352,7 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
     beamwidth (at most half of it).
     """
     f = p.design_freq
-    hpbw = analytical_hpbw(p, f)
+    hpbw = analytical_hpbw(p)
     if grid_resolution > hpbw / 2.0:
         raise ValueError(
             f"grid resolution {math.degrees(grid_resolution):.3f} deg under-resolves the "
@@ -453,52 +454,48 @@ def _closed_form_power(pitch: float, squared: np.ndarray, k: np.ndarray, corr: n
     """Closed-form power (k.size, profiles) of each column of corr, a _radial_corr, at each k.
 
     The zero lag takes the kernel's limit pi, each radius rho = pitch *
-    sqrt(squared) 2*pi*J1(k rho)/(k rho). Each block of kernel entries holds
+    sqrt(squared) 2*pi*J1(k rho)/(k rho). Each block holds every k by a range
+    of radii, max(1, J1_BLOCK_BYTES // (8 k.size)) of them, so its entries are
     what one _j1 and _k_phases call on every k and radius would give; it is
     contracted with corr, one matrix-vector product per column so that no
     profile's power depends on the others, and dropped.
     """
     rho = pitch * np.sqrt(squared[1:])
     power = np.full((k.size, corr.shape[1]), math.pi * corr[0])
-    entries = J1_BLOCK_BYTES // power.itemsize
-    f = math.isqrt(max(k.size - 1, 0)) + 1  # the coarse stride of _k_phases
-    block_rows = max(1, min(k.size, max(f, entries // f * f)))
-    block_cols = max(1, entries // block_rows)
-    for r in range(0, k.size, block_rows):
-        for c in range(0, rho.size, block_cols):
-            rows, cols = slice(r, r + block_rows), slice(c, c + block_cols)
-            kr = np.outer(k[rows], rho[cols])
-            block = _j1(kr, _k_phases(k, rho[cols], rows))
-            block *= 2.0 * math.pi
-            block /= kr
-            for column, weights in zip(power.T, corr[1:].T):
-                column[rows] += block @ weights[cols]
+    block_cols = max(1, J1_BLOCK_BYTES // (power.itemsize * k.size))
+    for c in range(0, rho.size, block_cols):
+        cols = slice(c, c + block_cols)
+        kr = np.outer(k, rho[cols])
+        block = _j1(kr, _k_phases(k, rho[cols]))
+        block *= 2.0 * math.pi
+        block /= kr
+        for column, weights in zip(power.T, corr[1:].T):
+            column += block @ weights[cols]
     return power
 
 
-def _k_phases(k: np.ndarray, rho: np.ndarray, rows: slice) -> np.ndarray | None:
-    """exp(j k_m rho_s) for the rows m of a uniform grid k, coarse x fine; None for np.sin and np.cos.
+def _k_phases(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """exp(j k_m rho_s) for every k_m and rho_s, built coarse x fine along k.
 
-    Row m = a*f + b, f = ceil(sqrt(k.size)) and rows.start a multiple of f,
-    is the product of exp(j k[a*f] rho) and exp(j (k[b] - k[0]) rho), one exp
-    per coarse and per fine argument; rows b = 0 are plain exp. The grid's
-    rounding leaves r = k[m] - k[a*f] - (k[b] - k[0]), exact (Sterbenz) and
-    worth up to 3*eps*|k rho|; the factor 1 + j r rho takes it out to first
-    order, to within 2*eps*max(1, |k rho|). None for one k, or k not uniform
-    to 16*eps*|k|.
+    Row m = a*f + b is the product of exp(j k[a*f] rho) and exp(j (k[b] -
+    k[0]) rho), one exp per coarse and per fine argument; rows b = 0 are plain
+    exp. f = ceil(sqrt(k.size)) when k is uniform to 16*eps*|k|, else 1:
+    then, as for a single k, every row is coarse, one exp per entry. The
+    grid's rounding leaves r = k[m] - k[a*f] - (k[b] - k[0]), exact
+    (Sterbenz) and worth up to 3*eps*|k rho|, 0 when f = 1; the factor 1 + j
+    r rho takes it out to first order, to within 2*eps*max(1, |k rho|).
     """
     f = math.isqrt(max(k.size - 1, 0)) + 1
     m = np.arange(k.size)
     residual = (k - k[m - m % f]) - (k[m % f] - k[0])
-    if f == 1 or np.any(np.abs(residual) > 16.0 * np.finfo(float).eps * np.abs(k)):
-        return None
-    coarse = k[rows][::f]
-    phasors = np.exp(np.outer(1j * np.concatenate([coarse, k[1:f] - k[0]]), rho))
+    if np.any(np.abs(residual) > 16.0 * np.finfo(float).eps * np.abs(k)):
+        f, residual = 1, np.zeros_like(k)
+    coarse = k[::f]
     phase = np.empty((coarse.size, f, rho.size), dtype=complex)
-    phase[:, 0] = phasors[: coarse.size]
-    np.multiply(phasors[: coarse.size, None], phasors[None, coarse.size :], out=phase[:, 1:])
-    phase = phase.reshape(-1, rho.size)[: m[rows].size]
-    theta = np.outer(residual[rows], rho)
+    np.exp(np.outer(1j * coarse, rho), out=phase[:, 0])
+    np.multiply(phase[:, :1], np.exp(np.outer(1j * (k[1:f] - k[0]), rho)), out=phase[:, 1:])
+    phase = phase.reshape(-1, rho.size)[: k.size]
+    theta = np.outer(residual, rho)
     d_cos = phase.imag * theta  # phase *= 1 + j theta, in place in real arithmetic
     theta *= phase.real
     phase.real -= d_cos
@@ -506,21 +503,22 @@ def _k_phases(k: np.ndarray, rho: np.ndarray, rows: slice) -> np.ndarray | None:
     return phase
 
 
-def _j1(x: np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:
-    """Bessel function J1 of non-negative real x.
+def _j1(x: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Bessel function J1 of non-negative real x, given phase = exp(j x).
 
     Three regimes: the power series for x <= J1_SERIES_MAX; Miller's backward
     recurrence J_{n-1} = (2n/x) J_n - J_{n+1} from MILLER_ORDER, normalised by
     J0 + 2 sum_k J_2k = 1 (A&S 9.1.27, 9.1.46), up to J1_HANKEL_MIN; and the
     Hankel expansion J1 = (P (sin x - cos x) + Q (sin x + cos x)) / sqrt(pi x)
     above it (A&S 9.2.5, 9.2.9-10). That phase is cos(x - 3pi/4) and
-    sin(x - 3pi/4) expanded, so no rounding comes from the subtraction. sin x
-    and cos x are np.sin and np.cos, or the parts of phase = exp(j x). Against
-    a 40-digit reference: within 3e-16 with np.sin and np.cos; with _k_phases,
-    3e-15 up to x = 300 and 7e-15 up to 3000 (phase error times amplitude).
+    sin(x - 3pi/4) expanded, so no rounding comes from the subtraction; sin x
+    and cos x are the parts of phase. Against a 40-digit reference: within
+    3e-16 with phase = np.exp(1j * x); with the coarse x fine phase of
+    _k_phases, 3e-15 up to x = 300 and 7e-15 up to 3000 (phase error times
+    amplitude).
 
-    Most of a squint table lies above J1_HANKEL_MIN, so the expansion runs on
-    the whole table in a few reused buffers, with no gather or scatter; below
+    Most of a power block lies above J1_HANKEL_MIN, so the expansion runs on
+    the whole block in a few reused buffers, with no gather or scatter; below
     it the expansion means nothing (it is inf or nan at 0), and those entries
     are overwritten by the series and Miller results; an empty regime is skipped.
     """
@@ -531,10 +529,9 @@ def _j1(x: np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:
         out = _polynomial(_HANKEL_P, z)  # P
         big_q = _polynomial(_HANKEL_Q, z)
         big_q /= x  # Q
-        sin, cos = (np.sin(x), np.cos(x)) if phase is None else (phase.imag, phase.real)
-        np.subtract(sin, cos, out=z)
+        np.subtract(phase.imag, phase.real, out=z)
         out *= z  # P (sin - cos)
-        np.add(sin, cos, out=z)
+        np.add(phase.imag, phase.real, out=z)
         big_q *= z  # Q (sin + cos)
         out += big_q
         np.multiply(x, math.pi, out=z)
@@ -688,7 +685,7 @@ def quantized_cuts(
     smaller than a wavelength is not cut at one angle; a beamwidth that
     underflows to 0 asks for an endless cut, which check_array_budget refuses.
     """
-    step = min(analytical_hpbw(p, p.design_freq), math.pi) / CUT_STEPS_PER_BEAMWIDTH
+    step = min(analytical_hpbw(p), math.pi) / CUT_STEPS_PER_BEAMWIDTH
     check_array_budget(max(p.rows, p.cols), n_directions=math.pi / step + 1 if step > 0.0 else math.inf)
     return [
         principal_plane_cut(p if bits is None else quantize_profile(p, bits), None, phi, step)
@@ -829,7 +826,7 @@ def _broadside_hpbw(p: PhaseProfile, phi: float) -> float:
     """
     peak = np.sum(np.abs(p.coefficients)) ** 2
     k = _wavenumber(p.design_freq)
-    lo, hi = 0.0, min(analytical_hpbw(p, p.design_freq), math.pi / 2)
+    lo, hi = 0.0, min(analytical_hpbw(p), math.pi / 2)
     for _ in range(2):
         theta = np.linspace(lo, hi, HPBW_GRID)
         q = k * np.sin(theta)

@@ -300,18 +300,24 @@ def _regime_edges():
     return np.array(pts)
 
 
+def _plain_j1(x):
+    """_j1 of x with the plain-exp phase np.exp(1j * x)."""
+    x = np.asarray(x, dtype=float)
+    return _j1(x, np.exp(1j * x))
+
+
 def test_j1_matches_scipy_on_dense_grid():
     x = np.concatenate([np.linspace(0.0, 1500.0, 300_001), _regime_edges()])
     assert np.any(x < J1_SERIES_MAX) and np.any(x > J1_HANKEL_MIN)
-    assert np.max(np.abs(_j1(x) - j1(x))) <= 2e-15
+    assert np.max(np.abs(_plain_j1(x) - j1(x))) <= 2e-15
 
 
 def test_j1_small_arguments():
     x = np.geomspace(1e-300, 2.0, 3001)
-    assert np.max(np.abs(_j1(x) - j1(x))) <= 2e-15
-    assert _j1(np.array([0.0]))[0] == 0.0
+    assert np.max(np.abs(_plain_j1(x) - j1(x))) <= 2e-15
+    assert _plain_j1(np.array([0.0]))[0] == 0.0
     # J1(x) = x/2 to first order; no underflow in (x/2)^2
-    assert np.all(_j1(x[:100]) == x[:100] / 2.0)
+    assert np.all(_plain_j1(x[:100]) == x[:100] / 2.0)
 
 
 def test_j1_on_mixed_regime_table():
@@ -328,7 +334,7 @@ def test_j1_on_mixed_regime_table():
         assert row.max() > J1_HANKEL_MIN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _j1(x)
+        got = _plain_j1(x)
     assert got.shape == x.shape
     assert np.max(np.abs(got - j1(x))) <= 2e-15
     assert np.all(got[:, 0] == 0.0)
@@ -339,21 +345,21 @@ def test_j1_runs_no_regime_without_entries(monkeypatch):
     # series, and one wholly in Miller's regime never enters the series
     hankel = np.linspace(np.nextafter(J1_HANKEL_MIN, np.inf), 3000.0, 16384)
     miller = np.linspace(np.nextafter(J1_SERIES_MAX, np.inf), J1_HANKEL_MIN, 1001)
-    expected = _j1(hankel), _j1(miller)
+    expected = _plain_j1(hankel), _plain_j1(miller)
     monkeypatch.setattr(radiation, "_SERIES", None)
-    assert np.array_equal(_j1(miller).view(np.uint64), expected[1].view(np.uint64))
+    assert np.array_equal(_plain_j1(miller).view(np.uint64), expected[1].view(np.uint64))
     monkeypatch.setattr(radiation, "MILLER_ORDER", None)
-    assert np.array_equal(_j1(hankel).view(np.uint64), expected[0].view(np.uint64))
-    assert _j1(np.empty(0)).size == 0
+    assert np.array_equal(_plain_j1(hankel).view(np.uint64), expected[0].view(np.uint64))
+    assert _plain_j1(np.empty(0)).size == 0
     with pytest.raises(TypeError):  # the patched constants are read when a regime has entries
-        _j1(np.array([30.0, 10.0]))
+        _plain_j1(np.array([30.0, 10.0]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(0.0, 1500.0), min_size=1, max_size=50))
 def test_j1_matches_scipy_property(xs):
     x = np.array(xs)
-    assert np.max(np.abs(_j1(x) - j1(x))) <= 2e-15
+    assert np.max(np.abs(_plain_j1(x) - j1(x))) <= 2e-15
 
 
 def test_polynomial_is_horner_from_zero_bit_for_bit():
@@ -368,7 +374,7 @@ def test_polynomial_is_horner_from_zero_bit_for_bit():
     # finite value; _j1 overwrites those entries with the series
     with np.errstate(all="ignore"):
         assert not np.any(np.isfinite(_polynomial(_HANKEL_P, np.array([np.inf]))))
-    assert np.array_equal(_j1(np.array([0.0, 30.0, 0.0]))[[0, 2]], [0.0, 0.0])
+    assert np.array_equal(_plain_j1(np.array([0.0, 30.0, 0.0]))[[0, 2]], [0.0, 0.0])
 
 
 # --- the J1 power kernel, contracted in blocks ---------------------------------
@@ -379,11 +385,11 @@ SQUINT_SHAPES = ((34, 81), (46, 161), (52, 101), (56, 121), (70, 81))  # (n, fre
 def _one_j1_call(rows, cols, pitch, k):
     """2*pi*J1(k rho)/(k rho) from one _j1 call on the whole (k, distinct nonzero radius) table.
 
-    Its phases come from one _k_phases call on every k; a single k takes plain np.sin and np.cos.
+    Its phases come from one _k_phases call on every k.
     """
     rho = _radii(rows, cols, pitch)
     kr = np.outer(k, rho)
-    return _j1(kr, _k_phases(k, rho, slice(None))) * (2.0 * math.pi) / kr
+    return _j1(kr, _k_phases(k, rho)) * (2.0 * math.pi) / kr
 
 
 def _radii(rows, cols, pitch):
@@ -430,9 +436,9 @@ def test_power_kernel_blocks_equal_one_j1_call(monkeypatch, entries, rows, cols,
         assert edges.size > 0
     columns = _kernel_columns(rows, cols, pitch, k, radii)
     assert np.array_equal(columns.view(np.uint64), expected[:, radii].view(np.uint64))
-    if k.size == 1:  # plain np.sin and np.cos, bit for bit
+    if k.size == 1:  # one plain exp per entry, bit for bit
         kr = np.outer(k, _radii(rows, cols, pitch)[radii])
-        assert np.array_equal(columns.view(np.uint64), (_j1(kr) * (2.0 * math.pi) / kr).view(np.uint64))
+        assert np.array_equal(columns.view(np.uint64), (_plain_j1(kr) * (2.0 * math.pi) / kr).view(np.uint64))
 
     # the streamed power of two profiles against one unblocked table product
     radius_index, squared = _lag_radii(rows, cols)
@@ -445,17 +451,17 @@ def test_power_kernel_blocks_equal_one_j1_call(monkeypatch, entries, rows, cols,
 
 def test_power_kernel_of_a_nonuniform_grid_takes_plain_sin_and_cos(monkeypatch):
     # a grid that is not uniform to within rounding has no coarse x fine
-    # split, and a single k needs none
+    # split, and a single k needs none: one plain exp per entry
     monkeypatch.setattr(radiation, "J1_BLOCK_BYTES", 8 * 12)
-    k = np.geomspace(2e4, 3e4, 40)
     pitch = F140.wavelength_m / 2.0
     rho = _radii(4, 4, pitch)
-    kr = np.outer(k, rho)
-    assert _k_phases(k, rho, slice(None)) is None
-    assert _k_phases(k[:1], rho, slice(None)) is None
-    assert _k_phases(np.linspace(2e4, 3e4, 40), rho, slice(None)) is not None
-    columns = _kernel_columns(4, 4, pitch, k, np.arange(rho.size))
-    assert np.array_equal(columns.view(np.uint64), (_j1(kr) * (2.0 * math.pi) / kr).view(np.uint64))
+    for k in (np.geomspace(2e4, 3e4, 40), np.array([2e4])):
+        kr = np.outer(k, rho)
+        assert np.array_equal(_k_phases(k, rho).view(np.uint64), np.exp(1j * kr).view(np.uint64))
+        columns = _kernel_columns(4, 4, pitch, k, np.arange(rho.size))
+        assert np.array_equal(columns.view(np.uint64), (_plain_j1(kr) * (2.0 * math.pi) / kr).view(np.uint64))
+    uniform = np.linspace(2e4, 3e4, 40)
+    assert not np.array_equal(_k_phases(uniform, rho), np.exp(1j * np.outer(uniform, rho)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -474,7 +480,7 @@ def test_k_phases_and_j1_stay_accurate_property(n_samples, f0_ghz, span, kr_max,
     rho = np.random.default_rng(seed).uniform(0.0, kr_max / k[-1], 48)
     rho[0] = 0.0
     kr = np.outer(k, rho)
-    phase = _k_phases(k, rho, slice(None))
+    phase = _k_phases(k, rho)
     exact = np.exp(1j * np.outer(k.astype(np.longdouble), rho.astype(np.longdouble)))
     assert np.max(np.abs(phase - exact)) <= 2.0 * np.finfo(float).eps * max(1.0, np.max(kr))
     assert np.max(np.abs(_j1(kr, phase) - j1(kr))) <= 2e-14
@@ -515,6 +521,22 @@ def test_power_kernel_scratch_is_bounded_by_the_budget():
     for n, size, k_max in cases:
         _, index_only, contraction, corr = _power_peak(n, np.linspace(k_max / 2.0, k_max, size))
         assert contraction - index_only - corr <= 16 * J1_BLOCK_BYTES, (n, size, k_max)
+
+
+def test_power_kernel_of_a_squint_grid_longer_than_a_block():
+    # 20001 frequencies over fig6's relative span at the real budget: each
+    # block is every k by one radius, over J1_BLOCK_BYTES, and its entries are
+    # still those of one call on the whole table. A 4^2 lattice at 1 mm pitch
+    # puts every k*rho in Miller's regime, which holds the most J1 scratch.
+    k = 2.0 * math.pi / F140.wavelength_m * np.linspace(6.0 / 7.0, 8.0 / 7.0, 20001)
+    assert 8 * k.size > J1_BLOCK_BYTES
+    kr = np.outer(k, _radii(4, 4, 1e-3))
+    assert J1_SERIES_MAX < kr.min() and kr.max() <= J1_HANKEL_MIN
+    expected = _one_j1_call(4, 4, 1e-3, k)
+    columns = _kernel_columns(4, 4, 1e-3, k, np.arange(expected.shape[1]))
+    assert np.array_equal(columns.view(np.uint64), expected.view(np.uint64))
+    _, index_only, contraction, corr = _power_peak(4, k)
+    assert contraction - index_only - corr <= 16 * 8 * k.size
 
 
 def test_power_peak_does_not_grow_with_the_frequency_count():
