@@ -179,7 +179,8 @@ class QuantizationReport(Value):
 
 
 def _element_factor(theta: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(np.cos(theta), 0.0))
+    """sqrt(cos theta), exactly 0 at |theta| >= pi/2, where cos(fl(pi/2)) reads 6e-17."""
+    return np.where(np.abs(theta) < math.pi / 2, np.sqrt(np.maximum(np.cos(theta), 0.0)), 0.0)
 
 
 def _wavenumber(f: Frequency) -> float:
@@ -197,6 +198,7 @@ def array_factor_direct(
 ) -> np.ndarray:
     """Exact complex field at each direction by direct summation (the oracle).
 
+    The element factor sqrt(cos theta) is exactly 0 at theta = pi/2.
     Summation order is fixed (C order over the element grid) so results are
     reproducible bit-for-bit.
     """
@@ -206,9 +208,8 @@ def array_factor_direct(
     for idx, d in enumerate(directions):
         u, v = d.transverse()
         phase = k * (gx * u + gy * v)
-        out[idx] = np.sum(p.coefficients * np.exp(1j * phase)) * math.sqrt(
-            max(math.cos(d.theta), 0.0)
-        )
+        element = math.sqrt(math.cos(d.theta)) if d.theta < math.pi / 2 else 0.0
+        out[idx] = np.sum(p.coefficients * np.exp(1j * phase)) * element
     return out
 
 
@@ -479,17 +480,17 @@ def _k_phases(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
     Row m = a*f + b is the product of exp(j k[a*f] rho) and exp(j (k[b] -
     k[0]) rho), one exp per coarse and per fine argument; rows b = 0 are plain
-    exp. f = ceil(sqrt(k.size)) when k is uniform to 16*eps*|k|, else 1:
-    then, as for a single k, every row is coarse, one exp per entry. The
-    grid's rounding leaves r = k[m] - k[a*f] - (k[b] - k[0]), exact
-    (Sterbenz) and worth up to 3*eps*|k rho|, 0 when f = 1; the factor 1 + j
-    r rho takes it out to first order, to within 2*eps*max(1, |k rho|).
+    exp. f = ceil(sqrt(k.size)) when k is uniform to 16*eps*|k|; a single k
+    or a grid that is not uniform takes one plain exp per entry. The grid's
+    rounding leaves r = k[m] - k[a*f] - (k[b] - k[0]), exact (Sterbenz) and
+    worth up to 3*eps*|k rho|; the factor 1 + j r rho takes it out to first
+    order, to within 2*eps*max(1, |k rho|).
     """
     f = math.isqrt(max(k.size - 1, 0)) + 1
     m = np.arange(k.size)
     residual = (k - k[m - m % f]) - (k[m % f] - k[0])
-    if np.any(np.abs(residual) > 16.0 * np.finfo(float).eps * np.abs(k)):
-        f, residual = 1, np.zeros_like(k)
+    if f == 1 or np.any(np.abs(residual) > 16.0 * np.finfo(float).eps * np.abs(k)):
+        return np.exp(np.outer(1j * k, rho))
     coarse = k[::f]
     phase = np.empty((coarse.size, f, rho.size), dtype=complex)
     np.exp(np.outer(1j * coarse, rho), out=phase[:, 0])

@@ -94,11 +94,7 @@ def line_plot(
     )
     for idx, (x, y, label) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join(
-            f"{sx(px):.2f},{sy(py):.2f}"
-            for px, py in zip(x, y)
-            if math.isfinite(py) and y_lo <= py <= y_hi
-        )
+        pts = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in zip(x, y) if math.isfinite(py))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -124,7 +120,9 @@ def heatmap(
 ) -> None:
     """Grayscale cell heatmap of z[i][j] over x[i], y[j], shaded from z_floor up.
 
-    The largest finite z, drawn black, must lie above z_floor.
+    The largest finite z, drawn black, must lie above z_floor. A cell that is
+    NaN or at or below z_floor (-inf included) is the white background and
+    gets no rect.
     """
     z_hi = max(v for row in z for v in row if math.isfinite(v))
 
@@ -142,10 +140,9 @@ def heatmap(
     for i in range(nx):
         for j in range(ny):
             v = z[i][j]
-            if not math.isfinite(v):
+            if not v > z_floor:
                 continue
-            frac = (min(max(v, z_floor), z_hi) - z_floor) / (z_hi - z_floor)
-            shade = int(255 * (1.0 - frac))
+            shade = int(255 * (1.0 - (v - z_floor) / (z_hi - z_floor)))
             parts.append(
                 f'<rect x="{_ML + i * cw:.2f}" y="{_MT + (ny - 1 - j) * ch:.2f}" '
                 f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '

@@ -15,20 +15,28 @@ Rewrite the record after an intended change of output with
 It compares the new record with the one it replaces and prints one line per
 artifact that moved: its old -> new line count and how many of its line
 blocks changed. List those artifacts, and why they moved, in CHANGES.md.
+
+The record holds at numpy's baseline dispatch too: a second test regenerates
+the artifacts in a subprocess with every SIMD target numpy found on the host
+disabled through NPY_DISABLE_CPU_FEATURES.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
+import thz_ris_planner
 from thz_ris_planner.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -108,6 +116,18 @@ def test_bundled_artifacts_match_golden(tmp_path):
     if problems and golden["environment"] != _environment():
         problems.append(f"golden.json was made with {golden['environment']}, this run has {_environment()}")
     assert not problems, "\n".join(problems)
+
+
+def test_bundled_artifacts_match_golden_at_baseline_dispatch(tmp_path):
+    # the targets this process runs with, plus any it was started with disabled;
+    # with none found on the host this is the test above, run in a subprocess
+    found = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    disabled = " ".join([*os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split(), *found])
+    paths = [str(Path(thz_ris_planner.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled, "PYTHONPATH": os.pathsep.join(paths)}
+    script = "import pathlib, sys, test_golden as g; g.test_bundled_artifacts_match_golden(pathlib.Path(sys.argv[1]))"
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, f"NPY_DISABLE_CPU_FEATURES={disabled!r}\n{run.stderr[-2000:]}"
 
 
 if __name__ == "__main__":

@@ -781,6 +781,16 @@ def test_cut_and_gain_match_direct_oracle(rows, cols, seed, f_ghz, phi, theta):
     assert abs(_field_from_dbi(gain_at(prof, f, d), power) - e) < 1e-9 * peak
 
 
+def test_field_is_exactly_zero_at_the_horizon():
+    # cos(fl(pi/2)) is 6e-17, not 0, so without the horizon rule these rows
+    # read rounding noise that moves with the kernel's arithmetic
+    prof = synthesize_profile(ApertureSpec.from_element_grid(12, F140), BROADSIDE, OUT45)
+    for theta_deg, dbi in quantized_cuts(prof, [1, 2, 3, None], 0.0):
+        assert theta_deg[0] == -90.0 and dbi[0] == -math.inf
+    horizon = [Direction(math.pi / 2, phi) for phi in (0.0, 1.0, math.pi)]
+    assert np.array_equal(array_factor_direct(prof, F140, horizon), np.zeros(3))
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     n=st.integers(24, 40),
