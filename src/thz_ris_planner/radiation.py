@@ -17,12 +17,12 @@ centred on the origin, x[n-1-i] == -x[i] exactly, so cos(x q) is even in x
 and sin(x q) odd, and _field works on the upper m = n - n//2 rows of each
 axis in real arithmetic only. Its first step folds p.coefficients with
 _parity_fold into their four parity parts, c[u] +/- c[n-1-u] per axis: one
-real matrix. Per chunk of directions _cos_sin_table gives [cos; sin] of the
-upper rows of each axis, and one real matrix product of the folded grid
-with the y table, half the multiplies of the complex product over all rows,
-and a real product-sum against the x table finish the chunk. The kernel is
-within 1e-15 of the peak of array_factor_direct on 1^2 to 128^2 panels.
-Two further routes exist:
+real matrix. Per chunk of directions _cos_sin_table writes [cos; sin] of the
+upper rows of each axis, three exps per direction, into one real table; one
+real matrix product of the folded grid with the y table, half the multiplies
+of a complex product over all rows, and a real product-sum against the x
+table finish the chunk. The kernel is within 1e-15 of the peak of
+array_factor_direct on 1^2 to 128^2 panels. Two further routes exist:
 
 * array_factor_fft: zero-padded 2-D DFT on the (u, v) lattice, equal to the
   direct sum at lattice points for every profile, because a PhaseProfile
@@ -82,7 +82,7 @@ from .surface import PhaseProfile, TaperSpec, quantize_profile, synthesize_profi
 BEAMWIDTH_FACTOR = 0.886  # uniform-aperture 3 dB beamwidth in units of lambda/D
 HPBW_GRID = 17  # samples per bracketing pass of the broadside -3 dB point
 PEAK_WINDOW = 21  # samples of the steering-plane array factor around the beam
-FIELD_CHUNK = 1024  # directions per pair of cos/sin half tables in _field; none of 256-4096 clearly faster
+FIELD_CHUNK = 1024  # directions per cos/sin table pair in _field; fewer is slower, more no faster
 COARSE_RESOLUTION = math.radians(0.5)  # directivity grid step away from the main lobe
 LOBE_WINDOW = math.radians(2.0)  # least half-width of the fine grid around the main lobe
 CUT_STEPS_PER_BEAMWIDTH = 20  # quantization-loss cut samples per analytical beamwidth
@@ -293,19 +293,23 @@ def _cos_sin_table(x: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Three exps per direction: h0 = exp(j x[h] q) and the steps w and W of 1
     and f = ceil(sqrt(m)) rows. Row h + a*f + b is h0 W^a times w^b, b < f,
-    each factor a run of repeated products: within eps*(2*max(1, max|x q|) +
-    2*sqrt(m)) of the exact value. Real, (2m, q.size): cos rows, then sin rows.
+    each factor a chain of products built row by row: within eps*(2*max(1,
+    max|x q|) + 2*sqrt(m)) of exact. Real, (2m, q.size): cos rows, then sin rows.
     """
     upper = x[x.size // 2 :]
-    m = upper.size
-    f = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
-    x0, last = upper[0], m - 1  # a step past the last row is never used
-    steps = [1j * x0, 1j * (upper[min(f, last)] - x0), 1j * (upper[min(1, last)] - x0)]
-    chains = np.exp(np.multiply.outer(steps, q)).repeat([1, f - 1, f], axis=0).reshape(2, f, q.size)
-    chains[1, 0] = 1.0  # [h0, W, W, ..] and [1, w, w, ..]
-    np.multiply.accumulate(chains, axis=1, out=chains)
-    rows = (chains[0, : -(-m // f), None] * chains[1]).reshape(-1, q.size)[:m]
-    return np.concatenate([rows.real, rows.imag])
+    m, x0 = upper.size, upper[0]
+    f = math.isqrt(m - 1) + 1  # ceil(sqrt(m)); a step past row m - 1 is never used
+    steps = [1j * x0, 1j * (upper[min(f, m - 1)] - x0), 1j * (upper[min(1, m - 1)] - x0)]
+    exps = np.exp(np.multiply.outer(steps, q))  # [h0, W, w]
+    chains, table = np.empty((f, 2, q.size), dtype=complex), np.empty((2, m, q.size))
+    chains[0, 0], chains[0, 1] = exps[0], 1.0
+    for b in range(1, f):  # row b is [h0 W^b, w^b]; not in place, which rounds differently at q.size 1
+        np.multiply(chains[b - 1], exps[1:], out=chains[b])
+    span = f * max(1, FIELD_CHUNK // q.size)  # whole coarse rows per product, <= f*FIELD_CHUNK entries
+    for a in range(0, m, span):
+        rows = (chains[a // f : (a + span) // f, 0, None] * chains[None, :, 1]).reshape(-1, q.size)[: m - a]
+        table[0, a : a + span], table[1, a : a + span] = rows.real, rows.imag
+    return table.reshape(2 * m, q.size)
 
 
 def _field(p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
@@ -651,6 +655,7 @@ def principal_plane_cut(
     if total_power is None:
         total_power = hemisphere_power_exact(p, f)
     theta = np.arange(-math.pi / 2, math.pi / 2 + 1e-12, theta_step)
+    theta[np.abs(theta - math.pi / 2) <= 1e-12] = math.pi / 2  # arange may stop a rounding short of it
     # negative theta at phi + 180 deg is positive theta with k*sin(theta) negated
     q = _wavenumber(f) * np.sin(theta)
     e = _field(p, q * math.cos(phi), q * math.sin(phi))

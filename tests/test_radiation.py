@@ -15,6 +15,7 @@ from thz_ris_planner.radiation import (
     J1_BLOCK_BYTES,
     J1_HANKEL_MIN,
     J1_SERIES_MAX,
+    PEAK_WINDOW,
     _HANKEL_P,
     _HANKEL_Q,
     _SERIES,
@@ -707,6 +708,23 @@ def test_cos_sin_table_stays_within_two_eps_property(n, pitch, max_phase, seed):
     assert np.max(np.abs(np.exp(1j * np.outer(upper, q)) - exact)) <= 2.0 * eps * phase
 
 
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+@example(n=1, seed=0)
+@example(n=2, seed=0)
+@example(n=129, seed=0)
+@example(n=130, seed=0)
+def test_cos_sin_table_columns_are_computed_alone_property(n, seed):
+    # a direction's table does not depend on the chunk around it, at the sizes _field passes;
+    # numpy rounds an in-place complex multiply of length 1 differently from a longer one
+    x = PhaseProfile(np.ones((n, 1)), F140, 1e-3).x_m
+    rng = np.random.default_rng(seed)
+    for size in (1, PEAK_WINDOW, FIELD_CHUNK):
+        q = rng.uniform(-1.0, 1.0, size) * radiation._wavenumber(F140)
+        alone = np.concatenate([_cos_sin_table(x, q[s : s + 1]) for s in range(size)], axis=1)
+        assert np.array_equal(_cos_sin_table(x, q), alone)
+
+
 @pytest.mark.parametrize(
     "n, f_ghz, bits",
     [
@@ -789,6 +807,17 @@ def test_field_is_exactly_zero_at_the_horizon():
         assert theta_deg[0] == -90.0 and dbi[0] == -math.inf
     horizon = [Direction(math.pi / 2, phi) for phi in (0.0, 1.0, math.pi)]
     assert np.array_equal(array_factor_direct(prof, F140, horizon), np.zeros(3))
+
+
+def test_principal_plane_cut_ends_on_the_horizon():
+    # arange at the 0.1 deg step stops 1.95e-13 rad short of pi/2, where the field is not 0
+    prof = synthesize_profile(ApertureSpec.from_element_grid(12, F140), BROADSIDE, OUT45)
+    theta_deg, dbi = principal_plane_cut(prof)
+    assert theta_deg[-1] == 90.0 and dbi[-1] == -math.inf
+    assert theta_deg[0] == -90.0 and dbi[0] == -math.inf
+    # every other sample is arange's own
+    step = math.radians(0.1)
+    assert np.array_equal(theta_deg[:-1], np.degrees(np.arange(-math.pi / 2, math.pi / 2 + 1e-12, step))[:-1])
 
 
 @settings(max_examples=15, deadline=None)
