@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .core import BistaticGeometry, Frequency, Value
+from .core import BistaticGeometry, Frequency, Value, _finite
 
 THERMAL_NOISE_DBM_HZ = -174.0  # kT at 290 K
 
@@ -136,12 +136,10 @@ def spreading_term(geometry: BistaticGeometry, f: Frequency) -> float:
     """
     lam = f.wavelength_m
     d1d2 = geometry.d1_m * geometry.d2_m
-    try:
-        factor = (1.0 / (4.0 * math.pi) ** 3) * (lam / d1d2) ** 2
-    except (ZeroDivisionError, OverflowError):
-        factor = math.inf
-    if factor == math.inf:  # lam / d1d2 itself may overflow to inf without raising
-        raise ValueError(f"d1*d2 = {d1d2:.3g} m^2 is so small that the spreading factor overflows")
+    factor = _finite(
+        lambda: (1.0 / (4.0 * math.pi) ** 3) * (lam / d1d2) ** 2,
+        ValueError(f"d1*d2 = {d1d2:.3g} m^2 is so small that the spreading factor overflows"),
+    )
     if factor == 0.0:
         raise ValueError(f"d1*d2 = {d1d2:.3g} m^2 is so large that the spreading factor underflows")
     return 10.0 * math.log10(factor)

@@ -10,19 +10,20 @@ inside c_n are fixed at the design frequency and frequency-flat; evaluating at
 f != f0 is what produces beam squint.
 
 Every production field evaluation (principal cuts, single-direction gain,
-the directivity quadrature, the squint gain trace, the broadside beamwidth
-and the beam-peak track) goes through one kernel, _field(p, ku, kv), which
-is separable over the lattice axes. A PhaseProfile lies on a uniform lattice
-centred on the origin, x[n-1-i] == -x[i] exactly, so cos(x q) is even in x
-and sin(x q) odd, and _field works on the upper m = n - n//2 rows of each
-axis in real arithmetic only. Its first step folds p.coefficients with
-_parity_fold into their four parity parts, c[u] +/- c[n-1-u] per axis: one
-real matrix. Per chunk of directions _cos_sin_table writes [cos; sin] of the
-upper rows of each axis, three exps per direction, into one real table; one
-real matrix product of the folded grid with the y table, half the multiplies
-of a complex product over all rows, and a real product-sum against the x
-table finish the chunk. The kernel is within 1e-15 of the peak of
-array_factor_direct on 1^2 to 128^2 panels. Two further routes exist:
+the directivity quadrature, the broadside beamwidth, and one sample per
+squint profile for its gain trace and beam track) goes through one kernel,
+_field(p, ku, kv), which is separable over the lattice axes. A PhaseProfile
+lies on a uniform lattice centred on the origin, x[n-1-i] == -x[i] exactly,
+so cos(x q) is even in x and sin(x q) odd, and _field works on the upper
+m = n - n//2 rows of each axis in real arithmetic only. Its first step folds
+p.coefficients with _parity_fold into their four parity parts,
+c[u] +/- c[n-1-u] per axis: one real matrix. Per chunk of directions
+_cos_sin_table writes [cos; sin] of the upper rows of each axis, three exps
+per direction, into one real table; one real matrix product of the folded
+grid with the y table, half the multiplies of a complex product over all
+rows, and a real product-sum against the x table finish the chunk. The
+kernel is within 1e-15 of the peak of array_factor_direct on 1^2 to 128^2
+panels. Two further routes exist:
 
 * array_factor_fft: zero-padded 2-D DFT on the (u, v) lattice, equal to the
   direct sum at lattice points for every profile, because a PhaseProfile
@@ -674,6 +675,7 @@ def quantization_loss(
     Each peak is the maximum of the quantized_cuts cut at azimuth
     outgoing.phi, normalized by the closed-form hemisphere power.
     """
+    check_array_budget(a.n_per_side)
     continuous = synthesize_profile(a, BROADSIDE, outgoing, taper)
     cuts = quantized_cuts(continuous, [*bits_list, None], outgoing.phi)
     peaks = [float(np.max(dbi)) for _, dbi in cuts]
@@ -746,9 +748,10 @@ def squint_vs_angle(
     the azimuth only, so it is measured before the loop on one broadside
     profile, whose coefficients are the taper itself, once per distinct
     outgoing.phi in first-seen order; a beamwidth that cannot be bracketed
-    raises before any angle is swept. Each profile is folded to its column of
-    radial correlations in the loop and not kept; one contraction after it
-    gives every angle's power, block by block with no J1 table.
+    raises before any angle is swept. One _field call per profile samples
+    its trace and its PEAK_WINDOW track window. Each profile is folded to its
+    column of radial correlations and not kept; one contraction after the
+    loop gives every angle's power, block by block with no J1 table.
     """
     check_normal_incidence(incident)
     if n_samples < 11 or n_samples % 2 == 0:
@@ -759,6 +762,7 @@ def squint_vs_angle(
     check_array_budget(a.n_per_side, n_freqs=n_samples, n_angles=len(outgoing_list))
     freqs = f0.hertz + np.linspace(-f_span_hz / 2.0, f_span_hz / 2.0, n_samples)
     k_per_f = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
+    k0 = _wavenumber(f0)
     radius_index, squared = _lag_radii(a.n_per_side, a.n_per_side)
     corr = np.empty((squared.size, len(outgoing_list)), order="F")  # each angle's column contiguous
     taper_profile = synthesize_profile(a, incident, BROADSIDE, taper)
@@ -773,12 +777,12 @@ def squint_vs_angle(
             profile = quantize_profile(profile, bits)
         column[:] = _radial_corr(profile, radius_index)
 
-        u_t, v_t = outgoing.transverse()
-        e = _field(profile, k_per_f * u_t, k_per_f * v_t)
-        e *= _element_factor(outgoing.theta)
-
+        # the target at every k, then the track window, on one line q = k*sin(theta)
         hpbw = hpbw_per_phi[outgoing.phi]
-        peak = _track_beam_peak(profile, outgoing, hpbw, k_per_f)
+        window = k0 * (math.sin(outgoing.theta) + math.sin(hpbw / 2.0) * np.linspace(-1.0, 1.0, PEAK_WINDOW))
+        q = np.concatenate((k_per_f * math.sin(outgoing.theta), window))
+        e = _field(profile, q * math.cos(outgoing.phi), q * math.sin(outgoing.phi))
+        peak = _track_beam_peak(np.abs(e[n_samples:]) ** 2, window, k_per_f)
         excess = np.abs(peak - outgoing.theta) - hpbw / 2.0
         if excess[mid] > 0.0:
             raise ValueError(
@@ -802,7 +806,8 @@ def squint_vs_angle(
             f_lo = _interp_crossing(freqs[lo - 1], freqs[lo], excess[lo - 1], excess[lo])
             f_hi = _interp_crossing(freqs[hi + 1], freqs[hi], excess[hi + 1], excess[hi])
             bw = f_hi - f_lo
-        tracks.append((outgoing, np.abs(e) ** 2, peak, hpbw, bw, saturated))
+        trace = np.abs(e[:n_samples] * _element_factor(outgoing.theta)) ** 2
+        tracks.append((outgoing, trace, peak, hpbw, bw, saturated))
 
     power = _closed_form_power(a.cell_pitch_m, squared, k_per_f, corr)
     return [
@@ -847,22 +852,16 @@ def _broadside_hpbw(p: PhaseProfile, phi: float) -> float:
     return 2.0 * _interp_crossing(theta[i], theta[i - 1], rel[i], rel[i - 1], level=-3.0)
 
 
-def _track_beam_peak(p: PhaseProfile, outgoing: Direction, hpbw: float, k_per_f: np.ndarray) -> np.ndarray:
+def _track_beam_peak(af2: np.ndarray, q: np.ndarray, k_per_f: np.ndarray) -> np.ndarray:
     """Signed beam-peak angle (rad) in the steering plane at each wavenumber.
 
-    |AF(q)|^2 is sampled once on PEAK_WINDOW points within the broadside
-    half-power half width of q0 = k0*sin(theta0), k0 the wavenumber at
-    p.design_freq. At each wavenumber the cos(theta) element power is applied
-    and the peak is refined by a parabola through the log power around the
-    largest sample. A peak that the window cannot hold, because the lobe has
-    run to the horizon or out of the visible region, is recorded at 90 deg.
+    af2 is |AF|^2 at PEAK_WINDOW uniform samples q of k*sin(theta) in the
+    steering plane, where the frozen-phase array factor depends on q only.
+    At each wavenumber the cos(theta) element power is applied and the peak
+    is refined by a parabola through the log power around the largest
+    sample. A peak that the window cannot hold, because the lobe has run to
+    the horizon or out of the visible region, is recorded at 90 deg.
     """
-    k0 = _wavenumber(p.design_freq)
-    q = k0 * (math.sin(outgoing.theta) + math.sin(hpbw / 2.0) * np.linspace(-1.0, 1.0, PEAK_WINDOW))
-    # along azimuth phi the frozen-phase array factor depends on k*sin(theta)
-    # only, so one evaluation at q serves every frequency
-    ku, kv = q * math.cos(outgoing.phi), q * math.sin(outgoing.phi)
-    af2 = np.abs(_field(p, ku, kv)) ** 2
     cos_theta = np.sqrt(np.maximum(1.0 - (q[None, :] / k_per_f[:, None]) ** 2, 0.0))
     log_p = np.log(np.maximum(af2 * cos_theta, np.finfo(float).tiny))
     idx = np.argmax(log_p, axis=1)

@@ -1,6 +1,8 @@
 import argparse
+import ast
 import contextlib
 import functools
+import importlib
 import io
 import json
 import math
@@ -698,6 +700,28 @@ def test_package_exports_resolve_to_their_modules():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(thz_ris_planner.__all__)
     assert set(thz_ris_planner.__all__) <= set(dir(thz_ris_planner))
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark imports public names; renaming or dropping one must fail here, not only in a benchmark run
+    imported = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local alias -> thz_ris_planner module it names
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "thz_ris_planner":
+                imported.update((alias.name, path.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("thz_ris_planner.") and alias.asname:
+                        modules[alias.asname] = importlib.import_module(alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                assert hasattr(modules[node.value.id], node.attr), (path.name, node.value.id, node.attr)
+    assert imported
+    for name, source in imported.items():
+        assert name in thz_ris_planner.__all__, (source, name)
+        assert getattr(thz_ris_planner, name, None) is not None, (source, name)
 
 
 def test_readme_usage_lists_every_option_and_no_other():

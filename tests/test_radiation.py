@@ -30,6 +30,7 @@ from thz_ris_planner.radiation import (
     _largest_array,
     _polynomial,
     _radial_corr,
+    _track_beam_peak,
     check_array_budget,
     array_factor_direct,
     array_factor_fft,
@@ -877,6 +878,19 @@ def test_quantization_loss_matches_quadrature():
     assert report.losses_db[0] == pytest.approx(d_cont - d_2bit, abs=0.01)
 
 
+def test_quantization_loss_refuses_an_oversize_panel_before_building_it(monkeypatch):
+    # a small budget stands in for a huge panel, so nothing large is allocated
+    monkeypatch.setattr(radiation, "MAX_ARRAY_BYTES", 1024)
+    synthesized = []
+    synthesize = radiation.synthesize_profile
+    monkeypatch.setattr(radiation, "synthesize_profile", lambda *args: synthesized.append(args) or synthesize(*args))
+    ap = ApertureSpec.from_element_grid(300, F140)
+    with pytest.raises(ValueError, match="GiB limit") as raised:
+        quantization_loss(ap, Direction.from_degrees(37.0), [1, 2], TaperSpec(-10.0))
+    assert "\n" not in str(raised.value)
+    assert synthesized == []
+
+
 # --- squint -----------------------------------------------------------------
 
 
@@ -991,6 +1005,43 @@ def test_squint_measures_the_beamwidth_once_per_azimuth(monkeypatch):
     # measured on the taper steered to broadside, whatever the bits
     continuous = squint_vs_angle(ap, BROADSIDE, targets, taper, None, 40e9, 61)
     assert [r.hpbw_rad for r in quantized] == [r.hpbw_rad for r in continuous]
+
+
+def test_squint_samples_each_profile_once(monkeypatch):
+    calls = []
+    field = radiation._field
+    monkeypatch.setattr(radiation, "_field", lambda p, ku, kv: calls.append(ku.size) or field(p, ku, kv))
+    ap = ApertureSpec.from_element_grid(30, F140)
+    targets = [Direction.from_degrees(t, phi) for phi in (0.0, 30.0) for t in (30.0, 45.0)]
+    squint_vs_angle(ap, BROADSIDE, targets, TaperSpec(-10.0), None, 40e9, 61)
+    # two bracketing passes of the beamwidth per azimuth, then one trace-and-track sample per angle
+    assert calls == [radiation.HPBW_GRID] * 4 + [61 + PEAK_WINDOW] * len(targets)
+
+
+# with k this large cos(theta) rounds to 1 over the window, so af2 alone places the peak
+K_FLAT = np.array([1e9, 2e9, 4e9])
+
+
+def test_track_beam_peak_reads_a_symmetric_window_at_its_centre():
+    q = 5.0 + np.linspace(-1.0, 1.0, PEAK_WINDOW)
+    half = np.exp(-np.arange(PEAK_WINDOW // 2, 0, -1) / 3.0)
+    af2 = np.concatenate((half, [1.0], half[::-1]))
+    peak = _track_beam_peak(af2, q, K_FLAT)
+    assert np.array_equal(peak, np.arcsin(q[PEAK_WINDOW // 2] / K_FLAT))
+
+
+def test_track_beam_peak_reads_the_vertex_of_a_log_quadratic_window():
+    q = 5.0 + np.linspace(-1.0, 1.0, PEAK_WINDOW)
+    for vertex in (4.21, 5.0371, 5.6, 5.93):
+        peak = _track_beam_peak(np.exp(-2.0 * (q - vertex) ** 2), q, K_FLAT)
+        assert np.max(np.abs(K_FLAT * np.sin(peak) - vertex)) <= 1.2e-13
+
+
+def test_track_beam_peak_reads_90_deg_when_the_largest_sample_is_on_an_edge():
+    q = 5.0 + np.linspace(-1.0, 1.0, PEAK_WINDOW)
+    rising = np.exp(q)
+    for af2 in (rising, rising[::-1]):
+        assert np.array_equal(_track_beam_peak(af2, q, K_FLAT), np.full(K_FLAT.size, math.pi / 2))
 
 
 def test_squint_quantized_profile_runs():
