@@ -12,18 +12,18 @@ f != f0 is what produces beam squint.
 Every production field evaluation (principal cuts, single-direction gain,
 the directivity quadrature, the broadside beamwidth, and one sample per
 squint profile for its gain trace and beam track) goes through one kernel,
-_field(p, ku, kv), which is separable over the lattice axes. A PhaseProfile
-lies on a uniform lattice centred on the origin, x[n-1-i] == -x[i] exactly,
-so cos(x q) is even in x and sin(x q) odd, and _field works on the upper
-m = n - n//2 rows of each axis in real arithmetic only. Its first step folds
-p.coefficients with _parity_fold into their four parity parts,
+_field(p, grids, ku, kv), which radiates a stack of grids on the lattice of
+p. A PhaseProfile lies on a uniform lattice centred on the origin,
+x[n-1-i] == -x[i] exactly, so cos(x q) is even in x and sin(x q) odd, and
+_field works on the upper m = n - n//2 rows of each axis in real arithmetic
+only. It folds each grid with _parity_fold into its four parity parts,
 c[u] +/- c[n-1-u] per axis: one real matrix. Per chunk of directions
 _cos_sin_table writes [cos; sin] of the upper rows of each axis, three exps
-per direction, into one real table; one real matrix product of the folded
-grid with the y table, half the multiplies of a complex product over all
-rows, and a real product-sum against the x table finish the chunk. The
-kernel is within 1e-15 of the peak of array_factor_direct on 1^2 to 128^2
-panels. Two further routes exist:
+per direction, into one real table; for each grid, one real matrix product
+with the y table, half the multiplies of a complex product over all rows,
+and a real product-sum against the x table finish the chunk. The kernel is
+within 1e-15 of the peak of array_factor_direct on 1^2 to 128^2 panels. Two
+further routes exist:
 
 * array_factor_fft: zero-padded 2-D DFT on the (u, v) lattice, equal to the
   direct sum at lattice points for every profile, because a PhaseProfile
@@ -33,10 +33,12 @@ panels. Two further routes exist:
   reference oracle that tests compare both routes against.
 
 directivity() integrates |E|^2 over the front hemisphere by the trapezoid
-rule with the sin(theta) Jacobian on a grid refined around the main lobe. No
-production route calls it: like array_factor_direct, it is kept as the
-independent quadrature cross-check that tests compare the closed form and the
-cut route against. A closed form for the same integral on a uniform lattice,
+rule with the sin(theta) Jacobian on a grid refined around the main lobe; a
+mirrored grid radiates the mirrored field, so its coarse phi grid takes one
+stacked _field call on one quadrant. No production route calls it: like
+array_factor_direct, it is kept as the independent quadrature cross-check
+that tests compare the closed form and the cut route against. A closed form
+for the same integral on a uniform lattice,
 
     P(k) = sum_d corr(d) * 2*pi*J1(k*|d|)/(k*|d|),
 
@@ -60,8 +62,9 @@ expansion by range (A&S 9.1, 9.2).
 
 Quantization loss and the pattern command take the same principal-plane cuts
 in the steering plane, normalised by that closed form, from quantized_cuts.
-Its cut step is a fixed fraction of the analytical beamwidth, so neither
-leaves the resolution to its caller.
+It radiates every setting in one stacked _field call and takes their powers
+from one _closed_form_power pass. Its cut step is a fixed fraction of the
+analytical beamwidth, so neither leaves the resolution to its caller.
 
 Squint bandwidth follows the beam-shift convention (Mailloux, Phased Array
 Antenna Handbook): with the phases frozen, the beam peak drifts as
@@ -313,31 +316,31 @@ def _cos_sin_table(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return table.reshape(2 * m, q.size)
 
 
-def _field(p: PhaseProfile, ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
-    """Array factor sum_ij c_ij exp(j (ku_s x_i + kv_s y_j)) at each pair (ku_s, kv_s).
+def _field(p: PhaseProfile, grids: list[np.ndarray], ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
+    """Array factor sum_ij c_ij exp(j (ku_s x_i + kv_s y_j)) of each grid c at each pair (ku_s, kv_s).
 
-    c is p.coefficients. ku and kv are k*u and k*v (rad/m) of the same shape;
-    the result has that shape and carries no element factor. The sum is
-    separable over the lattice axes, and the centred lattice of p lets it run
-    on the upper half of each axis in real arithmetic: c is folded once with
-    _parity_fold, then per FIELD_CHUNK directions the half tables [cos; sin]
-    of x ku and of y kv are built with _cos_sin_table, the folded grid is
-    multiplied by the y table in one real matrix product, and that is summed
-    against the x table for the real and the imaginary part. Directions run
-    along the last axis, so the final sum over x is over long rows.
+    grids is a stack of P coefficient grids on the lattice of p, a list or a
+    (P, rows, cols) array; ku and kv are k*u and k*v (rad/m) of one shape, and
+    the result is (P, *ku.shape), with no element factor. The sum is separable,
+    and the centred lattice lets it run on the upper half of each axis in real
+    arithmetic: each grid is folded once with _parity_fold; per FIELD_CHUNK
+    directions _cos_sin_table builds [cos; sin] of x ku and of y kv once, and
+    each folded grid times the y table, one real matrix product, is summed
+    against the x table for the real and imaginary part, so a grid's field is
+    the same in a stack as alone. Directions run along the last axis.
     """
     ku = np.asarray(ku, dtype=float)
     kv = np.asarray(kv, dtype=float)
     flat_u, flat_v = ku.ravel(), kv.ravel()
-    x, y = p.x_m, p.y_m
-    folded = _parity_fold(p.coefficients)
-    out = np.empty(flat_u.size, dtype=complex)
+    folded = [_parity_fold(c) for c in grids]
+    out = np.empty((len(folded), flat_u.size), dtype=complex)
     for s in range(0, flat_u.size, FIELD_CHUNK):
         chunk = slice(s, s + FIELD_CHUNK)
-        ax = _cos_sin_table(x, flat_u[chunk])
-        partial = (folded @ _cos_sin_table(y, flat_v[chunk])).reshape(2, ax.shape[0], -1)
-        out.real[chunk], out.imag[chunk] = np.einsum("rks,ks->rs", partial, ax)
-    return out.reshape(ku.shape)
+        ax, ay = _cos_sin_table(p.x_m, flat_u[chunk]), _cos_sin_table(p.y_m, flat_v[chunk])
+        for fold, row in zip(folded, out):
+            partial = (fold @ ay).reshape(2, ax.shape[0], -1)
+            row.real[chunk], row.imag[chunk] = np.einsum("rks,ks->rs", partial, ax)
+    return out.reshape(len(folded), *ku.shape)
 
 
 def analytical_hpbw(p: PhaseProfile) -> float:
@@ -354,9 +357,13 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
     total radiated power is integrated by the trapezoid rule with the
     sin(theta) Jacobian on a (theta, phi) grid: COARSE_RESOLUTION everywhere,
     grid_resolution within the larger of LOBE_WINDOW and two analytical
-    beamwidths of the main lobe. grid_resolution must resolve the analytical
-    beamwidth (at most half of it).
+    beamwidths of the main lobe. grid_resolution must be positive, finite,
+    at most half the analytical beamwidth, and keep the grid within
+    MAX_ARRAY_BYTES. The coarse phi grid is radiated on its first quadrant
+    only, by c and its three mirror images; the fine phi window directly.
     """
+    if not 0.0 < grid_resolution < math.inf:
+        raise ValueError(f"grid_resolution must be positive and finite, got {grid_resolution}")
     f = p.design_freq
     hpbw = analytical_hpbw(p)
     if grid_resolution > hpbw / 2.0:
@@ -365,6 +372,10 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
             f"{math.degrees(hpbw):.3f} deg main lobe; use at most {math.degrees(hpbw / 2):.3f} deg"
         )
     window = max(LOBE_WINDOW, 2.0 * hpbw)
+    spans = (math.pi / 2, 2.0 * math.pi)  # of theta and phi
+    n_theta, n_phi = (min(2.0 * window, s) / grid_resolution + s / COARSE_RESOLUTION + 4.0 for s in spans)
+    if 16.0 * n_theta * n_phi > MAX_ARRAY_BYTES:  # at most one complex value per direction is held
+        raise ValueError(f"a {grid_resolution:.3g} rad grid exceeds the {MAX_ARRAY_BYTES / 2**30:g} GiB limit")
 
     # locate the main lobe on an oversampled uv lattice
     _, upk, vpk = array_factor_fft(p, f, uv_oversample=4).peak_uv()
@@ -379,16 +390,24 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
     )
     theta = np.unique(np.concatenate([theta_coarse, [math.pi / 2], theta_fine]))
 
-    phi_parts = [np.arange(0.0, 2.0 * math.pi + eps, COARSE_RESOLUTION), np.array([2.0 * math.pi])]
+    coarse = np.arange(0.0, 2.0 * math.pi + eps, COARSE_RESOLUTION)  # 4q + 1 angles, coarse[q] == pi/2
+    phi_fine = np.empty(0)
     if theta_pk > window:
-        phi_fine = np.arange(phi_pk - window, phi_pk + window + eps, grid_resolution)
-        phi_parts.append(np.mod(phi_fine, 2.0 * math.pi))
-    phi = np.unique(np.concatenate(phi_parts))
+        phi_fine = np.mod(np.arange(phi_pk - window, phi_pk + window + eps, grid_resolution), 2.0 * math.pi)
+    phi = np.unique(np.concatenate([coarse, [2.0 * math.pi], phi_fine]))
 
-    k = _wavenumber(f)
     st = np.sin(theta)[:, None]
-    field = _field(p, k * st * np.cos(phi), k * st * np.sin(phi))
-    e2 = np.abs(field * _element_factor(theta)[:, None]) ** 2
+    kt, ef = _wavenumber(f) * st, _element_factor(theta)[:, None]
+    c, q = p.coefficients, (coarse.size - 1) // 4
+    i = np.arange(q + 1)
+    mirrors = [c, c[::-1], c[::-1, ::-1], c[:, ::-1]]  # AF at phi, pi - phi, pi + phi and -phi
+    images = _field(p, mirrors, kt * np.cos(coarse[i]), kt * np.sin(coarse[i]))
+    e2 = np.empty((theta.size, phi.size))  # not held beside the kernel's tables
+    for m, columns in enumerate((i, 2 * q - i, 2 * q + i, 4 * q - i)):
+        e2[:, np.searchsorted(phi, coarse[columns])] = np.abs(images[m] * ef) ** 2
+    del images  # no view of it is left, so it is freed before the fine window
+    fine = np.searchsorted(phi, phi_fine)
+    e2[:, fine] = np.abs(_field(p, [c], kt * np.cos(phi_fine), kt * np.sin(phi_fine))[0] * ef) ** 2
     inner = np.trapezoid(e2 * st, x=phi, axis=1)
     total = float(np.trapezoid(inner, x=theta))
     return SpherePattern(
@@ -600,9 +619,9 @@ def _largest_array(
     max(2n, L)^2 complex values, L the 5-smooth length of the power
     autocorrelation and 2n that of the pattern_uv map; squint n_freqs floats
     per PEAK_WINDOW sample of the beam track and per angle, and one float per
-    distinct lag radius (at most n(n+1)/2) per angle; the cut one complex
-    value per direction. L is only sought once (2n)^2 fits the limit, so the
-    estimate costs nothing however large n is.
+    distinct lag radius (at most n(n+1)/2) per angle; the cuts one complex
+    value per direction of each. L is only sought once (2n)^2 fits the limit,
+    so the estimate costs nothing however large n is.
     """
     side = 2 * n_per_side
     if 16 * side**2 <= MAX_ARRAY_BYTES:
@@ -632,7 +651,7 @@ def gain_at(p: PhaseProfile, f: Frequency, direction: Direction) -> float:
     """Directivity (dBi) at one direction, normalized by the exact power."""
     k = _wavenumber(f)
     u, v = direction.transverse()
-    e = _field(p, k * u, k * v) * _element_factor(direction.theta)
+    e = _field(p, [p.coefficients], k * u, k * v)[0] * _element_factor(direction.theta)
     return float(_dbi(abs(e) ** 2, hemisphere_power_exact(p, f)))
 
 
@@ -655,13 +674,17 @@ def principal_plane_cut(
         f = p.design_freq
     if total_power is None:
         total_power = hemisphere_power_exact(p, f)
-    theta = np.arange(-math.pi / 2, math.pi / 2 + 1e-12, theta_step)
+    return _cuts(p, [p.coefficients], f, phi, theta_step, [total_power])[0]
+
+
+def _cuts(p: PhaseProfile, grids: list, f: Frequency, phi: float, step: float, powers) -> list[tuple]:
+    """principal_plane_cut of each grid of a _field stack on the lattice of p, normalised by its power."""
+    theta = np.arange(-math.pi / 2, math.pi / 2 + 1e-12, step)
     theta[np.abs(theta - math.pi / 2) <= 1e-12] = math.pi / 2  # arange may stop a rounding short of it
     # negative theta at phi + 180 deg is positive theta with k*sin(theta) negated
     q = _wavenumber(f) * np.sin(theta)
-    e = _field(p, q * math.cos(phi), q * math.sin(phi))
-    e *= _element_factor(theta)
-    return np.degrees(theta), _dbi(np.abs(e) ** 2, total_power)
+    e = _field(p, grids, q * math.cos(phi), q * math.sin(phi)) * _element_factor(theta)
+    return [(np.degrees(theta), _dbi(np.abs(row) ** 2, power)) for row, power in zip(e, powers)]
 
 
 def quantization_loss(
@@ -688,17 +711,23 @@ def quantized_cuts(
     """principal_plane_cut (theta_deg, dbi) of p at azimuth phi per quantization setting.
 
     Each entry of bits_list quantizes p to that many bits, or keeps it
-    continuous when None. Each cut takes CUT_STEPS_PER_BEAMWIDTH samples per
-    analytical beamwidth at p.design_freq, at most pi, so that a panel much
-    smaller than a wavelength is not cut at one angle; a beamwidth that
-    underflows to 0 asks for an endless cut, which check_array_budget refuses.
+    continuous when None. All settings share one theta grid and one stacked
+    _field call, so check_array_budget counts every setting's cut. Each cut
+    takes CUT_STEPS_PER_BEAMWIDTH samples per analytical beamwidth at
+    p.design_freq, at most pi, so that a panel much smaller than a wavelength
+    is not cut at one angle; a beamwidth that underflows to 0 asks for an
+    endless cut, which the budget refuses.
     """
     step = min(analytical_hpbw(p), math.pi) / CUT_STEPS_PER_BEAMWIDTH
-    check_array_budget(max(p.rows, p.cols), n_directions=math.pi / step + 1 if step > 0.0 else math.inf)
-    return [
-        principal_plane_cut(p if bits is None else quantize_profile(p, bits), None, phi, step)
-        for bits in bits_list
-    ]
+    n_directions = len(bits_list) * (math.pi / step + 1) if step > 0.0 else math.inf
+    check_array_budget(max(p.rows, p.cols), n_directions=n_directions)
+    profiles = [p if bits is None else quantize_profile(p, bits) for bits in bits_list]
+    radius_index, squared = _lag_radii(p.rows, p.cols)
+    corr = np.empty((squared.size, len(profiles)), order="F")  # each setting's column contiguous
+    for profile, column in zip(profiles, corr.T):
+        column[:] = _radial_corr(profile, radius_index)
+    powers = _closed_form_power(p.cell_pitch_m, squared, np.array([_wavenumber(p.design_freq)]), corr)[0]
+    return _cuts(p, [profile.coefficients for profile in profiles], p.design_freq, phi, step, powers)
 
 
 def squint_sweep(
@@ -781,8 +810,8 @@ def squint_vs_angle(
         hpbw = hpbw_per_phi[outgoing.phi]
         window = k0 * (math.sin(outgoing.theta) + math.sin(hpbw / 2.0) * np.linspace(-1.0, 1.0, PEAK_WINDOW))
         q = np.concatenate((k_per_f * math.sin(outgoing.theta), window))
-        e = _field(profile, q * math.cos(outgoing.phi), q * math.sin(outgoing.phi))
-        peak = _track_beam_peak(np.abs(e[n_samples:]) ** 2, window, k_per_f)
+        e = _field(profile, [profile.coefficients], q * math.cos(outgoing.phi), q * math.sin(outgoing.phi))
+        peak = _track_beam_peak(np.abs(e[0, n_samples:]) ** 2, window, k_per_f)
         excess = np.abs(peak - outgoing.theta) - hpbw / 2.0
         if excess[mid] > 0.0:
             raise ValueError(
@@ -806,7 +835,7 @@ def squint_vs_angle(
             f_lo = _interp_crossing(freqs[lo - 1], freqs[lo], excess[lo - 1], excess[lo])
             f_hi = _interp_crossing(freqs[hi + 1], freqs[hi], excess[hi + 1], excess[hi])
             bw = f_hi - f_lo
-        trace = np.abs(e[:n_samples] * _element_factor(outgoing.theta)) ** 2
+        trace = np.abs(e[0, :n_samples] * _element_factor(outgoing.theta)) ** 2
         tracks.append((outgoing, trace, peak, hpbw, bw, saturated))
 
     power = _closed_form_power(a.cell_pitch_m, squared, k_per_f, corr)
@@ -840,8 +869,8 @@ def _broadside_hpbw(p: PhaseProfile, phi: float) -> float:
     lo, hi = 0.0, min(analytical_hpbw(p), math.pi / 2)
     for _ in range(2):
         theta = np.linspace(lo, hi, HPBW_GRID)
-        q = k * np.sin(theta)
-        power = np.abs(_field(p, q * math.cos(phi), q * math.sin(phi))) ** 2 * np.cos(theta)
+        ku, kv = k * np.sin(theta) * math.cos(phi), k * np.sin(theta) * math.sin(phi)
+        power = np.abs(_field(p, [p.coefficients], ku, kv)[0]) ** 2 * np.cos(theta)
         with np.errstate(divide="ignore"):
             rel = 10.0 * np.log10(power / peak)
         below = np.flatnonzero(rel < -3.0)

@@ -758,7 +758,7 @@ def test_field_kernel_matches_direct_sum_to_1e13_of_peak(n, f_ghz, bits):
     theta = np.concatenate([theta, [0.0], edge[:20], 0.5 * math.pi - edge[20:]])
     phi = np.append(phi, rng.uniform(0.0, 2.0 * math.pi, 41))
     kt = radiation._wavenumber(f) * np.sin(theta)
-    field = _field(prof, kt * np.cos(phi), kt * np.sin(phi))
+    field = _field(prof, [prof.coefficients], kt * np.cos(phi), kt * np.sin(phi))[0]
     kernel = field * _element_factor(theta)
     direct = array_factor_direct(prof, f, [Direction(t, p) for t, p in zip(theta, phi)])
     assert np.max(np.abs(kernel - direct)) <= 1e-13 * np.max(np.abs(direct))
@@ -770,8 +770,121 @@ def test_field_chunks_are_computed_alone(size):
     rng = np.random.default_rng(size)
     prof = _random_lattice(7, 6, rng)
     ku, kv = rng.uniform(-1.0, 1.0, (2, size)) * radiation._wavenumber(F140)
-    chunks = [_field(prof, ku[s : s + FIELD_CHUNK], kv[s : s + FIELD_CHUNK]) for s in (0, FIELD_CHUNK)]
-    assert np.array_equal(_field(prof, ku, kv), np.concatenate(chunks))
+    grids = [prof.coefficients]
+    chunks = [_field(prof, grids, ku[s : s + FIELD_CHUNK], kv[s : s + FIELD_CHUNK]) for s in (0, FIELD_CHUNK)]
+    assert np.array_equal(_field(prof, grids, ku, kv), np.concatenate(chunks, axis=1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(rows=7, cols=7, seed=1)  # odd: the centre row and column mirror onto themselves
+@example(rows=8, cols=8, seed=2)
+@example(rows=5, cols=10, seed=3)
+def test_field_of_a_mirrored_grid_is_the_mirrored_field_property(rows, cols, seed):
+    # on the centred lattice x[n-1-i] == -x[i], so reversing an axis of c negates that wavenumber,
+    # and conj(c) radiates conj AF(-ku, -kv); directivity() builds three quadrants from the first
+    rng = np.random.default_rng(seed)
+    prof = _random_lattice(rows, cols, rng)
+    c = prof.coefficients
+    ku, kv = np.append(rng.uniform(-1.0, 1.0, (2, 300)), [[0.0], [0.0]], axis=1) * radiation._wavenumber(F140)
+    images = _field(prof, [c[::-1], c[:, ::-1], c[::-1, ::-1], np.conj(c)], ku, kv)
+    mirrored = _field(prof, [c], np.stack([-ku, ku, -ku, -ku]), np.stack([kv, -kv, -kv, -kv]))[0]
+    mirrored[3] = np.conj(mirrored[3])
+    peak = np.max(np.abs(mirrored))
+    assert np.max(np.abs(images - mirrored)) <= 1e-15 * peak
+
+
+@settings(max_examples=12, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(rows=7, cols=7, seed=1)
+@example(rows=8, cols=8, seed=2)
+@example(rows=5, cols=10, seed=3)
+def test_field_of_a_grid_is_the_same_in_a_stack_property(rows, cols, seed):
+    # each grid meets the same shared tables and its own product, so a stack changes no bit
+    rng = np.random.default_rng(seed)
+    grids = [_random_lattice(rows, cols, rng).coefficients for _ in range(3)]
+    prof = PhaseProfile(grids[0], F140, F140.wavelength_m / 2.0)
+    for size in (1, PEAK_WINDOW, FIELD_CHUNK + 1):
+        ku, kv = rng.uniform(-1.0, 1.0, (2, size)) * radiation._wavenumber(F140)
+        stacked = _field(prof, grids, ku, kv)
+        assert stacked.shape == (3, size)
+        for grid, field in zip(grids, stacked):
+            assert np.array_equal(field, _field(prof, [grid], ku, kv)[0])
+
+
+def _steered_lattice(rows, cols, target):
+    """rows x cols half-wavelength panel phased toward target; |c| is 1 at the centre, 0.5 in the corners."""
+    pitch = F140.wavelength_m / 2.0
+    x = PhaseProfile(np.ones((rows, 1)), F140, pitch).x_m
+    y = PhaseProfile(np.ones((cols, 1)), F140, pitch).x_m
+    u, v = target.transverse()
+    amp = 1.0 - 0.5 * np.hypot(x[:, None], y[None, :]) / math.hypot(x[-1], y[-1])
+    phase = radiation._wavenumber(F140) * (u * x[:, None] + v * y[None, :])
+    return PhaseProfile(amp * np.exp(-1j * phase), F140, pitch)
+
+
+def _directivity_axes(p, grid_resolution):
+    """The (theta, phi) axes of directivity() from their definition, apart from its quadrant images."""
+    hpbw = radiation.analytical_hpbw(p)
+    window = max(radiation.LOBE_WINDOW, 2.0 * hpbw)
+    _, upk, vpk = array_factor_fft(p, p.design_freq, uv_oversample=4).peak_uv()
+    theta_pk = math.asin(min(math.hypot(upk, vpk), 1.0))
+    phi_pk = math.atan2(vpk, upk) % (2.0 * math.pi)
+    eps, coarse = 1e-12, radiation.COARSE_RESOLUTION
+    theta_fine = np.arange(max(0.0, theta_pk - window), min(math.pi / 2, theta_pk + window) + eps, grid_resolution)
+    theta = np.unique(np.concatenate([np.arange(0.0, math.pi / 2 + eps, coarse), [math.pi / 2], theta_fine]))
+    phi_parts = [np.arange(0.0, 2.0 * math.pi + eps, coarse), [2.0 * math.pi]]
+    if theta_pk > window:
+        phi_parts.append(np.mod(np.arange(phi_pk - window, phi_pk + window + eps, grid_resolution), 2.0 * math.pi))
+    return theta, np.unique(np.concatenate(phi_parts)), theta_pk > window
+
+
+@pytest.mark.parametrize(
+    "rows, cols, target, fine_phi",
+    [
+        (24, 24, BROADSIDE, False),  # the coarse phi grid alone
+        (24, 24, Direction.from_degrees(30.0, 20.0), True),
+        (25, 25, Direction.from_degrees(35.0, 110.0), True),  # odd: centre row and column
+        (9, 14, Direction.from_degrees(40.0, 250.0), True),  # rows != cols: x and y mirror apart
+    ],
+)
+def test_directivity_assembles_the_full_grid(rows, cols, target, fine_phi):
+    p = _steered_lattice(rows, cols, target)
+    pattern = directivity(p, grid_resolution=math.radians(0.1))
+    theta, phi, has_fine = _directivity_axes(p, math.radians(0.1))
+    assert has_fine == fine_phi
+    assert pattern.ax1.shape == theta.shape and pattern.ax2.shape == phi.shape
+    assert np.max(np.abs(pattern.ax1 - theta)) <= 1e-15 and np.max(np.abs(pattern.ax2 - phi)) <= 1e-15
+    if not fine_phi:
+        assert phi.size == 721
+
+    # the same quadrature with every column radiated directly
+    st = np.sin(theta)[:, None]
+    kt = radiation._wavenumber(F140) * st
+    e = _field(p, [p.coefficients], kt * np.cos(phi), kt * np.sin(phi))[0]
+    e2 = np.abs(e * _element_factor(theta)[:, None]) ** 2
+    total = np.trapezoid(np.trapezoid(e2 * st, x=phi, axis=1), x=theta)
+    assert pattern.total_power == pytest.approx(total, rel=1e-12)
+    # and each column in its place: the pattern itself, away from deep nulls
+    lit = e2 > 1e-6 * np.max(e2)
+    assert np.max(np.abs(pattern.directivity_dbi[lit] - radiation._dbi(e2[lit], total))) <= 1e-9
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, -0.01, math.nan, math.inf, -math.inf])
+def test_directivity_refuses_a_bad_step(step):
+    prof = synthesize_profile(ApertureSpec.from_element_grid(16, F140), BROADSIDE, BROADSIDE)
+    with pytest.raises(ValueError, match="grid_resolution must be positive and finite") as raised:
+        directivity(prof, grid_resolution=step)
+    assert "\n" not in str(raised.value)
+
+
+@pytest.mark.parametrize("step", [1e-300, 1e-7])
+def test_directivity_refuses_a_grid_past_the_budget(step):
+    # the grid's size is known before any axis is built, so nothing large is allocated
+    prof = synthesize_profile(ApertureSpec.from_element_grid(16, F140), BROADSIDE, OUT45)
+    with pytest.raises(ValueError, match="GiB limit") as raised:
+        directivity(prof, grid_resolution=step)
+    assert "\n" not in str(raised.value)
 
 
 @settings(max_examples=25, deadline=None)
@@ -876,6 +989,18 @@ def test_quantization_loss_matches_quadrature():
     d_cont, _ = directivity(continuous, grid_resolution=step).peak_directivity()
     d_2bit, _ = directivity(quantize_profile(continuous, 2), grid_resolution=step).peak_directivity()
     assert report.losses_db[0] == pytest.approx(d_cont - d_2bit, abs=0.01)
+
+
+def test_quantized_cuts_budget_counts_every_setting(monkeypatch):
+    # the stacked field holds every setting's cut at once: room for three cuts refuses four
+    prof = synthesize_profile(ApertureSpec.from_element_grid(16, F140), BROADSIDE, OUT45)
+    one_cut = 16 * (math.pi / (radiation.analytical_hpbw(prof) / radiation.CUT_STEPS_PER_BEAMWIDTH) + 1)
+    monkeypatch.setattr(radiation, "MAX_ARRAY_BYTES", math.ceil(3 * one_cut))
+    assert _largest_array(16)[1] <= radiation.MAX_ARRAY_BYTES  # the panel alone fits
+    assert len(quantized_cuts(prof, [1, 2, None], 0.0)) == 3
+    with pytest.raises(ValueError, match="GiB limit") as raised:
+        quantized_cuts(prof, [1, 2, 3, None], 0.0)
+    assert "\n" not in str(raised.value)
 
 
 def test_quantization_loss_refuses_an_oversize_panel_before_building_it(monkeypatch):
@@ -1010,7 +1135,7 @@ def test_squint_measures_the_beamwidth_once_per_azimuth(monkeypatch):
 def test_squint_samples_each_profile_once(monkeypatch):
     calls = []
     field = radiation._field
-    monkeypatch.setattr(radiation, "_field", lambda p, ku, kv: calls.append(ku.size) or field(p, ku, kv))
+    monkeypatch.setattr(radiation, "_field", lambda p, grids, ku, kv: calls.append(ku.size) or field(p, grids, ku, kv))
     ap = ApertureSpec.from_element_grid(30, F140)
     targets = [Direction.from_degrees(t, phi) for phi in (0.0, 30.0) for t in (30.0, 45.0)]
     squint_vs_angle(ap, BROADSIDE, targets, TaperSpec(-10.0), None, 40e9, 61)
