@@ -68,9 +68,9 @@ analytical beamwidth, so neither leaves the resolution to its caller.
 
 Squint bandwidth follows the beam-shift convention (Mailloux, Phased Array
 Antenna Handbook): with the phases frozen, the beam peak drifts as
-sin(theta(f)) = sin(theta0) * f0/f, i.e. dtheta ~ tan(theta0) * df/f, and the
-band is where the measured peak stays within half a beamwidth of theta0. It
-scales as f0 * HPBW / tan(theta0).
+sin(theta(f)) = sin(theta0) * f0/f, i.e. dtheta ~ tan(theta0) * df/f. The band,
+about f0 * HPBW / tan(theta0), is where the peak stays within HPBW/2 of theta0;
+each edge lies between the nearest off-band sample and its inward neighbour.
 """
 
 from __future__ import annotations
@@ -576,12 +576,11 @@ def _j1(x: np.ndarray, phase: np.ndarray) -> np.ndarray:
         xm = x[miller]
         # unscaled: from MILLER_ORDER at x > J1_SERIES_MAX the recurrence peaks
         # below 1e89, far from overflow, and the normalisation divides the scale out
-        j_next, j = np.zeros_like(xm), np.ones_like(xm)
-        even_sum, j1 = np.zeros_like(xm), np.zeros_like(xm)
+        j_next, j, even_sum = np.zeros_like(xm), np.ones_like(xm), np.zeros_like(xm)
         for n in range(MILLER_ORDER, 0, -1):
-            j_next, j = j, (2.0 * n / xm) * j - j_next  # j is now J_{n-1}
+            j_next, j = j, (2.0 * n / xm) * j - j_next  # j is now J_{n-1}, a new array
             if n == 2:
-                j1 = j.copy()
+                j1 = j  # no step writes into j, so J1 is kept by reference
             elif n % 2 == 1 and n > 1:
                 even_sum += j
         out[miller] = j1 / (j + 2.0 * even_sum)
@@ -679,6 +678,8 @@ def principal_plane_cut(
 
 def _cuts(p: PhaseProfile, grids: list, f: Frequency, phi: float, step: float, powers) -> list[tuple]:
     """principal_plane_cut of each grid of a _field stack on the lattice of p, normalised by its power."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     theta = np.arange(-math.pi / 2, math.pi / 2 + 1e-12, step)
     theta[np.abs(theta - math.pi / 2) <= 1e-12] = math.pi / 2  # arange may stop a rounding short of it
     # negative theta at phi + 180 deg is positive theta with k*sin(theta) negated
@@ -759,13 +760,13 @@ def squint_vs_angle(
 
     The profile phases stay frozen at the design frequency. At each of the
     n_samples frequencies across f_span_hz around f0 the beam peak is located
-    in the steering plane (azimuth outgoing.phi), and the band is the
-    contiguous stretch around f0 where it stays within HPBW/2 of
-    outgoing.theta; HPBW is measured on the same aperture and taper steered
-    to broadside. Band edges are located by linear interpolation between
-    samples. Frequencies where the beam has left the visible region record a
-    peak at 90 deg and lie out of band. The gain toward the fixed target,
-    normalized by the exact hemisphere power, is kept as a trace.
+    in the steering plane (azimuth outgoing.phi); the band is the contiguous
+    stretch around f0 where it stays within HPBW/2 of outgoing.theta, HPBW
+    measured on the same aperture and taper steered to broadside. Each band
+    edge is interpolated linearly between the nearest off-band sample on its
+    side of f0 and that sample's inward neighbour. A frequency where the beam
+    has left the visible region records a peak at 90 deg and is off-band. The
+    gain toward the fixed target, over the exact hemisphere power, is a trace.
 
     If the peak never drifts by HPBW/2 anywhere in the band (e.g. a
     frequency-flat broadside profile) the report saturates at f_span_hz. If
@@ -818,22 +819,17 @@ def squint_vs_angle(
                 f"the beam peak at f0 lies {math.degrees(peak[mid] - outgoing.theta):+.3f} deg "
                 f"from the target, beyond half the {math.degrees(hpbw):.3f} deg beamwidth"
             )
-        lo = mid
-        while lo > 0 and excess[lo - 1] <= 0.0:
-            lo -= 1
-        hi = mid
-        while hi < n_samples - 1 and excess[hi + 1] <= 0.0:
-            hi += 1
-        lo_crossed = lo > 0
-        hi_crossed = hi < n_samples - 1
-        saturated = not (lo_crossed or hi_crossed)
+        off = np.flatnonzero(~(excess <= 0.0))  # off-band samples; a NaN peak is never in band
+        below, above = off[off < mid], off[off > mid]
+        saturated = below.size == above.size == 0
         if saturated:
             bw = f_span_hz
-        elif lo_crossed != hi_crossed:
+        elif below.size == 0 or above.size == 0:
             raise ValueError("the squint band extends past a band edge; increase f_span")
-        else:
-            f_lo = _interp_crossing(freqs[lo - 1], freqs[lo], excess[lo - 1], excess[lo])
-            f_hi = _interp_crossing(freqs[hi + 1], freqs[hi], excess[hi + 1], excess[hi])
+        else:  # each edge lies between the nearest off-band sample and its inward neighbour
+            lo, hi = below[-1], above[0]
+            f_lo = _interp_crossing(freqs[lo], freqs[lo + 1], excess[lo], excess[lo + 1])
+            f_hi = _interp_crossing(freqs[hi], freqs[hi - 1], excess[hi], excess[hi - 1])
             bw = f_hi - f_lo
         trace = np.abs(e[0, :n_samples] * _element_factor(outgoing.theta)) ** 2
         tracks.append((outgoing, trace, peak, hpbw, bw, saturated))

@@ -39,7 +39,7 @@ def line_plot(
     ylabel: str,
     title: str,
 ) -> None:
-    """Write a multi-series line plot; the series hold at least one finite y."""
+    """Write a multi-series line plot; the series hold at least one finite y, a lone one drawn as a dot."""
     xs = [x for s in series for x in s[0]]
     ys = [y for s in series for y in s[1] if math.isfinite(y)]
     x_lo, x_hi = min(xs), max(xs)
@@ -94,10 +94,13 @@ def line_plot(
     )
     for idx, (x, y, label) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in zip(x, y) if math.isfinite(py))
+        pts = [(f"{sx(px):.2f}", f"{sy(py):.2f}") for px, py in zip(x, y) if math.isfinite(py)]
+        points = " ".join(f"{cx},{cy}" for cx, cy in pts)
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
+        if len(pts) == 1:  # a one-point polyline draws nothing, so the point gets a dot
+            parts.append(f'<circle cx="{pts[0][0]}" cy="{pts[0][1]}" r="3" fill="{color}"/>')
         ly = _MT + 16 + 16 * idx
         parts.append(
             f'<line x1="{_ML + pw - 150}" y1="{ly - 4}" x2="{_ML + pw - 125}" y2="{ly - 4}" '

@@ -251,6 +251,30 @@ def test_squint_band_edge_exits_1(tmp_path, capsys):
     assert "f_span" in capsys.readouterr().err
 
 
+def test_squint_one_sweep_angle_is_drawn_as_a_dot(tmp_path):
+    cfg = tmp_path / "squint.cfg"
+    cfg.write_text(SMALL_SQUINT + "theta_out_sweep = 45 deg\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "--svg", "squint"]) == 0
+    svg = (tmp_path / "squint_vs_angle.svg").read_text()
+    # one x widens to a unit axis starting at the left margin, one y sits mid-plot
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == ["70.00,232.50"]
+    assert re.findall(r"<circle [^>]*>", svg) == ['<circle cx="70.00" cy="232.50" r="3" fill="#1f77b4"/>']
+
+
+ONE_CELL_SQUINT = SMALL_SQUINT.replace("side = 80 mm", "n_per_side = 1\ncell_pitch = 2.141 mm")
+
+
+def test_squint_unbracketed_beamwidth_exits_1(tmp_path, capsys):
+    # one cell a wavelength wide: the analytical beamwidth is 50.77 deg, but
+    # a lone cell's cos(theta) power falls 3 dB only at 60 deg
+    cfg = tmp_path / "squint.cfg"
+    cfg.write_text(ONE_CELL_SQUINT)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--svg", "squint"]) == 1
+    assert capsys.readouterr().err == "error: cannot bracket the -3 dB point of the broadside beam\n"
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "command,config,old,new",
     [

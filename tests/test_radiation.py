@@ -9,7 +9,7 @@ from scipy.special import j1
 
 from thz_ris_planner import radiation
 from thz_ris_planner.aperture import ApertureSpec
-from thz_ris_planner.core import BROADSIDE, Direction, Frequency
+from thz_ris_planner.core import BROADSIDE, SPEED_OF_LIGHT, Direction, Frequency
 from thz_ris_planner.radiation import (
     FIELD_CHUNK,
     J1_BLOCK_BYTES,
@@ -286,6 +286,64 @@ def test_closed_form_power_matches_quadrature_property(rows, cols, seed):
     prof = _random_lattice(rows, cols, np.random.default_rng(seed))
     quadrature = directivity(prof, grid_resolution=math.radians(0.25)).total_power
     assert abs(10.0 * math.log10(hemisphere_power_exact(prof) / quadrature)) < 0.01
+
+
+def _invariant_profile(kind, n, seed):
+    """A random lattice, or a tapered profile steered at random and, if quantised, snapped to 1-3 bits."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return _random_lattice(n, n, rng)
+    ap = ApertureSpec.from_element_grid(n, F140)
+    target = Direction(rng.uniform(0.0, 1.2), rng.uniform(0.0, 2.0 * math.pi))
+    prof = synthesize_profile(ap, BROADSIDE, target, TaperSpec(rng.uniform(-15.0, 0.0)))
+    return prof if kind == "steered" else quantize_profile(prof, int(rng.integers(1, 4)))
+
+
+def _k2_power_and_cell_power(prof, k):
+    """(k^2 P(k) from _closed_form_power, (2 pi/pitch)^2 sum |c|^2: the power of one period cell of AF)."""
+    radius_index, squared = _lag_radii(prof.rows, prof.cols)
+    corr = _radial_corr(prof, radius_index)[:, None]
+    k2p = k**2 * _closed_form_power(prof.cell_pitch_m, squared, k, corr)[:, 0]
+    return k2p, (2.0 * math.pi / prof.cell_pitch_m) ** 2 * float(np.sum(np.abs(prof.coefficients) ** 2))
+
+
+# k^2 P(k) is the integral of |AF(q)|^2 over the disk |q| <= k; the route
+# through _k_phases' coarse x fine grid and one plain exp per k differ by at
+# most 4.3e-15 of the cell power at 200^2, so 1e-12 of it is rounding
+INVARIANT_ROUNDING = 1e-12
+PROFILE_KINDS = st.sampled_from(["random", "steered", "quantised"])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    kind=PROFILE_KINDS,
+    n=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+    span=st.floats(0.02, 0.98),
+    n_samples=st.integers(5, 40).map(lambda h: 2 * h + 1),
+)
+@example(kind="steered", n=200, seed=0, span=0.98, n_samples=81)
+def test_closed_form_power_disk_integral_never_shrinks_property(kind, n, seed, span, n_samples):
+    # on the uniform k grid of a squint_vs_angle band around f0, where the
+    # pitch is half a wavelength and so k0 = pi/pitch lies mid-band
+    prof = _invariant_profile(kind, n, seed)
+    f0 = prof.design_freq.hertz
+    k = 2.0 * math.pi * (f0 + np.linspace(-span * f0 / 2.0, span * f0 / 2.0, n_samples)) / SPEED_OF_LIGHT
+    k2p, cell = _k2_power_and_cell_power(prof, k)
+    assert np.min(np.diff(k2p)) >= -INVARIANT_ROUNDING * cell
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(kind=PROFILE_KINDS, n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+@example(kind="steered", n=200, seed=0)
+def test_closed_form_power_obeys_parseval_on_a_period_cell_property(kind, n, seed):
+    # AF is periodic in q with period 2 pi/pitch: the disk of radius pi/pitch
+    # fits in one period cell, and that of radius sqrt(2) pi/pitch covers one
+    prof = _invariant_profile(kind, n, seed)
+    inscribed = math.pi / prof.cell_pitch_m
+    (inside, covering), cell = _k2_power_and_cell_power(prof, np.array([inscribed, math.sqrt(2.0) * inscribed]))
+    assert inside <= cell * (1.0 + INVARIANT_ROUNDING)
+    assert covering >= cell * (1.0 - INVARIANT_ROUNDING)
 
 
 # --- numpy J1 against scipy.special.j1 (oracle) ------------------------------
@@ -659,6 +717,18 @@ def test_principal_plane_cut_refuses_a_bad_step(step):
     prof = synthesize_profile(ApertureSpec.from_element_grid(16, F140), BROADSIDE, BROADSIDE)
     with pytest.raises(ValueError, match="theta_step must be positive and finite"):
         principal_plane_cut(prof, theta_step=step)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("route", ["principal_plane_cut", "quantized_cuts"])
+def test_cuts_refuse_a_non_finite_azimuth(route, phi):
+    prof = synthesize_profile(ApertureSpec.from_element_grid(8, F140), BROADSIDE, OUT45)
+    with pytest.raises(ValueError) as refusal:
+        if route == "principal_plane_cut":
+            principal_plane_cut(prof, phi=phi)
+        else:
+            quantized_cuts(prof, [1, None], phi)
+    assert str(refusal.value) == f"phi must be finite, got {phi}"
 
 
 def test_quantized_cuts_resolve_a_panel_far_below_a_wavelength():
@@ -1141,6 +1211,41 @@ def test_squint_samples_each_profile_once(monkeypatch):
     squint_vs_angle(ap, BROADSIDE, targets, TaperSpec(-10.0), None, 40e9, 61)
     # two bracketing passes of the beamwidth per azimuth, then one trace-and-track sample per angle
     assert calls == [radiation.HPBW_GRID] * 4 + [61 + PEAK_WINDOW] * len(targets)
+
+
+@pytest.mark.parametrize(
+    "in_band,edges",
+    [
+        # 11 samples, f0 at index 5, "." in band and "x" off it: an in-band
+        # sample past an off-band one lies outside the band
+        (".x.x...x.x.", (3, 7)),
+        ("..x......x.", (2, 9)),
+        ("x...x.x....", (4, 6)),
+        ("...........", "saturated"),
+        ("x...x......", "refused"),
+        (".........x.", "refused"),
+    ],
+)
+def test_squint_band_edges_lie_next_to_the_nearest_off_band_samples(monkeypatch, in_band, edges):
+    hpbw, theta = 0.1, math.radians(30.0)
+    offsets = np.array([0.09 if c == "x" else 0.01 for c in in_band])
+    offsets[1::2] *= -1.0  # either sign of drift
+    monkeypatch.setattr(radiation, "_broadside_hpbw", lambda p, phi: hpbw)
+    monkeypatch.setattr(radiation, "_track_beam_peak", lambda af2, q, k: theta + offsets)
+    ap, target = ApertureSpec.from_element_grid(16, F140), Direction(theta, 0.0)
+    if edges == "refused":
+        with pytest.raises(ValueError, match="^the squint band extends past a band edge; increase f_span$"):
+            squint_sweep(ap, BROADSIDE, target, f_span_hz=20e9, n_samples=11)
+        return
+    report = squint_sweep(ap, BROADSIDE, target, f_span_hz=20e9, n_samples=11)
+    if edges == "saturated":
+        assert report.saturated and report.bw_3db_hz == 20e9
+        return
+    freqs, excess = report.freq_hz, np.abs(report.peak_theta_rad - theta) - hpbw / 2.0
+    lo, hi = edges
+    f_lo = freqs[lo] + (0.0 - excess[lo]) / (excess[lo + 1] - excess[lo]) * (freqs[lo + 1] - freqs[lo])
+    f_hi = freqs[hi] + (0.0 - excess[hi]) / (excess[hi - 1] - excess[hi]) * (freqs[hi - 1] - freqs[hi])
+    assert not report.saturated and report.bw_3db_hz == f_hi - f_lo
 
 
 # with k this large cos(theta) rounds to 1 over the window, so af2 alone places the peak

@@ -40,3 +40,18 @@ def test_heatmap_rasterises_to_the_shade_law_and_draws_no_background_cell(tmp_pa
     assert image == law
     # NaN, -inf and cells at or below the floor are the background: no rect
     assert sorted(drawn) == [(i, j) for i, row in enumerate(z) for j, v in enumerate(row) if v > floor]
+
+
+def test_line_plot_draws_a_lone_finite_point_as_a_dot(tmp_path):
+    nan = math.nan
+    series = [([0.0, 1.0, 2.0], [nan, 3.0, nan], "lone"), ([0.0, 2.0], [1.0, 5.0], "pair"), ([1.0], [4.0], "one")]
+    path = tmp_path / "plot.svg"
+    svgplot.line_plot(path, series, "x", "y", "dots")
+    text = path.read_text()
+    polylines = re.findall(r'<polyline points="([^"]*)" fill="none" stroke="([^"]+)"', text)
+    circles = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)" r="3" fill="([^"]+)"/>', text)
+    # a one-point polyline draws nothing, so each lone point gets a dot at it in its series' colour
+    assert [(points, color) for points, color in polylines if " " not in points] == [
+        (f"{cx},{cy}", color) for cx, cy, color in circles
+    ]
+    assert [color for *_, color in circles] == [svgplot._COLORS[0], svgplot._COLORS[2]]
