@@ -262,11 +262,13 @@ def cmd_pattern(args, cfg: ScenarioConfig):
         ]
 
     def uv_plot(path: Path) -> None:
-        mag = np.abs(uv.field)
+        mag = np.abs(uv.field)  # normalised to dB in place: one real lattice, not three
         with np.errstate(divide="ignore", invalid="ignore"):
-            mag_db = 20.0 * np.log10(mag / np.nanmax(mag))
+            np.divide(mag, np.nanmax(mag), out=mag)
+            np.log10(mag, out=mag)
+        mag *= 20.0
         svgplot.heatmap(
-            path, uv.ax1.tolist(), uv.ax2.tolist(), mag_db.tolist(),
+            path, uv.ax1.tolist(), uv.ax2.tolist(), mag.tolist(),
             xlabel="u", ylabel="v", title="|E(u,v)| (dB rel. peak)", z_floor=-60.0,
         )
 

@@ -45,10 +45,11 @@ for the same integral on a uniform lattice,
 with corr(d) = sum_m c_m conj(c_{m-d}) the lattice autocorrelation at lag d,
 follows from integrating the cos(theta) element power pattern over the
 hemisphere. It normalises cuts, single-direction gains and the squint sweep.
-_radial_corr takes a profile's autocorrelation by FFT and sums its real
-part, even in d, per distinct squared integer lag i^2 + j^2 of the half
-lattice, as _lag_radii indexes them (2122 radii for the 11175 half-lattice
-lags of a 75x75 panel): one column of a (1 + radii) x profiles matrix G.
+_radial_corr takes a profile's autocorrelation by FFT, in blocks holding one
+real power lattice and its half spectrum at most, and sums its real part,
+even in d, per distinct squared integer lag i^2 + j^2 of the half lattice,
+as _lag_radii indexes them (2122 radii for the 11175 half-lattice lags of a
+75x75 panel): one column of a (1 + radii) x profiles matrix G.
 _closed_form_power contracts G with the J1 kernel over (k, radius) block by
 block, with no table: each block, every k by as many radii as fit in
 J1_BLOCK_BYTES (at least one), is built, contracted and dropped, so memory
@@ -91,6 +92,7 @@ COARSE_RESOLUTION = math.radians(0.5)  # directivity grid step away from the mai
 LOBE_WINDOW = math.radians(2.0)  # least half-width of the fine grid around the main lobe
 CUT_STEPS_PER_BEAMWIDTH = 20  # quantization-loss cut samples per analytical beamwidth
 MAX_ARRAY_BYTES = 2**30  # largest single array a pattern or squint run may allocate
+FFT_BLOCK_BYTES = 2**20  # bytes per block of a padded-lattice pass; _radial_corr of up to 100^2 cells takes one
 J1_BLOCK_BYTES = 2**17  # bytes per _closed_form_power J1 block: the least of 2**15-2**19 that costs no time
 J1_SERIES_MAX = 2.0  # _j1 sums the power series up to here,
 J1_HANKEL_MIN = 25.0  # the Hankel expansion above here, and Miller's recurrence between
@@ -225,36 +227,34 @@ def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> U
     points the result equals array_factor_direct to machine precision.
     Points outside the visible region u^2 + v^2 <= 1 are NaN.
     """
+    if isinstance(uv_oversample, bool) or not isinstance(uv_oversample, (int, np.integer)):
+        raise ValueError(f"uv_oversample must be an integer, got {uv_oversample!r}")
     if uv_oversample < 1:
         raise ValueError("uv_oversample must be >= 1")
     nx, ny = p.rows, p.cols
     lx, ly = nx * uv_oversample, ny * uv_oversample
-
-    spectrum = np.fft.ifft2(p.coefficients, s=(lx, ly)) * (lx * ly)
-    spectrum = np.fft.fftshift(spectrum)
+    if 16 * lx * ly > MAX_ARRAY_BYTES:
+        raise ValueError(f"the {lx}x{ly} (u, v) lattice exceeds the {MAX_ARRAY_BYTES / 2**30:g} GiB limit")
+    field = np.fft.fftshift(np.fft.ifft2(p.coefficients, s=(lx, ly)))  # the one shifted copy
+    field *= lx * ly
     alpha = np.fft.fftshift(np.fft.fftfreq(lx))  # pitch * u / lambda
     beta = np.fft.fftshift(np.fft.fftfreq(ly))
 
-    lam = f.wavelength_m
+    # grid centering: x_i = (i - (nx-1)/2) * pitch, one row block of the product at a time
+    ex = np.exp(-2j * math.pi * alpha * (nx - 1) / 2.0)
+    ey = np.exp(-2j * math.pi * beta * (ny - 1) / 2.0)
+    step = max(1, FFT_BLOCK_BYTES // (16 * ly))
+    for i in range(0, lx, step):
+        field[i : i + step] *= ex[i : i + step, None] * ey[None, :]
     # a pitch so far below the wavelength that u or u^2 overflows to inf puts
     # that point outside the visible region, where it belongs
-    with np.errstate(over="ignore"):
-        u = alpha * lam / p.cell_pitch_m
-        v = beta * lam / p.cell_pitch_m
-        uu, vv = np.meshgrid(u, v, indexing="ij")
-        r2 = uu**2 + vv**2
-
-    # grid centering: x_i = (i - (nx-1)/2) * pitch
-    centering = np.exp(-2j * math.pi * alpha * (nx - 1) / 2.0)[:, None] * np.exp(
-        -2j * math.pi * beta * (ny - 1) / 2.0
-    )[None, :]
-    field = spectrum * centering
-
-    visible = r2 <= 1.0
-    ef = np.zeros_like(r2)
-    ef[visible] = (1.0 - r2[visible]) ** 0.25  # sqrt(cos(theta))
-    field = np.where(visible, field * ef, np.nan + 0j)
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = alpha * f.wavelength_m / p.cell_pitch_m
+        v = beta * f.wavelength_m / p.cell_pitch_m
+        r2 = u[:, None] ** 2 + v[None, :] ** 2
+        invisible = ~(r2 <= 1.0)
+        field *= np.power(np.subtract(1.0, r2, out=r2), 0.25, out=r2)  # sqrt(cos(theta)), NaN if invisible
+    field[invisible] = np.nan
     return UVPattern(ax1=u, ax2=v, field=field)
 
 
@@ -457,20 +457,32 @@ def _lag_radii(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
 def _radial_corr(p: PhaseProfile, radius_index: np.ndarray) -> np.ndarray:
     """Re corr of profile p over its half lattice of lags, summed per distinct radius of _lag_radii.
 
-    The cyclic autocorrelation at a 5-smooth length L >= 2n-1 per axis holds
-    every lag without wrap-around. fft2 pads and transforms the last axis
-    first, so that pass runs on the n non-zero rows only. |F|^2 is real, so
-    Re corr = Re ifft2(|F|^2) = Re fft2(|F|^2)/N comes from one rfft2, whose
-    half spectrum is the half lattice j >= 0. Only the real part of corr
-    survives the Hermitian sum over +d and -d. Columns j > 0 are doubled in
-    place for their mirrors (j = 0 holds both signs of i) before the sum.
+    At a 5-smooth length L >= 2n-1 per axis no lag wraps around. Re corr =
+    Re fft2(|F|^2)/N survives the Hermitian sum over +d and -d, and rfft2's
+    half spectrum j >= 0 is the half lattice. The 1-D passes of fft2 and
+    rfft2 run in their order, so the bits are theirs, in blocks of
+    FFT_BLOCK_BYTES: y on the n rows; x per column block into one real power
+    lattice; rfft per row block, first cols kept; x per column block, in
+    place. Columns j > 0 are doubled for their mirrors (j = 0: both signs).
     """
     lx, ly = _fast_length(2 * p.rows - 1), _fast_length(2 * p.cols - 1)
-    spectrum = np.fft.fft2(p.coefficients, s=(lx, ly))
-    power = np.square(spectrum.real)
-    power += np.square(spectrum.imag)
-    lags = np.r_[0 : p.rows, lx - p.rows + 1 : lx]
-    corr = np.fft.rfft2(power)[lags, : p.cols].real / (lx * ly)
+    spectrum = np.fft.fft(p.coefficients, n=ly, axis=1)
+    power = np.empty((lx, ly))
+    block = max(1, FFT_BLOCK_BYTES // (24 * lx))  # columns of lx complex values and their squares
+    for j in range(0, ly, block):
+        part = np.fft.fft(spectrum[:, j : j + block], n=lx, axis=0)
+        np.square(part.real, out=power[:, j : j + block])
+        power[:, j : j + block] += np.square(part.imag)
+        del part  # before the next block's is allocated
+    del spectrum
+    half = np.empty((lx, p.cols), dtype=complex)
+    step = max(1, FFT_BLOCK_BYTES // (16 * (ly // 2 + 1)))  # rows of one rfft
+    for i in range(0, lx, step):
+        half[i : i + step] = np.fft.rfft(power[i : i + step], axis=1)[:, : p.cols]
+    del power
+    for j in range(0, p.cols, block):
+        np.fft.fft(half[:, j : j + block], axis=0, out=half[:, j : j + block])
+    corr = half.real[np.r_[0 : p.rows, lx - p.rows + 1 : lx]] / (lx * ly)
     corr[:, 1:] *= 2.0
     return np.bincount(radius_index, weights=corr.ravel())
 
@@ -614,13 +626,14 @@ def _largest_array(
 ) -> tuple[str, int]:
     """(name, bytes) of the largest array a pattern or squint run would allocate.
 
-    Estimated from the sizes alone: the zero-padded lattice FFT holds
-    max(2n, L)^2 complex values, L the 5-smooth length of the power
-    autocorrelation and 2n that of the pattern_uv map; squint n_freqs floats
-    per PEAK_WINDOW sample of the beam track and per angle, and one float per
-    distinct lag radius (at most n(n+1)/2) per angle; the cuts one complex
-    value per direction of each. L is only sought once (2n)^2 fits the limit,
-    so the estimate costs nothing however large n is.
+    Estimated from the sizes alone: the lattice FFT counts max(2n, L)^2
+    complex values, 2n the side of the pattern_uv map, which peaks near two
+    such lattices, and L the 5-smooth length of the power autocorrelation,
+    whose blocks hold about one; squint n_freqs floats per PEAK_WINDOW
+    sample of the beam track and per angle, and one float per distinct lag
+    radius (at most n(n+1)/2) per angle; the cuts one complex value per
+    direction of each. L is only sought once (2n)^2 fits the limit, so the
+    estimate costs nothing however large n is.
     """
     side = 2 * n_per_side
     if 16 * side**2 <= MAX_ARRAY_BYTES:
@@ -673,11 +686,12 @@ def principal_plane_cut(
         f = p.design_freq
     if total_power is None:
         total_power = hemisphere_power_exact(p, f)
-    return _cuts(p, [p.coefficients], f, phi, theta_step, [total_power])[0]
+    theta, e2 = _cuts(p, [p.coefficients], f, phi, theta_step)
+    return np.degrees(theta), _dbi(e2[0], total_power)
 
 
-def _cuts(p: PhaseProfile, grids: list, f: Frequency, phi: float, step: float, powers) -> list[tuple]:
-    """principal_plane_cut of each grid of a _field stack on the lattice of p, normalised by its power."""
+def _cuts(p: PhaseProfile, grids, f: Frequency, phi: float, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """theta (rad) of a principal-plane cut at azimuth phi, and |E|^2 there of each grid of a _field stack."""
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
     theta = np.arange(-math.pi / 2, math.pi / 2 + 1e-12, step)
@@ -685,7 +699,7 @@ def _cuts(p: PhaseProfile, grids: list, f: Frequency, phi: float, step: float, p
     # negative theta at phi + 180 deg is positive theta with k*sin(theta) negated
     q = _wavenumber(f) * np.sin(theta)
     e = _field(p, grids, q * math.cos(phi), q * math.sin(phi)) * _element_factor(theta)
-    return [(np.degrees(theta), _dbi(np.abs(row) ** 2, power)) for row, power in zip(e, powers)]
+    return theta, np.abs(e) ** 2
 
 
 def quantization_loss(
@@ -722,13 +736,19 @@ def quantized_cuts(
     step = min(analytical_hpbw(p), math.pi) / CUT_STEPS_PER_BEAMWIDTH
     n_directions = len(bits_list) * (math.pi / step + 1) if step > 0.0 else math.inf
     check_array_budget(max(p.rows, p.cols), n_directions=n_directions)
-    profiles = [p if bits is None else quantize_profile(p, bits) for bits in bits_list]
     radius_index, squared = _lag_radii(p.rows, p.cols)
-    corr = np.empty((squared.size, len(profiles)), order="F")  # each setting's column contiguous
-    for profile, column in zip(profiles, corr.T):
-        column[:] = _radial_corr(profile, radius_index)
+    corr = np.empty((squared.size, len(bits_list)), order="F")  # each setting's column contiguous
+
+    def grids(radius_index):  # _field folds each grid as it draws it, so a setting's fold is its one copy
+        for bits, column in zip(bits_list, corr.T):
+            profile = p if bits is None else quantize_profile(p, bits)
+            column[:] = _radial_corr(profile, radius_index)
+            yield profile.coefficients
+    stack = grids(radius_index)
+    del radius_index  # the stack holds it until the last setting is folded
+    theta, e2 = _cuts(p, stack, p.design_freq, phi, step)
     powers = _closed_form_power(p.cell_pitch_m, squared, np.array([_wavenumber(p.design_freq)]), corr)[0]
-    return _cuts(p, [profile.coefficients for profile in profiles], p.design_freq, phi, step, powers)
+    return [(np.degrees(theta), _dbi(row, power)) for row, power in zip(e2, powers)]
 
 
 def squint_sweep(

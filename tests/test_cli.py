@@ -11,7 +11,6 @@ import re
 import shutil
 import subprocess
 import sys
-import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from thz_ris_planner import radiation
 from thz_ris_planner.cli import _fmt_cell, build_parser, main
 from thz_ris_planner.config import _SCHEMAS, _UNITS
 
+from conftest import traced_peak
 from test_config import UNIT_NAMES, _takes, _values
 
 DATA = resources.files("thz_ris_planner").joinpath("data")
@@ -176,12 +176,8 @@ def test_pattern_csv_is_streamed(tmp_path, monkeypatch):
     cfg.write_text(SMALL_PATTERN)
     argv = ["--config", str(cfg), "--out", str(tmp_path), "pattern"]
     assert main(argv) == 0  # warm-up, so that imports and caches are not counted
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, argv)
+    assert code == 0
     rows = len((tmp_path / "pattern.csv").read_text().splitlines()) - 2
     assert rows == 4 * 17730
     # holding a Python list per row until the file is written costs about 360 bytes a row

@@ -45,6 +45,8 @@ from thz_ris_planner.radiation import (
 )
 from thz_ris_planner.surface import PhaseProfile, TaperSpec, quantize_profile, synthesize_profile
 
+from conftest import traced_peak
+
 F140 = Frequency.from_ghz(140)
 OUT45 = Direction.from_degrees(45)
 
@@ -135,6 +137,44 @@ def test_fft_dc_bin_is_coherent_sum():
     assert pat.field[i, j] == pytest.approx(400.0 + 0.0j, abs=1e-9)
     with pytest.raises(ValueError, match="uv_oversample"):
         array_factor_fft(prof, F140, uv_oversample=0)
+
+
+@pytest.mark.parametrize("oversample", [True, 2.5, 2.0, math.nan, "2"])
+def test_fft_refuses_an_oversample_that_is_not_an_integer(oversample):
+    prof = _random_lattice(3, 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="uv_oversample must be an integer") as raised:
+        array_factor_fft(prof, F140, uv_oversample=oversample)
+    assert "\n" not in str(raised.value)
+
+
+def test_fft_takes_a_numpy_integer_oversample():
+    prof = _random_lattice(3, 4, np.random.default_rng(0))
+    a, b = array_factor_fft(prof, F140, uv_oversample=np.int64(3)), array_factor_fft(prof, F140, uv_oversample=3)
+    assert np.array_equal(a.field, b.field, equal_nan=True)
+
+
+def test_fft_refuses_a_lattice_over_the_budget_before_allocating_it(monkeypatch):
+    prof = _random_lattice(2, 3, np.random.default_rng(0))
+
+    def refuse(oversample):
+        with pytest.raises(ValueError, match="GiB limit") as raised:
+            array_factor_fft(prof, F140, uv_oversample=oversample)
+        return raised.value
+
+    error, peak = traced_peak(refuse, 10**9)  # a 954 GiB lattice
+    assert "\n" not in str(error) and peak < 2**16
+    monkeypatch.setattr(radiation, "MAX_ARRAY_BYTES", 16 * 8 * 12 - 1)
+    refuse(4)
+    monkeypatch.setattr(radiation, "MAX_ARRAY_BYTES", 16 * 8 * 12)
+    assert array_factor_fft(prof, F140, uv_oversample=4).field.shape == (8, 12)
+
+
+@pytest.mark.parametrize("n,oversample", [(100, 2), (300, 2), (128, 4)])
+def test_fft_holds_at_most_three_lattices(n, oversample):
+    # the shifted spectrum is the field, scaled, centred and masked in place
+    prof = _random_lattice(n, n, np.random.default_rng(n))
+    _, peak = traced_peak(array_factor_fft, prof, F140, oversample)
+    assert peak <= 3 * 16 * (n * oversample) ** 2
 
 
 def test_fft_of_a_pitch_far_below_the_wavelength_sees_only_its_dc_bin():
@@ -437,6 +477,72 @@ def test_polynomial_is_horner_from_zero_bit_for_bit():
     assert np.array_equal(_plain_j1(np.array([0.0, 30.0, 0.0]))[[0, 2]], [0.0, 0.0])
 
 
+# --- the radial correlation, transformed in blocks ----------------------------
+
+
+def _radial_corr_whole(p, radius_index):
+    """_radial_corr by one fft2 and one rfft2 over the whole padded lattice: the bits its blocks must give."""
+    lx, ly = _fast_length(2 * p.rows - 1), _fast_length(2 * p.cols - 1)
+    spectrum = np.fft.fft2(p.coefficients, s=(lx, ly))
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
+    lags = np.r_[0 : p.rows, lx - p.rows + 1 : lx]
+    corr = np.fft.rfft2(power)[lags, : p.cols].real / (lx * ly)
+    corr[:, 1:] *= 2.0
+    return np.bincount(radius_index, weights=corr.ravel())
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    bits=st.sampled_from([None, 1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    budget_frac=st.floats(0.0, 1.0),
+)
+@example(rows=1, cols=1, bits=None, seed=0, budget_frac=1.0)
+@example(rows=7, cols=12, bits=1, seed=1, budget_frac=0.5)
+@example(rows=35, cols=35, bits=None, seed=2, budget_frac=1.0)
+def test_blocked_radial_corr_equals_the_whole_lattice_route_property(rows, cols, bits, seed, budget_frac):
+    # a budget of at most 16 * L * (cols // 3) bytes splits each pass into
+    # three blocks or more wherever the lattice has three lines to split
+    prof = _random_lattice(rows, cols, np.random.default_rng(seed))
+    if bits is not None:
+        prof = quantize_profile(prof, bits)
+    radius_index, _ = _lag_radii(rows, cols)
+    whole = _radial_corr_whole(prof, radius_index)
+    lx = _fast_length(2 * rows - 1)
+    budget = max(1, int(budget_frac * 16 * lx * max(1, cols // 3)))
+    calls = {"fft": 0, "rfft": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radiation, "FFT_BLOCK_BYTES", budget)
+        mp.setattr(np.fft, "fft", _counting(calls, "fft", np.fft.fft))
+        mp.setattr(np.fft, "rfft", _counting(calls, "rfft", np.fft.rfft))
+        blocked = _radial_corr(prof, radius_index)
+    assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+    if rows >= 2 and cols >= 3:  # the rows, then three blocks per column pass
+        assert calls["fft"] >= 1 + 3 + 3 and calls["rfft"] >= 3, calls
+
+
+def test_radial_corr_blocks_hold_at_most_half_of_the_whole_lattice_route():
+    # 301^2 pads to 625^2: the whole route holds the complex spectrum, its
+    # power and the rfft2 output; the blocks the power and a half spectrum
+    prof = _random_lattice(301, 301, np.random.default_rng(301))
+    radius_index, _ = _lag_radii(301, 301)
+    whole, whole_peak = traced_peak(_radial_corr_whole, prof, radius_index)
+    blocked, peak = traced_peak(_radial_corr, prof, radius_index)
+    assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+    assert peak <= whole_peak / 2
+
+
 # --- the J1 power kernel, contracted in blocks ---------------------------------
 
 SQUINT_SHAPES = ((34, 81), (46, 161), (52, 101), (56, 121), (70, 81))  # (n, frequencies) of the squint benchmark
@@ -604,7 +710,11 @@ def test_power_peak_does_not_grow_with_the_frequency_count():
     # at 161 frequencies and 47 MB at 1601; the blocks that replace it do not
     # depend on the count, though their regime mix moves the J1 scratch a little
     k0 = 2.0 * math.pi / F140.wavelength_m
-    peaks = [_power_peak(100, k0 * np.linspace(6.0 / 7.0, 8.0 / 7.0, size))[0] for size in (161, 1601)]
+    runs = [_power_peak(100, k0 * np.linspace(6.0 / 7.0, 8.0 / 7.0, size)) for size in (161, 1601)]
+    # the premise: the FFT of the radial correlation sets the peak, above the
+    # contraction, whose J1 scratch moves with the regime mix of its blocks
+    assert all(peak > contraction for peak, _, contraction, _ in runs), runs
+    peaks = [run[0] for run in runs]
     assert abs(peaks[1] / peaks[0] - 1.0) <= 0.1, peaks
 
 
@@ -1071,6 +1181,18 @@ def test_quantized_cuts_budget_counts_every_setting(monkeypatch):
     with pytest.raises(ValueError, match="GiB limit") as raised:
         quantized_cuts(prof, [1, 2, 3, None], 0.0)
     assert "\n" not in str(raised.value)
+
+
+def test_quantized_cuts_hold_one_copy_per_setting():
+    # each added setting holds its fold, 16 n^2 bytes, and its cut while the
+    # stack is radiated; holding its quantised grid beside the fold as well
+    # read 7.0 folds for the three added settings here
+    n = 200
+    prof = synthesize_profile(ApertureSpec.from_element_grid(n, F140), BROADSIDE, OUT45, TaperSpec(-10.0))
+    quantized_cuts(prof, [1, 2, 3, None], 0.0)  # warm-up, so that caches are not counted
+    _, one = traced_peak(quantized_cuts, prof, [None], 0.0)
+    _, four = traced_peak(quantized_cuts, prof, [1, 2, 3, None], 0.0)
+    assert four - one <= 5 * 16 * n * n
 
 
 def test_quantization_loss_refuses_an_oversize_panel_before_building_it(monkeypatch):
