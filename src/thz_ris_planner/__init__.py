@@ -23,7 +23,6 @@ _EXPORTS = {
         "BistaticGeometry",
         "Direction",
         "Frequency",
-        "fraunhofer_distance",
     ),
     "link_budget": (
         "LinkReport",

@@ -78,13 +78,6 @@ def _write_result(stem: str, record: dict, fmt: str):
     return f"{stem}.json", write
 
 
-def _line_plot(series, xlabel: str, ylabel: str, title: str):
-    """Writer of a line plot whose series() builds its Python lists only as the plot is written."""
-    from . import svgplot
-
-    return lambda path: svgplot.line_plot(path, series(), xlabel, ylabel, title)
-
-
 def _direction(cfg: ScenarioConfig, which: str) -> Direction:
     link = cfg["link"]
     return Direction(link[f"theta_{which}"], link.get(f"phi_{which}", 0.0))
@@ -252,14 +245,15 @@ def cmd_pattern(args, cfg: ScenarioConfig):
         return lines, [], None, writers
     uv = array_factor_fft(continuous, panel.design_freq, uv_oversample=2)
 
-    def cut_series():
+    def cut_plot(path: Path) -> None:
         # the cuts share one theta grid; floor deep nulls so the plot scale
         # stays readable, while the CSV keeps raw values
         theta = cuts[0][0].tolist()
-        return [
+        series = [
             (theta, np.maximum(dbi, peaks[label] - 60.0).tolist(), label if bits is None else f"{label} bit")
             for bits, label, (_, dbi) in zip(bits_list, labels, cuts)
         ]
+        svgplot.line_plot(path, series, "theta (deg)", "directivity (dBi)", "principal-plane cut")
 
     def uv_plot(path: Path) -> None:
         mag = np.abs(uv.field)  # normalised to dB in place: one real lattice, not three
@@ -272,7 +266,6 @@ def cmd_pattern(args, cfg: ScenarioConfig):
             xlabel="u", ylabel="v", title="|E(u,v)| (dB rel. peak)", z_floor=-60.0,
         )
 
-    cut_plot = _line_plot(cut_series, "theta (deg)", "directivity (dBi)", "principal-plane cut")
     return lines, [], None, [*writers, ("pattern.svg", cut_plot), ("pattern_uv.svg", uv_plot)]
 
 
@@ -317,8 +310,10 @@ def cmd_squint(args, cfg: ScenarioConfig):
     trace = zip(report.freq_hz.tolist(), report.gain_dbi.tolist())
     writers = [("squint.csv", _write_csv(["freq_hz", "gain_db"], trace))]
     if args.svg:
-        writers.append(("squint.svg", _line_plot(
-            lambda: [((report.freq_hz / 1e9).tolist(), report.gain_dbi.tolist(), "gain at target")],
+        from . import svgplot  # imported here: squint without --svg draws nothing
+
+        writers.append(("squint.svg", lambda path: svgplot.line_plot(
+            path, [((report.freq_hz / 1e9).tolist(), report.gain_dbi.tolist(), "gain at target")],
             "frequency (GHz)", "gain (dBi)", "beam-squint gain trace",
         )))
     if reports:
@@ -326,8 +321,8 @@ def cmd_squint(args, cfg: ScenarioConfig):
         header = ["theta_out_deg", "bw_3db_hz", "fractional_bw_pct"]
         writers.append(("squint_vs_angle.csv", _write_csv(header, rows)))
     if reports and args.svg:
-        writers.append(("squint_vs_angle.svg", _line_plot(
-            lambda: [([row[0] for row in rows], [row[1] / 1e9 for row in rows], "BW_3dB")],
+        writers.append(("squint_vs_angle.svg", lambda path: svgplot.line_plot(
+            path, [([row[0] for row in rows], [row[1] / 1e9 for row in rows], "BW_3dB")],
             "theta_out (deg)", "BW_3dB (GHz)", "beam-squint bandwidth vs reflection angle",
         )))
     return [line], [], None, writers

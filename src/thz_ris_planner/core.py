@@ -120,10 +120,3 @@ class BistaticGeometry(Value):
         if not (0.0 < d1_m < math.inf and 0.0 < d2_m < math.inf):
             raise ValueError("path lengths d1 and d2 must be positive and finite")
         super().__init__(d1_m, d2_m, incident, outgoing)
-
-
-def fraunhofer_distance(aperture_d_m: float, f: Frequency) -> float:
-    """Far-field boundary 2*D^2/lambda for an aperture of size D."""
-    if aperture_d_m <= 0:
-        raise ValueError("aperture size must be positive")
-    return 2.0 * aperture_d_m**2 / f.wavelength_m

@@ -233,8 +233,7 @@ def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> U
         raise ValueError("uv_oversample must be >= 1")
     nx, ny = p.rows, p.cols
     lx, ly = nx * uv_oversample, ny * uv_oversample
-    if 16 * lx * ly > MAX_ARRAY_BYTES:
-        raise ValueError(f"the {lx}x{ly} (u, v) lattice exceeds the {MAX_ARRAY_BYTES / 2**30:g} GiB limit")
+    _refuse_over_limit(f"{lx}x{ly} (u, v) lattice", 16 * lx * ly)
     field = np.fft.fftshift(np.fft.ifft2(p.coefficients, s=(lx, ly)))  # the one shifted copy
     field *= lx * ly
     alpha = np.fft.fftshift(np.fft.fftfreq(lx))  # pitch * u / lambda
@@ -374,8 +373,8 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
     window = max(LOBE_WINDOW, 2.0 * hpbw)
     spans = (math.pi / 2, 2.0 * math.pi)  # of theta and phi
     n_theta, n_phi = (min(2.0 * window, s) / grid_resolution + s / COARSE_RESOLUTION + 4.0 for s in spans)
-    if 16.0 * n_theta * n_phi > MAX_ARRAY_BYTES:  # at most one complex value per direction is held
-        raise ValueError(f"a {grid_resolution:.3g} rad grid exceeds the {MAX_ARRAY_BYTES / 2**30:g} GiB limit")
+    # at most one complex value per direction is held
+    _refuse_over_limit(f"{grid_resolution:.3g} rad grid", 16.0 * n_theta * n_phi)
 
     # locate the main lobe on an oversampled uv lattice
     _, upk, vpk = array_factor_fft(p, f, uv_oversample=4).peak_uv()
@@ -648,15 +647,19 @@ def _largest_array(
     return max(candidates, key=lambda c: c[1])
 
 
-def check_array_budget(n_per_side: int, n_freqs: int = 1, n_directions: int = 0, n_angles: int = 1) -> None:
-    """Raise ValueError before a run whose largest array would exceed MAX_ARRAY_BYTES."""
-    name, size = _largest_array(n_per_side, n_freqs, n_directions, n_angles)
+def _refuse_over_limit(name: str, size: float) -> None:
+    """Raise ValueError, one line, if the named array of size bytes would exceed MAX_ARRAY_BYTES."""
     if size > MAX_ARRAY_BYTES:
         gib = size / 2**30 if size < 2**1000 else math.inf  # a size beyond the float range reads inf
         raise ValueError(
             f"the {name} would need {gib:.3g} GiB, over the "
             f"{MAX_ARRAY_BYTES / 2**30:g} GiB limit; reduce the panel or samples"
         )
+
+
+def check_array_budget(n_per_side: int, n_freqs: int = 1, n_directions: int = 0, n_angles: int = 1) -> None:
+    """Raise ValueError before a run whose largest array would exceed MAX_ARRAY_BYTES."""
+    _refuse_over_limit(*_largest_array(n_per_side, n_freqs, n_directions, n_angles))
 
 
 def gain_at(p: PhaseProfile, f: Frequency, direction: Direction) -> float:
@@ -678,10 +681,12 @@ def principal_plane_cut(
 
     Returns (theta_deg, dbi) with signed theta: negative angles lie at
     phi + 180 deg. total_power defaults to the closed-form hemisphere
-    integral. A theta_step that is not positive and finite raises ValueError.
+    integral. A theta_step that is not positive and finite raises ValueError,
+    and so does a cut past check_array_budget, before any work.
     """
     if not 0.0 < theta_step < math.inf:
         raise ValueError(f"theta_step must be positive and finite, got {theta_step}")
+    check_array_budget(max(p.rows, p.cols), n_directions=math.pi / theta_step + 1)
     if f is None:
         f = p.design_freq
     if total_power is None:

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import thz_ris_planner
 from thz_ris_planner import radiation
 from thz_ris_planner.cli import _fmt_cell, build_parser, main
-from thz_ris_planner.config import _SCHEMAS, _UNITS
+from thz_ris_planner.config import _SCHEMAS, _UNITS, load_config
 
 from conftest import traced_peak
 from test_config import UNIT_NAMES, _takes, _values
@@ -758,6 +758,23 @@ def test_readme_usage_lists_every_option_and_no_other():
         for option in action.option_strings
     }
     assert listed == options
+
+
+def test_packaging_metadata_names_the_entry_point_and_every_bundled_config():
+    # tier-1 imports the sources from the checkout, so only the metadata says what an install gets
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, attribute = project["project"]["scripts"]["thz-ris-planner"].partition(":")
+    target = getattr(importlib.import_module(module), attribute)
+    assert callable(target) and target is main
+    package = root / "src" / "thz_ris_planner"
+    globs = project["tool"]["setuptools"]["package-data"]["thz_ris_planner"]
+    shipped = {path for pattern in globs for path in package.glob(pattern)}
+    bundled = {path for path in (package / "data").rglob("*") if path.is_file()}
+    assert bundled and bundled <= shipped
+    for path in sorted(bundled):
+        load_config(path)
 
 
 def test_readme_library_example_runs(capsys):

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from thz_ris_planner.aperture import ApertureSpec, EfficiencyLedger
-from thz_ris_planner.core import (
-    BistaticGeometry,
-    Direction,
-    Frequency,
-    SPEED_OF_LIGHT,
-    fraunhofer_distance,
-)
+from thz_ris_planner.core import SPEED_OF_LIGHT, BistaticGeometry, Direction, Frequency
 from thz_ris_planner.link_budget import LinkReport, LinkScenario, ReceiverSpec
 from thz_ris_planner.power import TechnologyProfile
 from thz_ris_planner.radiation import QuantizationReport, SpherePattern, SquintReport, UVPattern
@@ -98,18 +92,6 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
 def test_validators_reject_non_finite(build, bad):
     with pytest.raises(ValueError, match="finite"):
         build(bad)
-
-
-def test_fraunhofer_anchors():
-    f140 = Frequency.from_ghz(140)
-    assert fraunhofer_distance(0.110, f140) == pytest.approx(11.30, abs=0.05)
-    assert fraunhofer_distance(0.080, f140) == pytest.approx(5.98, abs=0.05)
-    # D = lambda gives exactly 2*lambda
-    lam = f140.wavelength_m
-    assert fraunhofer_distance(lam, f140) == pytest.approx(2.0 * lam, rel=1e-12)
-    for size in (0.0, -0.1):
-        with pytest.raises(ValueError, match="aperture size must be positive"):
-            fraunhofer_distance(size, f140)
 
 
 def test_speed_of_light_is_exact():

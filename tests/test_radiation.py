@@ -829,6 +829,34 @@ def test_principal_plane_cut_refuses_a_bad_step(step):
         principal_plane_cut(prof, theta_step=step)
 
 
+@pytest.mark.parametrize("step", [1e-300, 1e-8, 5e-324])
+def test_principal_plane_cut_refuses_a_cut_past_the_budget_before_any_work(step):
+    # unguarded, a 1e-8 rad step asked numpy for 2.34 GiB and 1e-300 for more than an array may hold
+    prof = synthesize_profile(ApertureSpec.from_element_grid(16, F140), BROADSIDE, BROADSIDE)
+
+    def refuse():
+        with pytest.raises(ValueError, match="GiB limit") as raised:
+            principal_plane_cut(prof, theta_step=step)
+        return raised.value
+
+    error, peak = traced_peak(refuse)
+    assert "\n" not in str(error) and peak < 2**16
+
+
+def test_principal_plane_cut_budget_counts_its_cut(monkeypatch):
+    prof = synthesize_profile(ApertureSpec.from_element_grid(16, F140), BROADSIDE, OUT45)
+    step = 1e-3
+    cut = 16 * (math.pi / step + 1)
+    assert _largest_array(16)[1] < cut - 1  # the cut, not the panel, meets the limit
+    monkeypatch.setattr(radiation, "MAX_ARRAY_BYTES", cut - 1)
+    with pytest.raises(ValueError, match="GiB limit") as raised:
+        principal_plane_cut(prof, theta_step=step)
+    assert "\n" not in str(raised.value)
+    monkeypatch.setattr(radiation, "MAX_ARRAY_BYTES", cut)
+    theta_deg, _ = principal_plane_cut(prof, theta_step=step)
+    assert theta_deg.size == math.floor(math.pi / step) + 1
+
+
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("route", ["principal_plane_cut", "quantized_cuts"])
 def test_cuts_refuse_a_non_finite_azimuth(route, phi):
@@ -953,6 +981,25 @@ def test_field_chunks_are_computed_alone(size):
     grids = [prof.coefficients]
     chunks = [_field(prof, grids, ku[s : s + FIELD_CHUNK], kv[s : s + FIELD_CHUNK]) for s in (0, FIELD_CHUNK)]
     assert np.array_equal(_field(prof, grids, ku, kv), np.concatenate(chunks, axis=1))
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+@example(n=1, seed=0)
+@example(n=70, seed=0)
+def test_field_of_a_direction_barely_depends_on_its_call_width_property(n, seed):
+    # BLAS may round a column of a wider or narrower product differently, so a direction's
+    # value can move with how many directions share its call; this bounds the move
+    rng = np.random.default_rng(seed)
+    prof = _random_lattice(n, n, rng)
+    grids = [prof.coefficients]
+    ku, kv = rng.uniform(-1.0, 1.0, (2, FIELD_CHUNK)) * radiation._wavenumber(F140)
+    whole = _field(prof, grids, ku, kv)[0]
+    bound = 1e-14 * np.sum(np.abs(prof.coefficients))
+    for width in (1, 2, 3, 4, 9, 17, 21, 182, 1023):
+        start = int(rng.integers(0, FIELD_CHUNK - width + 1))
+        part = slice(start, start + width)
+        assert np.max(np.abs(_field(prof, grids, ku[part], kv[part])[0] - whole[part])) <= bound
 
 
 @settings(max_examples=20, deadline=None)
