@@ -11,7 +11,7 @@ f != f0 is what produces beam squint.
 
 Every production field evaluation (principal cuts, single-direction gain,
 the directivity quadrature, the broadside beamwidth, and one sample per
-squint profile for its gain trace and beam track) goes through one kernel,
+squint angle for its gain trace and beam track) goes through one kernel,
 _field(p, grids, ku, kv), which radiates a stack of grids on the lattice of
 p. A PhaseProfile lies on a uniform lattice centred on the origin,
 x[n-1-i] == -x[i] exactly, so cos(x q) is even in x and sin(x q) odd, and
@@ -54,8 +54,10 @@ _closed_form_power contracts G with the J1 kernel over (k, radius) block by
 block, with no table: each block, every k by as many radii as fit in
 J1_BLOCK_BYTES (at least one), is built, contracted and dropped, so memory
 does not grow with the frequency count, and no kernel entry depends on the
-blocking. squint_vs_angle folds every angle to its column and contracts them
-all in one pass; hemisphere_power_exact is the one-k, one-column case.
+blocking. squint_vs_angle contracts every angle's column in one pass;
+hemisphere_power_exact is the one-k, one-column case. A continuous squint
+profile c is its taper a times exp(-j g.r): Re corr_c(d) = cos(g.d) A(d) and
+AF_c(k) = AF_a(k - g), so one _half_corr A of a per call serves every angle.
 _k_phases builds exp(j k rho) coarse x fine along a uniform k grid, and one
 exp per entry for one k or any other grid; _j1 reads sin and cos from those
 phases and sums the power series, Miller's recurrence or the Hankel
@@ -454,7 +456,12 @@ def _lag_radii(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _radial_corr(p: PhaseProfile, radius_index: np.ndarray) -> np.ndarray:
-    """Re corr of profile p over its half lattice of lags, summed per distinct radius of _lag_radii.
+    """Re corr of profile p over its half lattice of lags, summed per distinct radius of _lag_radii."""
+    return np.bincount(radius_index, weights=_half_corr(p).ravel())
+
+
+def _half_corr(p: PhaseProfile) -> np.ndarray:
+    """Re corr of profile p on the half lattice of lags of _lag_radii, (2 rows - 1, cols), j > 0 doubled.
 
     At a 5-smooth length L >= 2n-1 per axis no lag wraps around. Re corr =
     Re fft2(|F|^2)/N survives the Hermitian sum over +d and -d, and rfft2's
@@ -483,7 +490,19 @@ def _radial_corr(p: PhaseProfile, radius_index: np.ndarray) -> np.ndarray:
         np.fft.fft(half[:, j : j + block], axis=0, out=half[:, j : j + block])
     corr = half.real[np.r_[0 : p.rows, lx - p.rows + 1 : lx]] / (lx * ly)
     corr[:, 1:] *= 2.0
-    return np.bincount(radius_index, weights=corr.ravel())
+    return corr
+
+
+def _modulate(corr: np.ndarray, gx: float, gy: float, radius_index: np.ndarray) -> np.ndarray:
+    """Re corr per radius of a exp(-j g.r), (gx, gy) = g * pitch, from corr: the _half_corr rows i >= 0 of a.
+
+    a is even in x, so rows i > 0 and -i of cos(gx i + gy j) A(i, j) sum to 2 cos(gx i) cos(gy j) A(i, j).
+    radius_index is that of those rows: the first corr.size entries of _lag_radii's.
+    """
+    weights = corr * np.cos(gx * np.arange(corr.shape[0]))[:, None]
+    weights[1:] *= 2.0
+    weights *= np.cos(gy * np.arange(corr.shape[1]))
+    return np.bincount(radius_index, weights=weights.ravel())
 
 
 def _closed_form_power(pitch: float, squared: np.ndarray, k: np.ndarray, corr: np.ndarray) -> np.ndarray:
@@ -650,7 +669,7 @@ def _largest_array(
 def _refuse_over_limit(name: str, size: float) -> None:
     """Raise ValueError, one line, if the named array of size bytes would exceed MAX_ARRAY_BYTES."""
     if size > MAX_ARRAY_BYTES:
-        gib = size / 2**30 if size < 2**1000 else math.inf  # a size beyond the float range reads inf
+        gib = size / 2**30 if size < 2**1024 else math.inf  # only an int past the float range reads inf
         raise ValueError(
             f"the {name} would need {gib:.3g} GiB, over the "
             f"{MAX_ARRAY_BYTES / 2**30:g} GiB limit; reduce the panel or samples"
@@ -800,13 +819,13 @@ def squint_vs_angle(
     modelled; any other incident direction raises ValueError.
 
     The sweep is validated first. HPBW depends on the aperture, the taper and
-    the azimuth only, so it is measured before the loop on one broadside
-    profile, whose coefficients are the taper itself, once per distinct
-    outgoing.phi in first-seen order; a beamwidth that cannot be bracketed
-    raises before any angle is swept. One _field call per profile samples
-    its trace and its PEAK_WINDOW track window. Each profile is folded to its
-    column of radial correlations and not kept; one contraction after the
-    loop gives every angle's power, block by block with no J1 table.
+    the azimuth only, so it is measured on the taper (the broadside profile)
+    once per distinct outgoing.phi, in first-seen order, before any angle is
+    swept. A continuous angle is the taper times exp(-j g.r), g = k0 (u_out -
+    u_in), so its correlation and field follow from the taper's (see the
+    module docstring); a quantized angle builds its own profile and FFT. One
+    _field call per angle samples its trace and PEAK_WINDOW track window; one
+    contraction after the loop gives every angle's power, with no J1 table.
     """
     check_normal_incidence(incident)
     if n_samples < 11 or n_samples % 2 == 0:
@@ -823,20 +842,26 @@ def squint_vs_angle(
     taper_profile = synthesize_profile(a, incident, BROADSIDE, taper)
     azimuths = dict.fromkeys(o.phi for o in outgoing_list)  # distinct, in first-seen order
     hpbw_per_phi = {phi: _broadside_hpbw(taper_profile, phi) for phi in azimuths}
-    del taper_profile  # not held beside each angle's field scratch
+    if bits is None:  # every angle's correlation from the taper's, by one FFT, on its lags i >= 0
+        taper_corr = _half_corr(taper_profile)[: a.n_per_side].copy()
+        radius_index = radius_index[: taper_corr.size].copy()  # only those lags are binned
+    else:
+        del taper_profile  # not held beside each angle's field scratch
     mid = n_samples // 2
     tracks = []
     for outgoing, column in zip(outgoing_list, corr.T):
-        profile = synthesize_profile(a, incident, outgoing, taper)
-        if bits is not None:
-            profile = quantize_profile(profile, bits)
-        column[:] = _radial_corr(profile, radius_index)
+        if bits is None:  # the taper times exp(-j g.r), g = k0 (u_out - u_in) its gradient
+            profile, (gx, gy) = taper_profile, k0 * np.subtract(outgoing.transverse(), incident.transverse())
+            column[:] = _modulate(taper_corr, gx * a.cell_pitch_m, gy * a.cell_pitch_m, radius_index)
+        else:  # the gradient is in the quantized coefficients
+            profile, gx, gy = quantize_profile(synthesize_profile(a, incident, outgoing, taper), bits), 0.0, 0.0
+            column[:] = _radial_corr(profile, radius_index)
 
         # the target at every k, then the track window, on one line q = k*sin(theta)
         hpbw = hpbw_per_phi[outgoing.phi]
         window = k0 * (math.sin(outgoing.theta) + math.sin(hpbw / 2.0) * np.linspace(-1.0, 1.0, PEAK_WINDOW))
         q = np.concatenate((k_per_f * math.sin(outgoing.theta), window))
-        e = _field(profile, [profile.coefficients], q * math.cos(outgoing.phi), q * math.sin(outgoing.phi))
+        e = _field(profile, [profile.coefficients], q * math.cos(outgoing.phi) - gx, q * math.sin(outgoing.phi) - gy)
         peak = _track_beam_peak(np.abs(e[0, n_samples:]) ** 2, window, k_per_f)
         excess = np.abs(peak - outgoing.theta) - hpbw / 2.0
         if excess[mid] > 0.0:

@@ -22,12 +22,14 @@ from thz_ris_planner.radiation import (
     _element_factor,
     _fast_length,
     _closed_form_power,
+    _half_corr,
     _cos_sin_table,
     _field,
     _j1,
     _k_phases,
     _lag_radii,
     _largest_array,
+    _modulate,
     _polynomial,
     _radial_corr,
     _track_beam_peak,
@@ -857,6 +859,17 @@ def test_principal_plane_cut_budget_counts_its_cut(monkeypatch):
     assert theta_deg.size == math.floor(math.pi / step) + 1
 
 
+def test_a_refusal_past_2_to_the_1000_bytes_names_its_size():
+    # a float size never overflows the division; only an int past the float range reads inf
+    prof = synthesize_profile(ApertureSpec.from_element_grid(16, F140), BROADSIDE, BROADSIDE)
+    with pytest.raises(ValueError, match=r"^the cut would need 4\.68e\+292 GiB, over the 1 GiB limit"):
+        principal_plane_cut(prof, theta_step=1e-300)
+    with pytest.raises(ValueError, match=r"^the lattice FFT would need 5\.96e\+292 GiB, "):
+        check_array_budget(10**150)  # 16 (2n)^2 bytes, an int above 2**1000 that a float holds
+    with pytest.raises(ValueError, match=r"^the lattice FFT would need inf GiB, "):
+        check_array_budget(10**200)  # an int past the float range
+
+
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("route", ["principal_plane_cut", "quantized_cuts"])
 def test_cuts_refuse_a_non_finite_azimuth(route, phi):
@@ -1367,8 +1380,39 @@ def test_squint_measures_the_beamwidth_once_per_azimuth(monkeypatch):
     # one broadside (taper) profile serves every azimuth
     assert len(synthesized) == len(targets) + 1
     # measured on the taper steered to broadside, whatever the bits
+    synthesized.clear()
     continuous = squint_vs_angle(ap, BROADSIDE, targets, taper, None, 40e9, 61)
     assert [r.hpbw_rad for r in quantized] == [r.hpbw_rad for r in continuous]
+    # a continuous sweep takes every angle from the taper: it synthesises that one profile
+    assert synthesized == [(ap, BROADSIDE, BROADSIDE, taper)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    theta_deg=st.floats(0.0, 70.0),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    edge_db=st.floats(-15.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_steered_squint_profile_follows_from_its_taper_property(n, theta_deg, phi, edge_db, seed):
+    # c = a exp(-j g.r): Re corr_c(d) = cos(g.d) A(d) and AF_c(k) = AF_a(k - g);
+    # over 600 random cases the worst read 6.5e-14 sum|c|^2 and 6.0e-15 sum|c|
+    ap = ApertureSpec.from_element_grid(n, F140)
+    target, taper = Direction(math.radians(theta_deg), phi), TaperSpec(edge_db)
+    a = synthesize_profile(ap, BROADSIDE, BROADSIDE, taper)
+    c = synthesize_profile(ap, BROADSIDE, target, taper)
+    k0 = 2.0 * math.pi * F140.hertz / SPEED_OF_LIGHT
+    gx, gy = (k0 * g for g in target.transverse())
+    radius_index, _ = _lag_radii(n, n)
+    column = _modulate(_half_corr(a)[:n], gx * ap.cell_pitch_m, gy * ap.cell_pitch_m, radius_index[: n * n])
+    steered = _radial_corr(c, radius_index)
+    assert np.max(np.abs(column - steered)) <= 1e-12 * np.sum(np.abs(c.coefficients) ** 2)
+
+    q = k0 * np.random.default_rng(seed).uniform(-1.2, 1.2, 50)
+    ku, kv = q * math.cos(phi), q * math.sin(phi)
+    shifted = _field(a, [a.coefficients], ku - gx, kv - gy)
+    assert np.max(np.abs(shifted - _field(c, [c.coefficients], ku, kv))) <= 1e-13 * np.sum(np.abs(c.coefficients))
 
 
 def test_squint_samples_each_profile_once(monkeypatch):
