@@ -54,8 +54,7 @@ class ReceiverSpec(Value):
             raise ValueError("noise_figure_db must be finite")
         if not math.isfinite(implementation_loss_db):
             raise ValueError("implementation_loss_db must be finite")
-        if not (0.0 < target_ber < 0.5):
-            raise ValueError("target BER must be in (0, 0.5)")
+        _check_target_ber(target_ber)
         _check_modulation_order(modulation_order)
         super().__init__(bandwidth_hz, noise_figure_db, modulation_order, target_ber,
                          implementation_loss_db)
@@ -82,6 +81,11 @@ def _check_modulation_order(m: int) -> None:
     raise ValueError(f"unsupported modulation order M={m}; use 2, 4, or square M-QAM (16, 64, ...)")
 
 
+def _check_target_ber(ber: float) -> None:
+    if not (0.0 < ber < 0.5):
+        raise ValueError("target BER must be in (0, 0.5)")
+
+
 def _q_inverse(p: float) -> float:
     """Inverse of the Gaussian tail function Q."""
     from statistics import NormalDist  # imported here: most runs give the sensitivity directly
@@ -96,6 +100,7 @@ def required_snr_db(modulation_order: int, target_ber: float) -> float:
     orders invert BER ~ (4/log2 M)(1 - 1/sqrt(M)) Q(sqrt(3*SNR/(M-1))).
     """
     _check_modulation_order(modulation_order)
+    _check_target_ber(target_ber)
     m = modulation_order
     bits = math.log2(m)
     if m in (2, 4):

@@ -33,12 +33,12 @@ further routes exist:
   reference oracle that tests compare both routes against.
 
 directivity() integrates |E|^2 over the front hemisphere by the trapezoid
-rule with the sin(theta) Jacobian on a grid refined around the main lobe; a
-mirrored grid radiates the mirrored field, so its coarse phi grid takes one
-stacked _field call on one quadrant. No production route calls it: like
-array_factor_direct, it is kept as the independent quadrature cross-check
-that tests compare the closed form and the cut route against. A closed form
-for the same integral on a uniform lattice,
+rule with the sin(theta) Jacobian on a grid refined around the main lobe;
+one mirrored _field call radiates its coarse phi grid on one quadrant and the
+three mirror quadrants from the same matrix products. No production route
+calls it: like array_factor_direct, it is kept as the independent quadrature
+cross-check that tests compare the closed form and the cut route against. A
+closed form for the same integral on a uniform lattice,
 
     P(k) = sum_d corr(d) * 2*pi*J1(k*|d|)/(k*|d|),
 
@@ -84,7 +84,7 @@ import numpy as np
 
 from .aperture import ApertureSpec
 from .core import BROADSIDE, SPEED_OF_LIGHT, Direction, Frequency, Value
-from .surface import PhaseProfile, TaperSpec, quantize_profile, synthesize_profile
+from .surface import PhaseProfile, TaperSpec, is_integer, quantize_profile, synthesize_profile
 
 BEAMWIDTH_FACTOR = 0.886  # uniform-aperture 3 dB beamwidth in units of lambda/D
 HPBW_GRID = 17  # samples per bracketing pass of the broadside -3 dB point
@@ -115,6 +115,7 @@ def _hankel_coefficients(terms: int) -> tuple[tuple[float, ...], tuple[float, ..
     return tuple(signed[0::2]), tuple(signed[1::2])
 
 
+_MIRROR_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1]], dtype=float)
 _SERIES = _series_coefficients(12)  # the first omitted term is 3e-19 at x = 2
 _HANKEL_P, _HANKEL_Q = _hankel_coefficients(16)  # the first omitted term is 5e-17 at x = 25
 
@@ -229,7 +230,7 @@ def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> U
     points the result equals array_factor_direct to machine precision.
     Points outside the visible region u^2 + v^2 <= 1 are NaN.
     """
-    if isinstance(uv_oversample, bool) or not isinstance(uv_oversample, (int, np.integer)):
+    if not is_integer(uv_oversample):
         raise ValueError(f"uv_oversample must be an integer, got {uv_oversample!r}")
     if uv_oversample < 1:
         raise ValueError("uv_oversample must be >= 1")
@@ -317,7 +318,7 @@ def _cos_sin_table(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return table.reshape(2 * m, q.size)
 
 
-def _field(p: PhaseProfile, grids: list[np.ndarray], ku: np.ndarray, kv: np.ndarray) -> np.ndarray:
+def _field(p: PhaseProfile, grids: list[np.ndarray], ku: np.ndarray, kv: np.ndarray, mirrored=False) -> np.ndarray:
     """Array factor sum_ij c_ij exp(j (ku_s x_i + kv_s y_j)) of each grid c at each pair (ku_s, kv_s).
 
     grids is a stack of P coefficient grids on the lattice of p, a list or a
@@ -328,20 +329,34 @@ def _field(p: PhaseProfile, grids: list[np.ndarray], ku: np.ndarray, kv: np.ndar
     directions _cos_sin_table builds [cos; sin] of x ku and of y kv once, and
     each folded grid times the y table, one real matrix product, is summed
     against the x table for the real and imaginary part, so a grid's field is
-    the same in a stack as alone. Directions run along the last axis.
+    the same in a stack as alone. Directions run along the last axis, padded
+    with copies of the last one to a multiple of 8, where BLAS rounds every
+    column of a product alike, so a direction's field is the same in any call.
+
+    mirrored: the result is (P, 4, *ku.shape), the field at (ku, kv), (-ku,
+    kv), (-ku, -kv) and (ku, -kv): _MIRROR_SIGNS times the parity parts, cos
+    or sin in x by cos or sin in y, from the cos-y and sin-y halves of the
+    product (the flops of one) against the cos-x and sin-x halves of the x table.
     """
-    ku = np.asarray(ku, dtype=float)
-    kv = np.asarray(kv, dtype=float)
-    flat_u, flat_v = ku.ravel(), kv.ravel()
+    ku, kv = np.asarray(ku, dtype=float), np.asarray(kv, dtype=float)
+    pad = np.minimum(np.arange(ku.size + -ku.size % 8), ku.size - 1)
+    flat_u, flat_v = ku.ravel()[pad], kv.ravel()[pad]
     folded = [_parity_fold(c) for c in grids]
-    out = np.empty((len(folded), flat_u.size), dtype=complex)
-    for s in range(0, flat_u.size, FIELD_CHUNK):
+    out = np.empty((len(folded), 4 if mirrored else 1, pad.size), dtype=complex)
+    for s in range(0, pad.size, FIELD_CHUNK):
         chunk = slice(s, s + FIELD_CHUNK)
         ax, ay = _cos_sin_table(p.x_m, flat_u[chunk]), _cos_sin_table(p.y_m, flat_v[chunk])
+        axp, my = ax.reshape(2, -1, ax.shape[1]), ay.shape[0] // 2  # axp: [px, u, s]
         for fold, row in zip(folded, out):
-            partial = (fold @ ay).reshape(2, ax.shape[0], -1)
-            row.real[chunk], row.imag[chunk] = np.einsum("rks,ks->rs", partial, ax)
-    return out.reshape(len(folded), *ku.shape)
+            if mirrored:  # each y-parity half of the product, [r, px, u, s], in turn against axp: [px, py, r, s]
+                parts = np.stack([np.einsum("rpus,pus->prs", (fold[:, y] @ ay[y]).reshape(2, *axp.shape), axp)
+                                  for y in (slice(0, my), slice(my, None))], axis=1)
+                re, im = (_MIRROR_SIGNS @ parts.reshape(4, -1)).reshape(4, 2, -1).transpose(1, 0, 2)
+            else:
+                re, im = np.einsum("rks,ks->rs", (fold @ ay).reshape(2, ax.shape[0], -1), ax)
+            row.real[:, chunk], row.imag[:, chunk] = re, im
+    out = out[..., : ku.size] if mirrored else out[:, 0, : ku.size]
+    return out.reshape(*out.shape[:-1], *ku.shape)
 
 
 def analytical_hpbw(p: PhaseProfile) -> float:
@@ -360,8 +375,9 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
     grid_resolution within the larger of LOBE_WINDOW and two analytical
     beamwidths of the main lobe. grid_resolution must be positive, finite,
     at most half the analytical beamwidth, and keep the grid within
-    MAX_ARRAY_BYTES. The coarse phi grid is radiated on its first quadrant
-    only, by c and its three mirror images; the fine phi window directly.
+    MAX_ARRAY_BYTES. One mirrored _field call radiates the coarse phi grid's
+    first quadrant and the other three from the same products; the fine phi
+    window around a steered lobe is radiated directly.
     """
     if not 0.0 < grid_resolution < math.inf:
         raise ValueError(f"grid_resolution must be positive and finite, got {grid_resolution}")
@@ -401,8 +417,7 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
     kt, ef = _wavenumber(f) * st, _element_factor(theta)[:, None]
     c, q = p.coefficients, (coarse.size - 1) // 4
     i = np.arange(q + 1)
-    mirrors = [c, c[::-1], c[::-1, ::-1], c[:, ::-1]]  # AF at phi, pi - phi, pi + phi and -phi
-    images = _field(p, mirrors, kt * np.cos(coarse[i]), kt * np.sin(coarse[i]))
+    images = _field(p, [c], kt * np.cos(coarse[i]), kt * np.sin(coarse[i]), mirrored=True)[0]
     e2 = np.empty((theta.size, phi.size))  # not held beside the kernel's tables
     for m, columns in enumerate((i, 2 * q - i, 2 * q + i, 4 * q - i)):
         e2[:, np.searchsorted(phi, coarse[columns])] = np.abs(images[m] * ef) ** 2
@@ -828,8 +843,8 @@ def squint_vs_angle(
     contraction after the loop gives every angle's power, with no J1 table.
     """
     check_normal_incidence(incident)
-    if n_samples < 11 or n_samples % 2 == 0:
-        raise ValueError("n_samples must be odd and >= 11 so f0 lies on the grid")
+    if not is_integer(n_samples) or n_samples < 11 or n_samples % 2 == 0:
+        raise ValueError(f"n_samples must be an odd integer >= 11 so f0 lies on the grid, got {n_samples!r}")
     f0 = a.design_freq
     if not (0.0 < f_span_hz < f0.hertz):
         raise ValueError("f_span must be positive and below the design frequency")

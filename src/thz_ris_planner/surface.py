@@ -133,10 +133,15 @@ def synthesize_profile(
     )
 
 
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer; False for a bool, a float or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def quantization_levels(bits: int) -> np.ndarray:
     """The 2^bits uniformly spaced phase states, starting at 0 rad."""
-    if not (1 <= bits <= MAX_QUANTIZATION_BITS):
-        raise ValueError(f"quantization bits must be in [1, {MAX_QUANTIZATION_BITS}]")
+    if not is_integer(bits) or not 1 <= bits <= MAX_QUANTIZATION_BITS:
+        raise ValueError(f"quantization bits must be an integer in [1, {MAX_QUANTIZATION_BITS}], got {bits!r}")
     return 2.0 * math.pi * np.arange(2**bits) / 2**bits
 
 

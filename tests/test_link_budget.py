@@ -172,6 +172,17 @@ def test_required_snr_rejects_unsupported_orders():
         ReceiverSpec(2e9, 7.0, modulation_order=8)
 
 
+@pytest.mark.parametrize("m", [2, 4, 16])
+@pytest.mark.parametrize("ber", [math.nan, math.inf, -math.inf, 0.0, -1e-6, 0.5, 0.9])
+def test_required_snr_refuses_a_ber_outside_zero_to_half(m, ber):
+    # the check ReceiverSpec runs: without it QPSK took Q^-1 of 0.9 and NaN passed through
+    with pytest.raises(ValueError, match=r"target BER must be in \(0, 0.5\)") as raised:
+        required_snr_db(m, ber)
+    assert "\n" not in str(raised.value)
+    with pytest.raises(ValueError, match=r"target BER must be in \(0, 0.5\)"):
+        ReceiverSpec(2e9, 7.0, m, ber)
+
+
 def test_receiver_spec_validation():
     with pytest.raises(ValueError):
         ReceiverSpec(0.0, 7.0)

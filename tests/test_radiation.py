@@ -1015,23 +1015,47 @@ def test_field_of_a_direction_barely_depends_on_its_call_width_property(n, seed)
         assert np.max(np.abs(_field(prof, grids, ku[part], kv[part])[0] - whole[part])) <= bound
 
 
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1), mirrored=st.booleans())
+@example(n=1, seed=0, mirrored=False)
+@example(n=70, seed=0, mirrored=True)
+def test_field_of_a_direction_has_the_same_bits_in_any_call_property(n, seed, mirrored):
+    # each chunk is padded to a multiple of 8 directions, where BLAS rounds every column alike
+    rng = np.random.default_rng(seed)
+    prof = _random_lattice(n, n + 3, rng)
+    grids = [prof.coefficients]
+    ku, kv = rng.uniform(-1.0, 1.0, (2, FIELD_CHUNK)) * radiation._wavenumber(F140)
+    whole = _field(prof, grids, ku, kv, mirrored)
+    for width in (1, 2, 3, 7, 8, 9, 17, 21, 182, int(rng.integers(1, FIELD_CHUNK)), 1023):
+        start = int(rng.integers(0, FIELD_CHUNK - width + 1))
+        part = slice(start, start + width)
+        assert np.array_equal(_field(prof, grids, ku[part], kv[part], mirrored), whole[..., part])
+
+
 @settings(max_examples=20, deadline=None)
 @given(rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 @example(rows=7, cols=7, seed=1)  # odd: the centre row and column mirror onto themselves
 @example(rows=8, cols=8, seed=2)
 @example(rows=5, cols=10, seed=3)
+@example(rows=9, cols=4, seed=4)
 def test_field_of_a_mirrored_grid_is_the_mirrored_field_property(rows, cols, seed):
     # on the centred lattice x[n-1-i] == -x[i], so reversing an axis of c negates that wavenumber,
-    # and conj(c) radiates conj AF(-ku, -kv); directivity() builds three quadrants from the first
+    # and conj(c) radiates conj AF(-ku, -kv); the images of one product are those same fields
     rng = np.random.default_rng(seed)
     prof = _random_lattice(rows, cols, rng)
     c = prof.coefficients
-    ku, kv = np.append(rng.uniform(-1.0, 1.0, (2, 300)), [[0.0], [0.0]], axis=1) * radiation._wavenumber(F140)
-    images = _field(prof, [c[::-1], c[:, ::-1], c[::-1, ::-1], np.conj(c)], ku, kv)
-    mirrored = _field(prof, [c], np.stack([-ku, ku, -ku, -ku]), np.stack([kv, -kv, -kv, -kv]))[0]
-    mirrored[3] = np.conj(mirrored[3])
-    peak = np.max(np.abs(mirrored))
-    assert np.max(np.abs(images - mirrored)) <= 1e-15 * peak
+    ku, kv = np.append(rng.uniform(-1.0, 1.0, (2, 301)), [[0.0], [0.0]], axis=1) * radiation._wavenumber(F140)
+    stack = _field(prof, [c, c[::-1], c[::-1, ::-1], c[:, ::-1], np.conj(c)], ku, kv)
+    mirrored = _field(prof, [c], np.stack([ku, -ku, -ku, ku, -ku]), np.stack([kv, kv, -kv, -kv, -kv]))[0]
+    mirrored[4] = np.conj(mirrored[4])
+    assert np.max(np.abs(stack - mirrored)) <= 1e-15 * np.max(np.abs(mirrored))
+
+    images = _field(prof, [c], ku.reshape(2, -1), kv.reshape(2, -1), mirrored=True)
+    assert images.shape == (1, 4, 2, ku.size // 2)
+    images = images.reshape(4, -1)
+    bound = 1e-15 * np.sum(np.abs(c))
+    assert np.max(np.abs(images - mirrored[:4])) <= bound
+    assert np.max(np.abs(images - stack[:4])) <= bound
 
 
 @settings(max_examples=12, deadline=None)
@@ -1086,6 +1110,11 @@ def _directivity_axes(p, grid_resolution):
         (24, 24, Direction.from_degrees(30.0, 20.0), True),
         (25, 25, Direction.from_degrees(35.0, 110.0), True),  # odd: centre row and column
         (9, 14, Direction.from_degrees(40.0, 250.0), True),  # rows != cols: x and y mirror apart
+        # small panels: one row, whose x axis is the centre alone, and a fine window of 4 to 7 cells per side
+        (1, 3, BROADSIDE, False),
+        (3, 5, Direction.from_degrees(30.0, 200.0), False),
+        (6, 4, Direction.from_degrees(50.0, 300.0), True),
+        (7, 7, Direction.from_degrees(60.0, 100.0), True),
     ],
 )
 def test_directivity_assembles_the_full_grid(rows, cols, target, fine_phi):
@@ -1098,14 +1127,16 @@ def test_directivity_assembles_the_full_grid(rows, cols, target, fine_phi):
     if not fine_phi:
         assert phi.size == 721
 
-    # the same quadrature with every column radiated directly
+    # the same quadrature with every column radiated directly, with no mirror images
     st = np.sin(theta)[:, None]
     kt = radiation._wavenumber(F140) * st
     e = _field(p, [p.coefficients], kt * np.cos(phi), kt * np.sin(phi))[0]
     e2 = np.abs(e * _element_factor(theta)[:, None]) ** 2
     total = np.trapezoid(np.trapezoid(e2 * st, x=phi, axis=1), x=theta)
-    assert pattern.total_power == pytest.approx(total, rel=1e-12)
-    # and each column in its place: the pattern itself, away from deep nulls
+    assert pattern.total_power == pytest.approx(total, rel=1e-13)
+    # and each column in its place: the pattern itself, nulls included, and in dB away from deep nulls
+    power = 10.0 ** (pattern.directivity_dbi / 10.0) * pattern.total_power / (4.0 * math.pi)
+    assert np.max(np.abs(power - e2)) <= 1e-13 * np.max(e2)
     lit = e2 > 1e-6 * np.max(e2)
     assert np.max(np.abs(pattern.directivity_dbi[lit] - radiation._dbi(e2[lit], total))) <= 1e-9
 
@@ -1316,6 +1347,15 @@ def test_squint_parameter_validation():
         squint_sweep(ap, BROADSIDE, OUT45, n_samples=9)  # too few
     with pytest.raises(ValueError):
         squint_sweep(ap, BROADSIDE, OUT45, f_span_hz=200e9)  # wider than f0
+
+
+@pytest.mark.parametrize("n_samples", [11.0, 81.5, True, "81", None])
+def test_squint_refuses_a_sample_count_that_is_not_an_integer(n_samples):
+    # 11.0 passed the odd check and ended in a TypeError from linspace
+    ap = ApertureSpec.from_element_grid(8, F140)
+    with pytest.raises(ValueError, match="n_samples must be an odd integer") as raised:
+        squint_vs_angle(ap, BROADSIDE, [OUT45], n_samples=n_samples)
+    assert "\n" not in str(raised.value)
 
 
 def test_squint_bandwidth_shrinks_with_angle():

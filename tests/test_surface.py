@@ -194,6 +194,16 @@ def test_quantize_bits_bounds():
         quantize_profile(prof, 0)
     with pytest.raises(ValueError):
         quantize_profile(prof, 9)
+    assert np.array_equal(quantization_levels(np.int64(2)), quantization_levels(2))  # a numpy integer is one
+
+
+@pytest.mark.parametrize("bits", [2.5, 2.0, True, False, "2", None])
+def test_quantize_refuses_bits_that_are_not_an_integer(bits):
+    # 2.5 would quantise to 2**2.5 uneven states and True to 1 bit
+    prof = synthesize_profile(ApertureSpec.from_element_grid(4, F140), BROADSIDE, OUT45)
+    with pytest.raises(ValueError, match="quantization bits must be an integer") as raised:
+        quantize_profile(prof, bits)
+    assert "\n" not in str(raised.value)
 
 
 def test_profile_arrays_immutable():
