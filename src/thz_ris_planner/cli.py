@@ -217,7 +217,7 @@ def cmd_pattern(args, cfg: ScenarioConfig):
     import numpy as np
 
     from . import svgplot
-    from .radiation import array_factor_fft, check_array_budget, check_normal_incidence, quantized_cuts
+    from .radiation import array_factor_fft, check_normal_incidence, quantized_cuts
     from .surface import synthesize_profile
 
     incident = _direction(cfg, "in")
@@ -226,7 +226,6 @@ def cmd_pattern(args, cfg: ScenarioConfig):
     panel = _aperture(cfg)
     taper = _taper(cfg)
     check_normal_incidence(incident)
-    check_array_budget(panel.n_per_side)
 
     continuous = synthesize_profile(panel, incident, outgoing, taper)
     cuts = quantized_cuts(continuous, bits_list, outgoing.phi)

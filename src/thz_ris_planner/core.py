@@ -1,10 +1,12 @@
-"""Units, constants and angular primitives shared by all modules."""
+"""Units, constants, angular primitives and the 1 GiB array budget shared by all modules."""
 
 from __future__ import annotations
 
 import math
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
+PEAK_WINDOW = 21  # samples of the steering-plane array factor around the beam
+MAX_ARRAY_BYTES = 2**30  # largest single array a pattern or squint run may allocate
 
 
 def _finite(compute, error: Exception) -> float:
@@ -16,6 +18,60 @@ def _finite(compute, error: Exception) -> float:
     if not math.isfinite(value):
         raise error
     return value
+
+
+def _fast_length(n: int) -> int:
+    """Least 5-smooth length 2^a 3^b 5^c >= n, a size pocketfft transforms without Bluestein."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _largest_array(
+    n_per_side: int, n_freqs: int = 1, n_directions: int = 0, n_angles: int = 1
+) -> tuple[str, int]:
+    """(name, bytes) of the largest array a pattern or squint run would allocate.
+
+    Estimated from the sizes alone: the lattice FFT counts max(2n, L)^2
+    complex values, 2n the side of the pattern_uv map, which peaks near two
+    such lattices, and L the 5-smooth length of the power autocorrelation,
+    whose blocks hold about one; squint n_freqs floats per PEAK_WINDOW
+    sample of the beam track and per angle, and one float per distinct lag
+    radius (at most n(n+1)/2) per angle; the cuts one complex value per
+    direction of each. L is only sought once (2n)^2 fits the limit, so the
+    estimate costs nothing however large n is.
+    """
+    side = 2 * n_per_side
+    if 16 * side**2 <= MAX_ARRAY_BYTES:
+        side = max(side, _fast_length(side - 1))
+    candidates = (
+        ("lattice FFT", 16 * side**2),
+        ("beam track", 8 * n_freqs * PEAK_WINDOW),
+        ("radial correlation", 8 * n_per_side * (n_per_side + 1) // 2 * n_angles),
+        ("squint power", 8 * n_freqs * n_angles),
+        ("cut", 16 * n_directions),
+    )
+    return max(candidates, key=lambda c: c[1])
+
+
+def _refuse_over_limit(name: str, size: float) -> None:
+    """Raise ValueError, one line, if the named array of size bytes would exceed MAX_ARRAY_BYTES."""
+    if size > MAX_ARRAY_BYTES:
+        gib = size / 2**30 if size < 2**1024 else math.inf  # only an int past the float range reads inf
+        raise ValueError(
+            f"the {name} would need {gib:.3g} GiB, over the "
+            f"{MAX_ARRAY_BYTES / 2**30:g} GiB limit; reduce the panel or samples"
+        )
+
+
+def check_array_budget(n_per_side: int, n_freqs: int = 1, n_directions: int = 0, n_angles: int = 1) -> None:
+    """Raise ValueError before a run whose largest array would exceed MAX_ARRAY_BYTES."""
+    _refuse_over_limit(*_largest_array(n_per_side, n_freqs, n_directions, n_angles))
 
 
 class Value:

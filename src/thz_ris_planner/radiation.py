@@ -83,17 +83,17 @@ import math
 import numpy as np
 
 from .aperture import ApertureSpec
-from .core import BROADSIDE, SPEED_OF_LIGHT, Direction, Frequency, Value
+from .core import (
+    BROADSIDE, PEAK_WINDOW, SPEED_OF_LIGHT, Direction, Frequency, Value, _fast_length, _refuse_over_limit, check_array_budget
+)
 from .surface import PhaseProfile, TaperSpec, is_integer, quantize_profile, synthesize_profile
 
 BEAMWIDTH_FACTOR = 0.886  # uniform-aperture 3 dB beamwidth in units of lambda/D
 HPBW_GRID = 17  # samples per bracketing pass of the broadside -3 dB point
-PEAK_WINDOW = 21  # samples of the steering-plane array factor around the beam
 FIELD_CHUNK = 1024  # directions per cos/sin table pair in _field; fewer is slower, more no faster
 COARSE_RESOLUTION = math.radians(0.5)  # directivity grid step away from the main lobe
 LOBE_WINDOW = math.radians(2.0)  # least half-width of the fine grid around the main lobe
 CUT_STEPS_PER_BEAMWIDTH = 20  # quantization-loss cut samples per analytical beamwidth
-MAX_ARRAY_BYTES = 2**30  # largest single array a pattern or squint run may allocate
 FFT_BLOCK_BYTES = 2**20  # bytes per block of a padded-lattice pass; _radial_corr of up to 100^2 cells takes one
 J1_BLOCK_BYTES = 2**17  # bytes per _closed_form_power J1 block: the least of 2**15-2**19 that costs no time
 J1_SERIES_MAX = 2.0  # _j1 sums the power series up to here,
@@ -237,17 +237,13 @@ def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> U
     nx, ny = p.rows, p.cols
     lx, ly = nx * uv_oversample, ny * uv_oversample
     _refuse_over_limit(f"{lx}x{ly} (u, v) lattice", 16 * lx * ly)
-    field = np.fft.fftshift(np.fft.ifft2(p.coefficients, s=(lx, ly)))  # the one shifted copy
-    field *= lx * ly
+    field = np.fft.fftshift(np.fft.ifft2(p.coefficients, s=(lx, ly), norm="forward"))  # the one shifted copy
     alpha = np.fft.fftshift(np.fft.fftfreq(lx))  # pitch * u / lambda
     beta = np.fft.fftshift(np.fft.fftfreq(ly))
 
-    # grid centering: x_i = (i - (nx-1)/2) * pitch, one row block of the product at a time
-    ex = np.exp(-2j * math.pi * alpha * (nx - 1) / 2.0)
-    ey = np.exp(-2j * math.pi * beta * (ny - 1) / 2.0)
-    step = max(1, FFT_BLOCK_BYTES // (16 * ly))
-    for i in range(0, lx, step):
-        field[i : i + step] *= ex[i : i + step, None] * ey[None, :]
+    # grid centering: x_i = (i - (nx-1)/2) * pitch, one axis at a time
+    field *= np.exp(-2j * math.pi * alpha * (nx - 1) / 2.0)[:, None]
+    field *= np.exp(-2j * math.pi * beta * (ny - 1) / 2.0)
     # a pitch so far below the wavelength that u or u^2 overflows to inf puts
     # that point outside the visible region, where it belongs
     with np.errstate(over="ignore", invalid="ignore"):
@@ -436,22 +432,11 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
 
 def hemisphere_power_exact(p: PhaseProfile, f: Frequency | None = None) -> float:
     """Closed-form hemisphere integral sum_d corr(d) * 2*pi*J1(k|d|)/(k|d|) of |E|^2."""
+    check_array_budget(max(p.rows, p.cols))
     k = np.array([_wavenumber(p.design_freq if f is None else f)])
     radius_index, squared = _lag_radii(p.rows, p.cols)
     corr = _radial_corr(p, radius_index)[:, None]
     return float(_closed_form_power(p.cell_pitch_m, squared, k, corr)[0, 0])
-
-
-def _fast_length(n: int) -> int:
-    """Least 5-smooth length 2^a 3^b 5^c >= n, a size pocketfft transforms without Bluestein."""
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
 
 
 def _lag_radii(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -654,54 +639,12 @@ def check_normal_incidence(incident: Direction) -> None:
         )
 
 
-def _largest_array(
-    n_per_side: int, n_freqs: int = 1, n_directions: int = 0, n_angles: int = 1
-) -> tuple[str, int]:
-    """(name, bytes) of the largest array a pattern or squint run would allocate.
-
-    Estimated from the sizes alone: the lattice FFT counts max(2n, L)^2
-    complex values, 2n the side of the pattern_uv map, which peaks near two
-    such lattices, and L the 5-smooth length of the power autocorrelation,
-    whose blocks hold about one; squint n_freqs floats per PEAK_WINDOW
-    sample of the beam track and per angle, and one float per distinct lag
-    radius (at most n(n+1)/2) per angle; the cuts one complex value per
-    direction of each. L is only sought once (2n)^2 fits the limit, so the
-    estimate costs nothing however large n is.
-    """
-    side = 2 * n_per_side
-    if 16 * side**2 <= MAX_ARRAY_BYTES:
-        side = max(side, _fast_length(side - 1))
-    candidates = (
-        ("lattice FFT", 16 * side**2),
-        ("beam track", 8 * n_freqs * PEAK_WINDOW),
-        ("radial correlation", 8 * n_per_side * (n_per_side + 1) // 2 * n_angles),
-        ("squint power", 8 * n_freqs * n_angles),
-        ("cut", 16 * n_directions),
-    )
-    return max(candidates, key=lambda c: c[1])
-
-
-def _refuse_over_limit(name: str, size: float) -> None:
-    """Raise ValueError, one line, if the named array of size bytes would exceed MAX_ARRAY_BYTES."""
-    if size > MAX_ARRAY_BYTES:
-        gib = size / 2**30 if size < 2**1024 else math.inf  # only an int past the float range reads inf
-        raise ValueError(
-            f"the {name} would need {gib:.3g} GiB, over the "
-            f"{MAX_ARRAY_BYTES / 2**30:g} GiB limit; reduce the panel or samples"
-        )
-
-
-def check_array_budget(n_per_side: int, n_freqs: int = 1, n_directions: int = 0, n_angles: int = 1) -> None:
-    """Raise ValueError before a run whose largest array would exceed MAX_ARRAY_BYTES."""
-    _refuse_over_limit(*_largest_array(n_per_side, n_freqs, n_directions, n_angles))
-
-
 def gain_at(p: PhaseProfile, f: Frequency, direction: Direction) -> float:
-    """Directivity (dBi) at one direction, normalized by the exact power."""
-    k = _wavenumber(f)
+    """Directivity (dBi) at one direction, normalized by the exact power, which refuses an oversize p first."""
+    power, k = hemisphere_power_exact(p, f), _wavenumber(f)
     u, v = direction.transverse()
     e = _field(p, [p.coefficients], k * u, k * v)[0] * _element_factor(direction.theta)
-    return float(_dbi(abs(e) ** 2, hemisphere_power_exact(p, f)))
+    return float(_dbi(abs(e) ** 2, power))
 
 
 def principal_plane_cut(
@@ -752,7 +695,6 @@ def quantization_loss(
     Each peak is the maximum of the quantized_cuts cut at azimuth
     outgoing.phi, normalized by the closed-form hemisphere power.
     """
-    check_array_budget(a.n_per_side)
     continuous = synthesize_profile(a, BROADSIDE, outgoing, taper)
     cuts = quantized_cuts(continuous, [*bits_list, None], outgoing.phi)
     peaks = [float(np.max(dbi)) for _, dbi in cuts]

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .aperture import ApertureSpec
-from .core import Direction, Frequency, Value
+from .core import Direction, Frequency, Value, check_array_budget
 
 MAX_QUANTIZATION_BITS = 8  # beyond practical per-cell switch counts
 
@@ -120,6 +120,7 @@ def synthesize_profile(
     taper: TaperSpec = TaperSpec(),
 ) -> PhaseProfile:
     """Continuous (unquantized) profile steering incident -> outgoing at f0."""
+    check_array_budget(a.n_per_side)
     x = _centred_axis(a.n_per_side, a.cell_pitch_m)
     k0 = 2.0 * math.pi / a.design_freq.wavelength_m
     u_in, v_in = incident.transverse()
@@ -150,6 +151,7 @@ def quantize_profile(p: PhaseProfile, bits: int) -> PhaseProfile:
 
     Exact midpoints round toward the lower level index.
     """
+    check_array_budget(max(p.rows, p.cols))
     levels = quantization_levels(bits)
     step = levels[1]  # 2*pi / 2^bits
     # ceil(x - 0.5) is round-half-down, the documented tie break

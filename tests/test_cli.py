@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import thz_ris_planner
-from thz_ris_planner import radiation
+from thz_ris_planner import core, radiation
 from thz_ris_planner.cli import _fmt_cell, build_parser, main
 from thz_ris_planner.config import _SCHEMAS, _UNITS, load_config
 
@@ -582,7 +582,7 @@ def test_failed_write_leaves_no_artifact(tmp_path, capsys):
 )
 def test_oversize_run_exits_1(tmp_path, capsys, monkeypatch, command, config, args):
     # a small budget stands in for a huge problem, so nothing large is allocated
-    monkeypatch.setattr(radiation, "MAX_ARRAY_BYTES", 1024)
+    monkeypatch.setattr(core, "MAX_ARRAY_BYTES", 1024)
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(config)
     code = main(["--config", str(cfg), "--out", str(tmp_path), command, *args])
@@ -590,6 +590,18 @@ def test_oversize_run_exits_1(tmp_path, capsys, monkeypatch, command, config, ar
     err = capsys.readouterr().err
     assert err.startswith("error: the ") and "GiB limit" in err and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_pattern_refuses_an_oversize_panel_before_synthesis(tmp_path, capsys):
+    cfg = tmp_path / "pattern.cfg"
+    cfg.write_text(SMALL_PATTERN.replace("n_per_side = 20", "n_per_side = 5000"))
+    argv = ["--config", str(cfg), "--out", str(tmp_path), "pattern"]
+    assert main(argv) == 1  # warm-up, so that imports are not counted
+    code, peak = traced_peak(main, argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == 2 * "error: the lattice FFT would need 1.49 GiB, over the 1 GiB limit; reduce the panel or samples\n"
+    assert peak < 2**20  # the 5000^2 profile alone would take 381 MiB
 
 
 def test_power_command(tmp_path, capsys):

@@ -61,6 +61,14 @@ def test_oblique_incidence_cancels_matching_output():
     assert np.allclose(prof.phases(), prof.phases()[0, 0], atol=1e-9)
 
 
+def test_synthesis_refuses_a_panel_past_the_budget_before_allocating_it():
+    # unguarded, 10^6 cells per side asked numpy for 7.28 TiB
+    panel = ApertureSpec.from_element_grid(10**6, F140)
+    with pytest.raises(ValueError, match="GiB limit") as raised:
+        synthesize_profile(panel, BROADSIDE, OUT45)
+    assert "\n" not in str(raised.value)
+
+
 # --- taper ------------------------------------------------------------------
 
 
