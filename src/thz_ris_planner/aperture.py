@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Direction, Frequency, Value, _finite
+from .core import Direction, Frequency, Value, _finite, is_integer
 
 
 class UnreachableGeometryError(ValueError):
@@ -49,7 +49,9 @@ class ApertureSpec(Value):
         cell_pitch_m: float | None = None,
         aperture_efficiency: float = 1.0,
     ) -> "ApertureSpec":
-        """Aperture sized to hold exactly n_per_side x n_per_side cells."""
+        """Aperture sized to hold exactly n_per_side x n_per_side cells; n_per_side is an integer >= 1."""
+        if not is_integer(n_per_side):
+            raise ValueError(f"n_per_side must be an integer, got {n_per_side!r}")
         if n_per_side < 1:
             raise ValueError("n_per_side must be >= 1")
         if n_per_side >= 2**512:  # n_per_side^2 cells would overflow a float

@@ -20,6 +20,11 @@ def _finite(compute, error: Exception) -> float:
     return value
 
 
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer; False for a bool, numpy's bool, a float or anything else."""
+    return type(value) is not bool and hasattr(type(value), "__index__")
+
+
 def _fast_length(n: int) -> int:
     """Least 5-smooth length 2^a 3^b 5^c >= n, a size pocketfft transforms without Bluestein."""
     while True:

@@ -12,15 +12,15 @@ f != f0 is what produces beam squint.
 Every production field evaluation (principal cuts, single-direction gain,
 the directivity quadrature, the broadside beamwidth, and one sample per
 squint angle for its gain trace and beam track) goes through one kernel,
-_field(p, grids, ku, kv), which radiates a stack of grids on the lattice of
-p. A PhaseProfile lies on a uniform lattice centred on the origin,
+_field(p, folded, ku, kv), which radiates a stack of folded grids on the
+lattice of p. A PhaseProfile lies on a uniform lattice centred on the origin,
 x[n-1-i] == -x[i] exactly, so cos(x q) is even in x and sin(x q) odd, and
 _field works on the upper m = n - n//2 rows of each axis in real arithmetic
-only. It folds each grid with _parity_fold into its four parity parts,
-c[u] +/- c[n-1-u] per axis: one real matrix. Per chunk of directions
-_cos_sin_table writes [cos; sin] of the upper rows of each axis, three exps
-per direction, into one real table; for each grid, one real matrix product
-with the y table, half the multiplies of a complex product over all rows,
+only. Each caller folds a grid once, where it makes it, by _parity_fold into
+four parity parts, c[u] +/- c[n-1-u] per axis: one real matrix. Per chunk of
+directions _cos_sin_table writes [cos; sin] of the upper rows of each axis,
+three exps per direction, into one real table; for each folded grid, one real
+matrix product with the y table, half the multiplies of a complex product,
 and a real product-sum against the x table finish the chunk. The kernel is
 within 1e-15 of the peak of array_factor_direct on 1^2 to 128^2 panels. Two
 further routes exist:
@@ -83,10 +83,9 @@ import math
 import numpy as np
 
 from .aperture import ApertureSpec
-from .core import (
-    BROADSIDE, PEAK_WINDOW, SPEED_OF_LIGHT, Direction, Frequency, Value, _fast_length, _refuse_over_limit, check_array_budget
-)
-from .surface import PhaseProfile, TaperSpec, is_integer, quantize_profile, synthesize_profile
+from .core import BROADSIDE, PEAK_WINDOW, SPEED_OF_LIGHT, Direction, Frequency, Value
+from .core import _fast_length, _refuse_over_limit, check_array_budget, is_integer
+from .surface import PhaseProfile, TaperSpec, quantize_profile, synthesize_profile
 
 BEAMWIDTH_FACTOR = 0.886  # uniform-aperture 3 dB beamwidth in units of lambda/D
 HPBW_GRID = 17  # samples per bracketing pass of the broadside -3 dB point
@@ -314,14 +313,14 @@ def _cos_sin_table(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return table.reshape(2 * m, q.size)
 
 
-def _field(p: PhaseProfile, grids: list[np.ndarray], ku: np.ndarray, kv: np.ndarray, mirrored=False) -> np.ndarray:
+def _field(p: PhaseProfile, folded: list[np.ndarray], ku: np.ndarray, kv: np.ndarray, mirrored=False) -> np.ndarray:
     """Array factor sum_ij c_ij exp(j (ku_s x_i + kv_s y_j)) of each grid c at each pair (ku_s, kv_s).
 
-    grids is a stack of P coefficient grids on the lattice of p, a list or a
-    (P, rows, cols) array; ku and kv are k*u and k*v (rad/m) of one shape, and
-    the result is (P, *ku.shape), with no element factor. The sum is separable,
-    and the centred lattice lets it run on the upper half of each axis in real
-    arithmetic: each grid is folded once with _parity_fold; per FIELD_CHUNK
+    folded is a stack of P grids c on the lattice of p as _parity_fold returns
+    them, so a caller that radiates a grid in many calls folds it once; ku and
+    kv are k*u and k*v (rad/m) of one shape, and the result is (P, *ku.shape),
+    with no element factor. The sum is separable, and the centred lattice lets
+    it run on the upper half of each axis in real arithmetic: per FIELD_CHUNK
     directions _cos_sin_table builds [cos; sin] of x ku and of y kv once, and
     each folded grid times the y table, one real matrix product, is summed
     against the x table for the real and imaginary part, so a grid's field is
@@ -337,7 +336,6 @@ def _field(p: PhaseProfile, grids: list[np.ndarray], ku: np.ndarray, kv: np.ndar
     ku, kv = np.asarray(ku, dtype=float), np.asarray(kv, dtype=float)
     pad = np.minimum(np.arange(ku.size + -ku.size % 8), ku.size - 1)
     flat_u, flat_v = ku.ravel()[pad], kv.ravel()[pad]
-    folded = [_parity_fold(c) for c in grids]
     out = np.empty((len(folded), 4 if mirrored else 1, pad.size), dtype=complex)
     for s in range(0, pad.size, FIELD_CHUNK):
         chunk = slice(s, s + FIELD_CHUNK)
@@ -411,15 +409,15 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
 
     st = np.sin(theta)[:, None]
     kt, ef = _wavenumber(f) * st, _element_factor(theta)[:, None]
-    c, q = p.coefficients, (coarse.size - 1) // 4
+    fold, q = [_parity_fold(p.coefficients)], (coarse.size - 1) // 4
     i = np.arange(q + 1)
-    images = _field(p, [c], kt * np.cos(coarse[i]), kt * np.sin(coarse[i]), mirrored=True)[0]
+    images = _field(p, fold, kt * np.cos(coarse[i]), kt * np.sin(coarse[i]), mirrored=True)[0]
     e2 = np.empty((theta.size, phi.size))  # not held beside the kernel's tables
     for m, columns in enumerate((i, 2 * q - i, 2 * q + i, 4 * q - i)):
         e2[:, np.searchsorted(phi, coarse[columns])] = np.abs(images[m] * ef) ** 2
     del images  # no view of it is left, so it is freed before the fine window
     fine = np.searchsorted(phi, phi_fine)
-    e2[:, fine] = np.abs(_field(p, [c], kt * np.cos(phi_fine), kt * np.sin(phi_fine))[0] * ef) ** 2
+    e2[:, fine] = np.abs(_field(p, fold, kt * np.cos(phi_fine), kt * np.sin(phi_fine))[0] * ef) ** 2
     inner = np.trapezoid(e2 * st, x=phi, axis=1)
     total = float(np.trapezoid(inner, x=theta))
     return SpherePattern(
@@ -643,7 +641,7 @@ def gain_at(p: PhaseProfile, f: Frequency, direction: Direction) -> float:
     """Directivity (dBi) at one direction, normalized by the exact power, which refuses an oversize p first."""
     power, k = hemisphere_power_exact(p, f), _wavenumber(f)
     u, v = direction.transverse()
-    e = _field(p, [p.coefficients], k * u, k * v)[0] * _element_factor(direction.theta)
+    e = _field(p, [_parity_fold(p.coefficients)], k * u, k * v)[0] * _element_factor(direction.theta)
     return float(_dbi(abs(e) ** 2, power))
 
 
@@ -658,29 +656,29 @@ def principal_plane_cut(
 
     Returns (theta_deg, dbi) with signed theta: negative angles lie at
     phi + 180 deg. total_power defaults to the closed-form hemisphere
-    integral. A theta_step that is not positive and finite raises ValueError,
-    and so does a cut past check_array_budget, before any work.
+    integral. A theta_step or total_power that is not positive and finite, a
+    phi that is not finite and a cut past check_array_budget raise ValueError before any work.
     """
     if not 0.0 < theta_step < math.inf:
         raise ValueError(f"theta_step must be positive and finite, got {theta_step}")
+    if total_power is not None and not 0.0 < total_power < math.inf:
+        raise ValueError(f"total_power must be positive and finite, got {total_power}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     check_array_budget(max(p.rows, p.cols), n_directions=math.pi / theta_step + 1)
-    if f is None:
-        f = p.design_freq
-    if total_power is None:
-        total_power = hemisphere_power_exact(p, f)
-    theta, e2 = _cuts(p, [p.coefficients], f, phi, theta_step)
+    f = p.design_freq if f is None else f
+    total_power = hemisphere_power_exact(p, f) if total_power is None else total_power
+    theta, e2 = _cuts(p, [_parity_fold(p.coefficients)], f, phi, theta_step)
     return np.degrees(theta), _dbi(e2[0], total_power)
 
 
-def _cuts(p: PhaseProfile, grids, f: Frequency, phi: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """theta (rad) of a principal-plane cut at azimuth phi, and |E|^2 there of each grid of a _field stack."""
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
+def _cuts(p: PhaseProfile, folded, f: Frequency, phi: float, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """theta (rad) of a principal-plane cut at finite azimuth phi, and |E|^2 there of each grid of a folded stack."""
     theta = np.arange(-math.pi / 2, math.pi / 2 + 1e-12, step)
     theta[np.abs(theta - math.pi / 2) <= 1e-12] = math.pi / 2  # arange may stop a rounding short of it
     # negative theta at phi + 180 deg is positive theta with k*sin(theta) negated
     q = _wavenumber(f) * np.sin(theta)
-    e = _field(p, grids, q * math.cos(phi), q * math.sin(phi)) * _element_factor(theta)
+    e = _field(p, folded, q * math.cos(phi), q * math.sin(phi)) * _element_factor(theta)
     return theta, np.abs(e) ** 2
 
 
@@ -712,22 +710,23 @@ def quantized_cuts(
     takes CUT_STEPS_PER_BEAMWIDTH samples per analytical beamwidth at
     p.design_freq, at most pi, so that a panel much smaller than a wavelength
     is not cut at one angle; a beamwidth that underflows to 0 asks for an
-    endless cut, which the budget refuses.
+    endless cut, which the budget refuses; a non-finite phi is refused first.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     step = min(analytical_hpbw(p), math.pi) / CUT_STEPS_PER_BEAMWIDTH
     n_directions = len(bits_list) * (math.pi / step + 1) if step > 0.0 else math.inf
     check_array_budget(max(p.rows, p.cols), n_directions=n_directions)
     radius_index, squared = _lag_radii(p.rows, p.cols)
     corr = np.empty((squared.size, len(bits_list)), order="F")  # each setting's column contiguous
-
-    def grids(radius_index):  # _field folds each grid as it draws it, so a setting's fold is its one copy
-        for bits, column in zip(bits_list, corr.T):
-            profile = p if bits is None else quantize_profile(p, bits)
-            column[:] = _radial_corr(profile, radius_index)
-            yield profile.coefficients
-    stack = grids(radius_index)
-    del radius_index  # the stack holds it until the last setting is folded
-    theta, e2 = _cuts(p, stack, p.design_freq, phi, step)
+    folded = []  # each setting is folded as it is made, so one copy of it is held
+    for bits, column in zip(bits_list, corr.T):
+        profile = p if bits is None else quantize_profile(p, bits)
+        column[:] = _radial_corr(profile, radius_index)
+        folded.append(_parity_fold(profile.coefficients))
+        del profile
+    del radius_index  # not held beside the cuts
+    theta, e2 = _cuts(p, folded, p.design_freq, phi, step)
     powers = _closed_form_power(p.cell_pitch_m, squared, np.array([_wavenumber(p.design_freq)]), corr)[0]
     return [(np.degrees(theta), _dbi(row, power)) for row, power in zip(e2, powers)]
 
@@ -779,10 +778,10 @@ def squint_vs_angle(
     the azimuth only, so it is measured on the taper (the broadside profile)
     once per distinct outgoing.phi, in first-seen order, before any angle is
     swept. A continuous angle is the taper times exp(-j g.r), g = k0 (u_out -
-    u_in), so its correlation and field follow from the taper's (see the
-    module docstring); a quantized angle builds its own profile and FFT. One
-    _field call per angle samples its trace and PEAK_WINDOW track window; one
-    contraction after the loop gives every angle's power, with no J1 table.
+    u_in), so its correlation and field follow from the taper's and its fold
+    (see the module docstring); a quantized angle builds, folds and FFTs its
+    own profile. One _field call per angle samples its trace and PEAK_WINDOW
+    track window; one contraction gives every angle's power, with no J1 table.
     """
     check_normal_incidence(incident)
     if not is_integer(n_samples) or n_samples < 11 or n_samples % 2 == 0:
@@ -802,15 +801,15 @@ def squint_vs_angle(
     if bits is None:  # every angle's correlation from the taper's, by one FFT, on its lags i >= 0
         taper_corr = _half_corr(taper_profile)[: a.n_per_side].copy()
         radius_index = radius_index[: taper_corr.size].copy()  # only those lags are binned
-    else:
-        del taper_profile  # not held beside each angle's field scratch
+        profile, fold = taper_profile, [_parity_fold(taper_profile.coefficients)]  # every angle's lattice and fold
+    del taper_profile  # a quantized sweep does not hold it beside each angle's field scratch
     mid = n_samples // 2
     tracks = []
     for outgoing, column in zip(outgoing_list, corr.T):
         if bits is None:  # the taper times exp(-j g.r), g = k0 (u_out - u_in) its gradient
-            profile, (gx, gy) = taper_profile, k0 * np.subtract(outgoing.transverse(), incident.transverse())
+            gx, gy = k0 * np.subtract(outgoing.transverse(), incident.transverse())
             column[:] = _modulate(taper_corr, gx * a.cell_pitch_m, gy * a.cell_pitch_m, radius_index)
-        else:  # the gradient is in the quantized coefficients
+        else:  # the gradient is in the quantized coefficients, folded for their one _field call
             profile, gx, gy = quantize_profile(synthesize_profile(a, incident, outgoing, taper), bits), 0.0, 0.0
             column[:] = _radial_corr(profile, radius_index)
 
@@ -818,7 +817,8 @@ def squint_vs_angle(
         hpbw = hpbw_per_phi[outgoing.phi]
         window = k0 * (math.sin(outgoing.theta) + math.sin(hpbw / 2.0) * np.linspace(-1.0, 1.0, PEAK_WINDOW))
         q = np.concatenate((k_per_f * math.sin(outgoing.theta), window))
-        e = _field(profile, [profile.coefficients], q * math.cos(outgoing.phi) - gx, q * math.sin(outgoing.phi) - gy)
+        e = _field(profile, fold if bits is None else [_parity_fold(profile.coefficients)],
+                   q * math.cos(outgoing.phi) - gx, q * math.sin(outgoing.phi) - gy)
         peak = _track_beam_peak(np.abs(e[0, n_samples:]) ** 2, window, k_per_f)
         excess = np.abs(peak - outgoing.theta) - hpbw / 2.0
         if excess[mid] > 0.0:
@@ -867,13 +867,13 @@ def _broadside_hpbw(p: PhaseProfile, phi: float) -> float:
     linearly in dB. For a symmetric taper the pattern is even in theta, so
     the width is twice it.
     """
-    peak = np.sum(np.abs(p.coefficients)) ** 2
+    peak, fold = np.sum(np.abs(p.coefficients)) ** 2, [_parity_fold(p.coefficients)]
     k = _wavenumber(p.design_freq)
     lo, hi = 0.0, min(analytical_hpbw(p), math.pi / 2)
     for _ in range(2):
         theta = np.linspace(lo, hi, HPBW_GRID)
         ku, kv = k * np.sin(theta) * math.cos(phi), k * np.sin(theta) * math.sin(phi)
-        power = np.abs(_field(p, [p.coefficients], ku, kv)[0]) ** 2 * np.cos(theta)
+        power = np.abs(_field(p, fold, ku, kv)[0]) ** 2 * np.cos(theta)
         with np.errstate(divide="ignore"):
             rel = 10.0 * np.log10(power / peak)
         below = np.flatnonzero(rel < -3.0)

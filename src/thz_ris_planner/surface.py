@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .aperture import ApertureSpec
-from .core import Direction, Frequency, Value, check_array_budget
+from .core import Direction, Frequency, Value, check_array_budget, is_integer
 
 MAX_QUANTIZATION_BITS = 8  # beyond practical per-cell switch counts
 
@@ -132,11 +132,6 @@ def synthesize_profile(
         design_freq=a.design_freq,
         cell_pitch_m=a.cell_pitch_m,
     )
-
-
-def is_integer(value) -> bool:
-    """True for an int or a numpy integer; False for a bool, a float or anything else."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def quantization_levels(bits: int) -> np.ndarray:

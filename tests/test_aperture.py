@@ -166,6 +166,19 @@ def test_aperture_validation():
             solve_aperture_size(sigma, 0.25, Direction(0.0), Direction.from_degrees(45), F140)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0), True, np.True_, "3"])
+def test_element_grid_refuses_a_count_that_is_not_an_integer(n):
+    # 2.5 used to give a panel 2.5 pitches wide holding 2^2 cells, and True one cell
+    with pytest.raises(ValueError) as refusal:
+        ApertureSpec.from_element_grid(n, F140)
+    assert str(refusal.value) == f"n_per_side must be an integer, got {n!r}"
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), np.uint8(3)])
+def test_element_grid_takes_any_integer_type(n):
+    assert ApertureSpec.from_element_grid(n, F140).n_per_side == 3
+
+
 def test_element_coordinates_centered():
     panel = ApertureSpec.from_element_grid(5, F140)
     profile = synthesize_profile(panel, BROADSIDE, BROADSIDE)

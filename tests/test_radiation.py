@@ -36,6 +36,7 @@ from thz_ris_planner.radiation import (
     _k_phases,
     _lag_radii,
     _modulate,
+    _parity_fold,
     _polynomial,
     _radial_corr,
     _track_beam_peak,
@@ -836,6 +837,15 @@ def test_principal_plane_cut_refuses_a_bad_step(step):
         principal_plane_cut(prof, theta_step=step)
 
 
+@pytest.mark.parametrize("total_power", [0.0, -1.0, math.nan, math.inf])
+def test_principal_plane_cut_refuses_a_bad_total_power(total_power):
+    # unchecked, 0 and -1 warned or gave NaN, NaN gave an all-NaN cut and inf an all -inf one
+    prof = synthesize_profile(ApertureSpec.from_element_grid(16, F140), BROADSIDE, BROADSIDE)
+    with pytest.raises(ValueError) as refusal:
+        principal_plane_cut(prof, total_power=total_power)
+    assert str(refusal.value) == f"total_power must be positive and finite, got {total_power}"
+
+
 @pytest.mark.parametrize("step", [1e-300, 1e-8, 5e-324])
 def test_principal_plane_cut_refuses_a_cut_past_the_budget_before_any_work(step):
     # unguarded, a 1e-8 rad step asked numpy for 2.34 GiB and 1e-300 for more than an array may hold
@@ -885,6 +895,18 @@ def test_cuts_refuse_a_non_finite_azimuth(route, phi):
         else:
             quantized_cuts(prof, [1, None], phi)
     assert str(refusal.value) == f"phi must be finite, got {phi}"
+
+
+@pytest.mark.parametrize("route", ["principal_plane_cut", "quantized_cuts"])
+def test_cuts_refuse_a_non_finite_azimuth_before_any_work(monkeypatch, route):
+    prof = synthesize_profile(ApertureSpec.from_element_grid(8, F140), BROADSIDE, OUT45)
+    for name in ("hemisphere_power_exact", "quantize_profile", "_radial_corr", "_parity_fold", "_field"):
+        monkeypatch.setattr(radiation, name, lambda *args, name=name: pytest.fail(f"{name} ran before the refusal"))
+    with pytest.raises(ValueError, match="^phi must be finite, got nan$"):
+        if route == "principal_plane_cut":
+            principal_plane_cut(prof, phi=math.nan)
+        else:
+            quantized_cuts(prof, [1, None], math.nan)
 
 
 def test_quantized_cuts_resolve_a_panel_far_below_a_wavelength():
@@ -984,7 +1006,7 @@ def test_field_kernel_matches_direct_sum_to_1e13_of_peak(n, f_ghz, bits):
     theta = np.concatenate([theta, [0.0], edge[:20], 0.5 * math.pi - edge[20:]])
     phi = np.append(phi, rng.uniform(0.0, 2.0 * math.pi, 41))
     kt = radiation._wavenumber(f) * np.sin(theta)
-    field = _field(prof, [prof.coefficients], kt * np.cos(phi), kt * np.sin(phi))[0]
+    field = _field(prof, [_parity_fold(prof.coefficients)], kt * np.cos(phi), kt * np.sin(phi))[0]
     kernel = field * _element_factor(theta)
     direct = array_factor_direct(prof, f, [Direction(t, p) for t, p in zip(theta, phi)])
     assert np.max(np.abs(kernel - direct)) <= 1e-13 * np.max(np.abs(direct))
@@ -996,7 +1018,7 @@ def test_field_chunks_are_computed_alone(size):
     rng = np.random.default_rng(size)
     prof = _random_lattice(7, 6, rng)
     ku, kv = rng.uniform(-1.0, 1.0, (2, size)) * radiation._wavenumber(F140)
-    grids = [prof.coefficients]
+    grids = [_parity_fold(prof.coefficients)]
     chunks = [_field(prof, grids, ku[s : s + FIELD_CHUNK], kv[s : s + FIELD_CHUNK]) for s in (0, FIELD_CHUNK)]
     assert np.array_equal(_field(prof, grids, ku, kv), np.concatenate(chunks, axis=1))
 
@@ -1010,7 +1032,7 @@ def test_field_of_a_direction_has_the_same_bits_in_any_call_property(n, seed, mi
     # so a direction's value cannot move with how many directions share its call
     rng = np.random.default_rng(seed)
     prof = _random_lattice(n, n + int(rng.integers(0, 4)), rng)
-    grids = [prof.coefficients]
+    grids = [_parity_fold(prof.coefficients)]
     ku, kv = rng.uniform(-1.0, 1.0, (2, FIELD_CHUNK)) * radiation._wavenumber(F140)
     whole = _field(prof, grids, ku, kv, mirrored)
     for width in (1, 2, 3, 4, 7, 8, 9, 17, 21, 182, int(rng.integers(1, FIELD_CHUNK)), 1023):
@@ -1032,12 +1054,12 @@ def test_field_of_a_mirrored_grid_is_the_mirrored_field_property(rows, cols, see
     prof = _random_lattice(rows, cols, rng)
     c = prof.coefficients
     ku, kv = np.append(rng.uniform(-1.0, 1.0, (2, 301)), [[0.0], [0.0]], axis=1) * radiation._wavenumber(F140)
-    stack = _field(prof, [c, c[::-1], c[::-1, ::-1], c[:, ::-1], np.conj(c)], ku, kv)
-    mirrored = _field(prof, [c], np.stack([ku, -ku, -ku, ku, -ku]), np.stack([kv, kv, -kv, -kv, -kv]))[0]
+    stack = _field(prof, [_parity_fold(g) for g in (c, c[::-1], c[::-1, ::-1], c[:, ::-1], np.conj(c))], ku, kv)
+    mirrored = _field(prof, [_parity_fold(c)], np.stack([ku, -ku, -ku, ku, -ku]), np.stack([kv, kv, -kv, -kv, -kv]))[0]
     mirrored[4] = np.conj(mirrored[4])
     assert np.max(np.abs(stack - mirrored)) <= 1e-15 * np.max(np.abs(mirrored))
 
-    images = _field(prof, [c], ku.reshape(2, -1), kv.reshape(2, -1), mirrored=True)
+    images = _field(prof, [_parity_fold(c)], ku.reshape(2, -1), kv.reshape(2, -1), mirrored=True)
     assert images.shape == (1, 4, 2, ku.size // 2)
     images = images.reshape(4, -1)
     bound = 1e-15 * np.sum(np.abs(c))
@@ -1057,10 +1079,10 @@ def test_field_of_a_grid_is_the_same_in_a_stack_property(rows, cols, seed):
     prof = PhaseProfile(grids[0], F140, F140.wavelength_m / 2.0)
     for size in (1, PEAK_WINDOW, FIELD_CHUNK + 1):
         ku, kv = rng.uniform(-1.0, 1.0, (2, size)) * radiation._wavenumber(F140)
-        stacked = _field(prof, grids, ku, kv)
+        stacked = _field(prof, [_parity_fold(grid) for grid in grids], ku, kv)
         assert stacked.shape == (3, size)
         for grid, field in zip(grids, stacked):
-            assert np.array_equal(field, _field(prof, [grid], ku, kv)[0])
+            assert np.array_equal(field, _field(prof, [_parity_fold(grid)], ku, kv)[0])
 
 
 def _steered_lattice(rows, cols, target):
@@ -1117,7 +1139,7 @@ def test_directivity_assembles_the_full_grid(rows, cols, target, fine_phi):
     # the same quadrature with every column radiated directly, with no mirror images
     st = np.sin(theta)[:, None]
     kt = radiation._wavenumber(F140) * st
-    e = _field(p, [p.coefficients], kt * np.cos(phi), kt * np.sin(phi))[0]
+    e = _field(p, [_parity_fold(p.coefficients)], kt * np.cos(phi), kt * np.sin(phi))[0]
     e2 = np.abs(e * _element_factor(theta)[:, None]) ** 2
     total = np.trapezoid(np.trapezoid(e2 * st, x=phi, axis=1), x=theta)
     assert pattern.total_power == pytest.approx(total, rel=1e-13)
@@ -1457,8 +1479,8 @@ def test_steered_squint_profile_follows_from_its_taper_property(n, theta_deg, ph
 
     q = k0 * np.random.default_rng(seed).uniform(-1.2, 1.2, 50)
     ku, kv = q * math.cos(phi), q * math.sin(phi)
-    shifted = _field(a, [a.coefficients], ku - gx, kv - gy)
-    assert np.max(np.abs(shifted - _field(c, [c.coefficients], ku, kv))) <= 1e-13 * np.sum(np.abs(c.coefficients))
+    shifted = _field(a, [_parity_fold(a.coefficients)], ku - gx, kv - gy)
+    assert np.max(np.abs(shifted - _field(c, [_parity_fold(c.coefficients)], ku, kv))) <= 1e-13 * np.sum(np.abs(c.coefficients))
 
 
 def test_squint_samples_each_profile_once(monkeypatch):
@@ -1470,6 +1492,38 @@ def test_squint_samples_each_profile_once(monkeypatch):
     squint_vs_angle(ap, BROADSIDE, targets, TaperSpec(-10.0), None, 40e9, 61)
     # two bracketing passes of the beamwidth per azimuth, then one trace-and-track sample per angle
     assert calls == [radiation.HPBW_GRID] * 4 + [61 + PEAK_WINDOW] * len(targets)
+
+
+def _counted_folds(monkeypatch):
+    """The shapes of the grids that radiation._parity_fold folds from here on, in call order."""
+    calls, fold = [], radiation._parity_fold
+    monkeypatch.setattr(radiation, "_parity_fold", lambda c: calls.append(c.shape) or fold(c))
+    return calls
+
+
+def test_continuous_squint_folds_its_taper_once_however_many_angles(monkeypatch):
+    calls, ap = _counted_folds(monkeypatch), ApertureSpec.from_element_grid(30, F140)
+    counts = []
+    for thetas in ([45.0], np.linspace(30.0, 66.0, 13)):
+        calls.clear()
+        squint_vs_angle(ap, BROADSIDE, [Direction.from_degrees(t) for t in thetas], TaperSpec(-10.0), None, 40e9, 61)
+        counts.append(len(calls))
+    # one fold for the beamwidth's two passes at the one azimuth, one for every angle's field
+    assert counts == [2, 2]
+
+
+def test_directivity_folds_once(monkeypatch):
+    calls = _counted_folds(monkeypatch)
+    pattern = directivity(synthesize_profile(ApertureSpec.from_element_grid(16, F140), BROADSIDE, OUT45))
+    assert pattern.ax2.size > 721  # the fine phi window around the lobe is radiated too
+    assert calls == [(16, 16)]
+
+
+def test_quantized_cuts_fold_each_setting_once(monkeypatch):
+    calls = _counted_folds(monkeypatch)
+    prof = synthesize_profile(ApertureSpec.from_element_grid(12, F140), BROADSIDE, OUT45)
+    assert len(quantized_cuts(prof, [1, 2, 3, None], 0.0)) == 4
+    assert calls == [(12, 12)] * 4
 
 
 @pytest.mark.parametrize(
