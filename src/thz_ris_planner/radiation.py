@@ -35,16 +35,18 @@ further routes exist:
 directivity() integrates |E|^2 over the front hemisphere by the trapezoid
 rule with the sin(theta) Jacobian on a grid refined around the main lobe;
 one mirrored _field call radiates its coarse phi grid on one quadrant and the
-three mirror quadrants from the same matrix products. No production route
-calls it: like array_factor_direct, it is kept as the independent quadrature
-cross-check that tests compare the closed form and the cut route against. A
-closed form for the same integral on a uniform lattice,
+three mirror quadrants from the same matrix products (on a square lattice,
+one octant for c and c^T and the seven others). No production route calls
+it: like array_factor_direct, it is kept as the independent quadrature
+check that tests compare the closed form and the cut route against. A closed
+form for the same integral on a uniform lattice,
 
     P(k) = sum_d corr(d) * 2*pi*J1(k*|d|)/(k*|d|),
 
 with corr(d) = sum_m c_m conj(c_{m-d}) the lattice autocorrelation at lag d,
 follows from integrating the cos(theta) element power pattern over the
-hemisphere. It normalises cuts, single-direction gains and the squint sweep.
+hemisphere. It normalises cuts, single-direction gains and the squint sweep,
+which refuse it unless it is positive and finite (_positive_power).
 _radial_corr takes a profile's autocorrelation by FFT, in blocks holding one
 real power lattice and its half spectrum at most, and sums its real part,
 even in d, per distinct squared integer lag i^2 + j^2 of the half lattice,
@@ -289,6 +291,11 @@ def _parity_halves(a: np.ndarray) -> np.ndarray:
     return parts
 
 
+def _transposed_fold(folded: np.ndarray) -> np.ndarray:
+    """_parity_fold(c.T) of a square c, up to sum order, from its fold: each real or imaginary block transposed."""
+    return folded.reshape(2, *folded.shape[1:] * 2).transpose(0, 2, 1).reshape(folded.shape)
+
+
 def _cos_sin_table(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     """[cos(x_i q_s); sin(x_i q_s)] over the upper m = n - n//2 rows i = h.., h = n//2, of x.
 
@@ -370,7 +377,9 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
     beamwidths of the main lobe. grid_resolution must be positive, finite,
     at most half the analytical beamwidth, and keep the grid within
     MAX_ARRAY_BYTES. One mirrored _field call radiates the coarse phi grid's
-    first quadrant and the other three from the same products; the fine phi
+    first quadrant and the other three from the same products; on a square
+    lattice, where AF_c(kv, ku) = AF_cT(ku, kv), the first octant (0 to 45
+    deg) of c and of c^T, whose eight images fill the grid. The fine phi
     window around a steered lobe is radiated directly.
     """
     if not 0.0 < grid_resolution < math.inf:
@@ -410,12 +419,15 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
     st = np.sin(theta)[:, None]
     kt, ef = _wavenumber(f) * st, _element_factor(theta)[:, None]
     fold, q = [_parity_fold(p.coefficients)], (coarse.size - 1) // 4
-    i = np.arange(q + 1)
-    images = _field(p, fold, kt * np.cos(coarse[i]), kt * np.sin(coarse[i]), mirrored=True)[0]
+    square = p.rows == p.cols  # then x == y and AF_c(kv, ku) = AF_cT(ku, kv): the first octant serves
+    i = np.arange(q // 2 + 1 if square else q + 1)
+    stack = [*fold, _transposed_fold(fold[0])] if square else fold
+    images = _field(p, stack, kt * np.cos(coarse[i]), kt * np.sin(coarse[i]), mirrored=True)
     e2 = np.empty((theta.size, phi.size))  # not held beside the kernel's tables
-    for m, columns in enumerate((i, 2 * q - i, 2 * q + i, 4 * q - i)):
-        e2[:, np.searchsorted(phi, coarse[columns])] = np.abs(images[m] * ef) ** 2
-    del images  # no view of it is left, so it is freed before the fine window
+    columns = (i, 2 * q - i, 2 * q + i, 4 * q - i, q - i, 3 * q + i, 3 * q - i, q + i)  # c's images, then c^T's
+    for image, column in zip(images.reshape(-1, theta.size, i.size), columns):
+        e2[:, np.searchsorted(phi, coarse[column])] = np.abs(image * ef) ** 2
+    del images, image, stack  # image is the loop's last view of images: all are freed before the fine window
     fine = np.searchsorted(phi, phi_fine)
     e2[:, fine] = np.abs(_field(p, fold, kt * np.cos(phi_fine), kt * np.sin(phi_fine))[0] * ef) ** 2
     inner = np.trapezoid(e2 * st, x=phi, axis=1)
@@ -434,7 +446,7 @@ def hemisphere_power_exact(p: PhaseProfile, f: Frequency | None = None) -> float
     k = np.array([_wavenumber(p.design_freq if f is None else f)])
     radius_index, squared = _lag_radii(p.rows, p.cols)
     corr = _radial_corr(p, radius_index)[:, None]
-    return float(_closed_form_power(p.cell_pitch_m, squared, k, corr)[0, 0])
+    return float(_positive_power(p.cell_pitch_m, squared, k, corr)[0, 0])
 
 
 def _lag_radii(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -501,6 +513,23 @@ def _modulate(corr: np.ndarray, gx: float, gy: float, radius_index: np.ndarray) 
     weights[1:] *= 2.0
     weights *= np.cos(gy * np.arange(corr.shape[1]))
     return np.bincount(radius_index, weights=weights.ravel())
+
+
+def _positive_power(pitch: float, squared: np.ndarray, k: np.ndarray, corr: np.ndarray) -> np.ndarray:
+    """_closed_form_power(pitch, squared, k, corr) to normalise by: ValueError unless all of it is positive and finite.
+
+    On a panel far smaller than the wavelength the lag terms cancel the zero
+    lag's down to rounding, and the sum can come out at or below 0; a
+    wavenumber that overflows to inf makes it NaN. Either would turn every
+    directivity it normalises into NaN, so it is refused, and the overflow
+    is not warned of on the way.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        power = _closed_form_power(pitch, squared, k, corr)
+    bad = power[~((power > 0.0) & (power < math.inf))]
+    if bad.size:
+        raise ValueError(f"the closed-form hemisphere power must be positive and finite, got {bad[0]:.6g}")
+    return power
 
 
 def _closed_form_power(pitch: float, squared: np.ndarray, k: np.ndarray, corr: np.ndarray) -> np.ndarray:
@@ -604,14 +633,18 @@ def _j1(x: np.ndarray, phase: np.ndarray) -> np.ndarray:
         xm = x[miller]
         # unscaled: from MILLER_ORDER at x > J1_SERIES_MAX the recurrence peaks
         # below 1e89, far from overflow, and the normalisation divides the scale out
-        j_next, j, even_sum = np.zeros_like(xm), np.ones_like(xm), np.zeros_like(xm)
-        for n in range(MILLER_ORDER, 0, -1):
-            j_next, j = j, (2.0 * n / xm) * j - j_next  # j is now J_{n-1}, a new array
-            if n == 2:
-                j1 = j  # no step writes into j, so J1 is kept by reference
-            elif n % 2 == 1 and n > 1:
+        j_next, j, even_sum, spare = np.zeros_like(xm), np.ones_like(xm), np.zeros_like(xm), np.empty_like(xm)
+        for n in range(MILLER_ORDER, 0, -1):  # three buffers in turn: J_{n-1} is written where J_{n+2} was
+            np.divide(2.0 * n, xm, out=spare)
+            spare *= j
+            spare -= j_next
+            j_next, j, spare = j, spare, j_next  # j is now J_{n-1}
+            if n % 2 == 1 and n > 1:
                 even_sum += j
-        out[miller] = j1 / (j + 2.0 * even_sum)
+        even_sum *= 2.0
+        even_sum += j  # J0 + 2 sum_k J_2k
+        j_next /= even_sum  # the last step left J1 in j_next
+        out[miller] = j_next
     return out
 
 
@@ -727,7 +760,7 @@ def quantized_cuts(
         del profile
     del radius_index  # not held beside the cuts
     theta, e2 = _cuts(p, folded, p.design_freq, phi, step)
-    powers = _closed_form_power(p.cell_pitch_m, squared, np.array([_wavenumber(p.design_freq)]), corr)[0]
+    powers = _positive_power(p.cell_pitch_m, squared, np.array([_wavenumber(p.design_freq)]), corr)[0]
     return [(np.degrees(theta), _dbi(row, power)) for row, power in zip(e2, powers)]
 
 
@@ -775,13 +808,14 @@ def squint_vs_angle(
     modelled; any other incident direction raises ValueError.
 
     The sweep is validated first. HPBW depends on the aperture, the taper and
-    the azimuth only, so it is measured on the taper (the broadside profile)
-    once per distinct outgoing.phi, in first-seen order, before any angle is
-    swept. A continuous angle is the taper times exp(-j g.r), g = k0 (u_out -
-    u_in), so its correlation and field follow from the taper's and its fold
-    (see the module docstring); a quantized angle builds, folds and FFTs its
-    own profile. One _field call per angle samples its trace and PEAK_WINDOW
-    track window; one contraction gives every angle's power, with no J1 table.
+    the azimuth only, so it is measured on the taper (the broadside profile),
+    folded once, per distinct outgoing.phi, in first-seen order, before any
+    angle is swept. A continuous angle is the taper times exp(-j g.r), g =
+    k0 (u_out - u_in), so its correlation and field follow from the taper's
+    and that fold (see the module docstring); a quantized angle builds, folds
+    and FFTs its own profile. One _field call per angle samples its trace
+    and PEAK_WINDOW track window; one contraction gives every angle's
+    power, with no J1 table.
     """
     check_normal_incidence(incident)
     if not is_integer(n_samples) or n_samples < 11 or n_samples % 2 == 0:
@@ -795,14 +829,15 @@ def squint_vs_angle(
     k0 = _wavenumber(f0)
     radius_index, squared = _lag_radii(a.n_per_side, a.n_per_side)
     corr = np.empty((squared.size, len(outgoing_list)), order="F")  # each angle's column contiguous
-    taper_profile = synthesize_profile(a, incident, BROADSIDE, taper)
-    azimuths = dict.fromkeys(o.phi for o in outgoing_list)  # distinct, in first-seen order
-    hpbw_per_phi = {phi: _broadside_hpbw(taper_profile, phi) for phi in azimuths}
+    profile = synthesize_profile(a, incident, BROADSIDE, taper)  # the taper: every continuous angle's lattice
     if bits is None:  # every angle's correlation from the taper's, by one FFT, on its lags i >= 0
-        taper_corr = _half_corr(taper_profile)[: a.n_per_side].copy()
+        taper_corr = _half_corr(profile)[: a.n_per_side].copy()
         radius_index = radius_index[: taper_corr.size].copy()  # only those lags are binned
-        profile, fold = taper_profile, [_parity_fold(taper_profile.coefficients)]  # every angle's lattice and fold
-    del taper_profile  # a quantized sweep does not hold it beside each angle's field scratch
+    fold = [_parity_fold(profile.coefficients)]  # made after that FFT's scratch is freed
+    azimuths = dict.fromkeys(o.phi for o in outgoing_list)  # distinct, in first-seen order
+    hpbw_per_phi = {phi: _broadside_hpbw(profile, fold, phi) for phi in azimuths}
+    if bits is not None:
+        del profile, fold  # a quantized sweep does not hold them beside each angle's field scratch
     mid = n_samples // 2
     tracks = []
     for outgoing, column in zip(outgoing_list, corr.T):
@@ -841,7 +876,7 @@ def squint_vs_angle(
         trace = np.abs(e[0, :n_samples] * _element_factor(outgoing.theta)) ** 2
         tracks.append((outgoing, trace, peak, hpbw, bw, saturated))
 
-    power = _closed_form_power(a.cell_pitch_m, squared, k_per_f, corr)
+    power = _positive_power(a.cell_pitch_m, squared, k_per_f, corr)
     return [
         SquintReport(f0.hertz, outgoing, freqs, _dbi(e2, angle_power), *band)
         for (outgoing, e2, *band), angle_power in zip(tracks, power.T)
@@ -857,23 +892,24 @@ def _interp_crossing(x_out: float, x_in: float, y_out: float, y_in: float, level
     return x_out + frac * (x_in - x_out)
 
 
-def _broadside_hpbw(p: PhaseProfile, phi: float) -> float:
+def _broadside_hpbw(p: PhaseProfile, folded: list[np.ndarray], phi: float) -> float:
     """Measured -3 dB width (rad) in the plane phi of the broadside beam of p at p.design_freq.
 
-    p is steered to broadside, so its coefficients are its real taper and
-    its peak is their sum. The half-power angle is bracketed on a grid up to
-    twice the uniform aperture's half width, the bracket is resampled once
-    on the same number of points, and the -3 dB point is interpolated
-    linearly in dB. For a symmetric taper the pattern is even in theta, so
-    the width is twice it.
+    folded is [_parity_fold(p.coefficients)], which the caller holds for its
+    other uses. p is steered to broadside, so its coefficients are its real
+    taper and its peak is their sum. The half-power angle is bracketed on a
+    grid up to twice the uniform aperture's half width, the bracket is
+    resampled once on the same number of points, and the -3 dB point is
+    interpolated linearly in dB. For a symmetric taper the pattern is even
+    in theta, so the width is twice it.
     """
-    peak, fold = np.sum(np.abs(p.coefficients)) ** 2, [_parity_fold(p.coefficients)]
+    peak = np.sum(np.abs(p.coefficients)) ** 2
     k = _wavenumber(p.design_freq)
     lo, hi = 0.0, min(analytical_hpbw(p), math.pi / 2)
     for _ in range(2):
         theta = np.linspace(lo, hi, HPBW_GRID)
         ku, kv = k * np.sin(theta) * math.cos(phi), k * np.sin(theta) * math.sin(phi)
-        power = np.abs(_field(p, fold, ku, kv)[0]) ** 2 * np.cos(theta)
+        power = np.abs(_field(p, folded, ku, kv)[0]) ** 2 * np.cos(theta)
         with np.errstate(divide="ignore"):
             rel = 10.0 * np.log10(power / peak)
         below = np.flatnonzero(rel < -3.0)

@@ -846,6 +846,52 @@ def test_principal_plane_cut_refuses_a_bad_total_power(total_power):
     assert str(refusal.value) == f"total_power must be positive and finite, got {total_power}"
 
 
+def _ramp_at(f):
+    """16x16 cells at half a 140 GHz wavelength, one phase turn along x (the coefficients sum to 0), designed at f."""
+    ramp = np.exp(2j * math.pi * np.arange(16) / 16)[:, None] * np.ones(16)
+    return PhaseProfile(ramp, f, F140.wavelength_m / 2.0)
+
+
+def _steered_at(f):
+    """The 16x16 panel of 140 GHz steered to 30 deg, designed at f."""
+    prof = synthesize_profile(ApertureSpec.from_element_grid(16, F140), BROADSIDE, Direction.from_degrees(30.0))
+    return PhaseProfile(prof.coefficients, f, prof.cell_pitch_m)
+
+
+_POWER_ROUTES = {
+    "hemisphere_power_exact": lambda p: hemisphere_power_exact(p, p.design_freq),
+    "gain_at": lambda p: gain_at(p, p.design_freq, BROADSIDE),
+    "principal_plane_cut": lambda p: principal_plane_cut(p, p.design_freq, 0.0, math.radians(0.1)),
+    "quantized_cuts": lambda p: quantized_cuts(p, [1, None], 0.0),
+}
+_BAD_POWERS = {
+    # the lag terms cancel the zero lag's below rounding: unchecked, gain_at read NaN and the cut [-inf, nan, ...]
+    "steered-2.5Hz": (_steered_at(Frequency(2.5)), "-2.27374e-12"),
+    "ramp-1Hz": (_ramp_at(Frequency(1.0)), "-6.82121e-13"),
+    "steered-1e308Hz": (_steered_at(Frequency(1e308)), "nan"),  # 2 pi f overflows to inf
+}
+
+
+@pytest.mark.parametrize(
+    "route, case",
+    # quantized_cuts' cut step at 1e308 Hz is 1e-299 rad, which its array budget refuses first
+    [(r, c) for r in _POWER_ROUTES for c in _BAD_POWERS if (r, c) != ("quantized_cuts", "steered-1e308Hz")],
+)
+def test_power_routes_refuse_a_closed_form_power_that_is_not_positive_and_finite(route, case):
+    profile, got = _BAD_POWERS[case]
+    with pytest.raises(ValueError) as refusal:
+        _POWER_ROUTES[route](profile)
+    assert str(refusal.value) == f"the closed-form hemisphere power must be positive and finite, got {got}"
+
+
+def test_squint_refuses_a_closed_form_power_that_is_not_positive(monkeypatch):
+    # no squint sweep has been seen to lose its power's sign: a negated contraction stands in for one
+    closed_form = radiation._closed_form_power
+    monkeypatch.setattr(radiation, "_closed_form_power", lambda *args: -closed_form(*args))
+    with pytest.raises(ValueError, match="^the closed-form hemisphere power must be positive and finite, got -"):
+        squint_sweep(ApertureSpec.from_element_grid(16, F140), BROADSIDE, OUT45, n_samples=11)
+
+
 @pytest.mark.parametrize("step", [1e-300, 1e-8, 5e-324])
 def test_principal_plane_cut_refuses_a_cut_past_the_budget_before_any_work(step):
     # unguarded, a 1e-8 rad step asked numpy for 2.34 GiB and 1e-300 for more than an array may hold
@@ -1124,6 +1170,12 @@ def _directivity_axes(p, grid_resolution):
         (3, 5, Direction.from_degrees(30.0, 200.0), False),
         (6, 4, Direction.from_degrees(50.0, 300.0), True),
         (7, 7, Direction.from_degrees(60.0, 100.0), True),
+        # square: one octant and its transpose give the eight images, the 45 deg column from both
+        (16, 16, Direction.from_degrees(30.0, 45.0), True),
+        (16, 16, Direction.from_degrees(40.0, 135.0), True),
+        (15, 15, Direction.from_degrees(35.0, 45.0), True),  # odd: centre row and column
+        (15, 15, Direction.from_degrees(50.0, 135.0), True),
+        (9, 9, BROADSIDE, False),  # the coarse octant alone
     ],
 )
 def test_directivity_assembles_the_full_grid(rows, cols, target, fine_phi):
@@ -1148,6 +1200,20 @@ def test_directivity_assembles_the_full_grid(rows, cols, target, fine_phi):
     assert np.max(np.abs(power - e2)) <= 1e-13 * np.max(e2)
     lit = e2 > 1e-6 * np.max(e2)
     assert np.max(np.abs(pattern.directivity_dbi[lit] - radiation._dbi(e2[lit], total))) <= 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(n=1, seed=1)  # the centre alone
+@example(n=7, seed=2)
+@example(n=8, seed=3)
+def test_transposed_fold_is_the_fold_of_the_transpose_property(n, seed):
+    # directivity() radiates a square grid's transpose from its fold, with no second _parity_fold
+    c = _random_lattice(n, n, np.random.default_rng(seed)).coefficients
+    folded = _parity_fold(c)
+    transposed = radiation._transposed_fold(folded)
+    assert transposed.shape == folded.shape
+    assert np.max(np.abs(transposed - _parity_fold(c.T))) <= 1e-15 * np.max(np.abs(folded))
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0, -0.01, math.nan, math.inf, -math.inf])
@@ -1438,7 +1504,7 @@ def test_squint_trace_does_not_depend_on_the_other_angles_property(n, thetas, ph
 def test_squint_measures_the_beamwidth_once_per_azimuth(monkeypatch):
     calls, synthesized = [], []
     measure, synthesize = radiation._broadside_hpbw, radiation.synthesize_profile
-    monkeypatch.setattr(radiation, "_broadside_hpbw", lambda p, phi: calls.append(phi) or measure(p, phi))
+    monkeypatch.setattr(radiation, "_broadside_hpbw", lambda p, fold, phi: calls.append(phi) or measure(p, fold, phi))
     monkeypatch.setattr(radiation, "synthesize_profile", lambda *args: synthesized.append(args) or synthesize(*args))
     ap = ApertureSpec.from_element_grid(30, F140)
     taper = TaperSpec(-10.0)
@@ -1508,8 +1574,8 @@ def test_continuous_squint_folds_its_taper_once_however_many_angles(monkeypatch)
         calls.clear()
         squint_vs_angle(ap, BROADSIDE, [Direction.from_degrees(t) for t in thetas], TaperSpec(-10.0), None, 40e9, 61)
         counts.append(len(calls))
-    # one fold for the beamwidth's two passes at the one azimuth, one for every angle's field
-    assert counts == [2, 2]
+    # one fold serves the beamwidth's passes at every azimuth and every angle's field
+    assert counts == [1, 1]
 
 
 def test_directivity_folds_once(monkeypatch):
@@ -1543,7 +1609,7 @@ def test_squint_band_edges_lie_next_to_the_nearest_off_band_samples(monkeypatch,
     hpbw, theta = 0.1, math.radians(30.0)
     offsets = np.array([0.09 if c == "x" else 0.01 for c in in_band])
     offsets[1::2] *= -1.0  # either sign of drift
-    monkeypatch.setattr(radiation, "_broadside_hpbw", lambda p, phi: hpbw)
+    monkeypatch.setattr(radiation, "_broadside_hpbw", lambda p, fold, phi: hpbw)
     monkeypatch.setattr(radiation, "_track_beam_peak", lambda af2, q, k: theta + offsets)
     ap, target = ApertureSpec.from_element_grid(16, F140), Direction(theta, 0.0)
     if edges == "refused":
