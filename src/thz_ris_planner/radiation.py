@@ -291,11 +291,6 @@ def _parity_halves(a: np.ndarray) -> np.ndarray:
     return parts
 
 
-def _transposed_fold(folded: np.ndarray) -> np.ndarray:
-    """_parity_fold(c.T) of a square c, up to sum order, from its fold: each real or imaginary block transposed."""
-    return folded.reshape(2, *folded.shape[1:] * 2).transpose(0, 2, 1).reshape(folded.shape)
-
-
 def _cos_sin_table(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     """[cos(x_i q_s); sin(x_i q_s)] over the upper m = n - n//2 rows i = h.., h = n//2, of x.
 
@@ -421,11 +416,11 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
     fold, q = [_parity_fold(p.coefficients)], (coarse.size - 1) // 4
     square = p.rows == p.cols  # then x == y and AF_c(kv, ku) = AF_cT(ku, kv): the first octant serves
     i = np.arange(q // 2 + 1 if square else q + 1)
-    stack = [*fold, _transposed_fold(fold[0])] if square else fold
+    stack = [*fold, _parity_fold(p.coefficients.T)] if square else fold
     images = _field(p, stack, kt * np.cos(coarse[i]), kt * np.sin(coarse[i]), mirrored=True)
     e2 = np.empty((theta.size, phi.size))  # not held beside the kernel's tables
     columns = (i, 2 * q - i, 2 * q + i, 4 * q - i, q - i, 3 * q + i, 3 * q - i, q + i)  # c's images, then c^T's
-    for image, column in zip(images.reshape(-1, theta.size, i.size), columns):
+    for image, column in zip(images.reshape(-1, theta.size, i.size), columns[: 4 * len(stack)], strict=True):
         e2[:, np.searchsorted(phi, coarse[column])] = np.abs(image * ef) ** 2
     del images, image, stack  # image is the loop's last view of images: all are freed before the fine window
     fine = np.searchsorted(phi, phi_fine)
@@ -633,18 +628,14 @@ def _j1(x: np.ndarray, phase: np.ndarray) -> np.ndarray:
         xm = x[miller]
         # unscaled: from MILLER_ORDER at x > J1_SERIES_MAX the recurrence peaks
         # below 1e89, far from overflow, and the normalisation divides the scale out
-        j_next, j, even_sum, spare = np.zeros_like(xm), np.ones_like(xm), np.zeros_like(xm), np.empty_like(xm)
-        for n in range(MILLER_ORDER, 0, -1):  # three buffers in turn: J_{n-1} is written where J_{n+2} was
-            np.divide(2.0 * n, xm, out=spare)
-            spare *= j
-            spare -= j_next
-            j_next, j, spare = j, spare, j_next  # j is now J_{n-1}
-            if n % 2 == 1 and n > 1:
+        j_next, j, even_sum = np.zeros_like(xm), np.ones_like(xm), np.zeros_like(xm)
+        for n in range(MILLER_ORDER, 0, -1):
+            j_next, j = j, (2.0 * n / xm) * j - j_next  # j is now J_{n-1}, a new array
+            if n == 2:
+                j1 = j  # no step writes into j, so J1 is kept by reference
+            elif n % 2 == 1 and n > 1:
                 even_sum += j
-        even_sum *= 2.0
-        even_sum += j  # J0 + 2 sum_k J_2k
-        j_next /= even_sum  # the last step left J1 in j_next
-        out[miller] = j_next
+        out[miller] = j1 / (j + 2.0 * even_sum)
     return out
 
 
