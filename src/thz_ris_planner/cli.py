@@ -388,8 +388,8 @@ def main(argv: list[str] | None = None) -> int:
     temps = []  # each artifact's temporary sibling, renamed into place once every writer has returned
     try:
         cfg = load_config(args.config)
-        args.out.mkdir(parents=True, exist_ok=True)
         lines, warnings, failure, writers = args.func(args, cfg)
+        args.out.mkdir(parents=True, exist_ok=True)  # once the command has computed: a refused run makes no directory
         for line in warnings:
             print(line, file=sys.stderr)
         for line in lines:

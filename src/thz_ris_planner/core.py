@@ -124,6 +124,14 @@ class Value:
         return self.__class__, self._fields()
 
 
+class ArrayRecord(Value):
+    """A Value whose fields hold arrays, whose == gives no one truth value: it compares and hashes by identity."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
 class Frequency(Value):
     """A positive frequency in hertz."""
 

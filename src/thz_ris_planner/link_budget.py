@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .core import BistaticGeometry, Frequency, Value, _finite
+from .core import BistaticGeometry, Frequency, Value, _finite, is_integer
 
 THERMAL_NOISE_DBM_HZ = -174.0  # kT at 290 K
 
@@ -71,13 +71,8 @@ class LinkReport(Value):
 
 
 def _check_modulation_order(m: int) -> None:
-    if m in (2, 4):
+    if is_integer(m) and (m in (2, 4) or (m >= 16 and math.isqrt(m) ** 2 == m and m & (m - 1) == 0)):
         return
-    if m >= 16:
-        root = math.isqrt(m)
-        bits = m.bit_length() - 1
-        if root * root == m and 2**bits == m:
-            return
     raise ValueError(f"unsupported modulation order M={m}; use 2, 4, or square M-QAM (16, 64, ...)")
 
 
@@ -136,17 +131,18 @@ def sensitivity(r: ReceiverSpec) -> float:
 def spreading_term(geometry: BistaticGeometry, f: Frequency) -> float:
     """Bistatic spreading factor 10*log10((4*pi)^-3 * (lambda/(d1*d2))^2) in dB.
 
-    Raises ValueError when d1*d2 is so large or so small that the factor
-    leaves the range of a float.
+    Raises ValueError when lambda/(d1*d2) is so large or so small that the
+    factor leaves the range of a float.
     """
     lam = f.wavelength_m
     d1d2 = geometry.d1_m * geometry.d2_m
+    terms = f"lambda = {lam:.3g} m and d1*d2 = {d1d2:.3g} m^2 make lambda/(d1*d2) so"
     factor = _finite(
         lambda: (1.0 / (4.0 * math.pi) ** 3) * (lam / d1d2) ** 2,
-        ValueError(f"d1*d2 = {d1d2:.3g} m^2 is so small that the spreading factor overflows"),
+        ValueError(f"{terms} large that the spreading factor overflows"),
     )
     if factor == 0.0:
-        raise ValueError(f"d1*d2 = {d1d2:.3g} m^2 is so large that the spreading factor underflows")
+        raise ValueError(f"{terms} small that the spreading factor underflows")
     return 10.0 * math.log10(factor)
 
 

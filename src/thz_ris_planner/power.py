@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Value, _finite
+from .core import Value, _finite, is_integer
 
 
 class TechnologyProfile(Value):
@@ -29,8 +29,8 @@ def panel_power(n_cells: int, tech: TechnologyProfile) -> float:
 
     Raises ValueError when the product leaves the range of a float.
     """
-    if n_cells < 1:
-        raise ValueError("panel needs at least one cell")
+    if not is_integer(n_cells) or n_cells < 1:
+        raise ValueError(f"a panel needs a whole number of cells, at least one, got {n_cells!r}")
     return _finite(  # n_cells may be an int too large for a float
         lambda: n_cells * tech.per_cell_power_w,
         ValueError("panel power overflows: n_cells * per-cell power is beyond the float range"),

@@ -9,67 +9,24 @@ sqrt(cos(theta)), so element power falls as cos(theta). The programmed phases
 inside c_n are fixed at the design frequency and frequency-flat; evaluating at
 f != f0 is what produces beam squint.
 
-Every production field evaluation (principal cuts, single-direction gain,
-the directivity quadrature, the broadside beamwidth, and one sample per
-squint angle for its gain trace and beam track) goes through one kernel,
-_field(p, folded, ku, kv), which radiates a stack of folded grids on the
-lattice of p. A PhaseProfile lies on a uniform lattice centred on the origin,
-x[n-1-i] == -x[i] exactly, so cos(x q) is even in x and sin(x q) odd, and
-_field works on the upper m = n - n//2 rows of each axis in real arithmetic
-only. Each caller folds a grid once, where it makes it, by _parity_fold into
-four parity parts, c[u] +/- c[n-1-u] per axis: one real matrix. Per chunk of
-directions _cos_sin_table writes [cos; sin] of the upper rows of each axis,
-three exps per direction, into one real table; for each folded grid, one real
-matrix product with the y table, half the multiplies of a complex product,
-and a real product-sum against the x table finish the chunk. The kernel is
-within 1e-15 of the peak of array_factor_direct on 1^2 to 128^2 panels. Two
-further routes exist:
-
-* array_factor_fft: zero-padded 2-D DFT on the (u, v) lattice, equal to the
-  direct sum at lattice points for every profile, because a PhaseProfile
-  derives its element positions from the grid shape and pitch and so always
-  lies on the centred uniform lattice the DFT assumes;
-* array_factor_direct: a per-direction loop over the elements, kept as the
-  reference oracle that tests compare both routes against.
-
-directivity() integrates |E|^2 over the front hemisphere by the trapezoid
-rule with the sin(theta) Jacobian on a grid refined around the main lobe;
-one mirrored _field call radiates its coarse phi grid on one quadrant and the
-three mirror quadrants from the same matrix products (on a square lattice,
-one octant for c and c^T and the seven others). No production route calls
-it: like array_factor_direct, it is kept as the independent quadrature
-check that tests compare the closed form and the cut route against. A closed
-form for the same integral on a uniform lattice,
+Integrating the cos(theta) element power over the front hemisphere gives, on
+a uniform lattice, the closed form
 
     P(k) = sum_d corr(d) * 2*pi*J1(k*|d|)/(k*|d|),
 
-with corr(d) = sum_m c_m conj(c_{m-d}) the lattice autocorrelation at lag d,
-follows from integrating the cos(theta) element power pattern over the
-hemisphere. It normalises cuts, single-direction gains and the squint sweep,
-which refuse it unless it is positive and finite (_positive_power).
-_radial_corr takes a profile's autocorrelation by FFT, in blocks holding one
-real power lattice and its half spectrum at most, and sums its real part,
-even in d, per distinct squared integer lag i^2 + j^2 of the half lattice,
-as _lag_radii indexes them (2122 radii for the 11175 half-lattice lags of a
-75x75 panel): one column of a (1 + radii) x profiles matrix G.
-_closed_form_power contracts G with the J1 kernel over (k, radius) block by
-block, with no table: each block, every k by as many radii as fit in
-J1_BLOCK_BYTES (at least one), is built, contracted and dropped, so memory
-does not grow with the frequency count, and no kernel entry depends on the
-blocking. squint_vs_angle contracts every angle's column in one pass;
-hemisphere_power_exact is the one-k, one-column case. A continuous squint
+with corr(d) = sum_m c_m conj(c_{m-d}) the lattice autocorrelation at lag d.
+It normalises cuts, single-direction gains and the squint sweep, which refuse
+it unless it is positive and finite (_positive_power). A continuous squint
 profile c is its taper a times exp(-j g.r): Re corr_c(d) = cos(g.d) A(d) and
-AF_c(k) = AF_a(k - g), so one _half_corr A of a per call serves every angle.
-_k_phases builds exp(j k rho) coarse x fine along a uniform k grid, and one
-exp per entry for one k or any other grid; _j1 reads sin and cos from those
-phases and sums the power series, Miller's recurrence or the Hankel
-expansion by range (A&S 9.1, 9.2).
+AF_c(k) = AF_a(k - g), so one autocorrelation A of a per call serves every angle.
 
-Quantization loss and the pattern command take the same principal-plane cuts
-in the steering plane, normalised by that closed form, from quantized_cuts.
-It radiates every setting in one stacked _field call and takes their powers
-from one _closed_form_power pass. Its cut step is a fixed fraction of the
-analytical beamwidth, so neither leaves the resolution to its caller.
+The routes, one line each:
+
+* _field: every production field (cuts, gain_at, the broadside beamwidth, the squint samples);
+* _closed_form_power: every production power, from one autocorrelation per profile;
+* quantized_cuts: the steering-plane cuts of quantization_loss and the pattern command;
+* array_factor_fft: the (u, v) lattice by zero-padded DFT, the direct sum at its points;
+* array_factor_direct and directivity(): the test oracles, a direct sum and a quadrature.
 
 Squint bandwidth follows the beam-shift convention (Mailloux, Phased Array
 Antenna Handbook): with the phases frozen, the beam peak drifts as
@@ -85,7 +42,7 @@ import math
 import numpy as np
 
 from .aperture import ApertureSpec
-from .core import BROADSIDE, PEAK_WINDOW, SPEED_OF_LIGHT, Direction, Frequency, Value
+from .core import BROADSIDE, PEAK_WINDOW, SPEED_OF_LIGHT, ArrayRecord, Direction, Frequency, Value
 from .core import _fast_length, _refuse_over_limit, check_array_budget, is_integer
 from .surface import PhaseProfile, TaperSpec, quantize_profile, synthesize_profile
 
@@ -121,15 +78,13 @@ _SERIES = _series_coefficients(12)  # the first omitted term is 3e-19 at x = 2
 _HANKEL_P, _HANKEL_Q = _hankel_coefficients(16)  # the first omitted term is 5e-17 at x = 25
 
 
-class UVPattern(Value):
+class UVPattern(ArrayRecord):
     """Complex field E at (ax1[i], ax2[j]) on a lattice of direction cosines (u, v).
 
-    field is NaN in the invisible region u^2 + v^2 > 1; patterns compare by identity.
+    field is NaN in the invisible region u^2 + v^2 > 1.
     """
 
     __slots__ = ("ax1", "ax2", "field")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def peak_uv(self) -> tuple[float, float, float]:
         """(|E|, u, v) at the strongest visible lattice point."""
@@ -139,16 +94,14 @@ class UVPattern(Value):
         return float(mag[i, j]), float(self.ax1[i]), float(self.ax2[j])
 
 
-class SpherePattern(Value):
+class SpherePattern(ArrayRecord):
     """Directivity on a (theta, phi) grid: ax1 is theta (rad), ax2 is phi (rad).
 
     directivity_dbi holds 4*pi*|E|^2 / total_power in dB at (ax1[i], ax2[j]), where
-    total_power is the quadrature of |E|^2 over the front hemisphere; compared by identity.
+    total_power is the quadrature of |E|^2 over the front hemisphere.
     """
 
     __slots__ = ("ax1", "ax2", "directivity_dbi", "total_power")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def peak_directivity(self) -> tuple[float, Direction]:
         """Peak directivity in dBi and its direction."""
@@ -157,7 +110,7 @@ class SpherePattern(Value):
         return float(self.directivity_dbi[i, j]), Direction(float(self.ax1[i]), float(self.ax2[j]))
 
 
-class SquintReport(Value):
+class SquintReport(ArrayRecord):
     """Beam-peak track and gain trace versus frequency of a profile frozen at design_freq_hz (f0).
 
     gain_dbi is the directivity toward the target Direction at each frequency
@@ -165,13 +118,11 @@ class SquintReport(Value):
     in the steering plane, peak_theta_rad (signed, rad, one per frequency),
     stays within hpbw_rad/2 of the target; hpbw_rad is the measured -3 dB width
     of the same aperture and taper steered to broadside. saturated: the peak
-    never leaves it, and bw_3db_hz is the span. Reports compare by identity.
+    never leaves it, and bw_3db_hz is the span.
     """
 
     __slots__ = ("design_freq_hz", "target", "freq_hz", "gain_dbi", "peak_theta_rad",
                  "hpbw_rad", "bw_3db_hz", "saturated")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     @property
     def fractional_bw_pct(self) -> float:
@@ -329,6 +280,7 @@ def _field(p: PhaseProfile, folded: list[np.ndarray], ku: np.ndarray, kv: np.nda
     the same in a stack as alone. Directions run along the last axis, padded
     with copies of the last one to a multiple of 8, where BLAS rounds every
     column of a product alike, so a direction's field is the same in any call.
+    It is within 1e-15 of the peak of array_factor_direct on 1^2 to 128^2 panels.
 
     mirrored: the result is (P, 4, *ku.shape), the field at (ku, kv), (-ku,
     kv), (-ku, -kv) and (ku, -kv): _MIRROR_SIGNS times the parity parts, cos
@@ -339,9 +291,10 @@ def _field(p: PhaseProfile, folded: list[np.ndarray], ku: np.ndarray, kv: np.nda
     pad = np.minimum(np.arange(ku.size + -ku.size % 8), ku.size - 1)
     flat_u, flat_v = ku.ravel()[pad], kv.ravel()[pad]
     out = np.empty((len(folded), 4 if mirrored else 1, pad.size), dtype=complex)
+    x, y = p.x_m, p.y_m
     for s in range(0, pad.size, FIELD_CHUNK):
         chunk = slice(s, s + FIELD_CHUNK)
-        ax, ay = _cos_sin_table(p.x_m, flat_u[chunk]), _cos_sin_table(p.y_m, flat_v[chunk])
+        ax, ay = _cos_sin_table(x, flat_u[chunk]), _cos_sin_table(y, flat_v[chunk])
         axp, my = ax.reshape(2, -1, ax.shape[1]), ay.shape[0] // 2  # axp: [px, u, s]
         for fold, row in zip(folded, out):
             if mirrored:  # each y-parity half of the product, [r, px, u, s], in turn against axp: [px, py, r, s]
@@ -692,18 +645,17 @@ def principal_plane_cut(
     check_array_budget(max(p.rows, p.cols), n_directions=math.pi / theta_step + 1)
     f = p.design_freq if f is None else f
     total_power = hemisphere_power_exact(p, f) if total_power is None else total_power
-    theta, e2 = _cuts(p, [_parity_fold(p.coefficients)], f, phi, theta_step)
-    return np.degrees(theta), _dbi(e2[0], total_power)
+    return _cuts(p, [_parity_fold(p.coefficients)], f, phi, theta_step, [total_power])[0]
 
 
-def _cuts(p: PhaseProfile, folded, f: Frequency, phi: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """theta (rad) of a principal-plane cut at finite azimuth phi, and |E|^2 there of each grid of a folded stack."""
+def _cuts(p: PhaseProfile, folded, f: Frequency, phi: float, step: float, powers) -> list[tuple]:
+    """(theta_deg, dbi) of a principal-plane cut at finite azimuth phi of each folded grid, over its entry of powers."""
     theta = np.arange(-math.pi / 2, math.pi / 2 + 1e-12, step)
     theta[np.abs(theta - math.pi / 2) <= 1e-12] = math.pi / 2  # arange may stop a rounding short of it
     # negative theta at phi + 180 deg is positive theta with k*sin(theta) negated
     q = _wavenumber(f) * np.sin(theta)
     e = _field(p, folded, q * math.cos(phi), q * math.sin(phi)) * _element_factor(theta)
-    return theta, np.abs(e) ** 2
+    return [(np.degrees(theta), _dbi(np.abs(row) ** 2, power)) for row, power in zip(e, powers, strict=True)]
 
 
 def quantization_loss(
@@ -750,9 +702,8 @@ def quantized_cuts(
         folded.append(_parity_fold(profile.coefficients))
         del profile
     del radius_index  # not held beside the cuts
-    theta, e2 = _cuts(p, folded, p.design_freq, phi, step)
     powers = _positive_power(p.cell_pitch_m, squared, np.array([_wavenumber(p.design_freq)]), corr)[0]
-    return [(np.degrees(theta), _dbi(row, power)) for row, power in zip(e2, powers)]
+    return _cuts(p, folded, p.design_freq, phi, step, powers)
 
 
 def squint_sweep(

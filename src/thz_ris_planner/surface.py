@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .aperture import ApertureSpec
-from .core import Direction, Frequency, Value, check_array_budget, is_integer
+from .core import ArrayRecord, Direction, Frequency, Value, check_array_budget, is_integer
 
 MAX_QUANTIZATION_BITS = 8  # beyond practical per-cell switch counts
 
@@ -48,19 +48,16 @@ class TaperSpec(Value):
         return p + (1.0 - p) * np.cos(np.pi * rho / 2.0) ** 2
 
 
-class PhaseProfile(Value):
+class PhaseProfile(ArrayRecord):
     """Programmed complex reflection coefficients on a uniform element lattice.
 
     The lattice is centred on the panel by construction: coefficients[i, j]
     belongs to the element at (x_m[i], y_m[j]), and both axes follow from the
     grid shape and cell_pitch_m. A quantized profile is one whose phases sit
-    on the levels of quantization_levels. Profiles compare and hash by
-    identity; the coefficient array is read-only.
+    on the levels of quantization_levels. The coefficient array is read-only.
     """
 
     __slots__ = ("coefficients", "design_freq", "cell_pitch_m")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(self, coefficients: np.ndarray, design_freq: Frequency, cell_pitch_m: float):
         if coefficients.ndim != 2:
@@ -96,12 +93,9 @@ class PhaseProfile(Value):
         return np.abs(self.coefficients)
 
 
-@functools.lru_cache(maxsize=64)
 def _centred_axis(n: int, pitch: float) -> np.ndarray:
-    """Coordinates of n cells at the given pitch along one axis, centred on 0; built once, read-only."""
-    axis = (np.arange(n) - (n - 1) / 2.0) * pitch
-    axis.setflags(write=False)
-    return axis
+    """Coordinates of n cells at the given pitch along one axis, centred on 0."""
+    return (np.arange(n) - (n - 1) / 2.0) * pitch
 
 
 @functools.lru_cache(maxsize=1)  # holds one grid: 8 MB at 1000^2 cells

@@ -268,7 +268,7 @@ def test_squint_unbracketed_beamwidth_exits_1(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--svg", "squint"]) == 1
     assert capsys.readouterr().err == "error: cannot bracket the -3 dB point of the broadside beam\n"
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -463,8 +463,21 @@ def test_bad_input_fails_with_one_line(tmp_path, capsys, config, edit, args, exp
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert "Traceback" not in err
-    # a refused run leaves no artifact behind
-    assert not out.exists() or not any(out.iterdir())
+    # a refused run leaves no artifact, and no --out directory, behind
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["link-budget", "solve-aperture"])
+def test_overflowing_wavelength_is_named_in_the_spreading_refusal(tmp_path, capsys, command):
+    # a 1e-300 Hz link has an infinite wavelength; the 2500 m^2 path product is not what overflowed
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(PAPER.replace("frequency = 140 GHz\nd1", "frequency = 1e-300 Hz\nd1"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 1
+    assert capsys.readouterr().err == (
+        "error: lambda = inf m and d1*d2 = 2.5e+03 m^2 make lambda/(d1*d2) so large"
+        " that the spreading factor overflows\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_infinite_required_rcs_is_beyond_the_float_range(tmp_path, capsys):
@@ -522,7 +535,7 @@ def test_missing_section_is_named(tmp_path, capsys, command, config, section):
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), command]) == 1
     assert capsys.readouterr().err == f"config error: missing required section [{section}]\n"
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 LINK_KEYS = ["frequency", "d1", "d2", "theta_in", "theta_out", "tx_power", "bs_gain", "terminal_gain"]
@@ -544,7 +557,7 @@ def test_missing_required_key_is_named(tmp_path, capsys, command, section, key):
     assert main(["--config", str(cfg), "--out", str(out), command]) == 1
     err = capsys.readouterr().err
     assert err == f"config error: section [{section}] is missing required key '{key}'\n"
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_solve_aperture_underflowing_efficiency_is_infeasible(tmp_path, capsys):

@@ -79,6 +79,16 @@ def test_spreading_out_of_float_range_names_distance_product():
     assert near == pytest.approx(reference - 20.0 * math.log10(1e150 / 2500.0))
 
 
+@pytest.mark.parametrize("hertz, end", [(1e300, "small that the spreading factor underflows"),
+                                        (1e-300, "large that the spreading factor overflows")])
+def test_spreading_out_of_float_range_names_the_wavelength_too(hertz, end):
+    # at d1 = d2 = 50 m it is the wavelength, 3e-292 m or inf, that puts lambda/(d1*d2) out of range
+    with pytest.raises(ValueError) as refusal:
+        spreading_term(reference_geometry(), Frequency(hertz))
+    lam = f"{299792458.0 / hertz:.3g}"
+    assert str(refusal.value) == f"lambda = {lam} m and d1*d2 = 2.5e+03 m^2 make lambda/(d1*d2) so {end}"
+
+
 # --- received power ---------------------------------------------------------
 
 
@@ -170,6 +180,19 @@ def test_required_snr_rejects_unsupported_orders():
             required_snr_db(m, 1e-6)
     with pytest.raises(ValueError):
         ReceiverSpec(2e9, 7.0, modulation_order=8)
+
+
+@pytest.mark.parametrize("m", [16.0, 4.0, math.inf, 1e308, math.nan, True, "16"])
+def test_a_modulation_order_that_is_not_an_integer_is_refused_in_one_line(m):
+    # a float order reached math.isqrt and raised TypeError, or passed as 4.0
+    for refuse in (lambda: required_snr_db(m, 1e-6), lambda: ReceiverSpec(2e9, 7.0, m)):
+        with pytest.raises(ValueError) as refusal:
+            refuse()
+        assert str(refusal.value) == f"unsupported modulation order M={m}; use 2, 4, or square M-QAM (16, 64, ...)"
+
+
+def test_a_numpy_integer_modulation_order_is_accepted():
+    assert required_snr_db(np.int64(16), 1e-6) == required_snr_db(16, 1e-6)
 
 
 @pytest.mark.parametrize("m", [2, 4, 16])

@@ -36,3 +36,11 @@ def test_validation():
         panel_power(0, PROFILES["cmos_rfsoi"])
     with pytest.raises(ValueError):
         TechnologyProfile("bad", -1.0)
+
+
+@pytest.mark.parametrize("n_cells", [1.5, 1.0, True, float("inf"), "10"])
+def test_a_cell_count_that_is_not_an_integer_is_refused(n_cells):
+    # 1.5 cells drew the power of 1.5 cells, and True that of one
+    with pytest.raises(ValueError) as refusal:
+        panel_power(n_cells, PROFILES["cmos_rfsoi"])
+    assert str(refusal.value) == f"a panel needs a whole number of cells, at least one, got {n_cells!r}"

@@ -877,8 +877,9 @@ _BAD_POWERS = {
     # quantized_cuts' cut step at 1e308 Hz is 1e-299 rad, which its array budget refuses first
     [(r, c) for r in _POWER_ROUTES for c in _BAD_POWERS if (r, c) != ("quantized_cuts", "steered-1e308Hz")],
 )
-def test_power_routes_refuse_a_closed_form_power_that_is_not_positive_and_finite(route, case):
+def test_power_routes_refuse_a_closed_form_power_that_is_not_positive_and_finite(monkeypatch, route, case):
     profile, got = _BAD_POWERS[case]
+    monkeypatch.setattr(radiation, "_field", None)  # each route refuses before any field work
     with pytest.raises(ValueError) as refusal:
         _POWER_ROUTES[route](profile)
     assert str(refusal.value) == f"the closed-form hemisphere power must be positive and finite, got {got}"
