@@ -148,6 +148,8 @@ def spreading_term(geometry: BistaticGeometry, f: Frequency) -> float:
 
 def received_power(s: LinkScenario, sigma_ris_dbsm: float) -> float:
     """Received power (dBm) for a given RIS radar cross section in dBsm."""
+    if not math.isfinite(sigma_ris_dbsm):
+        raise ValueError(f"the RIS cross section must be finite, got {sigma_ris_dbsm} dBsm")
     return (
         s.tx_power_dbm
         + s.bs_gain_dbi
@@ -159,6 +161,8 @@ def received_power(s: LinkScenario, sigma_ris_dbsm: float) -> float:
 
 def required_rcs_for_target(s: LinkScenario, target_rx_dbm: float) -> float:
     """RCS (dBsm) that makes the received power equal target_rx_dbm."""
+    if not math.isfinite(target_rx_dbm):
+        raise ValueError(f"the target received power must be finite, got {target_rx_dbm} dBm")
     return (
         target_rx_dbm
         - s.tx_power_dbm

@@ -11,7 +11,6 @@ evaluated at the design frequency f0 on the element lattice.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -98,15 +97,6 @@ def _centred_axis(n: int, pitch: float) -> np.ndarray:
     return (np.arange(n) - (n - 1) / 2.0) * pitch
 
 
-@functools.lru_cache(maxsize=1)  # holds one grid: 8 MB at 1000^2 cells
-def _taper_grid(n: int, pitch: float, side: float, taper: TaperSpec) -> np.ndarray:
-    """Taper magnitude over the n x n lattice of a panel of the given side; built once, read-only."""
-    x = _centred_axis(n, pitch)
-    amp = taper.amplitude(np.hypot(x[:, None], x[None, :]) / (side / 2.0))
-    amp.setflags(write=False)
-    return amp
-
-
 def synthesize_profile(
     a: ApertureSpec,
     incident: Direction,
@@ -120,9 +110,10 @@ def synthesize_profile(
     u_in, v_in = incident.transverse()
     u_out, v_out = outgoing.transverse()
     psi = np.mod(-k0 * ((u_out - u_in) * x[:, None] + (v_out - v_in) * x[None, :]), 2.0 * math.pi)
+    amp = taper.amplitude(np.hypot(x[:, None], x[None, :]) / (a.side_m / 2.0))
 
     return PhaseProfile(
-        coefficients=_taper_grid(a.n_per_side, a.cell_pitch_m, a.side_m, taper) * np.exp(1j * psi),
+        coefficients=amp * np.exp(1j * psi),
         design_freq=a.design_freq,
         cell_pitch_m=a.cell_pitch_m,
     )

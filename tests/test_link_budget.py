@@ -130,6 +130,13 @@ def test_received_power_linear_in_gains():
         assert received_power(base, 5.0 + shift) - p0 == pytest.approx(shift, abs=1e-9)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_received_power_refuses_a_cross_section_that_is_not_finite(sigma):
+    with pytest.raises(ValueError) as raised:
+        received_power(reference_scenario(), sigma)
+    assert str(raised.value) == f"the RIS cross section must be finite, got {sigma} dBsm"
+
+
 # --- sensitivity ------------------------------------------------------------
 
 
@@ -232,6 +239,13 @@ def test_required_rcs_balanced_budget_is_zero():
     s = reference_scenario()
     target = s.tx_power_dbm + s.bs_gain_dbi + s.terminal_gain_dbi + spreading_term(s.geometry, s.f)
     assert required_rcs_for_target(s, target) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_required_rcs_refuses_a_target_that_is_not_finite(target):
+    with pytest.raises(ValueError) as raised:
+        required_rcs_for_target(reference_scenario(), target)
+    assert str(raised.value) == f"the target received power must be finite, got {target} dBm"
 
 
 def test_required_rcs_distance_scaling():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import j1
 
-from thz_ris_planner import core, radiation, surface
+from thz_ris_planner import core, radiation
 from thz_ris_planner.aperture import ApertureSpec
 from thz_ris_planner.core import (
     BROADSIDE,
@@ -1349,8 +1349,8 @@ def test_quantization_loss_refuses_an_oversize_panel_before_building_it(monkeypa
     # a small budget stands in for a huge panel, so nothing large is allocated
     monkeypatch.setattr(core, "MAX_ARRAY_BYTES", 1024)
     built = []
-    taper_grid = surface._taper_grid
-    monkeypatch.setattr(surface, "_taper_grid", lambda *args: built.append(args) or taper_grid(*args))
+    amplitude = TaperSpec.amplitude
+    monkeypatch.setattr(TaperSpec, "amplitude", lambda *args: built.append(args) or amplitude(*args))
     ap = ApertureSpec.from_element_grid(300, F140)
     with pytest.raises(ValueError, match="GiB limit") as raised:
         quantization_loss(ap, Direction.from_degrees(37.0), [1, 2], TaperSpec(-10.0))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from thz_ris_planner.surface import (
     PhaseProfile,
     TaperSpec,
     _centred_axis,
-    _taper_grid,
     quantization_levels,
     quantize_profile,
     synthesize_profile,
@@ -253,27 +253,37 @@ def test_lattice_axes_are_the_centred_formula():
         assert np.array_equal(axis.view(np.uint64), ((np.arange(n) - (n - 1) / 2.0) * pitch).view(np.uint64))
 
 
-def test_taper_grid_is_built_once_and_profiles_keep_their_bits():
-    # a sweep synthesises one aperture and taper at many angles: the taper
-    # magnitude is cached, and every profile still equals the meshgrid formula
+def test_profiles_keep_the_meshgrid_formulas_bits():
+    # every profile equals the meshgrid formula bit for bit, at each design frequency
     rng = np.random.default_rng(5)
-    for n, edge_db in ((1, 0.0), (7, -3.3), (56, -10.0)):
-        panel = ApertureSpec.from_element_grid(n, F140)
-        taper = TaperSpec(edge_db)
-        x = _centred_axis(n, panel.cell_pitch_m)
-        gx, gy = np.meshgrid(x, x, indexing="ij")
-        amp = taper.amplitude(np.hypot(gx, gy) / (panel.side_m / 2.0))
-        k0 = 2.0 * math.pi / F140.wavelength_m
-        grids = set()
-        for out in (BROADSIDE, *(Direction(rng.uniform(0.0, 1.5), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(3))):
-            u_out, v_out = out.transverse()  # incidence from broadside: u_in = v_in = 0
-            psi = np.mod(-k0 * (u_out * gx + v_out * gy), 2.0 * math.pi)
-            prof = synthesize_profile(panel, BROADSIDE, out, taper)
-            assert np.array_equal(prof.coefficients.view(np.uint64), (amp * np.exp(1j * psi)).view(np.uint64))
-            grids.add(id(_taper_grid(n, panel.cell_pitch_m, panel.side_m, taper)))
-        assert len(grids) == 1
-        with pytest.raises(ValueError):
-            _taper_grid(n, panel.cell_pitch_m, panel.side_m, taper)[0, 0] = 0.0
+    for f0 in (F140, Frequency.from_ghz(100), Frequency.from_ghz(300)):
+        for n, edge_db in ((1, 0.0), (7, -3.3), (56, -10.0)):
+            panel = ApertureSpec.from_element_grid(n, f0)
+            taper = TaperSpec(edge_db)
+            x = _centred_axis(n, panel.cell_pitch_m)
+            gx, gy = np.meshgrid(x, x, indexing="ij")
+            amp = taper.amplitude(np.hypot(gx, gy) / (panel.side_m / 2.0))
+            k0 = 2.0 * math.pi / f0.wavelength_m
+            for out in (BROADSIDE, *(Direction(rng.uniform(0.0, 1.5), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(3))):
+                u_out, v_out = out.transverse()  # incidence from broadside: u_in = v_in = 0
+                psi = np.mod(-k0 * (u_out * gx + v_out * gy), 2.0 * math.pi)
+                prof = synthesize_profile(panel, BROADSIDE, out, taper)
+                assert np.array_equal(prof.coefficients.view(np.uint64), (amp * np.exp(1j * psi)).view(np.uint64))
+
+
+def test_synthesis_holds_no_memory_once_its_profile_is_dropped():
+    # a 200^2 taper grid is 320 kB; a quarter of it is the slack for allocator noise
+    panel = ApertureSpec.from_element_grid(200, F140)
+    tracemalloc.start()
+    try:
+        synthesize_profile(ApertureSpec.from_element_grid(30, F140), BROADSIDE, OUT45, TaperSpec(-10.0))  # warm-up
+        before = tracemalloc.get_traced_memory()[0]
+        prof = synthesize_profile(panel, BROADSIDE, OUT45, TaperSpec(-10.0))
+        del prof
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 8 * 200**2 // 4
 
 
 def test_profile_equality_is_identity():
