@@ -15,7 +15,7 @@ twice() {  # name for its files, bundled config, command, sed edit, a line the e
   sed "$4" "src/thz_ris_planner/data/$2.cfg" > "$cfg"
   grep -qx "$5" "$cfg"
   for run in first second; do
-    PYTHONPATH=src python -m thz_ris_planner.cli --config "$cfg" --out "$tmp/$1_$run" "$3" > /dev/null
+    PYTHONPATH=src python -W error -m thz_ris_planner.cli --config "$cfg" --out "$tmp/$1_$run" "$3" > /dev/null
     (cd "$tmp/$1_$run" && sha256sum -- *) > "$tmp/$1_$run.sha256"
   done
   test -s "$tmp/$1_first.sha256"

@@ -19,6 +19,12 @@ class UnreachableGeometryError(ValueError):
     """Raised when the requested scatter geometry cannot produce the RCS."""
 
 
+def _cell_pitch(cell_pitch_m: float | None, design_freq: Frequency) -> float:
+    """cell_pitch_m, or half a wavelength at design_freq where it is None, if it is positive and finite."""
+    pitch = design_freq.wavelength_m / 2.0 if cell_pitch_m is None else cell_pitch_m
+    return _finite(pitch, "cell pitch must be positive and finite", lambda p: p > 0.0)
+
+
 class ApertureSpec(Value):
     """Square RIS aperture: side length, unit-cell pitch, and efficiency.
 
@@ -29,17 +35,12 @@ class ApertureSpec(Value):
 
     def __init__(self, side_m: float, design_freq: Frequency, cell_pitch_m: float | None = None,
                  aperture_efficiency: float = 1.0):
-        if cell_pitch_m is None:
-            cell_pitch_m = design_freq.wavelength_m / 2.0
-        if not (0.0 < cell_pitch_m < math.inf):
-            raise ValueError("cell pitch must be positive and finite")
-        if not (0.0 < aperture_efficiency <= 1.0):
-            raise ValueError("aperture efficiency must be in (0, 1]")
-        if not (cell_pitch_m <= side_m < math.inf):
-            raise ValueError("aperture side must be finite and at least one cell pitch")
-        if side_m / cell_pitch_m >= 2.0**512:  # (side/pitch)^2 cells would overflow a float
-            raise ValueError(f"aperture side {side_m:.3g} m holds too many {cell_pitch_m:.3g} m cells")
-        super().__init__(side_m, design_freq, cell_pitch_m, aperture_efficiency)
+        pitch = _cell_pitch(cell_pitch_m, design_freq)
+        eff = _finite(aperture_efficiency, "aperture efficiency must be in (0, 1]", lambda e: 0.0 < e <= 1.0)
+        side_m = _finite(side_m, "aperture side must be finite and at least one cell pitch", lambda s: s >= pitch)
+        if side_m / pitch >= 2.0**512:  # (side/pitch)^2 cells would overflow a float
+            raise ValueError(f"aperture side {side_m:.3g} m holds too many {pitch:.3g} m cells")
+        super().__init__(side_m, design_freq, pitch, eff)
 
     @classmethod
     def from_element_grid(
@@ -56,7 +57,7 @@ class ApertureSpec(Value):
             raise ValueError("n_per_side must be >= 1")
         if n_per_side >= 2**512:  # n_per_side^2 cells would overflow a float
             raise ValueError("n_per_side must be below 2^512")
-        pitch = cell_pitch_m if cell_pitch_m is not None else design_freq.wavelength_m / 2.0
+        pitch = _cell_pitch(cell_pitch_m, design_freq)  # checked first: n_per_side times a str repeats it
         return cls(n_per_side * pitch, design_freq, pitch, aperture_efficiency)
 
     @property
@@ -75,7 +76,7 @@ def rcs(a: ApertureSpec, incident: Direction, outgoing: Direction) -> float:
     return _finite(
         lambda: a.aperture_efficiency * (4.0 * math.pi / lam**2) * a.side_m**4
         * math.cos(incident.theta) * math.cos(outgoing.theta),
-        ValueError(f"the RCS of a {a.side_m:.3g} m side at {lam:.3g} m wavelength overflows"),
+        f"the RCS of a {a.side_m:.3g} m side at {lam:.3g} m wavelength overflows",
     )
 
 
@@ -92,10 +93,8 @@ def solve_aperture_size(
     the cosine product collapses, and when D^4 overflows because eta times
     that product is too small or lambda too long: no finite aperture closes it.
     """
-    if required_sigma_m2 <= 0:
-        raise ValueError("required RCS must be positive")
-    if not (0.0 < eta <= 1.0):
-        raise ValueError("aperture efficiency must be in (0, 1]")
+    _finite(required_sigma_m2, "required RCS must be positive and finite, got {} m^2", lambda s: s > 0.0)
+    _finite(eta, "aperture efficiency must be in (0, 1]", lambda e: 0.0 < e <= 1.0)
     cos_product = math.cos(incident.theta) * math.cos(outgoing.theta)
     if cos_product <= 1e-12:
         raise UnreachableGeometryError(
@@ -104,9 +103,8 @@ def solve_aperture_size(
     denominator = 4.0 * math.pi * eta * cos_product
     quartic = _finite(
         lambda: required_sigma_m2 * f.wavelength_m**2 / denominator,
-        UnreachableGeometryError(
-            "no finite side reaches the required RCS: eta*cos(theta_in)*cos(theta_out)/lambda^2 is too small"
-        ),
+        "no finite side reaches the required RCS: eta*cos(theta_in)*cos(theta_out)/lambda^2 is too small",
+        error=UnreachableGeometryError,
     )
     return quartic**0.25
 
@@ -134,11 +132,10 @@ class EfficiencyLedger(Value):
     __slots__ = ("passive_aperture_eff", "insertion_loss_db")
 
     def __init__(self, passive_aperture_eff: float = 0.5, insertion_loss_db: float = 3.0):
-        if not (0.0 < passive_aperture_eff <= 1.0):
-            raise ValueError("passive aperture efficiency must be in (0, 1]")
-        if not (0.0 <= insertion_loss_db < math.inf):
-            raise ValueError("insertion loss must be finite and >= 0 dB")
-        super().__init__(passive_aperture_eff, insertion_loss_db)
+        super().__init__(
+            _finite(passive_aperture_eff, "passive aperture efficiency must be in (0, 1]", lambda e: 0.0 < e <= 1.0),
+            _finite(insertion_loss_db, "insertion loss must be finite and >= 0 dB", lambda db: db >= 0.0),
+        )
 
     @property
     def resulting_eff(self) -> float:

@@ -182,7 +182,8 @@ def cmd_solve_aperture(args, cfg: ScenarioConfig):
     sigma_dbsm = required_rcs_for_target(scenario, sens)
     sigma_m2 = _finite(  # a required RCS of -inf dBsm is refused too, not read as 0 m^2
         lambda: 10.0 ** (sigma_dbsm / 10.0) if math.isfinite(sigma_dbsm) else sigma_dbsm,
-        UnreachableGeometryError(f"the required RCS of {sigma_dbsm:.6g} dBsm is beyond the float range"),
+        f"the required RCS of {sigma_dbsm:.6g} dBsm is beyond the float range",
+        error=UnreachableGeometryError,
     )
     # a required RCS that underflows to 0 m^2 needs no panel at all
     side = solve_aperture_size(sigma_m2, eta, incident, outgoing, freq) if sigma_m2 > 0.0 else 0.0

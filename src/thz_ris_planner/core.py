@@ -3,21 +3,35 @@
 from __future__ import annotations
 
 import math
+import types
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 PEAK_WINDOW = 21  # samples of the steering-plane array factor around the beam
 MAX_ARRAY_BYTES = 2**30  # largest single array a pattern or squint run may allocate
 
 
-def _finite(compute, error: Exception) -> float:
-    """compute(), or raise error where it overflows, divides by an underflowed zero or is not finite."""
+def _finite(value, message: str, within=lambda x: True, error: type = ValueError) -> float:
+    """value as a float, or raise error(message) unless it is a finite real that within accepts.
+
+    The one rule for a real scalar: a str or another non-number, an int past
+    the float range, NaN and +-inf are refused alike. A function value, made
+    of values already checked, is called first, so a product is checked even
+    where building it overflows or divides by an underflowed zero. The {} in
+    message shows value, or the function's result (inf where it overflowed).
+    """
+    deferred = isinstance(value, types.FunctionType)
     try:
-        value = compute()
+        x = value() if deferred else value
+        x = math.nan if isinstance(x, (str, bytes)) else float(x)
     except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise error
-    return value
+        x = math.inf
+    except TypeError:
+        if deferred:  # a function of checked values meets no non-number: this is a fault, not an input
+            raise
+        x = math.nan
+    if not (math.isfinite(x) and within(x)):
+        raise error(message.format(x if deferred else value))
+    return x
 
 
 def is_integer(value) -> bool:
@@ -133,13 +147,13 @@ class ArrayRecord(Value):
 
 
 class Frequency(Value):
-    """A positive frequency in hertz."""
+    """A positive frequency in hertz whose wavelength is finite: above about 1.67e-300 Hz."""
 
     __slots__ = ("hertz",)
 
     def __init__(self, hertz: float):
-        if not (hertz > 0 and math.isfinite(hertz)):
-            raise ValueError(f"frequency must be positive and finite, got {hertz}")
+        hertz = _finite(hertz, "frequency must be positive and finite, got {}", lambda hz: hz > 0.0)
+        _finite(SPEED_OF_LIGHT / hertz, f"frequency {hertz:.3g} Hz is so low that its wavelength overflows")
         super().__init__(hertz)
 
     @property
@@ -148,7 +162,7 @@ class Frequency(Value):
 
     @classmethod
     def from_ghz(cls, value: float) -> "Frequency":
-        return cls(value * 1e9)
+        return cls(_finite(value, "frequency must be finite, got {} GHz") * 1e9)
 
 
 class Direction(Value):
@@ -161,15 +175,12 @@ class Direction(Value):
     __slots__ = ("theta", "phi")
 
     def __init__(self, theta: float, phi: float = 0.0):
-        if not (0.0 <= theta <= math.pi / 2):
-            raise ValueError(f"theta must be in [0, pi/2], got {theta}")
-        if not math.isfinite(phi):
-            raise ValueError(f"phi must be finite, got {phi}")
-        super().__init__(theta, phi % (2.0 * math.pi))
+        theta = _finite(theta, "theta must be in [0, pi/2], got {}", lambda t: 0.0 <= t <= math.pi / 2)
+        super().__init__(theta, _finite(phi, "phi must be finite, got {}") % (2.0 * math.pi))
 
     @classmethod
     def from_degrees(cls, theta_deg: float, phi_deg: float = 0.0) -> "Direction":
-        return cls(math.radians(theta_deg), math.radians(phi_deg))
+        return cls(*(math.radians(_finite(a, "an angle must be finite, got {} deg")) for a in (theta_deg, phi_deg)))
 
     def transverse(self) -> tuple[float, float]:
         """In-plane direction cosines (u, v) = (sin(theta)cos(phi), sin(theta)sin(phi))."""
@@ -186,6 +197,6 @@ class BistaticGeometry(Value):
     __slots__ = ("d1_m", "d2_m", "incident", "outgoing")
 
     def __init__(self, d1_m: float, d2_m: float, incident: Direction, outgoing: Direction):
-        if not (0.0 < d1_m < math.inf and 0.0 < d2_m < math.inf):
-            raise ValueError("path lengths d1 and d2 must be positive and finite")
+        d1_m, d2_m = (_finite(d, "path lengths d1 and d2 must be positive and finite", lambda d: d > 0.0)
+                      for d in (d1_m, d2_m))
         super().__init__(d1_m, d2_m, incident, outgoing)

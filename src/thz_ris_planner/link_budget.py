@@ -29,11 +29,10 @@ class LinkScenario(Value):
 
     def __init__(self, geometry: BistaticGeometry, f: Frequency, tx_power_dbm: float,
                  bs_gain_dbi: float, terminal_gain_dbi: float):
-        # finite only when each term is, and their sum stays in the float range
-        total = tx_power_dbm + bs_gain_dbi + terminal_gain_dbi
-        if not math.isfinite(total):
-            raise ValueError(f"tx_power + bs_gain + terminal_gain must be finite, got {total} dBm")
-        super().__init__(geometry, f, tx_power_dbm, bs_gain_dbi, terminal_gain_dbi)
+        terms = [_finite(term, "tx_power, bs_gain and terminal_gain must each be finite, got {}")
+                 for term in (tx_power_dbm, bs_gain_dbi, terminal_gain_dbi)]
+        _finite(sum(terms), "tx_power + bs_gain + terminal_gain must be finite, got {} dBm")
+        super().__init__(geometry, f, *terms)
 
 
 class ReceiverSpec(Value):
@@ -48,16 +47,12 @@ class ReceiverSpec(Value):
 
     def __init__(self, bandwidth_hz: float, noise_figure_db: float, modulation_order: int = 4,
                  target_ber: float = 1e-6, implementation_loss_db: float = 0.0):
-        if not (0.0 < bandwidth_hz < math.inf):
-            raise ValueError("bandwidth must be positive and finite")
-        if not math.isfinite(noise_figure_db):
-            raise ValueError("noise_figure_db must be finite")
-        if not math.isfinite(implementation_loss_db):
-            raise ValueError("implementation_loss_db must be finite")
-        _check_target_ber(target_ber)
+        bandwidth_hz = _finite(bandwidth_hz, "bandwidth must be positive and finite", lambda b: b > 0.0)
+        noise_figure_db = _finite(noise_figure_db, "noise_figure_db must be finite")
+        implementation_loss_db = _finite(implementation_loss_db, "implementation_loss_db must be finite")
+        target_ber = _check_target_ber(target_ber)
         _check_modulation_order(modulation_order)
-        super().__init__(bandwidth_hz, noise_figure_db, modulation_order, target_ber,
-                         implementation_loss_db)
+        super().__init__(bandwidth_hz, noise_figure_db, modulation_order, target_ber, implementation_loss_db)
 
 
 class LinkReport(Value):
@@ -76,9 +71,8 @@ def _check_modulation_order(m: int) -> None:
     raise ValueError(f"unsupported modulation order M={m}; use 2, 4, or square M-QAM (16, 64, ...)")
 
 
-def _check_target_ber(ber: float) -> None:
-    if not (0.0 < ber < 0.5):
-        raise ValueError("target BER must be in (0, 0.5)")
+def _check_target_ber(ber: float) -> float:
+    return _finite(ber, "target BER must be in (0, 0.5)", lambda b: 0.0 < b < 0.5)
 
 
 def _q_inverse(p: float) -> float:
@@ -111,21 +105,19 @@ def required_snr_db(modulation_order: int, target_ber: float) -> float:
 
 def noise_floor_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
     """Receiver noise power: -174 dBm/Hz + 10*log10(B) + NF."""
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
+    _finite(bandwidth_hz, "bandwidth must be positive and finite", lambda b: b > 0.0)
+    _finite(noise_figure_db, "noise_figure_db must be finite")
     return THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
 def sensitivity(r: ReceiverSpec) -> float:
     """Minimum received power (dBm) that sustains the target BER; it must be a finite float."""
-    total = (
+    return _finite(
         noise_floor_dbm(r.bandwidth_hz, r.noise_figure_db)
         + required_snr_db(r.modulation_order, r.target_ber)
-        + r.implementation_loss_db
+        + r.implementation_loss_db,
+        "the sensitivity must be finite, got {} dBm",
     )
-    if not math.isfinite(total):
-        raise ValueError(f"the sensitivity must be finite, got {total} dBm")
-    return total
 
 
 def spreading_term(geometry: BistaticGeometry, f: Frequency) -> float:
@@ -139,7 +131,7 @@ def spreading_term(geometry: BistaticGeometry, f: Frequency) -> float:
     terms = f"lambda = {lam:.3g} m and d1*d2 = {d1d2:.3g} m^2 make lambda/(d1*d2) so"
     factor = _finite(
         lambda: (1.0 / (4.0 * math.pi) ** 3) * (lam / d1d2) ** 2,
-        ValueError(f"{terms} large that the spreading factor overflows"),
+        f"{terms} large that the spreading factor overflows",
     )
     if factor == 0.0:
         raise ValueError(f"{terms} small that the spreading factor underflows")
@@ -148,8 +140,7 @@ def spreading_term(geometry: BistaticGeometry, f: Frequency) -> float:
 
 def received_power(s: LinkScenario, sigma_ris_dbsm: float) -> float:
     """Received power (dBm) for a given RIS radar cross section in dBsm."""
-    if not math.isfinite(sigma_ris_dbsm):
-        raise ValueError(f"the RIS cross section must be finite, got {sigma_ris_dbsm} dBsm")
+    _finite(sigma_ris_dbsm, "the RIS cross section must be finite, got {} dBsm")
     return (
         s.tx_power_dbm
         + s.bs_gain_dbi
@@ -161,8 +152,7 @@ def received_power(s: LinkScenario, sigma_ris_dbsm: float) -> float:
 
 def required_rcs_for_target(s: LinkScenario, target_rx_dbm: float) -> float:
     """RCS (dBsm) that makes the received power equal target_rx_dbm."""
-    if not math.isfinite(target_rx_dbm):
-        raise ValueError(f"the target received power must be finite, got {target_rx_dbm} dBm")
+    _finite(target_rx_dbm, "the target received power must be finite, got {} dBm")
     return (
         target_rx_dbm
         - s.tx_power_dbm
@@ -181,9 +171,9 @@ def evaluate_link(s: LinkScenario, sensitivity_dbm: float, sigma_ris_dbsm: float
     """Assemble the received power, sensitivity, and margin into one report; the margin must be finite."""
     report = LinkReport(
         rx_power_dbm=received_power(s, sigma_ris_dbsm),
-        sensitivity_dbm=sensitivity_dbm,
+        sensitivity_dbm=_finite(sensitivity_dbm, "the sensitivity must be finite, got {} dBm"),
         spreading_term_db=spreading_term(s.geometry, s.f),
     )
-    if not math.isfinite(report.margin_db):
-        raise ValueError(f"the margin {report.rx_power_dbm:.6g} - ({sensitivity_dbm:.6g}) dB must be finite")
+    _finite(report.margin_db,
+            f"the margin {report.rx_power_dbm:.6g} - ({report.sensitivity_dbm:.6g}) dB must be finite")
     return report

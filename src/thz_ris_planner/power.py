@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 from .core import Value, _finite, is_integer
 
 
@@ -11,9 +9,7 @@ class TechnologyProfile(Value):
     __slots__ = ("name", "per_cell_power_w")
 
     def __init__(self, name: str, per_cell_power_w: float):
-        if not (0.0 <= per_cell_power_w < math.inf):
-            raise ValueError("per-cell power must be finite and >= 0")
-        super().__init__(name, per_cell_power_w)
+        super().__init__(name, _finite(per_cell_power_w, "per-cell power must be finite and >= 0", lambda w: w >= 0.0))
 
 
 # order-of-magnitude defaults for the two mainstream switch families: CMOS
@@ -33,5 +29,5 @@ def panel_power(n_cells: int, tech: TechnologyProfile) -> float:
         raise ValueError(f"a panel needs a whole number of cells, at least one, got {n_cells!r}")
     return _finite(  # n_cells may be an int too large for a float
         lambda: n_cells * tech.per_cell_power_w,
-        ValueError("panel power overflows: n_cells * per-cell power is beyond the float range"),
+        "panel power overflows: n_cells * per-cell power is beyond the float range",
     )

@@ -43,7 +43,7 @@ import numpy as np
 
 from .aperture import ApertureSpec
 from .core import BROADSIDE, PEAK_WINDOW, SPEED_OF_LIGHT, ArrayRecord, Direction, Frequency, Value
-from .core import _fast_length, _refuse_over_limit, check_array_budget, is_integer
+from .core import _fast_length, _finite, _refuse_over_limit, check_array_budget, is_integer
 from .surface import PhaseProfile, TaperSpec, quantize_profile, synthesize_profile
 
 BEAMWIDTH_FACTOR = 0.886  # uniform-aperture 3 dB beamwidth in units of lambda/D
@@ -330,8 +330,7 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
     deg) of c and of c^T, whose eight images fill the grid. The fine phi
     window around a steered lobe is radiated directly.
     """
-    if not 0.0 < grid_resolution < math.inf:
-        raise ValueError(f"grid_resolution must be positive and finite, got {grid_resolution}")
+    _finite(grid_resolution, "grid_resolution must be positive and finite, got {}", lambda g: g > 0.0)
     f = p.design_freq
     hpbw = analytical_hpbw(p)
     if grid_resolution > hpbw / 2.0:
@@ -634,14 +633,16 @@ def principal_plane_cut(
     Returns (theta_deg, dbi) with signed theta: negative angles lie at
     phi + 180 deg. total_power defaults to the closed-form hemisphere
     integral. A theta_step or total_power that is not positive and finite, a
-    phi that is not finite and a cut past check_array_budget raise ValueError before any work.
+    total_power so small that 4*pi*(sum |c|)^2/total_power, a bound of every
+    directivity, overflows, a phi that is not finite and a cut past
+    check_array_budget raise ValueError before any work.
     """
-    if not 0.0 < theta_step < math.inf:
-        raise ValueError(f"theta_step must be positive and finite, got {theta_step}")
-    if total_power is not None and not 0.0 < total_power < math.inf:
-        raise ValueError(f"total_power must be positive and finite, got {total_power}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
+    theta_step = _finite(theta_step, "theta_step must be positive and finite, got {}", lambda step: step > 0.0)
+    if total_power is not None:
+        total_power = _finite(total_power, "total_power must be positive and finite, got {}", lambda power: power > 0.0)
+        _finite(lambda: 4.0 * math.pi * float(np.sum(np.abs(p.coefficients))) ** 2 / total_power,
+                f"total_power {total_power:.3g} is so small that the directivity overflows")
+    phi = _finite(phi, "phi must be finite, got {}")
     check_array_budget(max(p.rows, p.cols), n_directions=math.pi / theta_step + 1)
     f = p.design_freq if f is None else f
     total_power = hemisphere_power_exact(p, f) if total_power is None else total_power
@@ -688,8 +689,7 @@ def quantized_cuts(
     is not cut at one angle; a beamwidth that underflows to 0 asks for an
     endless cut, which the budget refuses; a non-finite phi is refused first.
     """
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
+    phi = _finite(phi, "phi must be finite, got {}")
     step = min(analytical_hpbw(p), math.pi) / CUT_STEPS_PER_BEAMWIDTH
     n_directions = len(bits_list) * (math.pi / step + 1) if step > 0.0 else math.inf
     check_array_budget(max(p.rows, p.cols), n_directions=n_directions)
@@ -763,8 +763,8 @@ def squint_vs_angle(
     if not is_integer(n_samples) or n_samples < 11 or n_samples % 2 == 0:
         raise ValueError(f"n_samples must be an odd integer >= 11 so f0 lies on the grid, got {n_samples!r}")
     f0 = a.design_freq
-    if not (0.0 < f_span_hz < f0.hertz):
-        raise ValueError("f_span must be positive and below the design frequency")
+    f_span_hz = _finite(f_span_hz, "f_span must be positive and below the design frequency",
+                        lambda span: 0.0 < span < f0.hertz)
     check_array_budget(a.n_per_side, n_freqs=n_samples, n_angles=len(outgoing_list))
     freqs = f0.hertz + np.linspace(-f_span_hz / 2.0, f_span_hz / 2.0, n_samples)
     k_per_f = 2.0 * math.pi * freqs / SPEED_OF_LIGHT

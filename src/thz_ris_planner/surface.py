@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .aperture import ApertureSpec
-from .core import ArrayRecord, Direction, Frequency, Value, check_array_budget, is_integer
+from .core import ArrayRecord, Direction, Frequency, Value, _finite, check_array_budget, is_integer
 
 MAX_QUANTIZATION_BITS = 8  # beyond practical per-cell switch counts
 
@@ -33,9 +33,7 @@ class TaperSpec(Value):
     __slots__ = ("edge_level_db",)
 
     def __init__(self, edge_level_db: float = 0.0):
-        if not (-math.inf < edge_level_db <= 0.0):
-            raise ValueError("taper edge level must be finite and <= 0 dB")
-        super().__init__(edge_level_db)
+        super().__init__(_finite(edge_level_db, "taper edge level must be finite and <= 0 dB", lambda db: db <= 0.0))
 
     @property
     def pedestal(self) -> float:
@@ -61,8 +59,7 @@ class PhaseProfile(ArrayRecord):
     def __init__(self, coefficients: np.ndarray, design_freq: Frequency, cell_pitch_m: float):
         if coefficients.ndim != 2:
             raise ValueError("coefficients must be a 2-D element grid")
-        if not (0.0 < cell_pitch_m < math.inf):
-            raise ValueError("cell pitch must be positive and finite")
+        cell_pitch_m = _finite(cell_pitch_m, "cell pitch must be positive and finite", lambda p: p > 0.0)
         # written as not-all-<= so that NaN magnitudes fail too
         if not np.all(np.abs(coefficients) <= 1.0 + 1e-9):
             raise ValueError("reflection coefficient magnitudes must be <= 1")

@@ -469,12 +469,12 @@ def test_bad_input_fails_with_one_line(tmp_path, capsys, config, edit, args, exp
 
 @pytest.mark.parametrize("command", ["link-budget", "solve-aperture"])
 def test_overflowing_wavelength_is_named_in_the_spreading_refusal(tmp_path, capsys, command):
-    # a 1e-300 Hz link has an infinite wavelength; the 2500 m^2 path product is not what overflowed
+    # a 1e-200 Hz link has a 3e208 m wavelength; the 2500 m^2 path product is not what overflowed
     cfg = tmp_path / "scenario.cfg"
-    cfg.write_text(PAPER.replace("frequency = 140 GHz\nd1", "frequency = 1e-300 Hz\nd1"))
+    cfg.write_text(PAPER.replace("frequency = 140 GHz\nd1", "frequency = 1e-200 Hz\nd1"))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 1
     assert capsys.readouterr().err == (
-        "error: lambda = inf m and d1*d2 = 2.5e+03 m^2 make lambda/(d1*d2) so large"
+        "error: lambda = 3e+208 m and d1*d2 = 2.5e+03 m^2 make lambda/(d1*d2) so large"
         " that the spreading factor overflows\n"
     )
     assert not (tmp_path / "out").exists()

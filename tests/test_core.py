@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +34,25 @@ def test_frequency_validation():
         Frequency(-1e9)
     with pytest.raises(ValueError):
         Frequency(math.inf)
+
+
+def test_a_frequency_whose_wavelength_overflows_is_refused():
+    # below about 1.67e-300 Hz, c / f is past the float range: both were accepted with an infinite wavelength
+    for hertz in (1e-320, 1e-300):
+        with pytest.raises(ValueError) as refusal:
+            Frequency(hertz)
+        assert str(refusal.value) == f"frequency {hertz:.3g} Hz is so low that its wavelength overflows"
+    with pytest.raises(ValueError, match="^frequency 1e-311 Hz is so low that its wavelength overflows$"):
+        Frequency.from_ghz(1e-320)
+    lowest = SPEED_OF_LIGHT / sys.float_info.max  # within a few ulps of the smallest accepted frequency
+    while SPEED_OF_LIGHT / lowest == math.inf:
+        lowest = math.nextafter(lowest, math.inf)
+    while SPEED_OF_LIGHT / math.nextafter(lowest, 0.0) < math.inf:
+        lowest = math.nextafter(lowest, 0.0)
+    assert Frequency(lowest).wavelength_m < math.inf
+    assert f"{lowest:.3g}" == "1.67e-300"
+    with pytest.raises(ValueError, match="so low that its wavelength overflows"):
+        Frequency(math.nextafter(lowest, 0.0))
 
 
 def test_direction_phi_wraps():

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -844,6 +845,18 @@ def test_principal_plane_cut_refuses_a_bad_total_power(total_power):
     with pytest.raises(ValueError) as refusal:
         principal_plane_cut(prof, total_power=total_power)
     assert str(refusal.value) == f"total_power must be positive and finite, got {total_power}"
+
+
+def test_principal_plane_cut_refuses_a_total_power_whose_directivity_overflows():
+    # (sum |c|)^2 bounds |E|^2: unchecked, 1e-320 read +inf dBi at every sample, with an overflow warning
+    panel = ApertureSpec.from_element_grid(16, F140)
+    prof = synthesize_profile(panel, BROADSIDE, Direction.from_degrees(30.0), TaperSpec(-10.0))
+    with pytest.raises(ValueError) as refusal:
+        principal_plane_cut(prof, theta_step=0.01, total_power=1e-320)
+    assert str(refusal.value) == "total_power 1e-320 is so small that the directivity overflows"
+    lowest = 4.0 * math.pi * float(np.sum(np.abs(prof.coefficients))) ** 2 / sys.float_info.max
+    _, dbi = principal_plane_cut(prof, theta_step=0.01, total_power=2.0 * lowest)
+    assert dbi.size == 315 and np.all(dbi < math.inf) and np.max(dbi) > 3000.0
 
 
 def _ramp_at(f):
