@@ -5,7 +5,8 @@
 #   fig6_2bit the same sweep quantised to 2 bits, about 3.4 s a run
 #   fig5      pattern on 300x300 cells, about 1.2 s a run
 # Run from the repository root: bash ci/twice.sh. Files go to $RUNNER_TEMP, or to a new
-# temporary directory when that is unset.
+# temporary directory when that is unset. Each list is printed with the OPENBLAS_NUM_THREADS
+# it was made under ("unset": one thread per core), since fig5's pattern.csv depends on it.
 set -euo pipefail
 
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
@@ -20,7 +21,7 @@ twice() {  # name for its files, bundled config, command, sed edit, a line the e
   done
   test -s "$tmp/$1_first.sha256"
   diff "$tmp/$1_first.sha256" "$tmp/$1_second.sha256"
-  echo "$1: both runs wrote"
+  echo "$1: both runs wrote, under OPENBLAS_NUM_THREADS=${OPENBLAS_NUM_THREADS:-unset}"
   cat "$tmp/$1_first.sha256"
 }
 

@@ -70,14 +70,18 @@ def rcs(a: ApertureSpec, incident: Direction, outgoing: Direction) -> float:
     """RIS radar cross section in square meters.
 
     Raises ValueError when the side or the wavelength puts the RCS beyond
-    the float range.
+    the float range, and UnreachableGeometryError when the RCS, which is
+    positive, underflows to 0 m^2.
     """
     lam = a.design_freq.wavelength_m
-    return _finite(
+    sigma = _finite(
         lambda: a.aperture_efficiency * (4.0 * math.pi / lam**2) * a.side_m**4
         * math.cos(incident.theta) * math.cos(outgoing.theta),
         f"the RCS of a {a.side_m:.3g} m side at {lam:.3g} m wavelength overflows",
     )
+    if sigma == 0.0:
+        raise UnreachableGeometryError("the panel's RCS underflows to 0 m^2")
+    return sigma
 
 
 def solve_aperture_size(

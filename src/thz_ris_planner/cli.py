@@ -29,6 +29,7 @@ from pathlib import Path
 from .aperture import (
     ApertureSpec,
     UnreachableGeometryError,
+    _cell_pitch,
     element_count,
     rcs,
     solve_aperture_size,
@@ -148,10 +149,7 @@ def cmd_link_budget(args, cfg: ScenarioConfig):
     scenario = _link_scenario(cfg)
     sens = _sensitivity_dbm(cfg)
     panel = _aperture(cfg)
-    sigma_m2 = rcs(panel, scenario.geometry.incident, scenario.geometry.outgoing)
-    if sigma_m2 == 0.0:
-        raise UnreachableGeometryError("the panel's RCS underflows to 0 m^2")
-    sigma_dbsm = 10.0 * math.log10(sigma_m2)
+    sigma_dbsm = 10.0 * math.log10(rcs(panel, scenario.geometry.incident, scenario.geometry.outgoing))
     report = evaluate_link(scenario, sens, sigma_dbsm)
 
     record = {
@@ -180,25 +178,24 @@ def cmd_solve_aperture(args, cfg: ScenarioConfig):
     outgoing = scenario.geometry.outgoing
 
     sigma_dbsm = required_rcs_for_target(scenario, sens)
-    sigma_m2 = _finite(  # a required RCS of -inf dBsm is refused too, not read as 0 m^2
-        lambda: 10.0 ** (sigma_dbsm / 10.0) if math.isfinite(sigma_dbsm) else sigma_dbsm,
+    sigma_m2 = _finite(
+        lambda: 10.0 ** (sigma_dbsm / 10.0),
         f"the required RCS of {sigma_dbsm:.6g} dBsm is beyond the float range",
         error=UnreachableGeometryError,
     )
     # a required RCS that underflows to 0 m^2 needs no panel at all
     side = solve_aperture_size(sigma_m2, eta, incident, outgoing, freq) if sigma_m2 > 0.0 else 0.0
-    pitch = cfg["aperture"].get("cell_pitch")
-    if side < (freq.wavelength_m / 2.0 if pitch is None else pitch):
+    pitch = _cell_pitch(cfg["aperture"].get("cell_pitch"), freq)
+    if side < pitch:
         raise ValueError(
             f"the required RCS of {sigma_dbsm:.6g} dBsm gives a side below one cell pitch, "
             "so any panel closes the link"
         )
-    panel = ApertureSpec(side, freq, pitch, eta)
 
     warnings = []
     if math.cos(incident.theta) * math.cos(outgoing.theta) < 0.01:
         warnings.append("warning: near-grazing geometry inflates the required aperture")
-    n_elements = element_count(panel)
+    n_elements = element_count(ApertureSpec(side, freq, pitch, eta))
 
     record = {
         "sigma_dbsm": sigma_dbsm,

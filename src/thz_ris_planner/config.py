@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from .core import _finite
+
 
 class ConfigError(Exception):
     """A scenario file, or one value in it, that cannot be read."""
@@ -37,11 +39,13 @@ def _number(convert, text: str, reason: str):
         raise ConfigError(reason) from None
 
 
-def _finite(value: float) -> float:
-    """value itself; nan and +-inf (which float() accepts) raise ConfigError."""
-    if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {value}")
-    return value
+def _real(text: str, reason: str, factor: float = 1.0) -> float:
+    """float(text) * factor; raises ConfigError(reason) where float() refuses text.
+
+    nan, +-inf and a product that overflows, which float() lets through, are
+    refused by core._finite, raising ConfigError.
+    """
+    return _finite(_number(float, text, reason) * factor, "expected a finite number, got {}", error=ConfigError)
 
 
 def parse_quantity(text: str, dimension: str) -> float:
@@ -53,7 +57,7 @@ def parse_quantity(text: str, dimension: str) -> float:
     raw, unit = parts
     if unit not in units:
         raise ConfigError(f"unit {unit!r} is not valid for {dimension} (use {'/'.join(units)})")
-    return _finite(_number(float, raw, f"cannot parse number {raw!r}") * units[unit])
+    return _real(raw, f"cannot parse number {raw!r}", units[unit])
 
 
 def _parse_fraction(text: str) -> float:
@@ -63,7 +67,7 @@ def _parse_fraction(text: str) -> float:
     percent = len(parts) == 2 and parts[1] in ("%", "percent")
     if len(parts) != 1 and not percent:
         raise ConfigError(reason)
-    return _finite(_number(float, parts[0], reason)) / (100.0 if percent else 1.0)
+    return _real(parts[0], reason) / (100.0 if percent else 1.0)
 
 
 def _parse_int(text: str) -> int:
@@ -71,7 +75,7 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_float(text: str) -> float:
-    return _finite(_number(float, text, f"expected a number, got {text!r}"))
+    return _real(text, f"expected a number, got {text!r}")
 
 
 def _parse_modulation(text: str) -> int:

@@ -17,7 +17,9 @@ def _finite(value, message: str, within=lambda x: True, error: type = ValueError
     the float range, NaN and +-inf are refused alike. A function value, made
     of values already checked, is called first, so a product is checked even
     where building it overflows or divides by an underflowed zero. The {} in
-    message shows value, or the function's result (inf where it overflowed).
+    message shows value, or the function's result (inf where it overflowed);
+    an int past the float range shows as its size in bits, since its digits
+    may be too many for Python to print.
     """
     deferred = isinstance(value, types.FunctionType)
     try:
@@ -30,7 +32,10 @@ def _finite(value, message: str, within=lambda x: True, error: type = ValueError
             raise
         x = math.nan
     if not (math.isfinite(x) and within(x)):
-        raise error(message.format(x if deferred else value))
+        shown = x if deferred else value
+        if isinstance(shown, int) and math.isinf(x):
+            shown = f"{'a negative' if shown < 0 else 'an'} int of {shown.bit_length()} bits"
+        raise error(message.format(shown))
     return x
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+from .aperture import UnreachableGeometryError
 from .core import BistaticGeometry, Frequency, Value, _finite, is_integer
 
 THERMAL_NOISE_DBM_HZ = -174.0  # kT at 290 K
@@ -139,26 +140,35 @@ def spreading_term(geometry: BistaticGeometry, f: Frequency) -> float:
 
 
 def received_power(s: LinkScenario, sigma_ris_dbsm: float) -> float:
-    """Received power (dBm) for a given RIS radar cross section in dBsm."""
+    """Received power (dBm) for a given RIS radar cross section in dBsm.
+
+    Raises ValueError when that power is beyond the float range.
+    """
     _finite(sigma_ris_dbsm, "the RIS cross section must be finite, got {} dBsm")
-    return (
+    return _finite(
         s.tx_power_dbm
         + s.bs_gain_dbi
         + s.terminal_gain_dbi
         + sigma_ris_dbsm
-        + spreading_term(s.geometry, s.f)
+        + spreading_term(s.geometry, s.f),
+        "the received power of {} dBm is beyond the float range",
     )
 
 
 def required_rcs_for_target(s: LinkScenario, target_rx_dbm: float) -> float:
-    """RCS (dBsm) that makes the received power equal target_rx_dbm."""
+    """RCS (dBsm) that makes the received power equal target_rx_dbm.
+
+    Raises UnreachableGeometryError when that RCS is beyond the float range.
+    """
     _finite(target_rx_dbm, "the target received power must be finite, got {} dBm")
-    return (
+    return _finite(
         target_rx_dbm
         - s.tx_power_dbm
         - s.bs_gain_dbi
         - s.terminal_gain_dbi
-        - spreading_term(s.geometry, s.f)
+        - spreading_term(s.geometry, s.f),
+        "the required RCS of {} dBsm is beyond the float range",
+        error=UnreachableGeometryError,
     )
 
 

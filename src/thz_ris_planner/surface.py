@@ -134,7 +134,7 @@ def quantize_profile(p: PhaseProfile, bits: int) -> PhaseProfile:
     # ceil(x - 0.5) is round-half-down, the documented tie break
     idx = np.ceil(p.phases() / step - 0.5).astype(int) % levels.size
     return PhaseProfile(
-        coefficients=p.amplitudes() * np.exp(1j * idx * step),
+        coefficients=p.amplitudes() * np.exp(1j * np.arange(levels.size) * step)[idx],  # one exp per level
         design_freq=p.design_freq,
         cell_pitch_m=p.cell_pitch_m,
     )

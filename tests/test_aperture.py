@@ -65,6 +65,14 @@ def test_solve_round_trip():
         assert abs(back - side) / side < 1e-9
 
 
+def test_rcs_refuses_its_underflow_to_zero():
+    # side^4 = 1e-400 m^4 underflows, though every factor of the RCS is positive
+    panel = ApertureSpec(1e-100, F140, cell_pitch_m=1e-100)
+    with pytest.raises(UnreachableGeometryError) as raised:
+        rcs(panel, BROADSIDE, BROADSIDE)
+    assert str(raised.value) == "the panel's RCS underflows to 0 m^2"
+
+
 @given(
     st.floats(100e9, 300e9),
     st.floats(0.0, 1.0),

@@ -114,6 +114,22 @@ def test_validators_reject_non_finite(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize(
+    "build, text",
+    [(Frequency, "frequency must be positive and finite, got "), (Direction, "theta must be in [0, pi/2], got ")],
+)
+@pytest.mark.parametrize(
+    "n, shown",
+    [(10**5000, "an int of 16610 bits"), (10**400, "an int of 1329 bits"), (-(10**400), "a negative int of 1329 bits")],
+    ids=["10**5000", "10**400", "-10**400"],  # pytest cannot name a 5001-digit int either
+)
+def test_an_int_past_the_float_range_is_named_by_its_size(build, text, n, shown):
+    # 10**5000 has more digits than Python prints (4300), and 10**400 more than a message should
+    with pytest.raises(ValueError) as raised:
+        build(n)
+    assert str(raised.value) == text + shown
+
+
 def test_speed_of_light_is_exact():
     assert SPEED_OF_LIGHT == 299792458.0
 

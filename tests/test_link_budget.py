@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from thz_ris_planner.aperture import UnreachableGeometryError
 from thz_ris_planner.core import BistaticGeometry, Direction, Frequency
 from thz_ris_planner.link_budget import (
     LinkScenario,
@@ -137,6 +138,16 @@ def test_received_power_refuses_a_cross_section_that_is_not_finite(sigma):
     assert str(raised.value) == f"the RIS cross section must be finite, got {sigma} dBsm"
 
 
+@pytest.mark.parametrize("terms, shown", [(1e308, "inf"), (-1e308, "-inf")])
+def test_received_power_refuses_a_sum_beyond_the_float_range(terms, shown):
+    # the transmit terms and the cross section are each finite, and so is their own sum
+    s = reference_scenario()
+    scenario = LinkScenario(s.geometry, s.f, terms, 0.0, 0.0)
+    with pytest.raises(ValueError) as raised:
+        received_power(scenario, terms)
+    assert str(raised.value) == f"the received power of {shown} dBm is beyond the float range"
+
+
 # --- sensitivity ------------------------------------------------------------
 
 
@@ -246,6 +257,16 @@ def test_required_rcs_refuses_a_target_that_is_not_finite(target):
     with pytest.raises(ValueError) as raised:
         required_rcs_for_target(reference_scenario(), target)
     assert str(raised.value) == f"the target received power must be finite, got {target} dBm"
+
+
+@pytest.mark.parametrize("terms, shown", [(-1e308, "inf"), (1e308, "-inf")])
+def test_required_rcs_beyond_the_float_range_is_unreachable(terms, shown):
+    # a finite target less finite transmit terms leaves the float range: no panel has that RCS
+    s = reference_scenario()
+    scenario = LinkScenario(s.geometry, s.f, terms, 0.0, 0.0)
+    with pytest.raises(UnreachableGeometryError) as raised:
+        required_rcs_for_target(scenario, -terms)
+    assert str(raised.value) == f"the required RCS of {shown} dBsm is beyond the float range"
 
 
 def test_required_rcs_distance_scaling():

@@ -154,6 +154,9 @@ HOSTILE = st.floats(min_value=-1e3, max_value=1e3).filter(lambda v: abs(v) >= 0.
 @example(x=10**400)
 @example(x=-(10**400))
 @example(x="1")
+@example(x=None)
+@example(x=1j)
+@example(x=[1.0])
 def test_a_real_scalar_gives_finite_numbers_or_a_one_line_value_error(case, x):
     try:
         result = CASES[case](x)

@@ -186,6 +186,26 @@ def test_quantize_property(rows, cols, bits, data):
     assert np.allclose(once.amplitudes(), prof.amplitudes(), rtol=0.0, atol=1e-15)
     assert np.max(wrapped(once.phases(), level(once) * step)) <= 1e-12
     assert np.max(wrapped(once.phases(), prof.phases())) <= step / 2.0 + 1e-12
+    _assert_per_cell_bits(prof, once, bits)
+
+
+def _assert_per_cell_bits(prof, quantized, bits):
+    """quantized holds the bits of one exp per cell of its level's phase, amplitudes kept."""
+    step = 2.0 * math.pi / 2**bits
+    idx = np.ceil(prof.phases() / step - 0.5).astype(int) % 2**bits
+    per_cell = prof.amplitudes() * np.exp(1j * idx * step)
+    assert np.array_equal(quantized.coefficients.view(np.uint64), per_cell.view(np.uint64))
+
+
+@pytest.mark.parametrize("theta_deg", [30.0, 45.0, 60.0])
+@pytest.mark.parametrize("phi_deg", [0.0, 90.0])
+def test_quantized_steers_keep_the_per_cell_bits(theta_deg, phi_deg):
+    # a steered gradient puts many phases on level ties, where the tie break decides the level
+    prof = synthesize_profile(
+        ApertureSpec.from_element_grid(24, F140), BROADSIDE, Direction.from_degrees(theta_deg, phi_deg)
+    )
+    for bits in range(1, 9):
+        _assert_per_cell_bits(prof, quantize_profile(prof, bits), bits)
 
 
 def test_quantization_levels_refine():
