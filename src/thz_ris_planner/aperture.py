@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Direction, Frequency, Value, _finite, is_integer
+from .core import Direction, Frequency, Value, _finite, _integer
 
 
 class UnreachableGeometryError(ValueError):
@@ -51,8 +51,7 @@ class ApertureSpec(Value):
         aperture_efficiency: float = 1.0,
     ) -> "ApertureSpec":
         """Aperture sized to hold exactly n_per_side x n_per_side cells; n_per_side is an integer >= 1."""
-        if not is_integer(n_per_side):
-            raise ValueError(f"n_per_side must be an integer, got {n_per_side!r}")
+        n_per_side = _integer(n_per_side, "n_per_side must be an integer, got {!r}")
         if n_per_side < 1:
             raise ValueError("n_per_side must be >= 1")
         if n_per_side >= 2**512:  # n_per_side^2 cells would overflow a float

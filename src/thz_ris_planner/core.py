@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import types
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
@@ -32,28 +34,46 @@ def _finite(value, message: str, within=lambda x: True, error: type = ValueError
             raise
         x = math.nan
     if not (math.isfinite(x) and within(x)):
-        shown = x if deferred else value
-        if isinstance(shown, int) and math.isinf(x):
-            shown = f"{'a negative' if shown < 0 else 'an'} int of {shown.bit_length()} bits"
-        raise error(message.format(shown))
+        raise error(message.format(x if deferred else _shown(value)))
     return x
 
 
-def is_integer(value) -> bool:
-    """True for an int or a numpy integer; False for a bool, numpy's bool, a float or anything else."""
-    return type(value) is not bool and hasattr(type(value), "__index__")
+def _integer(value, message: str, within=lambda n: True) -> int:
+    """value as the Python int of its value, or raise ValueError(message) unless it is an integer that within accepts.
+
+    The one rule for an integer input: it is converted with operator.index,
+    which takes an int or a numpy integer, so a numpy integer is used at its
+    value and never in its fixed width, and refuses numpy's bool, a float, a
+    str and None; a bool is refused too. The {} in message shows value, an
+    int past the float range by its size in bits, as _finite does.
+    """
+    if not isinstance(value, bool) and hasattr(type(value), "__index__") and within(n := operator.index(value)):
+        return n
+    raise ValueError(message.format(_shown(value)))
+
+
+class _Size(str):
+    """The size of an int too long to print, as a message shows it: alike under {} and {!r}."""
+
+    __repr__ = str.__str__
+
+
+def _shown(value):
+    """value as a message shows it, an int past the float range (2^1024) by its size: its digits may be too many."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return _Size(f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits")
+    return value
 
 
 def _fast_length(n: int) -> int:
-    """Least 5-smooth length 2^a 3^b 5^c >= n, a size pocketfft transforms without Bluestein."""
-    while True:
-        m = n
+    """Least 5-smooth length 2^a 3^b 5^c >= max(n, 1), a size pocketfft transforms without Bluestein."""
+    for length in itertools.count(max(n, 1)):
+        m = length
         for p in (2, 3, 5):
             while m % p == 0:
                 m //= p
         if m == 1:
-            return n
-        n += 1
+            return length
 
 
 def _largest_array(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .aperture import UnreachableGeometryError
-from .core import BistaticGeometry, Frequency, Value, _finite, is_integer
+from .core import BistaticGeometry, Frequency, Value, _finite, _integer
 
 THERMAL_NOISE_DBM_HZ = -174.0  # kT at 290 K
 
@@ -52,7 +52,7 @@ class ReceiverSpec(Value):
         noise_figure_db = _finite(noise_figure_db, "noise_figure_db must be finite")
         implementation_loss_db = _finite(implementation_loss_db, "implementation_loss_db must be finite")
         target_ber = _check_target_ber(target_ber)
-        _check_modulation_order(modulation_order)
+        modulation_order = _check_modulation_order(modulation_order)
         super().__init__(bandwidth_hz, noise_figure_db, modulation_order, target_ber, implementation_loss_db)
 
 
@@ -66,10 +66,9 @@ class LinkReport(Value):
         return self.rx_power_dbm - self.sensitivity_dbm
 
 
-def _check_modulation_order(m: int) -> None:
-    if is_integer(m) and (m in (2, 4) or (m >= 16 and math.isqrt(m) ** 2 == m and m & (m - 1) == 0)):
-        return
-    raise ValueError(f"unsupported modulation order M={m}; use 2, 4, or square M-QAM (16, 64, ...)")
+def _check_modulation_order(m: int) -> int:
+    return _integer(m, "unsupported modulation order M={}; use 2, 4, or square M-QAM (16, 64, ...)",
+                    lambda m: m in (2, 4) or (m >= 16 and math.isqrt(m) ** 2 == m and m & (m - 1) == 0))
 
 
 def _check_target_ber(ber: float) -> float:
@@ -89,9 +88,8 @@ def required_snr_db(modulation_order: int, target_ber: float) -> float:
     BPSK/QPSK use the exact relation BER = Q(sqrt(2*Eb/N0)); higher square
     orders invert BER ~ (4/log2 M)(1 - 1/sqrt(M)) Q(sqrt(3*SNR/(M-1))).
     """
-    _check_modulation_order(modulation_order)
+    m = _check_modulation_order(modulation_order)
     _check_target_ber(target_ber)
-    m = modulation_order
     bits = math.log2(m)
     if m in (2, 4):
         ebn0 = _q_inverse(target_ber) ** 2 / 2.0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import Value, _finite, is_integer
+from .core import Value, _finite, _integer
 
 
 class TechnologyProfile(Value):
@@ -25,8 +25,7 @@ def panel_power(n_cells: int, tech: TechnologyProfile) -> float:
 
     Raises ValueError when the product leaves the range of a float.
     """
-    if not is_integer(n_cells) or n_cells < 1:
-        raise ValueError(f"a panel needs a whole number of cells, at least one, got {n_cells!r}")
+    n_cells = _integer(n_cells, "a panel needs a whole number of cells, at least one, got {!r}", lambda n: n >= 1)
     return _finite(  # n_cells may be an int too large for a float
         lambda: n_cells * tech.per_cell_power_w,
         "panel power overflows: n_cells * per-cell power is beyond the float range",

@@ -43,7 +43,7 @@ import numpy as np
 
 from .aperture import ApertureSpec
 from .core import BROADSIDE, PEAK_WINDOW, SPEED_OF_LIGHT, ArrayRecord, Direction, Frequency, Value
-from .core import _fast_length, _finite, _refuse_over_limit, check_array_budget, is_integer
+from .core import _fast_length, _finite, _integer, _refuse_over_limit, check_array_budget
 from .surface import PhaseProfile, TaperSpec, quantize_profile, synthesize_profile
 
 BEAMWIDTH_FACTOR = 0.886  # uniform-aperture 3 dB beamwidth in units of lambda/D
@@ -182,13 +182,13 @@ def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> U
     points the result equals array_factor_direct to machine precision.
     Points outside the visible region u^2 + v^2 <= 1 are NaN.
     """
-    if not is_integer(uv_oversample):
-        raise ValueError(f"uv_oversample must be an integer, got {uv_oversample!r}")
+    uv_oversample = _integer(uv_oversample, "uv_oversample must be an integer, got {!r}")
     if uv_oversample < 1:
         raise ValueError("uv_oversample must be >= 1")
     nx, ny = p.rows, p.cols
     lx, ly = nx * uv_oversample, ny * uv_oversample
-    _refuse_over_limit(f"{lx}x{ly} (u, v) lattice", 16 * lx * ly)
+    # the sides are named while they print short; 10**400 would print a 400-digit line
+    _refuse_over_limit(f"{lx}x{ly} (u, v) lattice" if lx * ly < 2**64 else "(u, v) lattice", 16 * lx * ly)
     field = np.fft.fftshift(np.fft.ifft2(p.coefficients, s=(lx, ly), norm="forward"))  # the one shifted copy
     alpha = np.fft.fftshift(np.fft.fftfreq(lx))  # pitch * u / lambda
     beta = np.fft.fftshift(np.fft.fftfreq(ly))
@@ -673,7 +673,8 @@ def quantization_loss(
     continuous = synthesize_profile(a, BROADSIDE, outgoing, taper)
     cuts = quantized_cuts(continuous, [*bits_list, None], outgoing.phi)
     peaks = [float(np.max(dbi)) for _, dbi in cuts]
-    return QuantizationReport(bits=list(bits_list), peak_dbi=peaks[:-1], continuous_dbi=peaks[-1])
+    bits = [None if b is None else int(b) for b in bits_list]  # each an integer by the cuts' rule: its int is exact
+    return QuantizationReport(bits=bits, peak_dbi=peaks[:-1], continuous_dbi=peaks[-1])
 
 
 def quantized_cuts(
@@ -760,8 +761,8 @@ def squint_vs_angle(
     power, with no J1 table.
     """
     check_normal_incidence(incident)
-    if not is_integer(n_samples) or n_samples < 11 or n_samples % 2 == 0:
-        raise ValueError(f"n_samples must be an odd integer >= 11 so f0 lies on the grid, got {n_samples!r}")
+    n_samples = _integer(n_samples, "n_samples must be an odd integer >= 11 so f0 lies on the grid, got {!r}",
+                         lambda n: n >= 11 and n % 2 == 1)
     f0 = a.design_freq
     f_span_hz = _finite(f_span_hz, "f_span must be positive and below the design frequency",
                         lambda span: 0.0 < span < f0.hertz)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .aperture import ApertureSpec
-from .core import ArrayRecord, Direction, Frequency, Value, _finite, check_array_budget, is_integer
+from .core import ArrayRecord, Direction, Frequency, Value, _finite, _integer, check_array_budget
 
 MAX_QUANTIZATION_BITS = 8  # beyond practical per-cell switch counts
 
@@ -51,14 +51,20 @@ class PhaseProfile(ArrayRecord):
     The lattice is centred on the panel by construction: coefficients[i, j]
     belongs to the element at (x_m[i], y_m[j]), and both axes follow from the
     grid shape and cell_pitch_m. A quantized profile is one whose phases sit
-    on the levels of quantization_levels. The coefficient array is read-only.
+    on the levels of quantization_levels. The coefficients are held as a
+    read-only complex128 copy of at least one cell per axis, so every route
+    computes in double precision and the caller's array is left as it was.
     """
 
     __slots__ = ("coefficients", "design_freq", "cell_pitch_m")
 
     def __init__(self, coefficients: np.ndarray, design_freq: Frequency, cell_pitch_m: float):
-        if coefficients.ndim != 2:
-            raise ValueError("coefficients must be a 2-D element grid")
+        try:
+            coefficients = np.array(coefficients, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("coefficients must be a grid of numbers") from None
+        if coefficients.ndim != 2 or 0 in coefficients.shape:  # an empty axis has no power and no lag lattice
+            raise ValueError(f"coefficients must be a 2-D element grid, at least 1x1, got shape {coefficients.shape}")
         cell_pitch_m = _finite(cell_pitch_m, "cell pitch must be positive and finite", lambda p: p > 0.0)
         # written as not-all-<= so that NaN magnitudes fail too
         if not np.all(np.abs(coefficients) <= 1.0 + 1e-9):
@@ -118,8 +124,8 @@ def synthesize_profile(
 
 def quantization_levels(bits: int) -> np.ndarray:
     """The 2^bits uniformly spaced phase states, starting at 0 rad."""
-    if not is_integer(bits) or not 1 <= bits <= MAX_QUANTIZATION_BITS:
-        raise ValueError(f"quantization bits must be an integer in [1, {MAX_QUANTIZATION_BITS}], got {bits!r}")
+    bits = _integer(bits, f"quantization bits must be an integer in [1, {MAX_QUANTIZATION_BITS}], got {{!r}}",
+                    lambda b: 1 <= b <= MAX_QUANTIZATION_BITS)
     return 2.0 * math.pi * np.arange(2**bits) / 2**bits
 
 

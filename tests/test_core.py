@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from thz_ris_planner.aperture import ApertureSpec, EfficiencyLedger
-from thz_ris_planner.core import SPEED_OF_LIGHT, BistaticGeometry, Direction, Frequency
+from thz_ris_planner.core import SPEED_OF_LIGHT, BistaticGeometry, Direction, Frequency, _integer
 from thz_ris_planner.link_budget import LinkReport, LinkScenario, ReceiverSpec
 from thz_ris_planner.power import TechnologyProfile
 from thz_ris_planner.radiation import QuantizationReport, SpherePattern, SquintReport, UVPattern
@@ -116,7 +116,13 @@ def test_validators_reject_non_finite(build, bad):
 
 @pytest.mark.parametrize(
     "build, text",
-    [(Frequency, "frequency must be positive and finite, got "), (Direction, "theta must be in [0, pi/2], got ")],
+    [
+        (Frequency, "frequency must be positive and finite, got "),
+        (Direction, "theta must be in [0, pi/2], got "),
+        # the integer rule shares the wording, under {!r} too
+        (lambda n: _integer(n, "count must be in [0, 10), got {!r}", lambda n: 0 <= n < 10),
+         "count must be in [0, 10), got "),
+    ],
 )
 @pytest.mark.parametrize(
     "n, shown",

@@ -763,6 +763,9 @@ def test_fast_length_is_the_least_5_smooth_length():
     smooth = sorted(2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(7))
     for n in range(1, 5001):
         assert _fast_length(n) == next(m for m in smooth if m >= n), n
+    # below 1 it starts at 1: a search from 0 divides by 2 forever, and one from a negative never reaches 1
+    assert _fast_length(0) == _fast_length(-7) == 1
+    check_array_budget(0)
 
 
 def test_largest_array_seeks_the_fft_length_only_when_the_map_fits(monkeypatch):

@@ -1,13 +1,17 @@
-"""Every real scalar the library takes goes through one rule (core._finite).
+"""Every real scalar the library takes goes through one rule (core._finite), every integer through one more.
 
 Each case below feeds one hostile scalar to one parameter of a public
 constructor or function, with every other input nominal. The call must give
 finite numbers, or the documented -inf of an exact null at the horizon, or
 raise ValueError with a one-line message: never TypeError, OverflowError, a
-warning, NaN or inf.
+warning, NaN or inf. An integer parameter (core._integer) must give the bits
+the Python int of its value gives, whatever the integer's type, or refuse it
+in one line of its own text.
 """
 
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -25,16 +29,18 @@ from thz_ris_planner.link_budget import (
     required_snr_db,
     sensitivity,
 )
-from thz_ris_planner.power import TechnologyProfile, panel_power
+from thz_ris_planner.power import PROFILES, TechnologyProfile, panel_power
 from thz_ris_planner.radiation import (
+    array_factor_fft,
     directivity,
     gain_at,
     hemisphere_power_exact,
     principal_plane_cut,
+    quantization_loss,
     quantized_cuts,
     squint_sweep,
 )
-from thz_ris_planner.surface import PhaseProfile, TaperSpec, synthesize_profile
+from thz_ris_planner.surface import PhaseProfile, TaperSpec, quantization_levels, quantize_profile, synthesize_profile
 
 F140 = Frequency.from_ghz(140)
 OUT30 = Direction.from_degrees(30.0)
@@ -165,3 +171,116 @@ def test_a_real_scalar_gives_finite_numbers_or_a_one_line_value_error(case, x):
         assert message and "\n" not in message, (case, x, message)
         return
     assert not _bad_numbers(case, result), (case, x, _bad_numbers(case, result)[:3])
+
+
+# each integer parameter: its call, and the texts its route refuses with. An
+# integer too large for the route's arrays or floats is refused by the memory
+# guard or the overflow check that follows the rule, each in one line.
+INTEGER_CASES = {
+    "ApertureSpec.from_element_grid.n_per_side": (
+        lambda n: (a := ApertureSpec.from_element_grid(n, F140), a.n_per_side), ("n_per_side must be",)),
+    "quantization_levels.bits": (quantization_levels, ("quantization bits must be",)),
+    "quantize_profile.bits": (lambda b: quantize_profile(PROFILE, b), ("quantization bits must be",)),
+    "quantized_cuts.bits": (lambda b: quantized_cuts(PROFILE, [b, None], 0.0), ("quantization bits must be",)),
+    "quantization_loss.bits": (lambda b: quantization_loss(PANEL, OUT30, [b]), ("quantization bits must be",)),
+    "squint_sweep.bits": (lambda b: squint_sweep(PANEL, BROADSIDE, OUT30, bits=b, n_samples=11),
+                          ("quantization bits must be",)),
+    "array_factor_fft.uv_oversample": (
+        lambda s: array_factor_fft(PROFILE, F140, s), ("uv_oversample must be", "the (u, v) lattice would need")),
+    "squint_sweep.n_samples": (lambda n: squint_sweep(PANEL, BROADSIDE, OUT30, n_samples=n), ("n_samples must be",)),
+    "panel_power.n_cells": (
+        lambda n: panel_power(n, PROFILES["pin_diode"]), ("a panel needs a whole number", "panel power overflows")),
+    "ReceiverSpec.modulation_order": (
+        lambda m: _receiver(ReceiverSpec(2e9, 7.0, m)), ("unsupported modulation order",)),
+    "required_snr_db.modulation_order": (lambda m: required_snr_db(m, 1e-6), ("unsupported modulation order",)),
+}
+# where bits=None asks for the continuous profile
+NONE_IS_CONTINUOUS = {"quantized_cuts.bits", "quantization_loss.bits", "squint_sweep.bits"}
+NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+# values at which a numpy integer went wrong in its fixed width: 2**bits and the lattice
+# side nx * uv_oversample wrapped, the memory guard's byte counts overflowed, and a
+# record kept the numpy type
+WRAPPED = {
+    "ApertureSpec.from_element_grid.n_per_side": (8, 127),
+    "quantization_levels.bits": (7, 8),
+    "quantize_profile.bits": (7, 8),
+    "quantized_cuts.bits": (7, 8),
+    "quantization_loss.bits": (8,),
+    "squint_sweep.bits": (8,),
+    "array_factor_fft.uv_oversample": (200,),
+    "squint_sweep.n_samples": (255,),
+    "panel_power.n_cells": (200, 70_000),
+    "ReceiverSpec.modulation_order": (16, 256),
+    "required_snr_db.modulation_order": (64, 4096),
+}
+
+
+def _outcome(case, x):
+    """The pickled result of the case at x, or None where it refuses x with a one-line message of its own text."""
+    call, texts = INTEGER_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a fixed-width integer that wraps warns, and so fails here
+        try:
+            result = call(x)
+        except ValueError as refusal:
+            message = str(refusal)
+            assert message.startswith(texts) and "\n" not in message and len(message) < 200, (case, message)
+            return None
+    return pickle.dumps(result)  # every bit of every number, and the type of every field
+
+
+def _numpy_integers(n):
+    """n as each numpy integer type that holds it."""
+    return [t(n) for t in NUMPY_INTEGERS if np.iinfo(t).min <= n <= np.iinfo(t).max]
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_CASES))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(x=st.integers(min_value=-3, max_value=300).flatmap(lambda n: st.sampled_from([n, *_numpy_integers(n)])))
+@example(x=True)
+@example(x=np.True_)
+@example(x=2.0)
+@example(x=2.5)
+@example(x=math.nan)
+@example(x=math.inf)
+@example(x="3")
+@example(x=None)
+@example(x=1j)
+@example(x=0)
+@example(x=-1)
+@example(x=10**400)
+@example(x=10**5000)
+@example(x=-(10**5000))
+def test_an_integer_gives_the_bits_of_its_value_or_a_one_line_value_error(case, x):
+    outcome = _outcome(case, x)
+    if x is None and case in NONE_IS_CONTINUOUS:
+        assert outcome is not None
+    elif isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+        assert outcome is None, (case, x)
+    elif type(x) is not int:
+        assert outcome == _outcome(case, int(x)), (case, x)
+
+
+@pytest.mark.parametrize("case", sorted(WRAPPED))
+def test_a_numpy_integer_of_any_width_is_used_at_its_value(case):
+    # np.uint8(8) bits made 2**bits wrap to 0 levels, and np.uint8(200) oversampling a 4-cell
+    # side made a 32-wide lattice; every width that holds the value must give the int's bits
+    for n in WRAPPED[case]:
+        expected = _outcome(case, n)
+        assert expected is not None, (case, n)
+        for x in _numpy_integers(n):
+            assert _outcome(case, x) == expected, (case, x)
+
+
+def test_a_numpy_integer_oversample_gives_the_full_lattice():
+    profile = synthesize_profile(ApertureSpec.from_element_grid(8, F140), BROADSIDE, OUT30)
+    wide, narrow = (array_factor_fft(profile, F140, s) for s in (200, np.uint8(200)))
+    assert narrow.field.shape == (1600, 1600)
+    for a, b in ((wide.ax1, narrow.ax1), (wide.ax2, narrow.ax2), (wide.field, narrow.field)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_a_record_holds_the_int_of_a_numpy_integer():
+    order = ReceiverSpec(2e9, 7.0, np.uint8(16)).modulation_order
+    assert type(order) is int and order == 16
+    assert [type(b) for b in quantization_loss(PANEL, OUT30, [np.int8(1), np.uint64(2)]).bits] == [int, int]

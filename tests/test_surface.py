@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from thz_ris_planner.aperture import ApertureSpec
 from thz_ris_planner.core import BROADSIDE, Direction, Frequency
+from thz_ris_planner.radiation import gain_at, hemisphere_power_exact, principal_plane_cut
 from thz_ris_planner.surface import (
     PhaseProfile,
     TaperSpec,
@@ -252,6 +253,50 @@ def test_profile_shape_validation():
     for pitch in (0.0, -1e-3, math.nan):
         with pytest.raises(ValueError, match="pitch"):
             PhaseProfile(np.ones((3, 3), dtype=complex), F140, pitch)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
+def test_a_grid_with_an_empty_axis_is_refused_at_construction(shape):
+    # such a grid was accepted, and its lag lattice sent _fast_length into an endless loop
+    with pytest.raises(ValueError) as refusal:
+        PhaseProfile(np.ones(shape, dtype=complex), F140, 1e-3)
+    assert str(refusal.value) == f"coefficients must be a 2-D element grid, at least 1x1, got shape {shape}"
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [np.array([["a", "b"]]), np.array([[1.0, "a"]], dtype=object), [[1.0, 0.5], [1.0]], [[10**400]]],
+    ids=["str", "object-str", "ragged", "big-int"],
+)
+def test_a_grid_that_does_not_convert_to_complex_is_refused_in_one_line(grid):
+    with pytest.raises(ValueError) as refusal:
+        PhaseProfile(grid, F140, 1e-3)
+    assert str(refusal.value) == "coefficients must be a grid of numbers"
+
+
+def test_a_profile_holds_a_read_only_complex128_copy_and_leaves_the_callers_array_as_it_was():
+    grid = np.ones((3, 2))
+    prof = PhaseProfile(grid, F140, 1e-3)
+    assert grid.flags.writeable and grid.dtype == float
+    assert prof.coefficients.dtype == np.complex128 and not prof.coefficients.flags.writeable
+    grid[0, 0] = 0.0  # the profile holds its own copy
+    assert prof.coefficients[0, 0] == 1.0
+
+
+def test_equal_valued_grids_of_any_dtype_give_the_same_bits():
+    # a float32 or complex64 grid was transformed in single precision, and a bool grid raised TypeError
+    cells = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1], [1, 0, 0, 1]])
+    out = Direction.from_degrees(20.0, 30.0)
+
+    def bits(dtype):
+        prof = PhaseProfile(cells.astype(dtype), F140, F140.wavelength_m / 2.0)
+        theta, dbi = principal_plane_cut(prof, phi=0.5)
+        return [np.float64(hemisphere_power_exact(prof)), np.float64(gain_at(prof, F140, out)), theta, dbi]
+
+    expected = bits(complex)
+    for dtype in (bool, int, np.float32, np.complex64, np.complex128, object):
+        for a, b in zip(bits(dtype), expected, strict=True):
+            assert np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64)), dtype
 
 
 def test_lattice_axes_are_mirrored_exactly():
