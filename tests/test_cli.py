@@ -705,8 +705,12 @@ def test_cli_import_leaves_scipy_signal_out():
     assert result.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", [None, "link-budget", "solve-aperture", "power"])
-def test_scalar_path_loads_no_numpy(tmp_path, command):
+@pytest.mark.parametrize(
+    "command, m_qam",
+    [(None, False), ("link-budget", False), ("solve-aperture", False), ("power", False), ("link-budget", True)],
+    ids=["None", "link-budget", "solve-aperture", "power", "link-budget-m-qam"],
+)
+def test_scalar_path_loads_no_numpy(tmp_path, command, m_qam):
     src = str(Path(thz_ris_planner.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     # numpy, and the stdlib modules whose import cost more than the scalar commands' own work
@@ -721,7 +725,12 @@ def test_scalar_path_loads_no_numpy(tmp_path, command):
         )
         expected = ["[]", "[]", "[]"]
     else:
-        argv = ["--config", data_path("paper_scenario.cfg"), "--out", str(tmp_path), command]
+        config = data_path("paper_scenario.cfg")
+        if m_qam:  # without its sensitivity line, the receiver's M-QAM fields give the sensitivity through Q^-1
+            text = Path(config).read_text()
+            config = tmp_path / "m_qam.cfg"
+            config.write_text(text.replace("sensitivity = -60 dBm\n", ""))
+        argv = ["--config", str(config), "--out", str(tmp_path), command]
         probe = f"import sys; from thz_ris_planner.cli import main; code = main({argv!r}); print(code, {loaded})"
         expected = ["0 []"]
     result = subprocess.run(

@@ -1,4 +1,6 @@
 import math
+import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -169,6 +171,15 @@ def test_sensitivity_matches_independent_qpsk_inversion():
 def test_q_inverse_matches_norm_isf():
     for p in np.geomspace(1e-15, 0.49, 2001):
         assert _q_inverse(p) == pytest.approx(norm.isf(p), rel=1e-14)
+
+
+@pytest.mark.parametrize("c_routine", [True, False])
+def test_q_inverse_is_normal_dist_bit_for_bit(monkeypatch, c_routine):
+    # the C routine and the statistics fallback both give NormalDist's own bits
+    if not c_routine:
+        monkeypatch.setitem(sys.modules, "_statistics", None)  # its import now raises ImportError
+    for p in [*np.geomspace(1e-300, 0.49, 2001).tolist(), 1e-6, 0.25, 0.5 - 2**-54]:
+        assert _q_inverse(p) == -NormalDist().inv_cdf(p)
 
 
 def test_sensitivity_ber_1e3():
