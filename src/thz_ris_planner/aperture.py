@@ -37,9 +37,9 @@ class ApertureSpec(Value):
                  aperture_efficiency: float = 1.0):
         pitch = _cell_pitch(cell_pitch_m, design_freq)
         eff = _finite(aperture_efficiency, "aperture efficiency must be in (0, 1]", lambda e: 0.0 < e <= 1.0)
-        side_m = _finite(side_m, "aperture side must be finite and at least one cell pitch", lambda s: s >= pitch)
-        if side_m / pitch >= 2.0**512:  # (side/pitch)^2 cells would overflow a float
-            raise ValueError(f"aperture side {side_m:.3g} m holds too many {pitch:.3g} m cells")
+        # below 2^512 pitches, so that (side/pitch)^2 cells do not overflow a float
+        side_m = _finite(side_m, "aperture side must be finite and span [1, 2^512) cell pitches",
+                         lambda s: 1.0 <= s / pitch < 2.0**512)
         super().__init__(side_m, design_freq, pitch, eff)
 
     @classmethod
@@ -50,19 +50,17 @@ class ApertureSpec(Value):
         cell_pitch_m: float | None = None,
         aperture_efficiency: float = 1.0,
     ) -> "ApertureSpec":
-        """Aperture sized to hold exactly n_per_side x n_per_side cells; n_per_side is an integer >= 1."""
-        n_per_side = _integer(n_per_side, "n_per_side must be an integer, got {!r}")
-        if n_per_side < 1:
-            raise ValueError("n_per_side must be >= 1")
-        if n_per_side >= 2**512:  # n_per_side^2 cells would overflow a float
-            raise ValueError("n_per_side must be below 2^512")
+        """Aperture sized to hold exactly n_per_side x n_per_side cells; n_per_side is an integer in [1, 2^512)."""
+        # below 2^512, so that n_per_side^2 cells do not overflow a float
+        n_per_side = _integer(n_per_side, "n_per_side must be an integer in [1, 2^512), got {!r}",
+                              lambda n: 1 <= n < 2**512)
         pitch = _cell_pitch(cell_pitch_m, design_freq)  # checked first: n_per_side times a str repeats it
         return cls(n_per_side * pitch, design_freq, pitch, aperture_efficiency)
 
     @property
     def n_per_side(self) -> int:
         """Cells per axis of the populated grid (nearest integer to D/pitch)."""
-        return max(1, int(round(self.side_m / self.cell_pitch_m)))
+        return int(round(self.side_m / self.cell_pitch_m))
 
 
 def rcs(a: ApertureSpec, incident: Direction, outgoing: Direction) -> float:

@@ -96,19 +96,22 @@ def required_snr_db(modulation_order: int, target_ber: float) -> float:
 
     BPSK/QPSK use the exact relation BER = Q(sqrt(2*Eb/N0)); higher square
     orders invert BER ~ (4/log2 M)(1 - 1/sqrt(M)) Q(sqrt(3*SNR/(M-1))).
+    Past M = 4^510 that SNR is beyond the float range, and the order is refused.
     """
     m = _check_modulation_order(modulation_order)
     _check_target_ber(target_ber)
     bits = math.log2(m)
     if m in (2, 4):
         ebn0 = _q_inverse(target_ber) ** 2 / 2.0
-        snr = ebn0 * bits
-    else:
+        return 10.0 * math.log10(ebn0 * bits)
+
+    def snr() -> float:  # overflows to inf, or raises OverflowError once M itself is past the float range
         arg = target_ber * bits / (4.0 * (1.0 - 1.0 / math.sqrt(m)))
         if arg >= 0.5:
             raise ValueError("target BER too loose for this modulation order")
-        snr = (m - 1) / 3.0 * _q_inverse(arg) ** 2
-    return 10.0 * math.log10(snr)
+        return (m - 1) / 3.0 * _q_inverse(arg) ** 2
+
+    return 10.0 * math.log10(_finite(snr, f"unsupported modulation order M=2^{bits:g}: its required SNR overflows"))
 
 
 def noise_floor_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:

@@ -182,9 +182,7 @@ def array_factor_fft(p: PhaseProfile, f: Frequency, uv_oversample: int = 4) -> U
     points the result equals array_factor_direct to machine precision.
     Points outside the visible region u^2 + v^2 <= 1 are NaN.
     """
-    uv_oversample = _integer(uv_oversample, "uv_oversample must be an integer, got {!r}")
-    if uv_oversample < 1:
-        raise ValueError("uv_oversample must be >= 1")
+    uv_oversample = _integer(uv_oversample, "uv_oversample must be an integer >= 1, got {!r}", lambda s: s >= 1)
     nx, ny = p.rows, p.cols
     lx, ly = nx * uv_oversample, ny * uv_oversample
     # the sides are named while they print short; 10**400 would print a 400-digit line
@@ -514,7 +512,7 @@ def _k_phases(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
     worth up to 3*eps*|k rho|; the factor 1 + j r rho takes it out to first
     order, to within 2*eps*max(1, |k rho|).
     """
-    f = math.isqrt(max(k.size - 1, 0)) + 1
+    f = math.isqrt(k.size - 1) + 1
     m = np.arange(k.size)
     residual = (k - k[m - m % f]) - (k[m % f] - k[0])
     if f == 1 or np.any(np.abs(residual) > 16.0 * np.finfo(float).eps * np.abs(k)):
@@ -670,10 +668,11 @@ def quantization_loss(
     Each peak is the maximum of the quantized_cuts cut at azimuth
     outgoing.phi, normalized by the closed-form hemisphere power.
     """
+    settings = [*bits_list, None]  # read once, so an iterator gives its bits to the cuts and the report alike
     continuous = synthesize_profile(a, BROADSIDE, outgoing, taper)
-    cuts = quantized_cuts(continuous, [*bits_list, None], outgoing.phi)
+    cuts = quantized_cuts(continuous, settings, outgoing.phi)
     peaks = [float(np.max(dbi)) for _, dbi in cuts]
-    bits = [None if b is None else int(b) for b in bits_list]  # each an integer by the cuts' rule: its int is exact
+    bits = [None if b is None else int(b) for b in settings[:-1]]  # each an integer by the cuts' rule: its int is exact
     return QuantizationReport(bits=bits, peak_dbi=peaks[:-1], continuous_dbi=peaks[-1])
 
 

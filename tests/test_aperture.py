@@ -179,7 +179,7 @@ def test_element_grid_refuses_a_count_that_is_not_an_integer(n):
     # 2.5 used to give a panel 2.5 pitches wide holding 2^2 cells, and True one cell
     with pytest.raises(ValueError) as refusal:
         ApertureSpec.from_element_grid(n, F140)
-    assert str(refusal.value) == f"n_per_side must be an integer, got {n!r}"
+    assert str(refusal.value) == f"n_per_side must be an integer in [1, 2^512), got {n!r}"
 
 
 @pytest.mark.parametrize("n", [3, np.int64(3), np.uint8(3)])

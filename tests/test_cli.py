@@ -435,6 +435,17 @@ BAD_INPUT = [
         ["link-budget"],
         1,
     ),
+    # M-QAM orders whose required SNR is beyond the float range: it overflows to
+    # inf at 4^511, and 4^512 = 2^1024 is past the float range itself
+    *(
+        (
+            PAPER.replace("sensitivity = -60 dBm", ""),
+            ("modulation = 4-QAM", f"modulation = {4**e}-QAM"),
+            ["link-budget"],
+            1,
+        )
+        for e in (511, 512)
+    ),
     # two sweep angles that squint_vs_angle.csv would write as one text, so as two identical rows
     (
         SMALL_SQUINT.replace("side = 80 mm", "side = 16 mm"),
@@ -937,10 +948,16 @@ PAPER_SECTIONS = _sections(PAPER)
 
 @functools.cache
 def _hostile(parser):
-    """Removal (None), the config fuzz's values, or a float-range extreme with a valid unit."""
+    """Removal (None), the config fuzz's values, or a float-range extreme with a valid unit.
+
+    A modulation may also be 4^e-QAM up to e = 600, past 4^510, the largest order whose required SNR is finite.
+    """
     units = [unit for unit in UNIT_NAMES if _takes(parser, f"1 {unit}")] or [""]
     extreme = st.tuples(st.sampled_from(["1e-308", "1e308", "-1e308"]), st.sampled_from(units))
-    return st.one_of(st.none(), _values(parser), extreme.map(lambda pair: " ".join(pair).strip()))
+    extreme = extreme.map(lambda pair: " ".join(pair).strip())
+    if parser is _SCHEMAS["receiver"]["modulation"]:
+        extreme = st.one_of(extreme, st.integers(0, 600).map(lambda e: f"{4**e}-QAM"))
+    return st.one_of(st.none(), _values(parser), extreme)
 
 
 # up to three keys of paper_scenario.cfg removed or set to a hostile value
@@ -1039,6 +1056,9 @@ def hostile_dir(tmp_path_factory):
 @example(edits={("receiver", "sensitivity"): "1e308 dBm", ("link", "tx_power"): "-1e308 dBm"}, structure=None)
 # a wavelength so long that (lambda/(d1*d2))^2 overflows
 @example(edits={("link", "frequency"): "1e-308 GHz"}, structure=None)
+# M-QAM orders whose required SNR overflows: to inf at 4^511, past the float range at 4^512
+@example(edits={("receiver", "sensitivity"): None, ("receiver", "modulation"): f"{4**511}-QAM"}, structure=None)
+@example(edits={("receiver", "sensitivity"): None, ("receiver", "modulation"): f"{4**512}-QAM"}, structure=None)
 # a profile name with a comma would shift the cells of power.csv
 @example(
     edits={("power", "profile"): "a, b", ("power", "per_cell_power"): "20 uW", ("power", "cells"): "10"},

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from thz_ris_planner.aperture import ApertureSpec, EfficiencyLedger
-from thz_ris_planner.core import SPEED_OF_LIGHT, BistaticGeometry, Direction, Frequency, _integer
+from thz_ris_planner.core import SPEED_OF_LIGHT, BistaticGeometry, Direction, Frequency, _finite, _integer
 from thz_ris_planner.link_budget import LinkReport, LinkScenario, ReceiverSpec
 from thz_ris_planner.power import TechnologyProfile
 from thz_ris_planner.radiation import QuantizationReport, SpherePattern, SquintReport, UVPattern
@@ -134,6 +134,12 @@ def test_an_int_past_the_float_range_is_named_by_its_size(build, text, n, shown)
     with pytest.raises(ValueError) as raised:
         build(n)
     assert str(raised.value) == text + shown
+
+
+def test_a_type_error_in_a_function_value_is_raised_not_refused():
+    # a function value is made of checked values, so a TypeError in it is a fault of the program, not bad input
+    with pytest.raises(TypeError):
+        _finite(lambda: 1.0 + "1", "never shown, got {}")
 
 
 def test_speed_of_light_is_exact():

@@ -1337,6 +1337,15 @@ def test_quantization_loss_matches_quadrature():
     assert report.losses_db[0] == pytest.approx(d_cont - d_2bit, abs=0.01)
 
 
+def test_quantization_loss_takes_its_settings_from_any_iterable():
+    # a generator gave bits=[] beside its two peaks: the report read the spent generator again
+    ap = ApertureSpec.from_element_grid(16, F140)
+    listed = quantization_loss(ap, OUT45, [1, 2])
+    generated = quantization_loss(ap, OUT45, (bits for bits in [1, 2]))
+    assert generated == listed
+    assert generated.bits == [1, 2] and len(generated.peak_dbi) == 2
+
+
 def test_quantized_cuts_budget_counts_every_setting(monkeypatch):
     # the stacked field holds every setting's cut at once: room for three cuts refuses four
     prof = synthesize_profile(ApertureSpec.from_element_grid(16, F140), BROADSIDE, OUT45)

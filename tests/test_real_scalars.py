@@ -261,6 +261,15 @@ def test_an_integer_gives_the_bits_of_its_value_or_a_one_line_value_error(case, 
         assert outcome == _outcome(case, int(x)), (case, x)
 
 
+@pytest.mark.parametrize("case", ["ReceiverSpec.modulation_order", "required_snr_db.modulation_order"])
+def test_a_modulation_order_whose_snr_overflows_is_refused_in_one_line(case):
+    # 4^511 made required_snr_db return inf, and 4^512 = 2^1024, past the float range,
+    # ended in an OverflowError from math.sqrt; 4^510 is the largest order with a finite SNR
+    assert _outcome(case, 4**510) is not None
+    assert _outcome(case, 4**511) is None
+    assert _outcome(case, 4**512) is None
+
+
 @pytest.mark.parametrize("case", sorted(WRAPPED))
 def test_a_numpy_integer_of_any_width_is_used_at_its_value(case):
     # np.uint8(8) bits made 2**bits wrap to 0 levels, and np.uint8(200) oversampling a 4-cell
