@@ -214,7 +214,6 @@ def cmd_solve_aperture(args, cfg: ScenarioConfig):
 def cmd_pattern(args, cfg: ScenarioConfig):
     import numpy as np
 
-    from . import svgplot
     from .radiation import array_factor_fft, check_normal_incidence, quantized_cuts
     from .surface import synthesize_profile
 
@@ -240,6 +239,8 @@ def cmd_pattern(args, cfg: ScenarioConfig):
     writers = [("pattern.csv", _write_csv(["bits", "theta_deg", "phi_deg", "directivity_dbi"], rows))]
     if not args.svg:
         return lines, [], None, writers
+    from . import svgplot  # imported here: pattern without --svg draws nothing
+
     uv = array_factor_fft(continuous, panel.design_freq, uv_oversample=2)
 
     def cut_plot(path: Path) -> None:

@@ -20,8 +20,8 @@ def _finite(value, message: str, within=lambda x: True, error: type = ValueError
     of values already checked, is called first, so a product is checked even
     where building it overflows or divides by an underflowed zero. The {} in
     message shows value, or the function's result (inf where it overflowed);
-    an int past the float range shows as its size in bits, since its digits
-    may be too many for Python to print.
+    an int of more than 64 bits shows as its size, since its digits would make a
+    line of hundreds of characters, or more than Python prints.
     """
     deferred = isinstance(value, types.FunctionType)
     try:
@@ -45,7 +45,7 @@ def _integer(value, message: str, within=lambda n: True) -> int:
     which takes an int or a numpy integer, so a numpy integer is used at its
     value and never in its fixed width, and refuses numpy's bool, a float, a
     str and None; a bool is refused too. The {} in message shows value, an
-    int past the float range by its size in bits, as _finite does.
+    int of more than 64 bits by its size, as _finite does.
     """
     if not isinstance(value, bool) and hasattr(type(value), "__index__") and within(n := operator.index(value)):
         return n
@@ -59,8 +59,8 @@ class _Size(str):
 
 
 def _shown(value):
-    """value as a message shows it, an int past the float range (2^1024) by its size: its digits may be too many."""
-    if isinstance(value, int) and value.bit_length() > 1024:
+    """value as a message shows it, an int of more than 64 bits by its size: its digits would make too long a line."""
+    if isinstance(value, int) and value.bit_length() > 64:
         return _Size(f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits")
     return value
 
@@ -188,6 +188,11 @@ class Frequency(Value):
     @classmethod
     def from_ghz(cls, value: float) -> "Frequency":
         return cls(_finite(value, "frequency must be finite, got {} GHz") * 1e9)
+
+
+def _wavenumber(hertz):
+    """k = 2*pi/lambda (rad/m) of a frequency or an array of them: finite for every frequency Frequency accepts."""
+    return 2.0 * math.pi / (SPEED_OF_LIGHT / hertz)
 
 
 class Direction(Value):

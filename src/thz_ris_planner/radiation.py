@@ -4,10 +4,10 @@ The radiated field of a profile with coefficients c_n at positions r_n is
 
     E(u) = EF(theta) * sum_n c_n * exp(j * k(f) * r_n . u)
 
-with k(f) = 2*pi*f/c and the per-element field factor EF(theta) =
-sqrt(cos(theta)), so element power falls as cos(theta). The programmed phases
-inside c_n are fixed at the design frequency and frequency-flat; evaluating at
-f != f0 is what produces beam squint.
+with k(f) = 2*pi/lambda (core._wavenumber, finite at every accepted f) and the
+per-element field factor EF(theta) = sqrt(cos(theta)), so element power falls
+as cos(theta). The programmed phases inside c_n are fixed at the design
+frequency and frequency-flat; evaluating at f != f0 is what produces beam squint.
 
 Integrating the cos(theta) element power over the front hemisphere gives, on
 a uniform lattice, the closed form
@@ -42,8 +42,8 @@ import math
 import numpy as np
 
 from .aperture import ApertureSpec
-from .core import BROADSIDE, PEAK_WINDOW, SPEED_OF_LIGHT, ArrayRecord, Direction, Frequency, Value
-from .core import _fast_length, _finite, _integer, _refuse_over_limit, check_array_budget
+from .core import BROADSIDE, PEAK_WINDOW, ArrayRecord, Direction, Frequency, Value
+from .core import _fast_length, _finite, _integer, _refuse_over_limit, _wavenumber, check_array_budget
 from .surface import PhaseProfile, TaperSpec, quantize_profile, synthesize_profile
 
 BEAMWIDTH_FACTOR = 0.886  # uniform-aperture 3 dB beamwidth in units of lambda/D
@@ -144,10 +144,6 @@ def _element_factor(theta: np.ndarray) -> np.ndarray:
     return np.where(np.abs(theta) < math.pi / 2, np.sqrt(np.maximum(np.cos(theta), 0.0)), 0.0)
 
 
-def _wavenumber(f: Frequency) -> float:
-    return 2.0 * math.pi * f.hertz / SPEED_OF_LIGHT
-
-
 def _dbi(e2, power: float):
     """Directivity 10*log10(4*pi*e2/power) in dBi of field power e2; an exact null reads -inf."""
     with np.errstate(divide="ignore"):
@@ -163,7 +159,7 @@ def array_factor_direct(
     Summation order is fixed (C order over the element grid) so results are
     reproducible bit-for-bit.
     """
-    k = _wavenumber(f)
+    k = _wavenumber(f.hertz)
     gx, gy = np.meshgrid(p.x_m, p.y_m, indexing="ij")
     out = np.empty(len(directions), dtype=complex)
     for idx, d in enumerate(directions):
@@ -362,7 +358,7 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
     phi = np.unique(np.concatenate([coarse, [2.0 * math.pi], phi_fine]))
 
     st = np.sin(theta)[:, None]
-    kt, ef = _wavenumber(f) * st, _element_factor(theta)[:, None]
+    kt, ef = _wavenumber(f.hertz) * st, _element_factor(theta)[:, None]
     fold, q = [_parity_fold(p.coefficients)], (coarse.size - 1) // 4
     square = p.rows == p.cols  # then x == y and AF_c(kv, ku) = AF_cT(ku, kv): the first octant serves
     i = np.arange(q // 2 + 1 if square else q + 1)
@@ -388,7 +384,7 @@ def directivity(p: PhaseProfile, grid_resolution: float = math.radians(0.05)) ->
 def hemisphere_power_exact(p: PhaseProfile, f: Frequency | None = None) -> float:
     """Closed-form hemisphere integral sum_d corr(d) * 2*pi*J1(k|d|)/(k|d|) of |E|^2."""
     check_array_budget(max(p.rows, p.cols))
-    k = np.array([_wavenumber(p.design_freq if f is None else f)])
+    k = np.array([_wavenumber((p.design_freq if f is None else f).hertz)])
     radius_index, squared = _lag_radii(p.rows, p.cols)
     corr = _radial_corr(p, radius_index)[:, None]
     return float(_positive_power(p.cell_pitch_m, squared, k, corr)[0, 0])
@@ -464,10 +460,10 @@ def _positive_power(pitch: float, squared: np.ndarray, k: np.ndarray, corr: np.n
     """_closed_form_power(pitch, squared, k, corr) to normalise by: ValueError unless all of it is positive and finite.
 
     On a panel far smaller than the wavelength the lag terms cancel the zero
-    lag's down to rounding, and the sum can come out at or below 0; a
-    wavenumber that overflows to inf makes it NaN. Either would turn every
-    directivity it normalises into NaN, so it is refused, and the overflow
-    is not warned of on the way.
+    lag's down to rounding, and the sum can come out at or below 0; k is
+    finite at every frequency, but a pitch so large that k*rho overflows to
+    inf makes it NaN. Either would turn every directivity it normalises into
+    NaN, so it is refused, and the overflow is not warned of on the way.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         power = _closed_form_power(pitch, squared, k, corr)
@@ -613,7 +609,7 @@ def check_normal_incidence(incident: Direction) -> None:
 
 def gain_at(p: PhaseProfile, f: Frequency, direction: Direction) -> float:
     """Directivity (dBi) at one direction, normalized by the exact power, which refuses an oversize p first."""
-    power, k = hemisphere_power_exact(p, f), _wavenumber(f)
+    power, k = hemisphere_power_exact(p, f), _wavenumber(f.hertz)
     u, v = direction.transverse()
     e = _field(p, [_parity_fold(p.coefficients)], k * u, k * v)[0] * _element_factor(direction.theta)
     return float(_dbi(abs(e) ** 2, power))
@@ -652,7 +648,7 @@ def _cuts(p: PhaseProfile, folded, f: Frequency, phi: float, step: float, powers
     theta = np.arange(-math.pi / 2, math.pi / 2 + 1e-12, step)
     theta[np.abs(theta - math.pi / 2) <= 1e-12] = math.pi / 2  # arange may stop a rounding short of it
     # negative theta at phi + 180 deg is positive theta with k*sin(theta) negated
-    q = _wavenumber(f) * np.sin(theta)
+    q = _wavenumber(f.hertz) * np.sin(theta)
     e = _field(p, folded, q * math.cos(phi), q * math.sin(phi)) * _element_factor(theta)
     return [(np.degrees(theta), _dbi(np.abs(row) ** 2, power)) for row, power in zip(e, powers, strict=True)]
 
@@ -702,7 +698,7 @@ def quantized_cuts(
         folded.append(_parity_fold(profile.coefficients))
         del profile
     del radius_index  # not held beside the cuts
-    powers = _positive_power(p.cell_pitch_m, squared, np.array([_wavenumber(p.design_freq)]), corr)[0]
+    powers = _positive_power(p.cell_pitch_m, squared, np.array([_wavenumber(p.design_freq.hertz)]), corr)[0]
     return _cuts(p, folded, p.design_freq, phi, step, powers)
 
 
@@ -767,8 +763,7 @@ def squint_vs_angle(
                         lambda span: 0.0 < span < f0.hertz)
     check_array_budget(a.n_per_side, n_freqs=n_samples, n_angles=len(outgoing_list))
     freqs = f0.hertz + np.linspace(-f_span_hz / 2.0, f_span_hz / 2.0, n_samples)
-    k_per_f = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
-    k0 = _wavenumber(f0)
+    k_per_f, k0 = _wavenumber(freqs), _wavenumber(f0.hertz)
     radius_index, squared = _lag_radii(a.n_per_side, a.n_per_side)
     corr = np.empty((squared.size, len(outgoing_list)), order="F")  # each angle's column contiguous
     profile = synthesize_profile(a, incident, BROADSIDE, taper)  # the taper: every continuous angle's lattice
@@ -846,7 +841,7 @@ def _broadside_hpbw(p: PhaseProfile, folded: list[np.ndarray], phi: float) -> fl
     in theta, so the width is twice it.
     """
     peak = np.sum(np.abs(p.coefficients)) ** 2
-    k = _wavenumber(p.design_freq)
+    k = _wavenumber(p.design_freq.hertz)
     lo, hi = 0.0, min(analytical_hpbw(p), math.pi / 2)
     for _ in range(2):
         theta = np.linspace(lo, hi, HPBW_GRID)

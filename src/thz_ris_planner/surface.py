@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .aperture import ApertureSpec
-from .core import ArrayRecord, Direction, Frequency, Value, _finite, _integer, check_array_budget
+from .core import ArrayRecord, Direction, Frequency, Value, _finite, _integer, _wavenumber, check_array_budget
 
 MAX_QUANTIZATION_BITS = 8  # beyond practical per-cell switch counts
 
@@ -109,14 +109,15 @@ def synthesize_profile(
     """Continuous (unquantized) profile steering incident -> outgoing at f0."""
     check_array_budget(a.n_per_side)
     x = _centred_axis(a.n_per_side, a.cell_pitch_m)
-    k0 = 2.0 * math.pi / a.design_freq.wavelength_m
+    k0 = _wavenumber(a.design_freq.hertz)
     u_in, v_in = incident.transverse()
     u_out, v_out = outgoing.transverse()
-    psi = np.mod(-k0 * ((u_out - u_in) * x[:, None] + (v_out - v_in) * x[None, :]), 2.0 * math.pi)
-    amp = taper.amplitude(np.hypot(x[:, None], x[None, :]) / (a.side_m / 2.0))
-
+    # j*psi, then its phasor and the taper product in place, with neither psi nor the taper held beside them
+    c = np.mod(-k0 * ((u_out - u_in) * x[:, None] + (v_out - v_in) * x[None, :]), 2.0 * math.pi) * 1j
+    np.exp(c, out=c)
+    c *= taper.amplitude(np.hypot(x[:, None], x[None, :]) / (a.side_m / 2.0))
     return PhaseProfile(
-        coefficients=amp * np.exp(1j * psi),
+        coefficients=c,
         design_freq=a.design_freq,
         cell_pitch_m=a.cell_pitch_m,
     )

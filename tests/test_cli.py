@@ -701,19 +701,26 @@ def test_missing_config_file(tmp_path, capsys):
     assert code == 1
 
 
-def test_cli_import_leaves_scipy_signal_out():
+@pytest.mark.parametrize("command", [None, "pattern", "squint"])
+def test_cli_import_leaves_scipy_signal_out(tmp_path, command):
     src = str(Path(thz_ris_planner.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    # the runtime needs numpy only: no scipy module at all, not just scipy.signal
+    # the runtime needs numpy only: no scipy module at all, not just scipy.signal;
+    # and an array command without --svg draws nothing, so it compiles no svgplot either
+    run = ""
+    if command is not None:
+        config = data_path("fig5.cfg" if command == "pattern" else "fig6.cfg")
+        argv = ["--config", config, "--out", str(tmp_path), command]
+        run = f"assert thz_ris_planner.cli.main({argv!r}) == 0; "
     probe = (
-        "import sys, thz_ris_planner.cli; "
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        f"import sys, thz_ris_planner.cli; {run}"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'thz_ris_planner.svgplot'])"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from thz_ris_planner.aperture import ApertureSpec, EfficiencyLedger
-from thz_ris_planner.core import SPEED_OF_LIGHT, BistaticGeometry, Direction, Frequency, _finite, _integer
+from thz_ris_planner.core import SPEED_OF_LIGHT, BistaticGeometry, Direction, Frequency, _finite, _integer, _wavenumber
 from thz_ris_planner.link_budget import LinkReport, LinkScenario, ReceiverSpec
 from thz_ris_planner.power import TechnologyProfile
 from thz_ris_planner.radiation import QuantizationReport, SpherePattern, SquintReport, UVPattern
@@ -53,6 +54,17 @@ def test_a_frequency_whose_wavelength_overflows_is_refused():
     assert f"{lowest:.3g}" == "1.67e-300"
     with pytest.raises(ValueError, match="so low that its wavelength overflows"):
         Frequency(math.nextafter(lowest, 0.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(exponent=st.integers(-995, 1023), mantissa=st.floats(1.0, 2.0, exclude_max=True))
+@example(exponent=1023, mantissa=math.nextafter(2.0, 0.0))  # the largest float
+def test_wavenumber_is_two_pi_over_the_wavelength_property(exponent, mantissa):
+    # log-uniform over every frequency Frequency accepts, from 1.67e-300 Hz: 2 pi f / c overflowed above 2.86e307 Hz
+    f = Frequency(max(math.ldexp(mantissa, exponent), 1.67e-300))
+    k = _wavenumber(f.hertz)
+    assert 0.0 < k < math.inf and k == 2.0 * math.pi / f.wavelength_m
+    assert np.array_equal(_wavenumber(np.array([f.hertz, f.hertz])), [k, k])
 
 
 def test_direction_phi_wraps():
@@ -126,11 +138,19 @@ def test_validators_reject_non_finite(build, bad):
 )
 @pytest.mark.parametrize(
     "n, shown",
-    [(10**5000, "an int of 16610 bits"), (10**400, "an int of 1329 bits"), (-(10**400), "a negative int of 1329 bits")],
-    ids=["10**5000", "10**400", "-10**400"],  # pytest cannot name a 5001-digit int either
+    [
+        (10**5000, "an int of 16610 bits"),
+        (10**400, "an int of 1329 bits"),
+        (-(10**400), "a negative int of 1329 bits"),
+        # negative, as a frequency or a count past 2^64 may be valid
+        (-(4**511), "a negative int of 1023 bits"),
+        (-(2**64), "a negative int of 65 bits"),
+        (1 - 2**64, "-18446744073709551615"),
+    ],
+    ids=["10**5000", "10**400", "-10**400", "-4**511", "-2**64", "1-2**64"],  # pytest cannot name a 5001-digit int
 )
-def test_an_int_past_the_float_range_is_named_by_its_size(build, text, n, shown):
-    # 10**5000 has more digits than Python prints (4300), and 10**400 more than a message should
+def test_an_int_of_more_than_64_bits_is_named_by_its_size(build, text, n, shown):
+    # 10**5000 has more digits than Python prints (4300), and 4**511's 308 made a refusal of 360 characters
     with pytest.raises(ValueError) as raised:
         build(n)
     assert str(raised.value) == text + shown

@@ -18,6 +18,7 @@ from thz_ris_planner.core import (
     Frequency,
     _fast_length,
     _largest_array,
+    _wavenumber,
     check_array_budget,
 )
 from thz_ris_planner.radiation import (
@@ -884,14 +885,15 @@ _BAD_POWERS = {
     # the lag terms cancel the zero lag's below rounding: unchecked, gain_at read NaN and the cut [-inf, nan, ...]
     "steered-2.5Hz": (_steered_at(Frequency(2.5)), "-2.27374e-12"),
     "ramp-1Hz": (_ramp_at(Frequency(1.0)), "-6.82121e-13"),
-    "steered-1e308Hz": (_steered_at(Frequency(1e308)), "nan"),  # 2 pi f overflows to inf
+    # k is finite at every frequency, but k * rho overflows to inf at so wide a pitch
+    "steered-1e308Hz-1e306m": (PhaseProfile(_steered_at(F140).coefficients, Frequency(1e308), 1e306), "nan"),
 }
 
 
 @pytest.mark.parametrize(
     "route, case",
-    # quantized_cuts' cut step at 1e308 Hz is 1e-299 rad, which its array budget refuses first
-    [(r, c) for r in _POWER_ROUTES for c in _BAD_POWERS if (r, c) != ("quantized_cuts", "steered-1e308Hz")],
+    # quantized_cuts' beamwidth at a 1e306 m pitch underflows to 0, and its array budget refuses the endless cut first
+    [(r, c) for r in _POWER_ROUTES for c in _BAD_POWERS if (r, c) != ("quantized_cuts", "steered-1e308Hz-1e306m")],
 )
 def test_power_routes_refuse_a_closed_form_power_that_is_not_positive_and_finite(monkeypatch, route, case):
     profile, got = _BAD_POWERS[case]
@@ -899,6 +901,16 @@ def test_power_routes_refuse_a_closed_form_power_that_is_not_positive_and_finite
     with pytest.raises(ValueError) as refusal:
         _POWER_ROUTES[route](profile)
     assert str(refusal.value) == f"the closed-form hemisphere power must be positive and finite, got {got}"
+
+
+@pytest.mark.parametrize("hertz", [3e307, 1e308, 1.7e308])
+def test_power_routes_compute_at_the_top_of_the_frequency_range(hertz):
+    # 2 pi f / c overflowed to inf above 2.86e307 Hz, and each route refused a NaN power; k = 2 pi / lambda
+    # stays finite, and the lag terms vanish against the zero lag's, their large-k limit
+    profile = _steered_at(Frequency(hertz))
+    assert hemisphere_power_exact(profile) == math.pi * np.sum(np.abs(profile.coefficients) ** 2)
+    assert math.isfinite(gain_at(profile, profile.design_freq, Direction.from_degrees(30.0)))
+    assert np.all(principal_plane_cut(profile)[1] < math.inf)  # -inf at the horizon, where the element factor is 0
 
 
 def test_squint_refuses_a_closed_form_power_that_is_not_positive(monkeypatch):
@@ -1032,7 +1044,7 @@ def test_cos_sin_table_columns_are_computed_alone_property(n, seed):
     x = PhaseProfile(np.ones((n, 1)), F140, 1e-3).x_m
     rng = np.random.default_rng(seed)
     for size in (1, PEAK_WINDOW, FIELD_CHUNK):
-        q = rng.uniform(-1.0, 1.0, size) * radiation._wavenumber(F140)
+        q = rng.uniform(-1.0, 1.0, size) * _wavenumber(F140.hertz)
         alone = np.concatenate([_cos_sin_table(x, q[s : s + 1]) for s in range(size)], axis=1)
         assert np.array_equal(_cos_sin_table(x, q), alone)
 
@@ -1068,7 +1080,7 @@ def test_field_kernel_matches_direct_sum_to_1e13_of_peak(n, f_ghz, bits):
     edge = rng.uniform(0.0, 1e-3, 40)
     theta = np.concatenate([theta, [0.0], edge[:20], 0.5 * math.pi - edge[20:]])
     phi = np.append(phi, rng.uniform(0.0, 2.0 * math.pi, 41))
-    kt = radiation._wavenumber(f) * np.sin(theta)
+    kt = _wavenumber(f.hertz) * np.sin(theta)
     field = _field(prof, [_parity_fold(prof.coefficients)], kt * np.cos(phi), kt * np.sin(phi))[0]
     kernel = field * _element_factor(theta)
     direct = array_factor_direct(prof, f, [Direction(t, p) for t, p in zip(theta, phi)])
@@ -1080,7 +1092,7 @@ def test_field_chunks_are_computed_alone(size):
     # the last chunk holds 1 or FIELD_CHUNK - 1 directions
     rng = np.random.default_rng(size)
     prof = _random_lattice(7, 6, rng)
-    ku, kv = rng.uniform(-1.0, 1.0, (2, size)) * radiation._wavenumber(F140)
+    ku, kv = rng.uniform(-1.0, 1.0, (2, size)) * _wavenumber(F140.hertz)
     grids = [_parity_fold(prof.coefficients)]
     chunks = [_field(prof, grids, ku[s : s + FIELD_CHUNK], kv[s : s + FIELD_CHUNK]) for s in (0, FIELD_CHUNK)]
     assert np.array_equal(_field(prof, grids, ku, kv), np.concatenate(chunks, axis=1))
@@ -1096,7 +1108,7 @@ def test_field_of_a_direction_has_the_same_bits_in_any_call_property(n, seed, mi
     rng = np.random.default_rng(seed)
     prof = _random_lattice(n, n + int(rng.integers(0, 4)), rng)
     grids = [_parity_fold(prof.coefficients)]
-    ku, kv = rng.uniform(-1.0, 1.0, (2, FIELD_CHUNK)) * radiation._wavenumber(F140)
+    ku, kv = rng.uniform(-1.0, 1.0, (2, FIELD_CHUNK)) * _wavenumber(F140.hertz)
     whole = _field(prof, grids, ku, kv, mirrored)
     for width in (1, 2, 3, 4, 7, 8, 9, 17, 21, 182, int(rng.integers(1, FIELD_CHUNK)), 1023):
         start = int(rng.integers(0, FIELD_CHUNK - width + 1))
@@ -1116,7 +1128,7 @@ def test_field_of_a_mirrored_grid_is_the_mirrored_field_property(rows, cols, see
     rng = np.random.default_rng(seed)
     prof = _random_lattice(rows, cols, rng)
     c = prof.coefficients
-    ku, kv = np.append(rng.uniform(-1.0, 1.0, (2, 301)), [[0.0], [0.0]], axis=1) * radiation._wavenumber(F140)
+    ku, kv = np.append(rng.uniform(-1.0, 1.0, (2, 301)), [[0.0], [0.0]], axis=1) * _wavenumber(F140.hertz)
     stack = _field(prof, [_parity_fold(g) for g in (c, c[::-1], c[::-1, ::-1], c[:, ::-1], np.conj(c))], ku, kv)
     mirrored = _field(prof, [_parity_fold(c)], np.stack([ku, -ku, -ku, ku, -ku]), np.stack([kv, kv, -kv, -kv, -kv]))[0]
     mirrored[4] = np.conj(mirrored[4])
@@ -1141,7 +1153,7 @@ def test_field_of_a_grid_is_the_same_in_a_stack_property(rows, cols, seed):
     grids = [_random_lattice(rows, cols, rng).coefficients for _ in range(3)]
     prof = PhaseProfile(grids[0], F140, F140.wavelength_m / 2.0)
     for size in (1, PEAK_WINDOW, FIELD_CHUNK + 1):
-        ku, kv = rng.uniform(-1.0, 1.0, (2, size)) * radiation._wavenumber(F140)
+        ku, kv = rng.uniform(-1.0, 1.0, (2, size)) * _wavenumber(F140.hertz)
         stacked = _field(prof, [_parity_fold(grid) for grid in grids], ku, kv)
         assert stacked.shape == (3, size)
         for grid, field in zip(grids, stacked):
@@ -1155,7 +1167,7 @@ def _steered_lattice(rows, cols, target):
     y = PhaseProfile(np.ones((cols, 1)), F140, pitch).x_m
     u, v = target.transverse()
     amp = 1.0 - 0.5 * np.hypot(x[:, None], y[None, :]) / math.hypot(x[-1], y[-1])
-    phase = radiation._wavenumber(F140) * (u * x[:, None] + v * y[None, :])
+    phase = _wavenumber(F140.hertz) * (u * x[:, None] + v * y[None, :])
     return PhaseProfile(amp * np.exp(-1j * phase), F140, pitch)
 
 
@@ -1204,7 +1216,7 @@ def test_directivity_assembles_the_full_grid(rows, cols, target, fine_phi):
 
     # the same quadrature with every column radiated directly, with no mirror images
     st = np.sin(theta)[:, None]
-    kt = radiation._wavenumber(F140) * st
+    kt = _wavenumber(F140.hertz) * st
     e = _field(p, [_parity_fold(p.coefficients)], kt * np.cos(phi), kt * np.sin(phi))[0]
     e2 = np.abs(e * _element_factor(theta)[:, None]) ** 2
     total = np.trapezoid(np.trapezoid(e2 * st, x=phi, axis=1), x=theta)
