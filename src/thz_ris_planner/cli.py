@@ -214,7 +214,7 @@ def cmd_solve_aperture(args, cfg: ScenarioConfig):
 def cmd_pattern(args, cfg: ScenarioConfig):
     import numpy as np
 
-    from .radiation import array_factor_fft, check_normal_incidence, quantized_cuts
+    from .radiation import array_factor_fft, quantized_cuts
     from .surface import synthesize_profile
 
     incident = _direction(cfg, "in")
@@ -222,7 +222,6 @@ def cmd_pattern(args, cfg: ScenarioConfig):
     bits_list = cfg["quantization"]["bits"]
     panel = _aperture(cfg)
     taper = _taper(cfg)
-    check_normal_incidence(incident)
 
     continuous = synthesize_profile(panel, incident, outgoing, taper)
     cuts = quantized_cuts(continuous, bits_list, outgoing.phi)

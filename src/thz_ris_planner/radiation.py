@@ -594,19 +594,6 @@ def _polynomial(coefficients: tuple[float, ...], t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def check_normal_incidence(incident: Direction) -> None:
-    """Raise ValueError unless incident is broadside (theta = 0).
-
-    The field model carries no incident-phase term, so a profile programmed
-    for oblique incidence would radiate toward u_out - u_in, not u_out.
-    """
-    if incident.theta != 0.0:
-        raise ValueError(
-            f"only normal incidence is modelled (theta_in = 0), got theta_in = "
-            f"{math.degrees(incident.theta):g} deg"
-        )
-
-
 def gain_at(p: PhaseProfile, f: Frequency, direction: Direction) -> float:
     """Directivity (dBi) at one direction, normalized by the exact power, which refuses an oversize p first."""
     power, k = hemisphere_power_exact(p, f), _wavenumber(f.hertz)
@@ -743,7 +730,9 @@ def squint_vs_angle(
     frequency-flat broadside profile) the report saturates at f_span_hz. If
     only one edge lies inside the band the sweep cannot bracket it and
     ValueError asks for a larger span. Only normal incidence is
-    modelled; any other incident direction raises ValueError.
+    modelled: after n_samples, f_span and the array budget are checked, the
+    taper's synthesis refuses any other incident direction with ValueError,
+    before any lag, FFT or field work.
 
     The sweep is validated first. HPBW depends on the aperture, the taper and
     the azimuth only, so it is measured on the taper (the broadside profile),
@@ -755,18 +744,17 @@ def squint_vs_angle(
     and PEAK_WINDOW track window; one contraction gives every angle's
     power, with no J1 table.
     """
-    check_normal_incidence(incident)
     n_samples = _integer(n_samples, "n_samples must be an odd integer >= 11 so f0 lies on the grid, got {!r}",
                          lambda n: n >= 11 and n % 2 == 1)
     f0 = a.design_freq
     f_span_hz = _finite(f_span_hz, "f_span must be positive and below the design frequency",
                         lambda span: 0.0 < span < f0.hertz)
     check_array_budget(a.n_per_side, n_freqs=n_samples, n_angles=len(outgoing_list))
+    profile = synthesize_profile(a, incident, BROADSIDE, taper)  # the taper: every continuous angle's lattice
     freqs = f0.hertz + np.linspace(-f_span_hz / 2.0, f_span_hz / 2.0, n_samples)
     k_per_f, k0 = _wavenumber(freqs), _wavenumber(f0.hertz)
     radius_index, squared = _lag_radii(a.n_per_side, a.n_per_side)
     corr = np.empty((squared.size, len(outgoing_list)), order="F")  # each angle's column contiguous
-    profile = synthesize_profile(a, incident, BROADSIDE, taper)  # the taper: every continuous angle's lattice
     if bits is None:  # every angle's correlation from the taper's, by one FFT, on its lags i >= 0
         taper_corr = _half_corr(profile)[: a.n_per_side].copy()
         radius_index = radius_index[: taper_corr.size].copy()  # only those lags are binned

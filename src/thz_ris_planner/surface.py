@@ -6,7 +6,8 @@ u_in toward u_out is the wrapped linear gradient
 
     psi(r) = mod(-k0 * (u_out - u_in) . r, 2*pi)
 
-evaluated at the design frequency f0 on the element lattice.
+evaluated at the design frequency f0 on the element lattice. The field model
+has no illumination phase, so synthesis takes u_in = 0 (normal incidence) only.
 """
 
 from __future__ import annotations
@@ -106,7 +107,15 @@ def synthesize_profile(
     outgoing: Direction,
     taper: TaperSpec = TaperSpec(),
 ) -> PhaseProfile:
-    """Continuous (unquantized) profile steering incident -> outgoing at f0."""
+    """Continuous (unquantized) profile steering incident -> outgoing at f0.
+
+    Only normal incidence is modelled: the field model has no illumination
+    phase, so a profile programmed for an oblique incident wave would be
+    radiated as if lit head-on. Any incident.theta other than 0 raises
+    ValueError, before the budget check and any allocation.
+    """
+    _finite(math.degrees(incident.theta), "only normal incidence is modelled (theta_in = 0), got theta_in = {:g} deg",
+            lambda d: d == 0.0)
     check_array_budget(a.n_per_side)
     x = _centred_axis(a.n_per_side, a.cell_pitch_m)
     k0 = _wavenumber(a.design_freq.hertz)

@@ -100,7 +100,7 @@ def test_unknown_key_is_line_anchored(tmp_path):
 
 
 def test_incident_azimuth_is_not_a_key(tmp_path):
-    # no output reads phi_in: rcs takes theta_in only, and pattern and squint refuse theta_in != 0
+    # no output reads phi_in: rcs takes theta_in only, and synthesis, so pattern and squint, refuses theta_in != 0
     with pytest.raises(ConfigError, match=r"line 2: unknown key 'phi_in' in section \[link\]"):
         load_config(_write(tmp_path, "[link]\nphi_in = 10 deg\n"))
 

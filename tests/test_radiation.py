@@ -55,23 +55,21 @@ from thz_ris_planner.radiation import (
 )
 from thz_ris_planner.surface import PhaseProfile, TaperSpec, quantize_profile, synthesize_profile
 
-from conftest import traced_peak
+from conftest import gradient_phasor, traced_peak
 
 F140 = Frequency.from_ghz(140)
 OUT45 = Direction.from_degrees(45)
 
 
-def _random_profile(n, rng, taper_amps=True):
+def _random_profile(n, rng):
     ap = ApertureSpec.from_element_grid(n, F140)
-    prof = synthesize_profile(
+    phasor = gradient_phasor(  # a random wrapped gradient, drawn as an oblique synthesis would program it
         ap,
         Direction(rng.uniform(0, 0.6), rng.uniform(0, 2 * math.pi)),
         Direction(rng.uniform(0, 1.2), rng.uniform(0, 2 * math.pi)),
     )
-    if taper_amps:
-        amps = rng.uniform(0.2, 1.0, (n, n))
-        prof = PhaseProfile(amps * np.exp(1j * np.angle(prof.coefficients)), F140, prof.cell_pitch_m)
-    return prof
+    amps = rng.uniform(0.2, 1.0, (n, n))
+    return PhaseProfile(amps * np.exp(1j * np.angle(phasor)), F140, ap.cell_pitch_m)
 
 
 def _random_lattice(rows, cols, rng):
@@ -1726,12 +1724,18 @@ def test_squint_beam_leaving_visible_region_is_out_of_band(tracked_reports):
     assert report.bw_3db_hz == pytest.approx(tracked_reports[2].bw_3db_hz, rel=0.02)
 
 
-def test_squint_oblique_incidence_raises():
-    # the field model has no incident-phase term, so an oblique-incidence
-    # profile would radiate toward u_out - u_in; the sweep refuses it
+def test_squint_oblique_incidence_raises(monkeypatch):
+    # the field model has no incident-phase term, so an oblique-incidence profile would
+    # radiate toward u_out - u_in; the taper's synthesis refuses it before any lag, FFT or field work
+    def unreachable(*args, **kwargs):
+        raise AssertionError("lag, FFT or field work began before the incidence was checked")
+
+    for name in ("_lag_radii", "_half_corr", "_field"):
+        monkeypatch.setattr(radiation, name, unreachable)
     ap = ApertureSpec.from_element_grid(40, F140)
-    with pytest.raises(ValueError, match="normal incidence"):
-        squint_sweep(ap, Direction.from_degrees(30.0), OUT45, TaperSpec(-10.0))
+    for bits in (None, 2):
+        with pytest.raises(ValueError, match="^only normal incidence is modelled .* got theta_in = 30 deg$"):
+            squint_sweep(ap, Direction.from_degrees(30.0), OUT45, TaperSpec(-10.0), bits)
 
 
 def test_squint_target_past_element_pull_raises():
