@@ -6,7 +6,9 @@ golden.json holds the sha256 of each one, digests of up to BLOCKS runs of its
 lines (one line per run for an artifact of at most BLOCKS lines) to locate
 the first difference, and the numpy version and machine it was made on:
 the field kernel's matrix product goes through BLAS, so its last bits depend
-on both.
+on both. They do not depend on the BLAS thread count: the closed-form power
+is summed in numpy's own loop, and ci/twice.sh runs paper-scale cases under
+1 and 2 threads.
 
 Rewrite the record after an intended change of output with
 

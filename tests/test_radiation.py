@@ -1,11 +1,13 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import j1
 
 from thz_ris_planner import core, radiation
@@ -726,6 +728,69 @@ def test_power_peak_does_not_grow_with_the_frequency_count():
     assert abs(peaks[1] / peaks[0] - 1.0) <= 0.1, peaks
 
 
+_THREADS_SCRIPT = """
+import math, sys
+import numpy as np
+from thz_ris_planner import radiation
+from thz_ris_planner.aperture import ApertureSpec
+from thz_ris_planner.core import BROADSIDE, Direction, Frequency, _wavenumber
+from thz_ris_planner.surface import TaperSpec, quantize_profile, synthesize_profile
+
+f0 = Frequency.from_ghz(140)
+prof = synthesize_profile(ApertureSpec.from_element_grid(200, f0), BROADSIDE, Direction.from_degrees(45.0),
+                          TaperSpec(-10.0))
+radius_index, squared = radiation._lag_radii(200, 200)
+corr = np.asfortranarray(np.stack([radiation._radial_corr(prof if bits is None else quantize_profile(prof, bits),
+                                                          radius_index) for bits in (1, 2, 3, None)], axis=1))
+k0 = _wavenumber(f0.hertz)
+q = k0 * np.sin(np.arange(-math.pi / 2, math.pi / 2 + 1e-12, math.radians(0.05)))  # a fig5 cut at 200^2
+np.savez(sys.argv[1],
+         one=radiation._closed_form_power(prof.cell_pitch_m, squared, np.array([k0]), corr),
+         grid=radiation._closed_form_power(prof.cell_pitch_m, squared, k0 * np.linspace(0.85, 1.15, 41), corr),
+         cut=radiation._field(prof, [radiation._parity_fold(prof.coefficients)], q, np.zeros_like(q)))
+"""
+
+
+def test_power_and_field_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # fig5's settings at 200^2: a BLAS product at one wavenumber sums the
+    # 13 648 radii in an order that moves with the thread count, which moved
+    # the 1- and 3-bit powers' last bits
+    arrays = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = tmp_path / f"threads_{threads}.npz"
+        run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, str(out)], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        with np.load(out) as saved:
+            arrays.append({name: saved[name] for name in saved.files})
+    for name in ("one", "grid", "cut"):
+        assert np.array_equal(arrays[0][name].view(np.uint64), arrays[1][name].view(np.uint64)), name
+
+
+def test_a_profiles_power_has_the_same_bits_alone_and_in_a_stack(monkeypatch):
+    # each column is contracted on its own: one einsum over every column at
+    # once gave these powers other bits than alone at 200^2 (more radii than
+    # einsum's buffer holds), at one wavenumber
+    prof = synthesize_profile(ApertureSpec.from_element_grid(200, F140), BROADSIDE, OUT45, TaperSpec(-10.0))
+    settings = [1, 2, 3, None]
+    alone = [hemisphere_power_exact(prof if b is None else quantize_profile(prof, b)) for b in settings]
+    monkeypatch.setattr(radiation, "_cuts", lambda p, folded, f, phi, step, powers: powers)  # the powers, no field
+    stacked = quantized_cuts(prof, settings, 0.0)
+    assert np.array_equal(np.asarray(stacked).view(np.uint64), np.array(alone).view(np.uint64))
+
+    powers = []  # of the squint: one angle of a 13-angle sweep against that angle alone
+    positive_power = radiation._positive_power
+    monkeypatch.setattr(radiation, "_positive_power", lambda *args: powers.append(positive_power(*args)) or powers[-1])
+    angles = [Direction.from_degrees(theta) for theta in np.linspace(10.0, 70.0, 13)]  # fig6's sweep
+    panel = ApertureSpec.from_element_grid(75, F140)
+    for bits in (None, 2):
+        powers.clear()
+        squint_vs_angle(panel, BROADSIDE, angles, bits=bits, f_span_hz=40e9, n_samples=41)
+        squint_vs_angle(panel, BROADSIDE, angles[7:8], bits=bits, f_span_hz=40e9, n_samples=41)
+        assert np.array_equal(powers[0][:, 7].view(np.uint64), powers[1][:, 0].view(np.uint64)), bits
+
+
 # --- memory guard (estimates only; nothing large is allocated) ---------------
 
 
@@ -880,11 +945,18 @@ _POWER_ROUTES = {
     "quantized_cuts": lambda p: quantized_cuts(p, [1, None], 0.0),
 }
 _BAD_POWERS = {
-    # the lag terms cancel the zero lag's below rounding: unchecked, gain_at read NaN and the cut [-inf, nan, ...]
-    "steered-2.5Hz": (_steered_at(Frequency(2.5)), "-2.27374e-12"),
-    "ramp-1Hz": (_ramp_at(Frequency(1.0)), "-6.82121e-13"),
+    # case: (profile, "<floor>, got <power>" of its refusal, that of quantized_cuts' first setting, its 1-bit profile)
+    # the lag terms cancel the zero lag's down to a rounding residue of either sign: unchecked, a negative one
+    # read NaN gains and cuts [-inf, nan, ...], and a positive one gains tens of dB too low
+    "steered-2.5Hz": (_steered_at(Frequency(2.5)), "1.7555e-08, got -2.72848e-12", "1.83551e-08, got -9.09495e-13"),
+    # summed in another order, these two read +4.5475e-13 and the cut a maximum of -37.56 and -25.52 dBi, where
+    # the quadrature reads 7.89 dBi
+    "steered-1Hz": (_steered_at(Frequency(1.0)), "1.7555e-08, got -9.09495e-13", "1.83551e-08, got -9.09495e-13"),
+    "steered-4Hz": (_steered_at(Frequency(4.0)), "1.7555e-08, got -9.09495e-13", "1.83551e-08, got -9.09495e-13"),
+    "ramp-1Hz": (_ramp_at(Frequency(1.0)), "1.74511e-08, got 4.09273e-12", "1.53664e-08, got -3.63798e-12"),
     # k is finite at every frequency, but k * rho overflows to inf at so wide a pitch
-    "steered-1e308Hz-1e306m": (PhaseProfile(_steered_at(F140).coefficients, Frequency(1e308), 1e306), "nan"),
+    "steered-1e308Hz-1e306m": (
+        PhaseProfile(_steered_at(F140).coefficients, Frequency(1e308), 1e306), "1.7555e-08, got nan", None),
 }
 
 
@@ -894,11 +966,97 @@ _BAD_POWERS = {
     [(r, c) for r in _POWER_ROUTES for c in _BAD_POWERS if (r, c) != ("quantized_cuts", "steered-1e308Hz-1e306m")],
 )
 def test_power_routes_refuse_a_closed_form_power_that_is_not_positive_and_finite(monkeypatch, route, case):
-    profile, got = _BAD_POWERS[case]
+    profile, got, quantized = _BAD_POWERS[case]
     monkeypatch.setattr(radiation, "_field", None)  # each route refuses before any field work
     with pytest.raises(ValueError) as refusal:
         _POWER_ROUTES[route](profile)
-    assert str(refusal.value) == f"the closed-form hemisphere power must be positive and finite, got {got}"
+    got = quantized if route == "quantized_cuts" else got
+    assert str(refusal.value) == f"the closed-form hemisphere power must be finite and above its rounding floor {got}"
+
+
+# Measured over 900 panels drawn as the property below draws them: the
+# quadrature at a 0.5 deg grid read sub-wavelength powers up to 5.1e-5 high,
+# and the closed form's error stayed within 0.64 eps B0, B0 = pi sum_r
+# |corr_r| (within 3.5 eps B0 up to 300^2 cells)
+QUADRATURE_REL = 1e-4
+ROUNDING_B0 = 4.0
+FLOOR_B0 = 2.0**10
+
+
+def _eps_b0(p):
+    """eps * pi * sum_r |corr_r| of profile p: the scale of its closed-form power's rounding."""
+    radius_index, _ = _lag_radii(p.rows, p.cols)
+    return np.finfo(float).eps * math.pi * float(np.sum(np.abs(_radial_corr(p, radius_index))))
+
+
+def _implied_powers(dbi, unit_dbi):
+    """The powers that normalise each finite entry of dbi, from the same field over a power of 1."""
+    finite = np.isfinite(unit_dbi)
+    return 10.0 ** ((unit_dbi[finite] - np.asarray(dbi)[finite]) / 10.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 32),
+    turns=st.none() | st.integers(1, 15),
+    sin_theta=st.floats(0.0, 0.95),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    edge_db=st.floats(-15.0, 0.0),
+    bits=st.sampled_from([None, 1, 2, 3]),
+    log_kr=st.floats(-12.0, 1.0),
+)
+@example(n=16, turns=1, sin_theta=0.0, phi=0.0, edge_db=0.0, bits=None, log_kr=-6.0)  # refused
+@example(n=3, turns=1, sin_theta=0.0, phi=0.0, edge_db=0.0, bits=None, log_kr=math.log10(4.6e-6))  # 2e3 eps B0
+@example(n=32, turns=None, sin_theta=0.5, phi=0.0, edge_db=-10.0, bits=1, log_kr=1.0)
+def test_power_routes_refuse_or_match_the_quadrature_property(n, turns, sin_theta, phi, edge_db, bits, log_kr):
+    # a steered panel, or a uniform one with whole phase turns along x, whose
+    # coefficients sum to about 0; its largest lag rho_max (the pitch when
+    # n = 1) at k rho_max = 10^log_kr, far below the wavelength to about 1.6 of it
+    if turns is not None:
+        assume(2 * turns < n)
+        sin_theta, phi, edge_db = 2.0 * turns / n, 0.0, 0.0  # at a half-wavelength pitch: `turns` turns in n cells
+    panel = ApertureSpec.from_element_grid(n, F140)
+    steered = synthesize_profile(panel, BROADSIDE, Direction(math.asin(sin_theta), phi), TaperSpec(edge_db))
+    rho_max = panel.cell_pitch_m * max(1.0, math.hypot(n - 1, n - 1))
+    f = Frequency(10.0**log_kr / rho_max * SPEED_OF_LIGHT / (2.0 * math.pi))
+    p = PhaseProfile(steered.coefficients, f, panel.cell_pitch_m)
+    radiated = p if bits is None else quantize_profile(p, bits)
+    eps_b0 = _eps_b0(radiated)
+    reference = directivity(radiated, math.radians(0.5)).total_power
+    if reference <= 2.0 * math.pi * (n * n * np.finfo(float).eps * np.sum(np.abs(radiated.coefficients))) ** 2:
+        reference = math.pi * abs(np.sum(radiated.coefficients)) ** 2  # below the fields' rounding: the k -> 0 limit
+
+    theta_deg, unit = principal_plane_cut(radiated, total_power=1.0)  # the same fields over a power of 1
+    peak = int(np.nanargmax(unit))
+    theta = math.radians(theta_deg[peak])
+    step = min(radiation.analytical_hpbw(p), math.pi) / radiation.CUT_STEPS_PER_BEAMWIDTH
+    routes = {  # each route's output, and the powers it implies
+        "hemisphere_power_exact": (lambda: hemisphere_power_exact(radiated), lambda power: np.array([power])),
+        "gain_at": (lambda: gain_at(radiated, f, Direction(abs(theta), 0.0 if theta >= 0.0 else math.pi)),
+                    lambda dbi: _implied_powers([dbi], unit[peak : peak + 1])),
+        "principal_plane_cut": (lambda: principal_plane_cut(radiated)[1], lambda dbi: _implied_powers(dbi, unit)),
+        "quantized_cuts": (lambda: quantized_cuts(p, [bits], 0.0)[0][1],
+                           lambda dbi: _implied_powers(dbi, principal_plane_cut(radiated, None, 0.0, step, 1.0)[1])),
+    }
+    for name, (route, implied) in routes.items():
+        fields = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(radiation, "_field", lambda *args, **kwargs: fields.append(1) or _field(*args, **kwargs))
+            try:
+                out = route()
+            except ValueError as refusal:
+                message = str(refusal)
+                out = None
+        if out is None:  # at or below the floor, in one line and before any field work
+            assert not fields and "\n" not in message, name
+            head, floor = message.split(", got ")[0].rsplit(" ", 1)
+            assert head == "the closed-form hemisphere power must be finite and above its rounding floor", name
+            assert float(floor) == pytest.approx(FLOOR_B0 * eps_b0, rel=1e-5), name
+            assert reference <= (FLOOR_B0 + ROUNDING_B0) * eps_b0 * (1.0 + QUADRATURE_REL), name
+        else:
+            powers = implied(out)  # above the floor, the rounding is at most ROUNDING_B0 / FLOOR_B0 of the power
+            bound = QUADRATURE_REL + ROUNDING_B0 / FLOOR_B0
+            assert powers.size and np.all(np.abs(powers / reference - 1.0) <= bound), name
 
 
 @pytest.mark.parametrize("hertz", [3e307, 1e308, 1.7e308])
@@ -915,7 +1073,8 @@ def test_squint_refuses_a_closed_form_power_that_is_not_positive(monkeypatch):
     # no squint sweep has been seen to lose its power's sign: a negated contraction stands in for one
     closed_form = radiation._closed_form_power
     monkeypatch.setattr(radiation, "_closed_form_power", lambda *args: -closed_form(*args))
-    with pytest.raises(ValueError, match="^the closed-form hemisphere power must be positive and finite, got -"):
+    with pytest.raises(ValueError, match="^the closed-form hemisphere power must be finite and above its rounding "
+                                         "floor [^,]+, got -"):
         squint_sweep(ApertureSpec.from_element_grid(16, F140), BROADSIDE, OUT45, n_samples=11)
 
 
